@@ -12,10 +12,11 @@
 //! and the emulated-vs-native gap is the paper's "software float is the
 //! oracle, hardware is the product" story at its widest.
 //!
-//! Honest caveat: the container this JSON was generated on exposes one
-//! core, so `threads` is pinned to 1 and the numbers measure single-core
-//! kernel throughput only. The SIMD-tier comparison is still meaningful
-//! (lanes, not cores); re-run on a multi-core host for thread scaling.
+//! Besides the `d × T` grid at a fixed row count, the bench measures the
+//! shape the serving benchmark whitens (`d = 64`, `m = 256`, `T = 5`), so
+//! the per-tier numbers at that point can decide which SIMD tiers earn
+//! their keep. `threads` is pinned to 1: these are single-thread kernel
+//! numbers, and the JSON's `host` block names the machine they came from.
 
 use std::time::Instant;
 
@@ -24,7 +25,7 @@ use iterl2norm::{build_whiten, NormError, SimdLevel, WhitenSpec};
 use softfloat::Fp32;
 use workloads::VectorGen;
 
-use crate::io::{banner, print_table, write_json};
+use crate::io::{banner, host_json, print_table, write_json};
 
 /// One measured configuration.
 struct Point {
@@ -38,6 +39,9 @@ struct Point {
     us_per_group: f64,
     speedup_vs_emulated: f64,
 }
+
+/// The shape the serving benchmark whitens: `(d, T, rows per group)`.
+const SERVED: (usize, u32, usize) = (64, 5, 256);
 
 /// Best-of-[`REPS`] wall-clock for the native points. The emulated oracle
 /// runs once per configuration — a single `d = 256`, `T = 5` oracle pass
@@ -93,13 +97,13 @@ fn measure(
     Ok((best, resolved))
 }
 
-/// Run the whitening bench at the given dimensions and step counts,
+/// Run the whitening bench at the given `(d, T, rows per group)` shapes,
 /// printing the table and writing `results/BENCH_whiten.json`.
 ///
 /// # Errors
 ///
 /// Propagates JSON-write failures (and executor errors as `io::Error`).
-pub fn run_at(dims: &[usize], steps: &[u32], rows_per_group: usize) -> std::io::Result<()> {
+pub fn run_at(shapes: &[(usize, u32, usize)]) -> std::io::Result<()> {
     banner("Whitening throughput — Newton-Schulz Sigma^-1/2, native vs emulated, SIMD tier");
     let forced = [
         SimdLevel::Scalar,
@@ -110,7 +114,7 @@ pub fn run_at(dims: &[usize], steps: &[u32], rows_per_group: usize) -> std::io::
     let mut points: Vec<Point> = Vec::new();
     let mut table = Vec::new();
 
-    for &d in dims {
+    for &(d, t, rows_per_group) in shapes {
         // Enough groups that native timings rise above clock noise, but
         // the d³-dominated oracle stays affordable at d = 256.
         let groups = if d >= 256 { 2 } else { 8 };
@@ -119,87 +123,84 @@ pub fn run_at(dims: &[usize], steps: &[u32], rows_per_group: usize) -> std::io::
             group_rows: vec![rows_per_group; groups],
         };
         let mut out = vec![0u32; batch.input.len()];
-        for &t in steps {
-            let spec = WhitenSpec::new().with_t(t);
+        let spec = WhitenSpec::new().with_t(t);
+        // The emulated serial oracle: timed once, kept as the
+        // reference every native point must match bit for bit.
+        let (t_emulated, _) = measure(
+            BackendKind::Emulated,
+            d,
+            spec,
+            SimdLevel::Auto,
+            &batch,
+            &mut out,
+            1,
+        )?;
+        let reference = out.clone();
+        points.push(Point {
+            d,
+            t,
+            groups,
+            rows_per_group,
+            backend: BackendKind::Emulated,
+            simd: SimdLevel::Scalar,
+            groups_per_s: groups as f64 / t_emulated,
+            us_per_group: t_emulated * 1e6 / groups as f64,
+            speedup_vs_emulated: 1.0,
+        });
+        table.push(vec![
+            d.to_string(),
+            t.to_string(),
+            rows_per_group.to_string(),
+            BackendKind::Emulated.name().to_string(),
+            SimdLevel::Scalar.to_string(),
+            format!("{:.1}", groups as f64 / t_emulated),
+            format!("{:.0}", t_emulated * 1e6 / groups as f64),
+            "1.0x".to_string(),
+        ]);
 
-            // The emulated serial oracle: timed once, kept as the
-            // reference every native point must match bit for bit.
-            let (t_emulated, _) = measure(
-                BackendKind::Emulated,
-                d,
-                spec,
-                SimdLevel::Auto,
-                &batch,
-                &mut out,
-                1,
-            )?;
-            let reference = out.clone();
+        for level in forced {
+            let (t_native, resolved) =
+                match measure(BackendKind::Native, d, spec, level, &batch, &mut out, REPS) {
+                    Ok(timed) => timed,
+                    Err(err)
+                        if err
+                            .get_ref()
+                            .and_then(|e| e.downcast_ref::<NormError>())
+                            .is_some_and(|e| matches!(e, NormError::SimdUnsupported { .. })) =>
+                    {
+                        println!("  (skipping {level}: not supported on this host)");
+                        continue;
+                    }
+                    Err(err) => return Err(err),
+                };
+            // Self-check before reporting: the speedup must not be a
+            // different computation.
+            assert_eq!(
+                out, reference,
+                "native whitening diverged from emulated at d = {d}, \
+                 t = {t}, simd = {resolved}"
+            );
             points.push(Point {
                 d,
                 t,
                 groups,
                 rows_per_group,
-                backend: BackendKind::Emulated,
-                simd: SimdLevel::Scalar,
-                groups_per_s: groups as f64 / t_emulated,
-                us_per_group: t_emulated * 1e6 / groups as f64,
-                speedup_vs_emulated: 1.0,
+                backend: BackendKind::Native,
+                simd: resolved,
+                groups_per_s: groups as f64 / t_native,
+                us_per_group: t_native * 1e6 / groups as f64,
+                speedup_vs_emulated: t_emulated / t_native,
             });
             table.push(vec![
                 d.to_string(),
                 t.to_string(),
-                BackendKind::Emulated.name().to_string(),
-                SimdLevel::Scalar.to_string(),
-                format!("{:.1}", groups as f64 / t_emulated),
-                format!("{:.0}", t_emulated * 1e6 / groups as f64),
-                "1.0x".to_string(),
+                rows_per_group.to_string(),
+                BackendKind::Native.name().to_string(),
+                resolved.to_string(),
+                format!("{:.0}", groups as f64 / t_native),
+                format!("{:.1}", t_native * 1e6 / groups as f64),
+                format!("{:.0}x", t_emulated / t_native),
             ]);
-
-            for level in forced {
-                let (t_native, resolved) =
-                    match measure(BackendKind::Native, d, spec, level, &batch, &mut out, REPS) {
-                        Ok(timed) => timed,
-                        Err(err)
-                            if err
-                                .get_ref()
-                                .and_then(|e| e.downcast_ref::<NormError>())
-                                .is_some_and(|e| {
-                                    matches!(e, NormError::SimdUnsupported { .. })
-                                }) =>
-                        {
-                            println!("  (skipping {level}: not supported on this host)");
-                            continue;
-                        }
-                        Err(err) => return Err(err),
-                    };
-                // Self-check before reporting: the speedup must not be a
-                // different computation.
-                assert_eq!(
-                    out, reference,
-                    "native whitening diverged from emulated at d = {d}, \
-                     t = {t}, simd = {resolved}"
-                );
-                points.push(Point {
-                    d,
-                    t,
-                    groups,
-                    rows_per_group,
-                    backend: BackendKind::Native,
-                    simd: resolved,
-                    groups_per_s: groups as f64 / t_native,
-                    us_per_group: t_native * 1e6 / groups as f64,
-                    speedup_vs_emulated: t_emulated / t_native,
-                });
-                table.push(vec![
-                    d.to_string(),
-                    t.to_string(),
-                    BackendKind::Native.name().to_string(),
-                    resolved.to_string(),
-                    format!("{:.0}", groups as f64 / t_native),
-                    format!("{:.1}", t_native * 1e6 / groups as f64),
-                    format!("{:.0}x", t_emulated / t_native),
-                ]);
-            }
         }
     }
 
@@ -207,6 +208,7 @@ pub fn run_at(dims: &[usize], steps: &[u32], rows_per_group: usize) -> std::io::
         &[
             "d",
             "t",
+            "m",
             "backend",
             "simd",
             "groups/s",
@@ -222,14 +224,21 @@ pub fn run_at(dims: &[usize], steps: &[u32], rows_per_group: usize) -> std::io::
     json.push_str("  \"format\": \"FP32\",\n");
     json.push_str("  \"group_mode\": \"center\",\n");
     json.push_str("  \"eps\": 1e-5,\n");
-    json.push_str(&format!("  \"rows_per_group\": {rows_per_group},\n"));
     json.push_str("  \"threads\": 1,\n");
     json.push_str(&format!("  \"reps_best_of\": {REPS},\n"));
     json.push_str("  \"bit_identity_checked\": true,\n");
-    json.push_str(
-        "  \"caveat\": \"generated on a 1-core container; single-core kernel \
-         throughput only, no thread scaling\",\n",
-    );
+    let auto = build_whiten(
+        BackendKind::Native,
+        FormatKind::Fp32,
+        1,
+        WhitenSpec::new(),
+        SimdLevel::Auto,
+    )
+    .map_err(std::io::Error::other)?;
+    json.push_str(&format!(
+        "  \"host\": {},\n",
+        host_json(auto.simd_level().name())
+    ));
     json.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         json.push_str(&format!(
@@ -255,11 +264,17 @@ pub fn run_at(dims: &[usize], steps: &[u32], rows_per_group: usize) -> std::io::
 }
 
 /// The standard configuration: the step counts and dimensions the paper's
-/// whitening discussion sweeps, `rows` rows per group.
+/// whitening discussion sweeps at `rows` rows per group, then the
+/// shape the serving benchmark whitens (d = 64, m = 256, T = 5).
 ///
 /// # Errors
 ///
 /// Propagates JSON-write failures.
 pub fn run(rows: usize) -> std::io::Result<()> {
-    run_at(&[16, 64, 256], &[0, 1, 5], rows)
+    let mut shapes: Vec<(usize, u32, usize)> = [16, 64, 256]
+        .into_iter()
+        .flat_map(|d| [0, 1, 5].into_iter().map(move |t| (d, t, rows)))
+        .collect();
+    shapes.push(SERVED);
+    run_at(&shapes)
 }

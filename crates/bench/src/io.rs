@@ -4,6 +4,7 @@
 use std::fs;
 use std::io::Write;
 use std::path::PathBuf;
+use std::process::Command;
 
 /// The results directory (`ITERL2_RESULTS`, default `results/`), created on
 /// demand.
@@ -48,6 +49,32 @@ pub fn write_json(name: &str, json: &str) -> std::io::Result<PathBuf> {
     let mut f = fs::File::create(&path)?;
     writeln!(f, "{json}")?;
     Ok(path)
+}
+
+/// The `host` object a checked-in bench JSON records: core count, the
+/// resolved SIMD level, the compiler, and the source revision (suffixed
+/// `-dirty` when the tree has uncommitted changes; `unknown` outside a
+/// git checkout).
+pub fn host_json(simd: &str) -> String {
+    let cores = std::thread::available_parallelism().map_or(0, usize::from);
+    let rustc = command_output("rustc", &["--version"]);
+    let git = command_output("git", &["describe", "--always", "--dirty", "--abbrev=12"]);
+    format!(
+        "{{\"cores\": {cores}, \"simd\": \"{simd}\", \"rustc\": \"{rustc}\", \"git\": \"{git}\"}}"
+    )
+}
+
+/// A command's trimmed stdout, or `unknown` when it cannot run or fails.
+fn command_output(program: &str, args: &[&str]) -> String {
+    Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map_or_else(
+            || "unknown".to_string(),
+            |out| String::from_utf8_lossy(&out.stdout).trim().to_string(),
+        )
 }
 
 /// Print a section banner.

@@ -32,29 +32,29 @@
 //!   for every format (FP32/FP16/BF16) — the bit-accurate reference
 //!   oracle.
 //! * A host-`f32` native path (FP32 only) that reuses the existing
-//!   [`SimdLevel`] dispatch for the `d × d` matrix kernels — AVX2, SSE2,
-//!   portable, or forced scalar, runtime-resolved exactly like the
-//!   normalization backend and never silently downgraded.
+//!   [`SimdLevel`] dispatch — AVX2, SSE2, portable, or forced scalar,
+//!   runtime-resolved exactly like the normalization backend and never
+//!   silently downgraded.
 //!
 //! The native path is **bit-identical** to the emulated FP32 oracle at
 //! every SIMD level. The argument is the same as `simd.rs`, but it is
 //! worth restating for matmuls, where "SIMD changes the answer" folklore
-//! comes from: every loop in this module is written so that the
-//! reduction chain of each *output element* is a fixed, sequential
-//! left-to-right fold, and SIMD lanes only ever span *independent
-//! output elements* (the contiguous last index of each buffer). The
-//! covariance fills `Σ[i][j] += Xc[k][i]·Xc[k][j]` with `k` outermost;
-//! the matmuls run `C[i][j] += A[i][k]·B[k][j]` with `k` in the middle
-//! loop; the apply step runs `Y[k][i] += Xc[k][j]·WMᵀ[j][i]` with `j`
-//! in the middle loop. In all three, the innermost loop is an
-//! elementwise multiply-then-add over a contiguous row — a vector lane
-//! owns one output element and performs the identical IEEE-754 binary32
-//! round-to-nearest-even operation sequence the scalar code performs,
-//! in the same order. No FMA is used on the value path (explicit mul
-//! then add; Rust never contracts, and intrinsic calls are never
-//! contracted), and no reduction is ever reassociated across lanes.
-//! `tests/whiten_bit_identity.rs` enforces native ≡ emulated for every
-//! forced level × d × T.
+//! comes from: the reduction chain of each *output element* is a fixed,
+//! sequential left-to-right fold, and nothing the native path does to go
+//! fast ever spans anything but *independent output elements*. The
+//! covariance (`Σ[i][j]` over the rows `k` of `Xc`), the three
+//! Newton–Schulz products (`C[i][j]` over `k`) and the apply
+//! (`Y[k][i]` over `j`) all run through one register-tile kernel whose
+//! per-element contract is the oracle's: start at `+0.0`, fold the
+//! inner index ascending as `acc + (a·b)` — a multiply, then an add. A
+//! tile holds a block of such accumulators in registers for the whole
+//! fold; its rows and its vector lanes are different outputs, each
+//! performing the identical IEEE-754 binary32 round-to-nearest-even
+//! operation sequence the oracle performs, in the same order. No FMA is
+//! used on the value path (explicit mul then add; Rust never contracts,
+//! and intrinsic calls are never contracted), and no reduction is ever
+//! reassociated across lanes or tiles. `tests/whiten_bit_identity.rs`
+//! enforces native ≡ emulated for every forced level × d × T.
 //!
 //! Division and square root are correctly rounded in both IEEE binary32
 //! hardware and the softfloat emulator, so `1/trace` and `√(1/trace)`
@@ -354,9 +354,9 @@ fn validate_groups(
 
 // --------------------------------------------------------------------
 // Generic softfloat path: the oracle, every format. The loop structure
-// below is the canonical operation order; the f32 kernel path mirrors
-// it statement for statement (same fold directions, same mul-then-add),
-// which is what the bit-identity suite pins.
+// below is the canonical operation order; the f32 kernel path runs the
+// same per-element chains (same fold directions, same mul-then-add) in
+// a blocked layout, which is what the bit-identity suite pins.
 // --------------------------------------------------------------------
 
 /// Reusable per-call buffers for one group, in format values.
@@ -688,14 +688,15 @@ impl<F: Float> WhitenExec for EmulatedWhiten<F> {
 }
 
 // --------------------------------------------------------------------
-// Native f32 path: the same operation order, with the elementwise inner
-// loops routed through a SIMD kernel tier. Lanes span output elements
-// only; the per-element operation chain is the scalar one.
+// Native f32 path: every output element runs the oracle's operation
+// chain. The elementwise passes go through a SIMD kernel tier, the
+// products through one register-tile kernel; lanes and tile rows span
+// independent output elements only.
 // --------------------------------------------------------------------
 
-/// The five elementwise primitives every whitening loop reduces to. Each
-/// is a lanewise map over contiguous `f32` slices — implementations
-/// differ only in lane width, never in per-element operation order.
+/// The elementwise primitives of the non-matmul passes. Each is a
+/// lanewise map over contiguous `f32` slices — implementations differ
+/// only in lane width, never in per-element operation order.
 ///
 /// Methods are `unsafe` because implementations may use instructions the
 /// host must support — callers reach them only through kernels resolved
@@ -711,16 +712,11 @@ trait WhitenOps {
     /// # Safety: callers must hold the implementation's ISA requirement
     /// (kernels are resolved for this host by [`simd::resolve`]).
     unsafe fn scale_assign(&self, dst: &mut [f32], s: f32);
-    /// `dst[i] = a[i] - b[i]`.
+    /// `dst[i] = dst[i] - src[i]`.
     ///
     /// # Safety: callers must hold the implementation's ISA requirement
     /// (kernels are resolved for this host by [`simd::resolve`]).
-    unsafe fn sub_into(&self, dst: &mut [f32], a: &[f32], b: &[f32]);
-    /// `dst[i] = dst[i] + (a * src[i])` — multiply, then add, never FMA.
-    ///
-    /// # Safety: callers must hold the implementation's ISA requirement
-    /// (kernels are resolved for this host by [`simd::resolve`]).
-    unsafe fn axpy(&self, dst: &mut [f32], a: f32, src: &[f32]);
+    unsafe fn sub_assign(&self, dst: &mut [f32], src: &[f32]);
     /// `p[i] = (1.5 * p[i]) - (0.5 * g[i])` — the Newton–Schulz combine.
     ///
     /// # Safety: callers must hold the implementation's ISA requirement
@@ -751,17 +747,9 @@ impl WhitenOps for ScalarOps {
 
     // SAFETY: plain scalar loops — no instruction-set requirement.
     #[inline(always)]
-    unsafe fn sub_into(&self, dst: &mut [f32], a: &[f32], b: &[f32]) {
-        for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-            *d = x - y;
-        }
-    }
-
-    // SAFETY: plain scalar loops — no instruction-set requirement.
-    #[inline(always)]
-    unsafe fn axpy(&self, dst: &mut [f32], a: f32, src: &[f32]) {
+    unsafe fn sub_assign(&self, dst: &mut [f32], src: &[f32]) {
         for (d, &s) in dst.iter_mut().zip(src) {
-            *d += a * s;
+            *d -= s;
         }
     }
 
@@ -827,29 +815,8 @@ impl WhitenOps for PortableOps {
 
     // SAFETY: portable lanewise loops — no target-specific instructions.
     #[inline(always)]
-    unsafe fn sub_into(&self, dst: &mut [f32], a: &[f32], b: &[f32]) {
-        let mut dc = dst.chunks_exact_mut(PORTABLE_LANES);
-        let mut ac = a.chunks_exact(PORTABLE_LANES);
-        let mut bc = b.chunks_exact(PORTABLE_LANES);
-        for ((dchunk, achunk), bchunk) in (&mut dc).zip(&mut ac).zip(&mut bc) {
-            for ((d, &x), &y) in dchunk.iter_mut().zip(achunk).zip(bchunk) {
-                *d = x - y;
-            }
-        }
-        for ((d, &x), &y) in dc
-            .into_remainder()
-            .iter_mut()
-            .zip(ac.remainder())
-            .zip(bc.remainder())
-        {
-            *d = x - y;
-        }
-    }
-
-    // SAFETY: portable lanewise loops — no target-specific instructions.
-    #[inline(always)]
-    unsafe fn axpy(&self, dst: &mut [f32], a: f32, src: &[f32]) {
-        portable_zip!(dst, src, |d, s| *d += a * s);
+    unsafe fn sub_assign(&self, dst: &mut [f32], src: &[f32]) {
+        portable_zip!(dst, src, |d, s| *d -= s);
     }
 
     // SAFETY: portable lanewise loops — no target-specific instructions.
@@ -859,11 +826,14 @@ impl WhitenOps for PortableOps {
     }
 }
 
-/// Reusable per-call `f32` buffers (see [`Scratch`] for the roles).
+/// Reusable per-call `f32` buffers (see [`Scratch`] for the roles). The
+/// group arrives decoded in `xc` and is centered in place; the whitened
+/// rows land in `y`. Once warm, a group call allocates nothing.
 #[derive(Debug, Clone, Default)]
 struct ScratchF32 {
     mean: Vec<f32>,
     xc: Vec<f32>,
+    y: Vec<f32>,
     sigma: Vec<f32>,
     sigman: Vec<f32>,
     p: Vec<f32>,
@@ -876,7 +846,7 @@ struct ScratchF32 {
 impl ScratchF32 {
     fn reserve(&mut self, m: usize, d: usize) {
         self.mean.resize(d, 0.0);
-        self.xc.resize(m * d, 0.0);
+        self.y.resize(m * d, 0.0);
         for buf in [
             &mut self.sigma,
             &mut self.sigman,
@@ -891,58 +861,135 @@ impl ScratchF32 {
     }
 }
 
-/// `c = a·b` through the kernel's axpy — the i-k-j order of
-/// [`matmul_soft`], statement for statement.
-// SAFETY: bounds-checked slice loops; `unsafe` only forwards the `ops` ISA contract.
-#[inline(always)]
+/// Rows of one register tile.
+const TILE_ROWS: usize = 4;
+/// Columns of one register tile.
+const TILE_COLS: usize = 16;
+
+/// One product `c = a·b`: `c` is `m × n` row-major, `b` is `k × n`
+/// row-major, and `a[i][p]` sits at `a[i * a_row + p * a_k]` — so the
+/// covariance reads `Xcᵀ` in place, with no transpose copy.
+///
+/// Every output element runs the chain of [`matmul_soft`]: start at
+/// `+0.0`, then fold `p` ascending as `acc + (a[i][p] * b[p][j])` — a
+/// multiply, then an add, never FMA, operands in that order. The kernel
+/// keeps a `TILE_ROWS × TILE_COLS` block of such accumulators in
+/// registers across the whole `p` loop; tail rows and columns run the
+/// same chain in narrower tiles. Tiles, rows and lanes only ever span
+/// independent outputs, so blocking changes where the operations run,
+/// never which operands pair or in what order.
+#[derive(Clone, Copy)]
+struct MatMul<'a> {
+    a: &'a [f32],
+    a_row: usize,
+    a_k: usize,
+    b: &'a [f32],
+    m: usize,
+    n: usize,
+    k: usize,
+}
+
 // normlint: kernel-begin
-unsafe fn matmul_f32<O: WhitenOps>(ops: &O, c: &mut [f32], a: &[f32], b: &[f32], d: usize) {
-    c.fill(0.0);
-    for i in 0..d {
-        let crow = &mut c[i * d..(i + 1) * d];
-        for k in 0..d {
-            ops.axpy(crow, a[i * d + k], &b[k * d..(k + 1) * d]);
+impl<'a> MatMul<'a> {
+    /// `a·b` for `d × d` row-major operands.
+    #[inline(always)]
+    fn square(a: &'a [f32], b: &'a [f32], d: usize) -> Self {
+        MatMul {
+            a,
+            a_row: d,
+            a_k: 1,
+            b,
+            m: d,
+            n: d,
+            k: d,
+        }
+    }
+
+    /// Write the product into `c` (every element is overwritten).
+    #[inline(always)]
+    fn run(&self, c: &mut [f32]) {
+        let full_rows = self.m - self.m % TILE_ROWS;
+        for i in (0..full_rows).step_by(TILE_ROWS) {
+            self.row_block::<TILE_ROWS>(c, i);
+        }
+        for i in full_rows..self.m {
+            self.row_block::<1>(c, i);
+        }
+    }
+
+    #[inline(always)]
+    fn row_block<const R: usize>(&self, c: &mut [f32], i: usize) {
+        let full_cols = self.n - self.n % TILE_COLS;
+        for j in (0..full_cols).step_by(TILE_COLS) {
+            self.tile::<R, TILE_COLS>(c, i, j);
+        }
+        for j in full_cols..self.n {
+            self.tile::<R, 1>(c, i, j);
+        }
+    }
+
+    /// The `R × C` block of outputs at row `i`, column `j`.
+    #[inline(always)]
+    fn tile<const R: usize, const C: usize>(&self, c: &mut [f32], i: usize, j: usize) {
+        let mut acc = [[0.0f32; C]; R];
+        for p in 0..self.k {
+            let brow = &self.b[p * self.n + j..][..C];
+            for (r, row) in acc.iter_mut().enumerate() {
+                let aip = self.a[(i + r) * self.a_row + p * self.a_k];
+                for (cij, &bpj) in row.iter_mut().zip(brow) {
+                    *cij += aip * bpj;
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            c[(i + r) * self.n + j..][..C].copy_from_slice(row);
         }
     }
 }
 // normlint: kernel-end
 
 /// Whiten one group in host-`f32` arithmetic — the f32 twin of
-/// [`whiten_group_soft`]: identical loop structure and fold directions,
-/// with the elementwise inner loops routed through `ops`.
+/// [`whiten_group_soft`]. The group arrives decoded in `s.xc`; the
+/// whitened rows land in `s.y`. Each output element runs the oracle's
+/// operation chain: the elementwise passes go through `ops`, and the
+/// covariance, the Newton–Schulz products and the apply through
+/// [`MatMul`] (start at `+0.0`, fold `k` ascending, multiply then add).
 // SAFETY: bounds-checked slice loops; `unsafe` only forwards the `ops` ISA contract.
 #[inline(always)]
 unsafe fn whiten_group_f32<O: WhitenOps>(
     ops: &O,
-    x: &[f32],
-    y: &mut [f32],
     d: usize,
     spec: &WhitenSpec,
     eps: f32,
     s: &mut ScratchF32,
 ) {
-    let m = x.len() / d;
+    let m = s.xc.len() / d;
     s.reserve(m, d);
     let inv_m = 1.0f32 / (m as f64 as f32);
     match spec.group_mode {
         GroupMode::Center => {
             s.mean.fill(0.0);
-            for row in x.chunks_exact(d) {
+            for row in s.xc.chunks_exact(d) {
                 ops.add_assign(&mut s.mean, row);
             }
             ops.scale_assign(&mut s.mean, inv_m);
-            for (xcrow, xrow) in s.xc.chunks_exact_mut(d).zip(x.chunks_exact(d)) {
-                ops.sub_into(xcrow, xrow, &s.mean);
+            for row in s.xc.chunks_exact_mut(d) {
+                ops.sub_assign(row, &s.mean);
             }
         }
-        GroupMode::Raw => s.xc.copy_from_slice(x),
+        GroupMode::Raw => {}
     }
-    s.sigma.fill(0.0);
-    for xcrow in s.xc.chunks_exact(d) {
-        for i in 0..d {
-            ops.axpy(&mut s.sigma[i * d..(i + 1) * d], xcrow[i], xcrow);
-        }
+    // Σ[i][j] folds Xc[k][i]·Xc[k][j] over the rows k.
+    MatMul {
+        a: &s.xc,
+        a_row: 1,
+        a_k: d,
+        b: &s.xc,
+        m: d,
+        n: d,
+        k: m,
     }
+    .run(&mut s.sigma);
     ops.scale_assign(&mut s.sigma, inv_m);
     for i in 0..d {
         s.sigma[i * d + i] += eps;
@@ -960,9 +1007,9 @@ unsafe fn whiten_group_f32<O: WhitenOps>(
     }
     // normlint: kernel-begin
     for _ in 0..spec.t {
-        matmul_f32(ops, &mut s.p2, &s.p, &s.p, d);
-        matmul_f32(ops, &mut s.p3, &s.p2, &s.p, d);
-        matmul_f32(ops, &mut s.g, &s.p3, &s.sigman, d);
+        MatMul::square(&s.p, &s.p, d).run(&mut s.p2);
+        MatMul::square(&s.p2, &s.p, d).run(&mut s.p3);
+        MatMul::square(&s.p3, &s.sigman, d).run(&mut s.g);
         ops.ns_combine(&mut s.p, &s.g);
     }
     // normlint: kernel-end
@@ -974,46 +1021,38 @@ unsafe fn whiten_group_f32<O: WhitenOps>(
             s.wmt[j * d + i] = s.g[i * d + j];
         }
     }
-    y.fill(0.0);
-    for (yrow, xcrow) in y.chunks_exact_mut(d).zip(s.xc.chunks_exact(d)) {
-        for (j, &xkj) in xcrow.iter().enumerate() {
-            ops.axpy(yrow, xkj, &s.wmt[j * d..(j + 1) * d]);
-        }
+    // Y[k][i] folds Xc[k][j]·WMᵀ[j][i] over j.
+    MatMul {
+        a: &s.xc,
+        a_row: d,
+        a_k: 1,
+        b: &s.wmt,
+        m,
+        n: d,
+        k: d,
     }
+    .run(&mut s.y);
 }
 
 /// Safe scalar entry point (no special instructions).
-fn whiten_group_scalar(
-    x: &[f32],
-    y: &mut [f32],
-    d: usize,
-    spec: &WhitenSpec,
-    eps: f32,
-    s: &mut ScratchF32,
-) {
+fn whiten_group_scalar(d: usize, spec: &WhitenSpec, eps: f32, s: &mut ScratchF32) {
     // SAFETY: ScalarOps uses no special instructions.
-    unsafe { whiten_group_f32(&ScalarOps, x, y, d, spec, eps, s) }
+    unsafe { whiten_group_f32(&ScalarOps, d, spec, eps, s) }
 }
 
 /// Portable entry point (no special instructions; autovectorizable).
-fn whiten_group_portable(
-    x: &[f32],
-    y: &mut [f32],
-    d: usize,
-    spec: &WhitenSpec,
-    eps: f32,
-    s: &mut ScratchF32,
-) {
+fn whiten_group_portable(d: usize, spec: &WhitenSpec, eps: f32, s: &mut ScratchF32) {
     // SAFETY: PortableOps uses no special instructions.
-    unsafe { whiten_group_f32(&PortableOps, x, y, d, spec, eps, s) }
+    unsafe { whiten_group_f32(&PortableOps, d, spec, eps, s) }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! SSE2/AVX2 lanewise maps. As in `simd.rs`, the generic pipeline is
-    //! `#[inline(always)]` and instantiated *inside* each
-    //! `#[target_feature]` entry point — routing through a function
-    //! pointer would outline a copy without the feature attribute.
+    //! SSE2/AVX2 lanewise maps. As in `simd.rs`, the generic pipeline —
+    //! the `MatMul` tile kernel included — is `#[inline(always)]` and
+    //! instantiated *inside* each `#[target_feature]` entry point, so the
+    //! autovectorizer widens the tiles to that ISA. Routing through a
+    //! function pointer would outline a copy without the feature attribute.
 
     use super::{whiten_group_f32, ScratchF32, WhitenOps, WhitenSpec};
     use core::arch::x86_64::*;
@@ -1055,36 +1094,16 @@ mod x86 {
 
         // SAFETY: SSE2 ops on in-bounds offsets (`i + 4 <= len`); SSE2 is the x86-64 baseline.
         #[inline(always)]
-        unsafe fn sub_into(&self, dst: &mut [f32], a: &[f32], b: &[f32]) {
-            let mut i = 0;
-            while i + 4 <= dst.len() {
-                let x = _mm_loadu_ps(a.as_ptr().add(i));
-                let y = _mm_loadu_ps(b.as_ptr().add(i));
-                _mm_storeu_ps(dst.as_mut_ptr().add(i), _mm_sub_ps(x, y));
-                i += 4;
-            }
-            while i < dst.len() {
-                dst[i] = a[i] - b[i];
-                i += 1;
-            }
-        }
-
-        // SAFETY: SSE2 ops on in-bounds offsets (`i + 4 <= len`); SSE2 is the x86-64 baseline.
-        #[inline(always)]
-        unsafe fn axpy(&self, dst: &mut [f32], a: f32, src: &[f32]) {
-            // Multiply then add — never `_mm_fmadd_ps`; the scalar chain
-            // is two roundings per term and the lanes must match it.
-            let av = _mm_set1_ps(a);
+        unsafe fn sub_assign(&self, dst: &mut [f32], src: &[f32]) {
             let mut i = 0;
             while i + 4 <= dst.len() {
                 let d = _mm_loadu_ps(dst.as_ptr().add(i));
                 let s = _mm_loadu_ps(src.as_ptr().add(i));
-                let prod = _mm_mul_ps(av, s);
-                _mm_storeu_ps(dst.as_mut_ptr().add(i), _mm_add_ps(d, prod));
+                _mm_storeu_ps(dst.as_mut_ptr().add(i), _mm_sub_ps(d, s));
                 i += 4;
             }
             while i < dst.len() {
-                dst[i] += a * src[i];
+                dst[i] -= src[i];
                 i += 1;
             }
         }
@@ -1147,35 +1166,16 @@ mod x86 {
 
         // SAFETY: AVX2 ops on in-bounds offsets; reached only through the AVX2-resolved kernel.
         #[inline(always)]
-        unsafe fn sub_into(&self, dst: &mut [f32], a: &[f32], b: &[f32]) {
-            let mut i = 0;
-            while i + 8 <= dst.len() {
-                let x = _mm256_loadu_ps(a.as_ptr().add(i));
-                let y = _mm256_loadu_ps(b.as_ptr().add(i));
-                _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_sub_ps(x, y));
-                i += 8;
-            }
-            while i < dst.len() {
-                dst[i] = a[i] - b[i];
-                i += 1;
-            }
-        }
-
-        // SAFETY: AVX2 ops on in-bounds offsets; reached only through the AVX2-resolved kernel.
-        #[inline(always)]
-        unsafe fn axpy(&self, dst: &mut [f32], a: f32, src: &[f32]) {
-            // Multiply then add — never `_mm256_fmadd_ps` (see Sse2Ops).
-            let av = _mm256_set1_ps(a);
+        unsafe fn sub_assign(&self, dst: &mut [f32], src: &[f32]) {
             let mut i = 0;
             while i + 8 <= dst.len() {
                 let d = _mm256_loadu_ps(dst.as_ptr().add(i));
                 let s = _mm256_loadu_ps(src.as_ptr().add(i));
-                let prod = _mm256_mul_ps(av, s);
-                _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_add_ps(d, prod));
+                _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_sub_ps(d, s));
                 i += 8;
             }
             while i < dst.len() {
-                dst[i] += a * src[i];
+                dst[i] -= src[i];
                 i += 1;
             }
         }
@@ -1206,14 +1206,12 @@ mod x86 {
     /// Caller guarantees SSE2 (the x86-64 baseline — always true here).
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn whiten_group_sse2(
-        x: &[f32],
-        y: &mut [f32],
         d: usize,
         spec: &WhitenSpec,
         eps: f32,
         s: &mut ScratchF32,
     ) {
-        whiten_group_f32(&Sse2Ops, x, y, d, spec, eps, s)
+        whiten_group_f32(&Sse2Ops, d, spec, eps, s)
     }
 
     /// # Safety
@@ -1223,20 +1221,18 @@ mod x86 {
     /// used — the value path is mul-then-add throughout.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn whiten_group_avx2(
-        x: &[f32],
-        y: &mut [f32],
         d: usize,
         spec: &WhitenSpec,
         eps: f32,
         s: &mut ScratchF32,
     ) {
-        whiten_group_f32(&Avx2Ops, x, y, d, spec, eps, s)
+        whiten_group_f32(&Avx2Ops, d, spec, eps, s)
     }
 }
 
 /// The native whitening executor: host `f32` arithmetic running the
-/// identical operation order as the softfloat oracle, with the `d × d`
-/// kernels dispatched through the resolved [`SimdLevel`]. FP32 only;
+/// oracle's per-element operation chains, compiled per resolved
+/// [`SimdLevel`]. FP32 only;
 /// bit-identical to [`EmulatedWhiten<Fp32>`](EmulatedWhiten) at every
 /// level (enforced by `tests/whiten_bit_identity.rs`).
 #[derive(Debug, Clone)]
@@ -1282,34 +1278,25 @@ impl NativeWhitenF32 {
     }
 
     fn run_group(&self, input: &[u32], out: &mut [u32], scratch: &mut ScratchF32) {
-        let x: Vec<f32> = input.iter().map(|&b| f32::from_bits(b)).collect();
-        let mut y = vec![0.0f32; x.len()];
-        self.run_group_f32(&x, &mut y, scratch);
-        for (slot, v) in out.iter_mut().zip(&y) {
-            *slot = v.to_bits();
-        }
-    }
-
-    fn run_group_f32(&self, x: &[f32], y: &mut [f32], scratch: &mut ScratchF32) {
+        scratch.xc.clear();
+        scratch.xc.extend(input.iter().map(|&b| f32::from_bits(b)));
+        let (d, spec, eps) = (self.d, &self.spec, self.eps);
         match self.kernel {
-            None => whiten_group_scalar(x, y, self.d, &self.spec, self.eps, scratch),
-            Some(SimdKernel::Portable) => {
-                whiten_group_portable(x, y, self.d, &self.spec, self.eps, scratch)
-            }
+            None => whiten_group_scalar(d, spec, eps, scratch),
+            Some(SimdKernel::Portable) => whiten_group_portable(d, spec, eps, scratch),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `simd::resolve` yields Sse2 only on x86-64, where SSE2 is baseline.
-            Some(SimdKernel::Sse2) => unsafe {
-                x86::whiten_group_sse2(x, y, self.d, &self.spec, self.eps, scratch)
-            },
+            Some(SimdKernel::Sse2) => unsafe { x86::whiten_group_sse2(d, spec, eps, scratch) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `simd::resolve` yields Avx2 only after runtime-detecting AVX2+FMA.
-            Some(SimdKernel::Avx2) => unsafe {
-                x86::whiten_group_avx2(x, y, self.d, &self.spec, self.eps, scratch)
-            },
+            Some(SimdKernel::Avx2) => unsafe { x86::whiten_group_avx2(d, spec, eps, scratch) },
             #[cfg(not(target_arch = "x86_64"))]
             Some(SimdKernel::Sse2) | Some(SimdKernel::Avx2) => {
                 unreachable!("x86 kernels are never resolved off x86-64")
             }
+        }
+        for (slot, v) in out.iter_mut().zip(&scratch.y) {
+            *slot = v.to_bits();
         }
     }
 }
@@ -1536,6 +1523,144 @@ mod tests {
             SimdLevel::Auto,
         )
         .expect("emulated fp32 always builds")
+    }
+
+    /// Matrix entries that stress the per-element chain: mostly ordinary
+    /// values in [-2, 2], with signed zeros, subnormals, products that
+    /// underflow or overflow, and a rare ±∞ mixed in.
+    fn edge_matrix(len: usize, salt: u64) -> Vec<f32> {
+        const SPECIAL: [f32; 10] = [
+            -0.0,
+            0.0,
+            1.0e-45,
+            -1.0e-45,
+            1.175_494_2e-38,
+            -3.0e-39,
+            1.0e-20,
+            -1.0e-20,
+            3.0e38,
+            -3.0e38,
+        ];
+        (0..len)
+            .map(|i| {
+                let h = (i as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                match (h >> 57) as usize {
+                    idx if idx < SPECIAL.len() => SPECIAL[idx],
+                    126 => f32::INFINITY,
+                    127 => f32::NEG_INFINITY,
+                    _ => ((h >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0) as f32,
+                }
+            })
+            .collect()
+    }
+
+    /// `m × k` by `k × n` in softfloat `Fp32`, in the loop shape of
+    /// [`matmul_soft`]. With `seed_first`, each output instead starts
+    /// from its first product — the variant the tile kernel must not be.
+    fn soft_product(
+        a: &[f32],
+        b: &[f32],
+        (m, n, k): (usize, usize, usize),
+        seed_first: bool,
+    ) -> Vec<u32> {
+        let soft = |v: f32| Fp32::from_bits(v.to_bits());
+        let mut c = vec![Fp32::zero(); m * n];
+        for i in 0..m {
+            for p in 0..k {
+                let aip = soft(a[i * k + p]);
+                for j in 0..n {
+                    let prod = aip * soft(b[p * n + j]);
+                    let cij = &mut c[i * n + j];
+                    *cij = if seed_first && p == 0 {
+                        prod
+                    } else {
+                        *cij + prod
+                    };
+                }
+            }
+        }
+        c.into_iter().map(Fp32::to_bits).collect()
+    }
+
+    /// Bit equality, except that any NaN matches any NaN: x86 and the
+    /// softfloat emulator pick different payloads for `0·∞` and `∞ − ∞`.
+    fn same_bits(expected: u32, actual: u32) -> bool {
+        expected == actual || (f32::from_bits(expected).is_nan() && f32::from_bits(actual).is_nan())
+    }
+
+    #[test]
+    fn tile_kernel_matches_the_soft_matmul_chain_bit_for_bit() {
+        // Shapes around the 4 × 16 tile: all-tail, exact tiles, and
+        // partial tiles next to full ones in both dimensions.
+        let shapes = [
+            (1, 1, 1),
+            (3, 5, 7),
+            (4, 16, 9),
+            (5, 17, 3),
+            (7, 33, 20),
+            (9, 40, 33),
+            (16, 16, 16),
+            (20, 20, 20),
+            (33, 33, 33),
+        ];
+        let mut discriminating = 0;
+        for (si, &(m, n, k)) in shapes.iter().enumerate() {
+            let mut a = edge_matrix(m * k, 2 * si as u64);
+            let b = edge_matrix(k * n, 2 * si as u64 + 1);
+            // Row 0 of `a` is all −0.0: with finite `b` every product in
+            // that row is a signed zero, and the +0.0 start decides the
+            // output's sign.
+            a[..k].fill(-0.0);
+            let expected = soft_product(&a, &b, (m, n, k), false);
+            if m == n && n == k {
+                // The reference is the oracle's own chain.
+                let soft = |v: &[f32]| v.iter().map(|x| Fp32::from_bits(x.to_bits())).collect();
+                let (sa, sb): (Vec<Fp32>, Vec<Fp32>) = (soft(&a), soft(&b));
+                let mut sc = vec![Fp32::zero(); m * m];
+                matmul_soft(&mut sc, &sa, &sb, m);
+                let oracle: Vec<u32> = sc.into_iter().map(Fp32::to_bits).collect();
+                assert_eq!(oracle, expected, "reference ≠ matmul_soft at d = {m}");
+            }
+            let seeded = soft_product(&a, &b, (m, n, k), true);
+            discriminating += expected
+                .iter()
+                .zip(&seeded)
+                .filter(|&(&e, &s)| !same_bits(e, s))
+                .count();
+
+            // Row-major `a`, and the covariance's strided read of a
+            // stored transpose (`a[i][p]` at `at[p * m + i]`).
+            let mut at = vec![0.0f32; m * k];
+            for i in 0..m {
+                for p in 0..k {
+                    at[p * m + i] = a[i * k + p];
+                }
+            }
+            for (label, data, a_row, a_k) in [("row-major", &a, k, 1), ("transposed", &at, 1, m)] {
+                let mut c = vec![f32::NAN; m * n];
+                MatMul {
+                    a: data,
+                    a_row,
+                    a_k,
+                    b: &b,
+                    m,
+                    n,
+                    k,
+                }
+                .run(&mut c);
+                for (idx, (&e, v)) in expected.iter().zip(&c).enumerate() {
+                    assert!(
+                        same_bits(e, v.to_bits()),
+                        "{label} {m}×{k}·{k}×{n}: element {idx} expected {e:#010x}, got {:#010x}",
+                        v.to_bits()
+                    );
+                }
+            }
+        }
+        assert!(
+            discriminating > 0,
+            "the operands must tell a +0.0 start from a first-product seed"
+        );
     }
 
     #[test]

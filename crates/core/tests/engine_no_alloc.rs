@@ -1,7 +1,8 @@
 //! Proof of the engine's zero-allocation hot path: a counting global
 //! allocator observes `normalize_into` / `normalize_in_place` /
-//! `normalize_batch` after plan construction and asserts that not a single
-//! heap allocation happens on the calling thread.
+//! `normalize_batch` after plan construction — and a warm native
+//! whitening executor's group calls — and asserts that not a single heap
+//! allocation happens on the calling thread.
 
 // The counting allocator below is the one test in the workspace that needs
 // unsafe outside the SIMD kernels; it opts in explicitly per L002.
@@ -10,7 +11,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use iterl2norm::{MethodSpec, NormPlan, Normalizer, ReduceOrder};
+use iterl2norm::{
+    build_whiten, BackendKind, FormatKind, MethodSpec, NormPlan, Normalizer, ReduceOrder,
+    SimdLevel, WhitenSpec,
+};
 use softfloat::{Bf16, Float, Fp16, Fp32};
 
 thread_local! {
@@ -110,6 +114,44 @@ fn hot_path_is_allocation_free_fp16() {
 #[test]
 fn hot_path_is_allocation_free_bf16() {
     assert_hot_path_allocation_free::<Bf16>(129, 3);
+}
+
+#[test]
+fn warm_native_whitening_group_calls_are_allocation_free() {
+    // The served whitening shape: 256 × 64 groups, T = 5.
+    let (m, d) = (256usize, 64usize);
+    let bits: Vec<u32> = (0..m * d)
+        .map(|i| ((i * 29 % 97) as f32 / 24.0 - 2.0).to_bits())
+        .collect();
+    let mut out = vec![0u32; bits.len()];
+    for level in [SimdLevel::Scalar, SimdLevel::Auto] {
+        let mut exec = build_whiten(
+            BackendKind::Native,
+            FormatKind::Fp32,
+            d,
+            WhitenSpec::default(),
+            level,
+        )
+        .expect("native fp32 whitening builds");
+        // Warm-up sizes the scratch buffers.
+        exec.whiten_groups(&bits, &mut out, &[m], 1)
+            .expect("group shape");
+        let before = allocations();
+        for _ in 0..2 {
+            exec.whiten_groups(&bits, &mut out, &[m], 1)
+                .expect("group shape");
+            exec.whiten_groups(&bits, &mut out, &[m / 2, m / 2], 1)
+                .expect("group shape");
+        }
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "{}: warm group calls allocated {} times",
+            exec.label(),
+            after - before
+        );
+    }
 }
 
 #[test]

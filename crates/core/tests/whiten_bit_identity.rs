@@ -16,9 +16,12 @@ use iterl2norm::{
 };
 use workloads::{Distribution, VectorGen};
 
-/// The acceptance grid from the issue: d ∈ {1, 4, 16, 64, 256} ×
-/// T ∈ {0, 1, 5} for every forced level.
-const DIMS: [usize; 5] = [1, 4, 16, 64, 256];
+/// The acceptance grid: d × T ∈ {0, 1, 5} for every forced level. The
+/// matmul kernel works in 4 × 16 register tiles, so 1, 4, 16, 64 and
+/// 256 are all-tail or all-full. 20 puts a 4-column tail next to a full
+/// 16-wide tile; 33 adds a one-row and a one-column tail to full tiles
+/// (the group sizes {1, 3, 7} add row tails to the apply).
+const DIMS: [usize; 7] = [1, 4, 16, 20, 33, 64, 256];
 const STEPS: [u32; 3] = [0, 1, 5];
 
 const FORCED_LEVELS: [SimdLevel; 4] = [
