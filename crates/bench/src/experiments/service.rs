@@ -22,20 +22,19 @@
 //! output before any number is reported — coalescing, sharding, async
 //! submission and pooling are throughput knobs, never results knobs.
 //!
-//! Emits `results/BENCH_service.json`. Honest caveat, mirroring the
-//! backend bench: coalescing and sharding can only win when submitters
-//! actually overlap, so on a single-core container (one runnable thread
-//! at a time) the blocking modes measure within noise of each other, the
-//! observed requests-per-batch stays near 1, and the shard curves are
-//! flat. The one structural effect visible even on one core is the async
-//! mode's self-coalescing: a submitter's in-flight tickets drain in one
+//! Emits `results/BENCH_service.json`, whose `host` block names the
+//! machine it ran on (cores, resolved SIMD tier, rustc, git revision).
+//! Coalescing and sharding can only win when submitters actually
+//! overlap, so read the shard and submitter curves against that core
+//! count. A structural effect visible on any host is the async mode's
+//! self-coalescing: a submitter's in-flight tickets drain in one
 //! combining round when it finally collects, so `reqs/batch` climbs
-//! toward the pipeline depth — same total work per request, fewer backend
-//! calls. The buffer-pool on/off pairs land within noise here — the
-//! removed malloc/free costs ~1 µs against ~30 µs of execution per
-//! d = 4096 request — so both variants are recorded for re-running on
-//! other hosts and allocators. Re-run on a multi-core host for meaningful
-//! shard scaling and genuine submit/execute overlap.
+//! toward the pipeline depth — same total work per request, fewer
+//! backend calls. A driver round runs in place in the requests' own
+//! payload buffers, so a coalesced round costs no more memory traffic
+//! than the requests run one by one. The buffer-pool on/off pairs are
+//! both recorded: the removed malloc/free costs ~1 µs against ~30 µs of
+//! execution per d = 4096 request, so the pair is expected within noise.
 //!
 //! A final sweep sends whitening traffic ([`NormRequest::whiten_group`])
 //! through the same variants: one `32 x 64` group per request under the
@@ -54,7 +53,7 @@ use iterl2norm::service::{NormRequest, NormService, ServiceConfig};
 use iterl2norm::{build_whiten, MethodSpec, ReduceOrder, SimdLevel, WhitenSpec};
 use workloads::VectorGen;
 
-use crate::io::{banner, print_table, write_json};
+use crate::io::{banner, host_json, print_table, write_json};
 
 /// The swept service variants: `(mode, shards, buffer_pool,
 /// shard_threads)` — the last being each shard's resident worker count
@@ -496,11 +495,18 @@ pub fn run_at(
     ));
     json.push_str(&format!("  \"whiten_rows_per_group\": {WHITEN_ROWS},\n"));
     json.push_str("  \"bit_identity_checked\": true,\n");
-    json.push_str(
-        "  \"caveat\": \"generated on a 1-core container; blocking modes measure \
-         within noise of each other and shard curves are flat — re-run on a \
-         multi-core host for genuine submit/execute overlap\",\n",
-    );
+    let native = build_backend(
+        BackendKind::Native,
+        FormatKind::Fp32,
+        1,
+        &spec,
+        ReduceOrder::HwTree,
+    )
+    .map_err(std::io::Error::other)?;
+    json.push_str(&format!(
+        "  \"host\": {},\n",
+        host_json(native.simd_level().name())
+    ));
     json.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         json.push_str(&format!(

@@ -285,6 +285,39 @@ pub trait NormBackend: Send {
         self.normalize_batch_bits(input, out, runner.width().max(1))
     }
 
+    /// Normalize a round's buffers where they sit, over an injected
+    /// [`PartitionRunner`]: each of `segments` holds whole rows (one
+    /// request's payload in the serving path) and is overwritten with its
+    /// normalized rows, returning the total row count. The rows split
+    /// across the runner's parts exactly as they would in
+    /// [`normalize_batch_runner`](NormBackend::normalize_batch_runner)
+    /// over the segments' concatenation, and rows are independent, so the
+    /// bits equal that call's. On error the segments' contents are
+    /// unspecified.
+    ///
+    /// The default implementation copies the segments into one input,
+    /// makes that single out-of-place call and copies each result back —
+    /// correct for any backend; the built-in backends override it to skip
+    /// the copies.
+    ///
+    /// # Errors
+    ///
+    /// [`NormError::BatchLengthMismatch`] when a segment is not whole
+    /// rows, plus the errors of
+    /// [`normalize_batch_runner`](NormBackend::normalize_batch_runner).
+    fn normalize_in_place_runner(
+        &mut self,
+        segments: &mut [&mut [u32]],
+        runner: &dyn PartitionRunner,
+    ) -> Result<usize, NormError> {
+        check_segments(self.d(), segments)?;
+        let input = segments.concat();
+        let mut out = vec![0u32; input.len()];
+        let rows = self.normalize_batch_runner(&input, &mut out, runner)?;
+        scatter(&out, segments);
+        Ok(rows)
+    }
+
     /// Normalize exactly one `d`-length row of bit patterns, additionally
     /// returning the scalar intermediates as [`RowMoments`] — the detailed
     /// path behind reporting front ends (the CLI's `normalize`/`demo`).
@@ -300,6 +333,33 @@ pub trait NormBackend: Send {
         input: &[u32],
         out: &mut [u32],
     ) -> Result<RowMoments, NormError>;
+}
+
+/// Reject a segment that is not whole `d`-length rows, returning the
+/// total row count.
+pub(crate) fn check_segments(d: usize, segments: &[&mut [u32]]) -> Result<usize, NormError> {
+    segments.iter().try_fold(0, |rows, seg| {
+        if seg.len().is_multiple_of(d) {
+            Ok(rows + seg.len() / d)
+        } else {
+            Err(NormError::BatchLengthMismatch {
+                rows: seg.len() / d,
+                d,
+                actual: seg.len(),
+            })
+        }
+    })
+}
+
+/// Copy `src` back out into `segments`, in order — the split-back of the
+/// default in-place implementations, which run over a concatenation.
+pub(crate) fn scatter(src: &[u32], segments: &mut [&mut [u32]]) {
+    let mut rest = src;
+    for seg in segments.iter_mut() {
+        let (head, tail) = rest.split_at(seg.len());
+        seg.copy_from_slice(head);
+        rest = tail;
+    }
 }
 
 /// The shared plan/engine/buffer bundle behind both backend types: decode
@@ -374,6 +434,35 @@ impl<F: Float> BitsEngine<F> {
             runner,
         )?;
         for (slot, v) in out.iter_mut().zip(&self.encoded) {
+            *slot = v.to_bits();
+        }
+        Ok(rows)
+    }
+
+    /// [`run_runner`](BitsEngine::run_runner) over a round's segments:
+    /// they decode back to back into `decoded`, run as the one
+    /// concatenated engine call (so the row partition is that call's),
+    /// and encode straight back into the segments they came from.
+    fn run_in_place(
+        &mut self,
+        segments: &mut [&mut [u32]],
+        runner: &dyn PartitionRunner,
+    ) -> Result<usize, NormError> {
+        check_segments(self.plan.d(), segments)?;
+        self.decoded.clear();
+        for seg in segments.iter() {
+            self.decoded.extend(seg.iter().map(|&b| F::from_bits(b)));
+        }
+        self.encoded.clear();
+        self.encoded.resize(self.decoded.len(), F::zero());
+        let rows = self.engine.normalize_batch_runner(
+            &self.plan,
+            &self.decoded,
+            &mut self.encoded,
+            runner,
+        )?;
+        let slots = segments.iter_mut().flat_map(|seg| seg.iter_mut());
+        for (slot, v) in slots.zip(&self.encoded) {
             *slot = v.to_bits();
         }
         Ok(rows)
@@ -462,6 +551,14 @@ impl<F: Float> NormBackend for Emulated<F> {
         runner: &dyn PartitionRunner,
     ) -> Result<usize, NormError> {
         self.inner.run_runner(input, out, runner)
+    }
+
+    fn normalize_in_place_runner(
+        &mut self,
+        segments: &mut [&mut [u32]],
+        runner: &dyn PartitionRunner,
+    ) -> Result<usize, NormError> {
+        self.inner.run_in_place(segments, runner)
     }
 
     fn normalize_row_bits_detailed(
@@ -604,6 +701,22 @@ impl NormBackend for NativeF32 {
                 runner,
             ),
             None => self.inner.run_runner(input, out, runner),
+        }
+    }
+
+    fn normalize_in_place_runner(
+        &mut self,
+        segments: &mut [&mut [u32]],
+        runner: &dyn PartitionRunner,
+    ) -> Result<usize, NormError> {
+        match &self.simd {
+            Some(simd) => simd.normalize_in_place_runner(
+                &self.inner.plan,
+                self.inner.engine.method(),
+                segments,
+                runner,
+            ),
+            None => self.inner.run_in_place(segments, runner),
         }
     }
 

@@ -757,6 +757,42 @@ pub(crate) fn worker_rows(rows: usize, workers: usize, wi: usize) -> usize {
     rows / workers + usize::from(wi < rows % workers)
 }
 
+/// Split whole-row `segments` (`rows` rows of length `d` in total) into
+/// `workers` parts exactly as [`worker_rows`] splits their
+/// concatenation: part `wi` gets the same run of rows, as the pieces of
+/// the segments that run covers. This is how in-place calls over
+/// separate buffers keep the partition of the concatenated call.
+pub(crate) fn split_segments<'a, T>(
+    segments: &'a mut [&mut [T]],
+    d: usize,
+    rows: usize,
+    workers: usize,
+) -> Vec<Vec<&'a mut [T]>> {
+    let mut rest = segments.iter_mut().map(|seg| &mut **seg);
+    let mut current: &'a mut [T] = &mut [];
+    (0..workers)
+        .map(|wi| {
+            let mut need = worker_rows(rows, workers, wi) * d;
+            let mut part = Vec::new();
+            while need > 0 {
+                if current.is_empty() {
+                    match rest.next() {
+                        Some(seg) => current = seg,
+                        None => break,
+                    }
+                    continue;
+                }
+                let take = need.min(current.len());
+                let (head, tail) = std::mem::take(&mut current).split_at_mut(take);
+                part.push(head);
+                current = tail;
+                need -= take;
+            }
+            part
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -811,6 +847,30 @@ mod tests {
                 Fp16::from_f64((d as f64).sqrt()).to_bits()
             );
         }
+    }
+
+    #[test]
+    fn split_segments_follows_the_concatenated_partition() {
+        let d = 3;
+        let mut data: Vec<u32> = (0..10 * d as u32).collect();
+        let (a, rest) = data.split_at_mut(4 * d);
+        let (b, c) = rest.split_at_mut(d);
+        let mut segments: Vec<&mut [u32]> = vec![a, b, c];
+        // 10 rows over 3 workers: 4, 3, 3 rows of the concatenation.
+        let parts = split_segments(&mut segments, d, 10, 3);
+        let flat: Vec<Vec<u32>> = parts
+            .iter()
+            .map(|part| {
+                part.iter()
+                    .flat_map(|piece| piece.iter().copied())
+                    .collect()
+            })
+            .collect();
+        let whole: Vec<u32> = (0..10 * d as u32).collect();
+        assert_eq!(flat[0], whole[..4 * d]);
+        assert_eq!(flat[1], whole[4 * d..7 * d]);
+        assert_eq!(flat[2], whole[7 * d..]);
+        assert_eq!(parts[1].len(), 2, "part 1 spans two segments");
     }
 
     #[test]

@@ -49,11 +49,13 @@
 //! A service is [`Clone`] + [`Sync`]: concurrent callers share the same
 //! plans, scratch and backends. Requests that are waiting in a shard's
 //! queue when its driver starts a round — or that arrive within the
-//! configured coalescing [`window`](ServiceConfig::with_window) — are
-//! packed into **one** partitioned
-//! [`normalize_batch_bits`](crate::NormBackend::normalize_batch_bits)
-//! call and split back per caller. Rows are independent and the engine
-//! processes a batch row by row in order, so the coalesced output bits are
+//! configured coalescing [`window`](ServiceConfig::with_window) — run as
+//! **one** partitioned
+//! [`normalize_in_place_runner`](crate::NormBackend::normalize_in_place_runner)
+//! call over the requests' own payload buffers, each normalized where it
+//! sits and handed back as that caller's reply. Rows are independent and
+//! the engine processes each row the same way wherever it lives, so the
+//! coalesced output bits are
 //! **identical** to serial per-request execution (enforced across
 //! formats × methods × shard counts × submitter counts by
 //! `tests/service_bit_identity.rs`). Coalescing therefore changes only
@@ -1069,9 +1071,9 @@ impl BufferPool {
         }
     }
 
-    /// A zeroed buffer of exactly `len` elements, reusing a returned
-    /// buffer's capacity when one is available.
-    fn lease(&self, len: usize) -> Vec<u32> {
+    /// An empty buffer, reusing a returned buffer's capacity when one is
+    /// available.
+    fn lease(&self) -> Vec<u32> {
         let mut buf = if self.enabled {
             self.free
                 .lock()
@@ -1082,7 +1084,6 @@ impl BufferPool {
             Vec::new()
         };
         buf.clear();
-        buf.resize(len, 0);
         buf
     }
 
@@ -1478,29 +1479,15 @@ struct Executed {
 
 /// Where a served request's bits land. [`NormService::submit_into`]
 /// writes into the caller's pre-validated buffer; [`NormService::submit`]
-/// leases from the shard pool — lazily, at delivery time, so admission
-/// rejections (shutdown, [`NormError::QueueFull`]) never pay
+/// gets a pool lease as its reply — filled at execution time, so
+/// admission rejections (shutdown, [`NormError::QueueFull`]) never pay
 /// request-sized work on the fail-fast path.
 enum Sink<'a> {
     /// A caller-provided buffer of exactly the request's length.
     Caller(&'a mut [u32]),
-    /// A pool lease materialized on first use.
+    /// The reply buffer: inline, the request's payload encoded into a
+    /// pool lease and normalized in place; queued, the round's reply.
     Leased(&'a mut Vec<u32>),
-}
-
-impl Sink<'_> {
-    /// The destination slice, leasing it now if this sink is pooled.
-    fn buf(&mut self, pool: &BufferPool, len: usize) -> &mut [u32] {
-        match self {
-            Sink::Caller(out) => out,
-            Sink::Leased(vec) => {
-                if vec.len() != len {
-                    **vec = pool.lease(len);
-                }
-                vec.as_mut_slice()
-            }
-        }
-    }
 }
 
 /// What the shared submission protocol reports back to the public entry
@@ -2127,64 +2114,58 @@ fn deliver_panic(
     }
 }
 
-/// One backend call over `bits` into a caller-provided buffer, spread
-/// across the shard's resident partition helpers. The returned
-/// [`Executed`] reports when execution began — *after* the backend lock
+/// What one backend call runs over: a request's bits into a
+/// caller-provided buffer (the inline [`NormService::submit_into`] path),
+/// or buffers the call owns, normalized where they sit — one per request,
+/// whole rows for normalization and one group each for whitening.
+enum Work<'a, 'b> {
+    Into { bits: &'a [u32], out: &'a mut [u32] },
+    InPlace(&'a mut [&'b mut [u32]]),
+}
+
+/// One backend call of `kind` over `work`, spread across the shard's
+/// resident partition helpers. The returned [`Executed`] reports when
+/// execution began — *after* the backend (or whitening executor) lock
 /// was acquired, so callers charge lock waits to queue-wait, not
 /// execution — and how long the call itself took.
-fn execute_into(
-    core: &Core,
-    shard: &Shard,
-    bits: &[u32],
-    out: &mut [u32],
-) -> Result<Executed, NormError> {
-    let mut backend = core.backend_of(shard)?;
-    let exec_start = Instant::now();
-    backend.normalize_batch_runner(bits, out, &shard.runner)?;
-    Ok(Executed {
-        exec_start,
-        execute: exec_start.elapsed(),
-    })
-}
-
-/// [`execute_into`] for whitening work: one
-/// [`WhitenExec::whiten_groups_runner`] call over the concatenated
-/// groups (`group_rows[i]` rows each), timed identically.
-fn execute_whiten_into(
-    core: &Core,
-    shard: &Shard,
-    bits: &[u32],
-    group_rows: &[usize],
-    out: &mut [u32],
-) -> Result<Executed, NormError> {
-    let mut guard = core.whiten_of(shard)?;
-    // `whiten_of` guarantees `Some` on `Ok`; `None` here means torn
-    // shard state — fail closed instead of panicking under the lock.
-    let Some(exec) = guard.as_mut() else {
-        return Err(core.torn_state());
-    };
-    let exec_start = Instant::now();
-    exec.whiten_groups_runner(bits, out, group_rows, &shard.runner)?;
-    Ok(Executed {
-        exec_start,
-        execute: exec_start.elapsed(),
-    })
-}
-
-/// One backend call for a lone request, routed by its kind: a
-/// normalization request is `rows` independent rows, a whitening
-/// request is one `rows × d` group.
-fn execute_request_into(
+fn execute(
     core: &Core,
     shard: &Shard,
     kind: RequestKind,
-    bits: &[u32],
-    rows: usize,
-    out: &mut [u32],
+    work: Work<'_, '_>,
 ) -> Result<Executed, NormError> {
+    let runner = &shard.runner;
+    let timed = |exec_start: Instant| Executed {
+        exec_start,
+        execute: exec_start.elapsed(),
+    };
     match kind {
-        RequestKind::Normalize => execute_into(core, shard, bits, out),
-        RequestKind::Whiten => execute_whiten_into(core, shard, bits, &[rows], out),
+        RequestKind::Normalize => {
+            let mut backend = core.backend_of(shard)?;
+            let exec_start = Instant::now();
+            match work {
+                Work::Into { bits, out } => backend.normalize_batch_runner(bits, out, runner),
+                Work::InPlace(segments) => backend.normalize_in_place_runner(segments, runner),
+            }?;
+            Ok(timed(exec_start))
+        }
+        RequestKind::Whiten => {
+            let mut guard = core.whiten_of(shard)?;
+            // `whiten_of` guarantees `Some` on `Ok`; `None` here means torn
+            // shard state — fail closed instead of panicking under the lock.
+            let Some(exec) = guard.as_mut() else {
+                return Err(core.torn_state());
+            };
+            let exec_start = Instant::now();
+            match work {
+                Work::Into { bits, out } => {
+                    let rows = bits.len() / core.config.d;
+                    exec.whiten_groups_runner(bits, out, &[rows], runner)
+                }
+                Work::InPlace(groups) => exec.whiten_in_place_runner(groups, runner),
+            }?;
+            Ok(timed(exec_start))
+        }
     }
 }
 
@@ -2227,6 +2208,15 @@ fn run_round(core: &Core, shard: &Shard, entries: Vec<PendingEntry>) -> RoundOut
 /// Execute one kind's share of a combining round as a single backend
 /// call and fill its waiters' slots, collecting any registered ticket
 /// wakers into `wakers` for the driver to invoke lock-free.
+///
+/// One path for one entry or many: the call runs **in place** over the
+/// entries' own payload buffers (encoded at enqueue and owned by the
+/// round), and each buffer is handed to its slot as the reply. There is
+/// no concatenated input, no output lease and no split-back copy; the
+/// backend splits the rows (or groups) across the shard's helpers as it
+/// would split their concatenation. A failed call fails every entry and
+/// returns its buffer to the pool — a partly overwritten buffer is never
+/// delivered — and a panic goes through [`deliver_panic`].
 fn run_subround(
     core: &Core,
     shard: &Shard,
@@ -2235,10 +2225,8 @@ fn run_subround(
     wakers: &mut Vec<ReadyWaker>,
 ) -> RoundStats {
     let d = core.config.d;
-    let pool = &shard.pool;
-    let total: usize = entries.iter().map(|e| e.bits.len()).sum();
     let batch_requests = entries.len();
-    let batch_rows = total / d;
+    let batch_rows = entries.iter().map(|e| e.bits.len()).sum::<usize>() / d;
     let mut sub = RoundStats {
         batches: 1,
         // Requests share a batch only within their own sub-batch — a
@@ -2251,113 +2239,41 @@ fn run_subround(
         },
         ..RoundStats::default()
     };
-    let mut succeeded = false;
-    if batch_requests == 1 {
-        // A lone request needs no concat/split: execute it in place
-        // and hand the output buffer to the slot whole, sparing the
-        // two batch-sized copies (which dominate for large requests).
-        let mut out = pool.lease(total);
-        let exec = catch_unwind(AssertUnwindSafe(|| {
-            execute_request_into(core, shard, kind, &entries[0].bits, batch_rows, &mut out)
-        }));
-        // `batch_requests == 1` guarantees exactly one entry; an empty
-        // list means another thread tore the round state — fail closed
-        // rather than panic on the driver.
-        let Some(entry) = entries.pop() else {
-            let _ = core.torn_state();
-            return sub;
-        };
-        match exec {
-            Ok(Ok(e)) => {
-                pool.give_back(entry.bits);
-                sub.queue_wait = e.exec_start.duration_since(entry.accepted);
-                sub.execute = e.execute;
-                succeeded = true;
+    let exec = catch_unwind(AssertUnwindSafe(|| {
+        let mut segments: Vec<&mut [u32]> =
+            entries.iter_mut().map(|e| e.bits.as_mut_slice()).collect();
+        execute(core, shard, kind, Work::InPlace(&mut segments))
+    }));
+    match exec {
+        Ok(Ok(e)) => {
+            sub.queue_wait = entries
+                .iter()
+                .map(|entry| e.exec_start.duration_since(entry.accepted))
+                .sum();
+            sub.execute = e.execute;
+            // Stats count rows actually processed: a failed sub-batch
+            // issued a backend call but produced nothing.
+            sub.rows = batch_rows as u64;
+            if kind == RequestKind::Whiten {
+                sub.whiten_rows = batch_rows as u64;
+            }
+            for entry in entries {
+                let rows = entry.bits.len() / d;
                 wakers.extend(entry.slot.fill(Ok(SlotResult {
-                    bits: out,
-                    rows: batch_rows,
+                    bits: entry.bits,
+                    rows,
                     batch_rows,
-                    batch_requests: 1,
+                    batch_requests,
                 })));
             }
-            Ok(Err(err)) => {
-                // The failed round's leases go back like the
-                // multi-request error path's do.
-                pool.give_back(entry.bits);
-                pool.give_back(out);
-                wakers.extend(entry.slot.fill(Err(SlotFail::Err(err))));
-            }
-            Err(payload) => {
-                pool.give_back(out);
-                deliver_panic(core, shard, payload, vec![entry], wakers);
+        }
+        Ok(Err(err)) => {
+            for entry in entries {
+                shard.pool.give_back(entry.bits);
+                wakers.extend(entry.slot.fill(Err(SlotFail::Err(err.clone()))));
             }
         }
-    } else {
-        let mut input = pool.lease(total);
-        let mut offset = 0;
-        for entry in &entries {
-            input[offset..offset + entry.bits.len()].copy_from_slice(&entry.bits);
-            offset += entry.bits.len();
-        }
-        let mut out = pool.lease(total);
-        let exec = catch_unwind(AssertUnwindSafe(|| match kind {
-            RequestKind::Normalize => execute_into(core, shard, &input, &mut out),
-            RequestKind::Whiten => {
-                // Each entry is one group; the concatenated call
-                // whitens them independently, so the coalesced bits
-                // equal per-request execution exactly like rows do.
-                let group_rows: Vec<usize> = entries.iter().map(|e| e.bits.len() / d).collect();
-                execute_whiten_into(core, shard, &input, &group_rows, &mut out)
-            }
-        }));
-        pool.give_back(input);
-        match exec {
-            Ok(Ok(e)) => {
-                sub.queue_wait = entries
-                    .iter()
-                    .map(|entry| e.exec_start.duration_since(entry.accepted))
-                    .sum();
-                sub.execute = e.execute;
-                succeeded = true;
-                let mut offset = 0;
-                for entry in entries.drain(..) {
-                    // Reuse the entry's own payload buffer for its
-                    // result slice — it is exactly the right length
-                    // and already owned here, so the split-back costs
-                    // no pool traffic at all.
-                    let mut piece = entry.bits;
-                    let len = piece.len();
-                    piece.copy_from_slice(&out[offset..offset + len]);
-                    wakers.extend(entry.slot.fill(Ok(SlotResult {
-                        bits: piece,
-                        rows: len / d,
-                        batch_rows,
-                        batch_requests,
-                    })));
-                    offset += len;
-                }
-                pool.give_back(out);
-            }
-            Ok(Err(err)) => {
-                pool.give_back(out);
-                for entry in entries.drain(..) {
-                    pool.give_back(entry.bits);
-                    wakers.extend(entry.slot.fill(Err(SlotFail::Err(err.clone()))));
-                }
-            }
-            Err(payload) => {
-                pool.give_back(out);
-                deliver_panic(core, shard, payload, entries, wakers);
-            }
-        }
-    }
-    if succeeded {
-        // Stats count rows actually processed: a failed sub-batch
-        // issued a backend call but produced nothing.
-        sub.rows = batch_rows as u64;
-        if kind == RequestKind::Whiten {
-            sub.whiten_rows = batch_rows as u64;
-        }
+        Err(payload) => deliver_panic(core, shard, payload, entries, wakers),
     }
     sub
 }
@@ -2686,7 +2602,7 @@ impl NormService {
         let rows = request.len() / self.inner.config.d;
 
         if !self.inner.config.coalescing {
-            let executed = self.execute_on_caller(request, sink, shard, rows);
+            let executed = self.execute_on_caller(request, sink, shard);
             let mut queue = self.inner.queue_of(shard);
             queue.stats.accept(request.kind());
             queue
@@ -2699,7 +2615,7 @@ impl NormService {
 
         let recorded = match self.admit_idle(shard, request)? {
             Admission::Inline(claim) => {
-                let executed = self.execute_on_caller(request, sink, shard, rows);
+                let executed = self.execute_on_caller(request, sink, shard);
                 claim.release(request.kind(), rows, accepted, &executed);
                 executed?;
                 return Ok(Served::alone(rows));
@@ -2772,24 +2688,29 @@ impl NormService {
     }
 
     /// Run `request` as its own backend call on the calling thread,
-    /// straight into the sink: bit payloads are borrowed, and a
-    /// caller-provided buffer is written in place.
+    /// straight into the sink: a caller-provided buffer is written from
+    /// the borrowed bit payload; a pooled reply is the payload encoded
+    /// into a lease and normalized in place.
     fn execute_on_caller(
         &self,
         request: &NormRequest<'_>,
         sink: &mut Sink<'_>,
         shard: &Shard,
-        rows: usize,
     ) -> Result<Executed, NormError> {
-        let bits = request.encode_cow(self.inner.config.format);
-        execute_request_into(
-            &self.inner.core,
-            shard,
-            request.kind(),
-            &bits,
-            rows,
-            sink.buf(&shard.pool, request.len()),
-        )
+        let core = &self.inner.core;
+        let format = self.inner.config.format;
+        match sink {
+            Sink::Caller(out) => {
+                let bits = request.encode_cow(format);
+                execute(core, shard, request.kind(), Work::Into { bits: &bits, out })
+            }
+            Sink::Leased(reply) => {
+                **reply = shard.pool.lease();
+                request.encode_into(format, reply);
+                let mut segments = [reply.as_mut_slice()];
+                execute(core, shard, request.kind(), Work::InPlace(&mut segments))
+            }
+        }
     }
 
     /// The combining queue's one admission + enqueue protocol, shared by
@@ -2831,7 +2752,7 @@ impl NormService {
                 return Err(NormError::QueueFull { depth });
             }
         }
-        let mut bits = shard.pool.lease(0);
+        let mut bits = shard.pool.lease();
         request.encode_into(self.inner.config.format, &mut bits);
         let slot = Slot::new(Arc::clone(&shard.pool));
         let now = self.inner.clock.now_nanos();
@@ -2926,10 +2847,11 @@ impl NormService {
         let start = Instant::now();
         let shard = &self.inner.shards[self.pick_shard(request.key())];
         let pool = &shard.pool;
-        let mut bits = pool.lease(0);
+        let mut bits = pool.lease();
         request.encode_into(self.inner.config.format, &mut bits);
         let rows = bits.len() / self.inner.config.d.max(1);
-        let mut out = pool.lease(bits.len());
+        let mut out = pool.lease();
+        out.resize(bits.len(), 0);
         let exec_start;
         let moments = match request.kind() {
             RequestKind::Normalize => {
@@ -2941,7 +2863,7 @@ impl NormService {
                         return Err(err);
                     }
                 };
-                // Timed after the lock lands, like `execute_into`: the
+                // Timed after the lock lands, like `execute`: the
                 // wait for the backend belongs to queue_wait, not execute.
                 exec_start = Instant::now();
                 backend.normalize_row_bits_detailed(&bits, &mut out)
@@ -2955,7 +2877,7 @@ impl NormService {
                         return Err(err);
                     }
                 };
-                // As in `execute_whiten_into`: `None` behind an `Ok`
+                // As in `execute`: `None` behind an `Ok`
                 // guard is torn state — return the buffers and fail closed.
                 let exec = match guard.as_mut() {
                     Some(exec) => exec,
@@ -3863,8 +3785,8 @@ mod tests {
         let d = 16;
         let service = ServiceConfig::new(d).build().unwrap();
         let bits = row_bits(d, 3);
-        // Drop responses between submits: the pooled buffer must come back
-        // with the same contents contract (zeroed lease, full overwrite).
+        // Drop responses between submits: a reused pooled buffer is
+        // refilled from the request and fully overwritten.
         let first = service
             .submit(NormRequest::bits(&bits))
             .unwrap()

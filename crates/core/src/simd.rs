@@ -48,9 +48,9 @@ use core::fmt;
 use softfloat::HostF32;
 use std::sync::{Mutex, PoisonError};
 
-use crate::backend::BackendKind;
+use crate::backend::{check_segments, BackendKind};
 use crate::config::{IterConfig, StopRule};
-use crate::engine::{worker_rows, NormPlan, ScaleMethod};
+use crate::engine::{split_segments, worker_rows, NormPlan, ScaleMethod};
 use crate::error::NormError;
 use crate::executor::PartitionRunner;
 use crate::hworder::{fold_partials, ReduceOrder, CHUNK, TREE_WIDTH};
@@ -269,6 +269,21 @@ impl SimdNative {
         self.kernel.level()
     }
 
+    /// The per-row constants of `plan` under `method`, for every kernel.
+    fn ctx<'a>(&'a self, plan: &'a NormPlan<HostF32>, method: &'a ScaleMethod) -> RowCtx<'a> {
+        RowCtx {
+            d: plan.d(),
+            inv_d: plan.inv_d().0,
+            sqrt_d: plan.sqrt_d().0,
+            reduce: plan.reduce(),
+            iter_steps: self.iter_steps,
+            method,
+            dims: plan.dims(),
+            gamma: self.gamma.as_deref(),
+            beta: self.beta.as_deref(),
+        }
+    }
+
     /// The SIMD counterpart of the generic bits engine: same validation
     /// order, same worker partitioning (contiguous runs, first
     /// `rows % workers` workers take one extra row), bit-identical output.
@@ -294,22 +309,12 @@ impl SimdNative {
         }
         let rows = plan.rows_of(input.len())?;
         let d = plan.d();
-        let ctx = RowCtx {
-            d,
-            inv_d: plan.inv_d().0,
-            sqrt_d: plan.sqrt_d().0,
-            reduce: plan.reduce(),
-            iter_steps: self.iter_steps,
-            method,
-            dims: plan.dims(),
-            gamma: self.gamma.as_deref(),
-            beta: self.beta.as_deref(),
-        };
+        let ctx = self.ctx(plan, method);
         let x = bits_as_f32(input);
         let o = bits_as_f32_mut(out);
         let workers = threads.min(rows);
         if workers <= 1 {
-            self.process_rows(&ctx, x, o);
+            self.process_rows(&ctx, Some(x), o);
             return Ok(rows);
         }
         std::thread::scope(|scope| {
@@ -322,7 +327,7 @@ impl SimdNative {
                 x_rest = x_tail;
                 o_rest = o_tail;
                 let ctx = &ctx;
-                scope.spawn(move || self.process_rows(ctx, x_chunk, o_chunk));
+                scope.spawn(move || self.process_rows(ctx, Some(x_chunk), o_chunk));
             }
         });
         Ok(rows)
@@ -349,22 +354,12 @@ impl SimdNative {
         }
         let rows = plan.rows_of(input.len())?;
         let d = plan.d();
-        let ctx = RowCtx {
-            d,
-            inv_d: plan.inv_d().0,
-            sqrt_d: plan.sqrt_d().0,
-            reduce: plan.reduce(),
-            iter_steps: self.iter_steps,
-            method,
-            dims: plan.dims(),
-            gamma: self.gamma.as_deref(),
-            beta: self.beta.as_deref(),
-        };
+        let ctx = self.ctx(plan, method);
         let x = bits_as_f32(input);
         let o = bits_as_f32_mut(out);
         let workers = runner.width().min(rows);
         if workers <= 1 {
-            self.process_rows(&ctx, x, o);
+            self.process_rows(&ctx, Some(x), o);
             return Ok(rows);
         }
         // Same per-part mutex hand-off as the generic engine's runner
@@ -388,12 +383,53 @@ impl SimdNative {
             let Some((x_chunk, o_chunk)) = taken else {
                 return;
             };
-            self.process_rows(&ctx, x_chunk, o_chunk);
+            self.process_rows(&ctx, Some(x_chunk), o_chunk);
         });
         Ok(rows)
     }
 
-    fn process_rows(&self, ctx: &RowCtx<'_>, x: &[f32], o: &mut [f32]) {
+    /// Normalize whole-row `segments` where they sit, over `runner`: the
+    /// rows are split across parts exactly as
+    /// [`normalize_batch_runner`](SimdNative::normalize_batch_runner)
+    /// splits their concatenation ([`split_segments`]), and each row runs
+    /// the same block pipeline reading from its own output slice. Rows are
+    /// independent, so the bits equal the out-of-place call's.
+    pub(crate) fn normalize_in_place_runner(
+        &self,
+        plan: &NormPlan<HostF32>,
+        method: &ScaleMethod,
+        segments: &mut [&mut [u32]],
+        runner: &dyn PartitionRunner,
+    ) -> Result<usize, NormError> {
+        let rows = check_segments(plan.d(), segments)?;
+        let ctx = self.ctx(plan, method);
+        let workers = runner.width().min(rows);
+        if workers <= 1 {
+            for seg in segments.iter_mut() {
+                self.process_rows(&ctx, None, bits_as_f32_mut(seg));
+            }
+            return Ok(rows);
+        }
+        let parts: Vec<Mutex<Option<Vec<&mut [u32]>>>> =
+            split_segments(segments, plan.d(), rows, workers)
+                .into_iter()
+                .map(|part| Mutex::new(Some(part)))
+                .collect();
+        runner.run(workers, &|wi| {
+            let taken = parts[wi]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            for piece in taken.into_iter().flatten() {
+                self.process_rows(&ctx, None, bits_as_f32_mut(piece));
+            }
+        });
+        Ok(rows)
+    }
+
+    /// Run the kernel over whole rows into `o`, reading from `x` — or,
+    /// when `x` is `None`, from `o` itself (in place).
+    fn process_rows(&self, ctx: &RowCtx<'_>, x: Option<&[f32]>, o: &mut [f32]) {
         match self.kernel {
             // SAFETY: the portable kernel has no instruction-set requirement.
             SimdKernel::Portable => unsafe { process_rows_portable(ctx, x, o) },
@@ -490,26 +526,47 @@ trait RowReduce {
 /// `normalize_row_into` exactly; unused lanes are padded with `m = 1`
 /// (lane independence: their results are simply never stored).
 ///
+/// With `x = None` the pipeline runs in place: stages (1)–(2) read the
+/// row from `o`, which already holds the input. Every later stage reads
+/// `o` in both modes, so each element sees the same operation chain.
+///
 /// # Safety
 ///
 /// The caller must guarantee `r`'s instruction requirements hold on this
-/// host (see [`RowReduce`]). Shapes: `x.len() == o.len()`, a multiple of
-/// `ctx.d`, and γ/β (when present) have length `ctx.d`.
+/// host (see [`RowReduce`]). Shapes: `o.len()` (and `x.len()`, when
+/// given) is the same multiple of `ctx.d`, and γ/β (when present) have
+/// length `ctx.d`.
 #[inline(always)]
-unsafe fn process_block_rows<R: RowReduce>(r: &R, ctx: &RowCtx<'_>, x: &[f32], o: &mut [f32]) {
+unsafe fn process_block_rows<R: RowReduce>(
+    r: &R,
+    ctx: &RowCtx<'_>,
+    x: Option<&[f32]>,
+    o: &mut [f32],
+) {
     let d = ctx.d;
+    let block = ROW_LANES * d;
     let mut scratch: Vec<HostF32> = Vec::with_capacity(d.div_ceil(CHUNK));
-    for (xb, ob) in x.chunks(ROW_LANES * d).zip(o.chunks_mut(ROW_LANES * d)) {
-        let n = xb.len() / d;
+    for (bi, ob) in o.chunks_mut(block).enumerate() {
+        let n = ob.len() / d;
         // Pad unused lanes with a benign finite m: the iteration runs on
         // them (lanewise, independently) and the result is discarded.
         let mut m = [1.0f32; ROW_LANES];
         for ri in 0..n {
-            let xr = &xb[ri * d..(ri + 1) * d];
             let or = &mut ob[ri * d..(ri + 1) * d];
-            let mean = r.sum(xr, &mut scratch, ctx.reduce) * ctx.inv_d;
-            for (slot, &xi) in or.iter_mut().zip(xr) {
-                *slot = xi - mean;
+            match x {
+                Some(x) => {
+                    let xr = &x[bi * block + ri * d..][..d];
+                    let mean = r.sum(xr, &mut scratch, ctx.reduce) * ctx.inv_d;
+                    for (slot, &xi) in or.iter_mut().zip(xr) {
+                        *slot = xi - mean;
+                    }
+                }
+                None => {
+                    let mean = r.sum(or, &mut scratch, ctx.reduce) * ctx.inv_d;
+                    for slot in or.iter_mut() {
+                        *slot -= mean;
+                    }
+                }
             }
             m[ri] = r.sum_sq(or, &mut scratch, ctx.reduce);
         }
@@ -661,7 +718,7 @@ impl RowReduce for PortableReduce {
 /// # Safety
 ///
 /// No instruction requirements; shapes per [`process_block_rows`].
-unsafe fn process_rows_portable(ctx: &RowCtx<'_>, x: &[f32], o: &mut [f32]) {
+unsafe fn process_rows_portable(ctx: &RowCtx<'_>, x: Option<&[f32]>, o: &mut [f32]) {
     process_block_rows(&PortableReduce, ctx, x, o);
 }
 
@@ -980,7 +1037,7 @@ mod x86 {
     /// The host must support AVX2 and FMA; shapes per
     /// [`process_block_rows`].
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn process_rows_avx2(ctx: &RowCtx<'_>, x: &[f32], o: &mut [f32]) {
+    pub(super) unsafe fn process_rows_avx2(ctx: &RowCtx<'_>, x: Option<&[f32]>, o: &mut [f32]) {
         process_block_rows(&Avx2Reduce, ctx, x, o);
     }
 
@@ -991,7 +1048,7 @@ mod x86 {
     /// The host must support SSE2 (always true on x86-64); shapes per
     /// [`process_block_rows`].
     #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn process_rows_sse2(ctx: &RowCtx<'_>, x: &[f32], o: &mut [f32]) {
+    pub(super) unsafe fn process_rows_sse2(ctx: &RowCtx<'_>, x: Option<&[f32]>, o: &mut [f32]) {
         process_block_rows(&Sse2Reduce, ctx, x, o);
     }
 }
@@ -999,6 +1056,7 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MethodSpec;
     use softfloat::Float;
 
     #[test]
@@ -1137,6 +1195,102 @@ mod tests {
                     let scalar_bits: Vec<u32> = out_scalar.iter().map(|v| v.to_bits()).collect();
                     assert_eq!(out_simd, scalar_bits, "kernel {kernel:?} d {d}");
                     let _ = want; // reduction equality is subsumed by the row check
+                }
+            }
+        }
+    }
+
+    /// Row `r` of a `rows × d` batch: ordinary values with ±0 and
+    /// subnormals mixed in; every third row also carries ±∞ or NaN.
+    fn edge_rows(rows: usize, d: usize) -> Vec<u32> {
+        (0..rows * d)
+            .map(|i| {
+                let (r, j) = (i / d, i % d);
+                let v = match (r % 3, j % 11) {
+                    (2, 3) => [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][(r / 3 + j) % 3],
+                    (_, 1) => -0.0,
+                    (_, 2) => 0.0,
+                    (_, 5) => f32::from_bits(1 + (i as u32 % 977)), // subnormal
+                    (_, 7) => -f32::from_bits(0x0040_0000 + i as u32 % 4096),
+                    _ => ((i * 37 + 11) % 101) as f32 / 17.0 - 2.0 + r as f32 * 0.25,
+                };
+                v.to_bits()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn in_place_matches_out_of_place_bit_for_bit() {
+        use crate::backend::{build_backend_affine, FormatKind};
+        use crate::executor::{ScopedRunner, SerialRunner};
+        let levels: Vec<SimdLevel> = [
+            SimdLevel::Scalar,
+            SimdLevel::Portable,
+            SimdLevel::Sse2,
+            SimdLevel::Avx2,
+        ]
+        .into_iter()
+        .filter(|&level| resolve(level, BackendKind::Native).is_ok())
+        .collect();
+        assert!(levels.len() >= 2, "the scalar engine and a vector tier");
+        let methods = [MethodSpec::iterl2(5), MethodSpec::Fisr { newton: 1 }];
+        for d in [1usize, 63, 64, 65, 768, 4096] {
+            let gamma: Vec<u32> = (0..d).map(|j| (1.0 + j as f32 * 1e-3).to_bits()).collect();
+            let beta: Vec<u32> = (0..d).map(|j| (j as f32 * 1e-4 - 0.5).to_bits()).collect();
+            for rows in [1usize, 7, 8, 9, 17] {
+                let input = edge_rows(rows, d);
+                // Uneven segments, so blocks and parts straddle them.
+                let cuts: Vec<usize> = [0, rows / 3, rows / 3 + rows.div_ceil(2), rows]
+                    .into_iter()
+                    .map(|r| r.min(rows) * d)
+                    .collect();
+                for (affine, reduce, spec, &level) in [false, true]
+                    .into_iter()
+                    .flat_map(|a| [ReduceOrder::HwTree, ReduceOrder::Linear].map(|r| (a, r)))
+                    .flat_map(|(a, r)| methods.map(|m| (a, r, m)))
+                    .flat_map(|(a, r, m)| levels.iter().map(move |l| (a, r, m, l)))
+                {
+                    let (g, b) = if affine {
+                        (Some(&gamma[..]), Some(&beta[..]))
+                    } else {
+                        (None, None)
+                    };
+                    let mut backend = build_backend_affine(
+                        BackendKind::Native,
+                        FormatKind::Fp32,
+                        d,
+                        &spec,
+                        reduce,
+                        g,
+                        b,
+                        level,
+                    )
+                    .unwrap();
+                    let runners: [&dyn PartitionRunner; 2] = [&SerialRunner, &ScopedRunner(3)];
+                    for runner in runners {
+                        let mut expect = vec![0u32; input.len()];
+                        backend
+                            .normalize_batch_runner(&input, &mut expect, runner)
+                            .unwrap();
+                        let mut got = input.clone();
+                        let mut segments: Vec<&mut [u32]> = Vec::new();
+                        let mut rest = got.as_mut_slice();
+                        for w in cuts.windows(2) {
+                            let (head, tail) = rest.split_at_mut(w[1] - w[0]);
+                            segments.push(head);
+                            rest = tail;
+                        }
+                        let served = backend
+                            .normalize_in_place_runner(&mut segments, runner)
+                            .unwrap();
+                        assert_eq!(served, rows);
+                        assert_eq!(
+                            got,
+                            expect,
+                            "{level:?} d {d} rows {rows} affine {affine} {reduce:?} {spec:?} width {}",
+                            runner.width()
+                        );
+                    }
                 }
             }
         }

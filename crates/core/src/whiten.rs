@@ -76,7 +76,7 @@ use std::sync::{Mutex, PoisonError};
 /// behind its own mutex for the shared-closure `&mut` hand-off.
 type GroupChunk<'a> = Mutex<Option<(&'a [usize], &'a [u32], &'a mut [u32])>>;
 
-use crate::backend::{BackendKind, FormatKind};
+use crate::backend::{scatter, BackendKind, FormatKind};
 use crate::error::NormError;
 use crate::simd::{self, SimdKernel, SimdLevel};
 
@@ -278,6 +278,41 @@ pub trait WhitenExec: Send {
         self.whiten_groups(input, out, group_rows, runner.width().max(1))
     }
 
+    /// Whiten a round's groups where they sit, over an injected
+    /// [`PartitionRunner`](crate::executor::PartitionRunner): each of
+    /// `groups` is one whole `m × d` group (one request's payload in the
+    /// serving path) and is overwritten with its whitened rows, returning
+    /// the total row count. Groups split across the runner's parts exactly
+    /// as [`whiten_groups_runner`](WhitenExec::whiten_groups_runner)
+    /// splits their concatenation, and groups are independent, so the bits
+    /// equal that call's. On error the groups' contents are unspecified.
+    ///
+    /// The default implementation copies the groups into one input, makes
+    /// that single out-of-place call and copies each result back — cheap
+    /// next to the emulated oracle's soft-float work; the native executor
+    /// overrides it to skip the copies.
+    ///
+    /// # Errors
+    ///
+    /// [`NormError::EmptyRequest`] when there are no groups or a group is
+    /// empty, [`NormError::GroupShapeMismatch`] when a group is not whole
+    /// `d`-length rows, plus the errors of
+    /// [`whiten_groups_runner`](WhitenExec::whiten_groups_runner).
+    fn whiten_in_place_runner(
+        &mut self,
+        groups: &mut [&mut [u32]],
+        runner: &dyn crate::executor::PartitionRunner,
+    ) -> Result<usize, NormError> {
+        let d = self.d();
+        check_groups(d, groups)?;
+        let group_rows: Vec<usize> = groups.iter().map(|g| g.len() / d).collect();
+        let input = groups.concat();
+        let mut out = vec![0u32; input.len()];
+        let rows = self.whiten_groups_runner(&input, &mut out, &group_rows, runner)?;
+        scatter(&out, groups);
+        Ok(rows)
+    }
+
     /// Whiten exactly one group, additionally returning the scalar
     /// diagnostics as [`WhitenDetail`] — the detailed path behind
     /// reporting front ends (the CLI's `whiten`). The output bits are
@@ -350,6 +385,27 @@ fn validate_groups(
         });
     }
     Ok(rows)
+}
+
+/// Shape validation for an in-place call: at least one group, and every
+/// group non-empty whole `d`-length rows. Returns the total row count.
+fn check_groups(d: usize, groups: &[&mut [u32]]) -> Result<usize, NormError> {
+    if groups.is_empty() {
+        return Err(NormError::EmptyRequest);
+    }
+    groups.iter().try_fold(0, |rows, g| {
+        if g.is_empty() {
+            Err(NormError::EmptyRequest)
+        } else if !g.len().is_multiple_of(d) {
+            Err(NormError::GroupShapeMismatch {
+                rows: g.len() / d,
+                d,
+                actual: g.len(),
+            })
+        } else {
+            Ok(rows + g.len() / d)
+        }
+    })
 }
 
 // --------------------------------------------------------------------
@@ -1277,9 +1333,14 @@ impl NativeWhitenF32 {
         })
     }
 
-    fn run_group(&self, input: &[u32], out: &mut [u32], scratch: &mut ScratchF32) {
+    /// Whiten one group into `out`, reading it from `input` — or, when
+    /// `input` is `None`, from `out` itself (in place). Safe either way:
+    /// the group is decoded whole into `scratch.xc` before the output is
+    /// written from `scratch.y`.
+    fn run_group(&self, input: Option<&[u32]>, out: &mut [u32], scratch: &mut ScratchF32) {
+        let src = input.unwrap_or(out);
         scratch.xc.clear();
-        scratch.xc.extend(input.iter().map(|&b| f32::from_bits(b)));
+        scratch.xc.extend(src.iter().map(|&b| f32::from_bits(b)));
         let (d, spec, eps) = (self.d, &self.spec, self.eps);
         match self.kernel {
             None => whiten_group_scalar(d, spec, eps, scratch),
@@ -1337,7 +1398,7 @@ impl WhitenExec for NativeWhitenF32 {
             for &m in group_rows {
                 let len = m * self.d;
                 self.run_group(
-                    &input[offset..offset + len],
+                    Some(&input[offset..offset + len]),
                     &mut out[offset..offset + len],
                     &mut scratch,
                 );
@@ -1366,7 +1427,7 @@ impl WhitenExec for NativeWhitenF32 {
                     for &m in chunk {
                         let len = m * this.d;
                         this.run_group(
-                            &in_chunk[offset..offset + len],
+                            Some(&in_chunk[offset..offset + len]),
                             &mut out_chunk[offset..offset + len],
                             &mut scratch,
                         );
@@ -1420,11 +1481,50 @@ impl WhitenExec for NativeWhitenF32 {
             for &m in chunk {
                 let len = m * this.d;
                 this.run_group(
-                    &in_chunk[offset..offset + len],
+                    Some(&in_chunk[offset..offset + len]),
                     &mut out_chunk[offset..offset + len],
                     &mut scratch,
                 );
                 offset += len;
+            }
+        });
+        Ok(rows)
+    }
+
+    fn whiten_in_place_runner(
+        &mut self,
+        groups: &mut [&mut [u32]],
+        runner: &dyn crate::executor::PartitionRunner,
+    ) -> Result<usize, NormError> {
+        let rows = check_groups(self.d, groups)?;
+        let workers = runner.width().min(groups.len());
+        if workers <= 1 {
+            let mut scratch = core::mem::take(&mut self.scratch);
+            for group in groups.iter_mut() {
+                self.run_group(None, group, &mut scratch);
+            }
+            self.scratch = scratch;
+            return Ok(rows);
+        }
+        // The `chunks(per)` split of `whiten_groups_runner`, so each part
+        // whitens the same groups it would in the concatenated call.
+        let per = groups.len().div_ceil(workers);
+        let parts: Vec<Mutex<Option<&mut [&mut [u32]]>>> = groups
+            .chunks_mut(per)
+            .map(|chunk| Mutex::new(Some(chunk)))
+            .collect();
+        let this = &*self;
+        runner.run(parts.len(), &|wi| {
+            let taken = parts[wi]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            let Some(chunk) = taken else {
+                return;
+            };
+            let mut scratch = ScratchF32::default();
+            for group in chunk.iter_mut() {
+                this.run_group(None, group, &mut scratch);
             }
         });
         Ok(rows)
@@ -1438,7 +1538,7 @@ impl WhitenExec for NativeWhitenF32 {
         let rows = input.len() / self.d.max(1);
         validate_groups(self.d, input, out, &[rows], 1)?;
         let mut scratch = core::mem::take(&mut self.scratch);
-        self.run_group(input, out, &mut scratch);
+        self.run_group(Some(input), out, &mut scratch);
         let d = self.d;
         let x: Vec<f64> = input.iter().map(|&b| f32::from_bits(b) as f64).collect();
         let mean = x.iter().sum::<f64>() / x.len() as f64;
@@ -2036,6 +2136,94 @@ mod tests {
             assert_eq!(via_groups, via_detailed, "{backend:?}");
             assert!(detail.trace > 0.0 && detail.scale.is_finite());
             assert!(detail.residual.is_finite(), "{detail:?}");
+        }
+    }
+
+    #[test]
+    fn run_group_in_place_matches_out_of_place_bit_for_bit() {
+        use crate::executor::{PartitionRunner, ScopedRunner, SerialRunner};
+        let spec = WhitenSpec::new().with_t(3);
+        for d in [20usize, 33, 64] {
+            // Groups of a few sizes; ±0 and subnormals mixed in, and one
+            // group carrying ±∞ so NaNs travel the whole chain.
+            let sizes = [d + 3, 1, 2 * d, 5];
+            let mut groups: Vec<Vec<u32>> = sizes
+                .iter()
+                .enumerate()
+                .map(|(g, &m)| {
+                    let mut bits = group_bits(m, d, 31 + g as u64);
+                    for (i, b) in bits.iter_mut().enumerate() {
+                        match i % 13 {
+                            4 => *b = (-0.0f32).to_bits(),
+                            9 => *b = 1 + i as u32 % 4096, // subnormal
+                            _ => {}
+                        }
+                    }
+                    bits
+                })
+                .collect();
+            groups[3][7] = f32::INFINITY.to_bits();
+            groups[3][d] = f32::NEG_INFINITY.to_bits();
+            let flat = groups.concat();
+            let group_rows: Vec<usize> = sizes.to_vec();
+
+            // The native group kernel at every level the host runs.
+            for level in [
+                SimdLevel::Scalar,
+                SimdLevel::Portable,
+                SimdLevel::Sse2,
+                SimdLevel::Avx2,
+            ] {
+                let Ok(exec) = NativeWhitenF32::with_simd(d, spec, level) else {
+                    continue;
+                };
+                let mut scratch = ScratchF32::default();
+                for group in &groups {
+                    let mut expect = vec![0u32; group.len()];
+                    exec.run_group(Some(group), &mut expect, &mut scratch);
+                    let mut got = group.clone();
+                    exec.run_group(None, &mut got, &mut scratch);
+                    assert_eq!(got, expect, "{level:?} d {d} m {}", group.len() / d);
+                }
+            }
+
+            // Through the trait, every executor, split over runners.
+            let mut execs = vec![emulated(d, spec)];
+            for level in [SimdLevel::Scalar, SimdLevel::Auto] {
+                execs.push(
+                    build_whiten(BackendKind::Native, FormatKind::Fp32, d, spec, level).unwrap(),
+                );
+            }
+            let runners: [&dyn PartitionRunner; 2] = [&SerialRunner, &ScopedRunner(2)];
+            for exec in &mut execs {
+                for runner in runners {
+                    let mut expect = vec![0u32; flat.len()];
+                    exec.whiten_groups_runner(&flat, &mut expect, &group_rows, runner)
+                        .unwrap();
+                    let mut got = groups.clone();
+                    let mut segments: Vec<&mut [u32]> =
+                        got.iter_mut().map(Vec::as_mut_slice).collect();
+                    let rows = exec.whiten_in_place_runner(&mut segments, runner).unwrap();
+                    assert_eq!(rows, group_rows.iter().sum::<usize>());
+                    assert_eq!(
+                        got.concat(),
+                        expect,
+                        "{} d {d} width {}",
+                        exec.label(),
+                        runner.width()
+                    );
+                }
+                // Shape errors surface, not panics.
+                let mut ragged = vec![0u32; d + 1];
+                assert!(matches!(
+                    exec.whiten_in_place_runner(&mut [&mut ragged[..]], &SerialRunner),
+                    Err(NormError::GroupShapeMismatch { .. })
+                ));
+                assert_eq!(
+                    exec.whiten_in_place_runner(&mut [], &SerialRunner),
+                    Err(NormError::EmptyRequest)
+                );
+            }
         }
     }
 }
