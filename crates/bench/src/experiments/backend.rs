@@ -1,6 +1,7 @@
 //! Execution-backend throughput: native-f32 vs softfloat emulation, the
-//! native SIMD tier vs its forced-scalar floor, and thread scaling of the
-//! partitioned batch path.
+//! native SIMD tier vs its forced-scalar floor, the forced `sse2` and
+//! `portable` tiers, thread scaling of the partitioned batch path, and
+//! the one-row call shape of a per-token request.
 //!
 //! This is the bench behind the README's performance notes and the
 //! checked-in `results/BENCH_backend.json`. Every point drives the same
@@ -19,7 +20,7 @@ use iterl2norm::{MethodSpec, ReduceOrder, SimdLevel};
 use softfloat::Fp32;
 use workloads::VectorGen;
 
-use crate::io::{banner, print_table, write_json};
+use crate::io::{banner, host_json, print_table, write_json};
 
 /// One measured configuration.
 struct Point {
@@ -27,6 +28,9 @@ struct Point {
     backend: BackendKind,
     simd: SimdLevel,
     threads: usize,
+    /// Rows handed to each backend call: the whole batch, or 1 for the
+    /// one-row call shape.
+    rows_per_call: usize,
     rows_per_s: f64,
     ns_per_row: f64,
 }
@@ -35,12 +39,18 @@ struct Point {
 /// plus the resolved SIMD level that actually ran.
 const REPS: usize = 3;
 
+/// Time one configuration (best of [`REPS`] after a warm-up pass).
+/// With `rows_per_call = Some(1)` the batch goes through the backend one
+/// row per call (the per-token request shape) and the time covers every
+/// call; otherwise it is one call over the whole batch.
+#[allow(clippy::too_many_arguments)]
 fn measure(
     backend: BackendKind,
     d: usize,
     threads: usize,
     spec: &MethodSpec,
     simd: SimdLevel,
+    rows_per_call: Option<usize>,
     input: &[u32],
     out: &mut [u32],
 ) -> std::io::Result<(f64, SimdLevel)> {
@@ -54,16 +64,21 @@ fn measure(
     )
     .map_err(std::io::Error::other)?;
     let resolved = engine.simd_level();
+    let call = rows_per_call.map_or(input.len(), |rows| rows * d);
+    let mut pass = |out: &mut [u32]| -> std::io::Result<()> {
+        for (x, o) in input.chunks(call).zip(out.chunks_mut(call)) {
+            engine
+                .normalize_batch_bits(x, o, threads)
+                .map_err(std::io::Error::other)?;
+        }
+        Ok(())
+    };
     // Warm-up sizes the conversion buffers and worker scratch.
-    engine
-        .normalize_batch_bits(input, out, threads)
-        .map_err(std::io::Error::other)?;
+    pass(out)?;
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
         let t0 = Instant::now();
-        engine
-            .normalize_batch_bits(input, out, threads)
-            .map_err(std::io::Error::other)?;
+        pass(out)?;
         best = best.min(t0.elapsed().as_secs_f64());
     }
     Ok((best, resolved))
@@ -100,6 +115,7 @@ pub fn run_at(dims: &[usize], rows: usize, thread_counts: &[usize]) -> std::io::
             1,
             &spec,
             SimdLevel::Auto,
+            None,
             &input,
             &mut out,
         )?;
@@ -109,64 +125,87 @@ pub fn run_at(dims: &[usize], rows: usize, thread_counts: &[usize]) -> std::io::
             backend: BackendKind::Emulated,
             simd: SimdLevel::Scalar,
             threads: 1,
+            rows_per_call: rows,
             rows_per_s: rows as f64 / t_emulated,
             ns_per_row: t_emulated * 1e9 / rows as f64,
         });
 
         // Native: the forced-scalar floor vs the auto-resolved SIMD tier,
-        // across the thread counts. Serial scalar is the per-d baseline
-        // the "vs scalar@1" column compares against.
-        let mut t_scalar_serial = f64::NAN;
+        // across the thread counts; then the forced `sse2` and `portable`
+        // tiers and the one-row call shape, single-threaded. Serial scalar
+        // is the per-d baseline the "vs scalar@1" column compares against.
+        let mut configs: Vec<(SimdLevel, usize, Option<usize>)> = Vec::new();
         for simd in [SimdLevel::Scalar, SimdLevel::Auto] {
-            for &threads in thread_counts {
-                let (t, resolved) = measure(
-                    BackendKind::Native,
-                    d,
-                    threads,
-                    &spec,
-                    simd,
-                    &input,
-                    &mut out,
-                )?;
-                // Self-check before reporting: the speedup must not be a
-                // different computation.
-                assert_eq!(
-                    out, reference,
-                    "native output diverged from emulated at d = {d}, \
-                     simd = {resolved}, threads = {threads}"
-                );
-                if simd == SimdLevel::Scalar && threads == 1 {
-                    t_scalar_serial = t;
+            configs.extend(thread_counts.iter().map(|&threads| (simd, threads, None)));
+        }
+        configs.extend([
+            (SimdLevel::Sse2, 1, None),
+            (SimdLevel::Portable, 1, None),
+            (SimdLevel::Auto, 1, Some(1)),
+        ]);
+        let mut t_scalar_serial = f64::NAN;
+        for (simd, threads, rows_per_call) in configs {
+            let measured = measure(
+                BackendKind::Native,
+                d,
+                threads,
+                &spec,
+                simd,
+                rows_per_call,
+                &input,
+                &mut out,
+            );
+            let (t, resolved) = match measured {
+                Ok(point) => point,
+                // A forced tier this host cannot run is no data point.
+                Err(err) if simd != SimdLevel::Scalar && simd != SimdLevel::Auto => {
+                    println!("skipping simd = {simd} at d = {d}: {err}");
+                    continue;
                 }
-                points.push(Point {
-                    d,
-                    backend: BackendKind::Native,
-                    simd: resolved,
-                    threads,
-                    rows_per_s: rows as f64 / t,
-                    ns_per_row: t * 1e9 / rows as f64,
-                });
-                table.push(vec![
-                    d.to_string(),
-                    BackendKind::Native.name().to_string(),
-                    resolved.to_string(),
-                    threads.to_string(),
-                    format!("{:.0}", rows as f64 / t),
-                    format!("{:.0}", t * 1e9 / rows as f64),
-                    format!("{:.1}x", t_emulated / t),
-                    if t_scalar_serial.is_finite() {
-                        format!("{:.2}x", t_scalar_serial / t)
-                    } else {
-                        "-".to_string()
-                    },
-                ]);
+                Err(err) => return Err(err),
+            };
+            // Self-check before reporting: the speedup must not be a
+            // different computation.
+            assert_eq!(
+                out, reference,
+                "native output diverged from emulated at d = {d}, \
+                 simd = {resolved}, threads = {threads}"
+            );
+            if simd == SimdLevel::Scalar && threads == 1 {
+                t_scalar_serial = t;
             }
+            let rows_per_call = rows_per_call.unwrap_or(rows);
+            points.push(Point {
+                d,
+                backend: BackendKind::Native,
+                simd: resolved,
+                threads,
+                rows_per_call,
+                rows_per_s: rows as f64 / t,
+                ns_per_row: t * 1e9 / rows as f64,
+            });
+            table.push(vec![
+                d.to_string(),
+                BackendKind::Native.name().to_string(),
+                resolved.to_string(),
+                threads.to_string(),
+                rows_per_call.to_string(),
+                format!("{:.0}", rows as f64 / t),
+                format!("{:.0}", t * 1e9 / rows as f64),
+                format!("{:.1}x", t_emulated / t),
+                if t_scalar_serial.is_finite() {
+                    format!("{:.2}x", t_scalar_serial / t)
+                } else {
+                    "-".to_string()
+                },
+            ]);
         }
         table.push(vec![
             d.to_string(),
             BackendKind::Emulated.name().to_string(),
             SimdLevel::Scalar.to_string(),
             "1".to_string(),
+            rows.to_string(),
             format!("{:.0}", rows as f64 / t_emulated),
             format!("{:.0}", t_emulated * 1e9 / rows as f64),
             "1.0x".to_string(),
@@ -180,6 +219,7 @@ pub fn run_at(dims: &[usize], rows: usize, thread_counts: &[usize]) -> std::io::
             "backend",
             "simd",
             "threads",
+            "rows/call",
             "rows/s",
             "ns/row",
             "vs emulated",
@@ -197,15 +237,21 @@ pub fn run_at(dims: &[usize], rows: usize, thread_counts: &[usize]) -> std::io::
     json.push_str(&format!("  \"rows_per_batch\": {rows},\n"));
     json.push_str(&format!("  \"reps_best_of\": {REPS},\n"));
     json.push_str("  \"bit_identity_checked\": true,\n");
+    let auto = points
+        .iter()
+        .find(|p| p.backend == BackendKind::Native && p.simd != SimdLevel::Scalar)
+        .map_or(SimdLevel::Scalar, |p| p.simd);
+    json.push_str(&format!("  \"host\": {},\n", host_json(auto.name())));
     json.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"d\": {}, \"backend\": \"{}\", \"simd\": \"{}\", \"threads\": {}, \
-             \"rows_per_s\": {:.1}, \"ns_per_row\": {:.1}}}{}\n",
+             \"rows_per_call\": {}, \"rows_per_s\": {:.1}, \"ns_per_row\": {:.1}}}{}\n",
             p.d,
             p.backend.name(),
             p.simd,
             p.threads,
+            p.rows_per_call,
             p.rows_per_s,
             p.ns_per_row,
             if i + 1 < points.len() { "," } else { "" }
@@ -218,7 +264,8 @@ pub fn run_at(dims: &[usize], rows: usize, thread_counts: &[usize]) -> std::io::
 }
 
 /// The standard configuration: the README's d points, `rows` rows per
-/// batch, threads 1/2/4/8.
+/// batch, threads 1/2/4/8 (plus the single-threaded forced tiers and
+/// one-row calls).
 ///
 /// # Errors
 ///

@@ -86,8 +86,8 @@ pub fn chunk_sum<F: Float>(values: &[F]) -> F {
 /// Fold the partial-sum buffer through 8-input trees until one value
 /// remains, in place (no allocation). Bit-identical to repeatedly
 /// collecting `chunks(TREE_WIDTH).map(tree_sum8)` into a fresh buffer.
-/// Crate-visible so the SIMD kernels fold their chunk sums through the
-/// literal same code path as the scalar engine.
+/// Crate-visible as the reference the SIMD kernels' streaming fold
+/// (`simd::ChunkFold`) is tested against.
 pub(crate) fn fold_partials<F: Float>(partials: &mut Vec<F>) -> F {
     if partials.is_empty() {
         return F::zero();

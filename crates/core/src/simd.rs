@@ -7,15 +7,28 @@
 //!
 //! * **Reduction kernel**: the hardware-order sum / sum-of-squares
 //!   ([`crate::hworder`]) is already shaped like a SIMD reduction — eight
-//!   8-input L1 adder trees per 64-element chunk, then one L2 tree. An
-//!   8×8 register transpose turns the eight L1 trees into *lanewise*
-//!   vector adds (lane `g` of the accumulator is exactly L1 tree `g`),
-//!   so the operation tree is unchanged, only executed eight trees at a
-//!   time. Short tail chunks are padded with `+0.0`: the scalar path
-//!   substitutes `+0` for every missing tree input and leaves
-//!   fully-empty L1 slots at `+0`, and `+0 + +0 = +0` under
-//!   round-to-nearest-even, so the padded full-width kernel reproduces
-//!   the scalar short-chunk semantics bit for bit.
+//!   8-input L1 adder trees per 64-element chunk, then one L2 tree. The
+//!   AVX2 kernel runs eight trees at once as *pair steps*: a
+//!   `_mm256_shuffle_ps` pair gathers the even and the odd lanes of two
+//!   registers and one add sums each adjacent pair, left operand first.
+//!   Two pair levels and two `vperm2f128` turn a chunk's eight group
+//!   registers into one register whose lane `g` is L1 tree `g` (14
+//!   shuffle µops per chunk, against 24 for an 8×8 transpose). The same
+//!   tree over eight chunks' L1 registers puts those chunks' L2 sums in
+//!   one register, and the chunk sums stream into a fixed-size fold that
+//!   reproduces `fold_partials` without a buffer. The SSE2 and portable
+//!   tiers keep a 4×4 transpose and plain-Rust trees per chunk. Short
+//!   tail chunks are padded with `+0.0`: the scalar path substitutes
+//!   `+0` for every missing tree input and leaves fully-empty L1 slots
+//!   at `+0`, and `+0 + +0 = +0` under round-to-nearest-even, so the
+//!   padded full-width kernel reproduces the scalar short-chunk
+//!   semantics bit for bit.
+//! * **Fused shift stage**: each row is read three times — the row sum,
+//!   then one chunk walk that shifts every element (`x − mean`), stores
+//!   it to the output and feeds its square to the trees, then the
+//!   scale/γ/β pass. Every tier runs this one stage through its own
+//!   chunk primitive; only the tail chunk's real elements are shifted,
+//!   so its padding stays `+0.0`.
 //! * **Multi-row lane kernel**: the Newton update of the IterL2Norm
 //!   iteration and the scale/affine application are per-row independent,
 //!   so a register holds one *row* per lane (8 rows for AVX2, 4 per
@@ -38,9 +51,17 @@
 //! is the paper's `UpdateStyle::Separate` — explicit mul then add — and
 //! Rust never contracts float expressions); and the kernels never
 //! *reassociate* — they only re-bracket work that the hardware reduction
-//! order already brackets that way. The oracle suite
-//! (`tests/backend_bit_identity.rs`) enforces SIMD ≡ scalar ≡ emulated
-//! for every method × dimension × reduce order × forced level.
+//! order already brackets that way. Shuffles only move values: each pair
+//! add, `vperm2f128` join and L2 lane computes exactly one add of the
+//! scalar tree, with the same two operands. Fusing the shift into the
+//! sum-of-squares walk changes when an element is computed, not how:
+//! each still sees `x − mean`, then `y·y` into the same tree slot. (LLVM
+//! may emit `vhaddps` for a shuffle/add pair — `fadd` commutes in its IR —
+//! which adds the same two operands; only the payload chosen when *both*
+//! are NaN can differ, and the suites leave mixed-payload NaNs unpinned.)
+//! The oracle suite (`tests/backend_bit_identity.rs`) enforces SIMD ≡
+//! scalar ≡ emulated for every method × dimension × reduce order × forced
+//! level.
 #![allow(unsafe_code)]
 
 use core::fmt;
@@ -53,7 +74,7 @@ use crate::config::{IterConfig, StopRule};
 use crate::engine::{split_segments, worker_rows, NormPlan, ScaleMethod};
 use crate::error::NormError;
 use crate::executor::PartitionRunner;
-use crate::hworder::{fold_partials, ReduceOrder, CHUNK, TREE_WIDTH};
+use crate::hworder::{ReduceOrder, CHUNK, TREE_WIDTH};
 use crate::iteration::{a0_from_exponent, lambda_from_exponent};
 use crate::layernorm::{DimConsts, RsqrtScale};
 
@@ -477,29 +498,51 @@ fn bits_as_f32_mut(bits: &mut [u32]) -> &mut [f32] {
     unsafe { core::slice::from_raw_parts_mut(bits.as_mut_ptr().cast::<f32>(), bits.len()) }
 }
 
-/// One kernel tier: the row reductions plus the multi-row iteration.
+/// One kernel tier: the chunk primitives of the hardware-order reduction
+/// plus the multi-row iteration. The row pipeline
+/// ([`process_block_rows`]) and the chunk walk ([`reduce_row`]) are
+/// shared; a tier supplies only what it executes in its own registers.
 ///
 /// Methods are `unsafe` because implementations may use instructions the
 /// host must support — callers reach them only through the dispatch in
 /// [`SimdNative::process_rows`], which guarantees the kernel was
 /// runtime-resolved for this host.
 trait RowReduce {
-    /// Row sum in the plan's reduce order (hwtree chunk sums through this
-    /// kernel, linear stays a scalar left-to-right fold — a loop-carried
-    /// dependence no bit-preserving vectorization can break).
+    /// One chunk's eight L1 tree sums, in the tier's own representation.
+    type L1: Copy;
+
+    /// Initial value of the pending-chunk slots a [`ChunkWalk`] keeps.
+    /// Its lanes are never read back into a result.
+    const L1_ZERO: Self::L1;
+
+    /// Load one full chunk from `src`; with `shift = Some((mean, dst))`,
+    /// subtract `mean` from every element and store the differences to
+    /// `dst` (which may equal `src`); square the values when `square`;
+    /// return the chunk's eight L1 tree sums (group `g` =
+    /// `((v₀+v₁)+(v₂+v₃))+((v₄+v₅)+(v₆+v₇))` over elements `8g..8g+8`).
     ///
     /// # Safety
     ///
     /// Callable only on a host that supports the implementing kernel's
-    /// instruction set (`resolve` guarantees the match).
-    unsafe fn sum(&self, x: &[f32], scratch: &mut Vec<HostF32>, reduce: ReduceOrder) -> f32;
+    /// instruction set (`resolve` guarantees the match). `src` must point
+    /// at [`CHUNK`] readable `f32`s and `dst`, when given, at `CHUNK`
+    /// writable ones that no live reference covers.
+    unsafe fn chunk_l1(
+        &self,
+        src: *const f32,
+        shift: Option<(f32, *mut f32)>,
+        square: bool,
+    ) -> Self::L1;
 
-    /// Row sum of squares, same contract as [`RowReduce::sum`].
+    /// The L2 tree of up to [`TREE_WIDTH`] chunks at once: entry `c` of
+    /// the result is the hardware-order sum of the chunk whose L1 sums
+    /// are `l1[c]`. Entries are independent, so a slot holding a stale
+    /// or zero value only spoils its own entry.
     ///
     /// # Safety
     ///
-    /// Same contract as [`RowReduce::sum`].
-    unsafe fn sum_sq(&self, x: &[f32], scratch: &mut Vec<HostF32>, reduce: ReduceOrder) -> f32;
+    /// Same instruction-set contract as [`RowReduce::chunk_l1`].
+    unsafe fn chunk_sums(&self, l1: &[Self::L1; TREE_WIDTH]) -> [f32; TREE_WIDTH];
 
     /// The fixed-step IterL2Norm iteration for [`ROW_LANES`] independent
     /// rows, one per lane: seeds and rates come from the scalar bit-field
@@ -508,7 +551,7 @@ trait RowReduce {
     ///
     /// # Safety
     ///
-    /// Same contract as [`RowReduce::sum`].
+    /// Same instruction-set contract as [`RowReduce::chunk_l1`].
     unsafe fn iter_scales(
         &self,
         m: &[f32; ROW_LANES],
@@ -518,17 +561,19 @@ trait RowReduce {
     );
 }
 
-/// The block pipeline every kernel runs: for up to [`ROW_LANES`] rows,
-/// (1) per-row mean via the kernel's reduction, (2) mean shift, (3)
-/// per-row `m = ‖y‖²`, (4) the scale — lanewise iteration for the
-/// standard IterL2Norm, per-row [`RsqrtScale`] otherwise — then (5)
-/// scale/γ/β application. The stage order and per-stage loops mirror
-/// `normalize_row_into` exactly; unused lanes are padded with `m = 1`
-/// (lane independence: their results are simply never stored).
+/// The block pipeline every kernel runs, three passes over each row:
+/// (1) the row sum → mean; (2) the fused stage — shift `y = x − mean`,
+/// store `y` to `o`, and reduce `m = Σ y²` in the same chunk walk
+/// ([`reduce_row`]); then, per block of up to [`ROW_LANES`] rows, the
+/// scale — lanewise iteration for the standard IterL2Norm, per-row
+/// [`RsqrtScale`] otherwise — and (3) one scale/γ/β pass. Every element
+/// sees the operation chain of `normalize_row_into`: `x − mean`, `y·y`
+/// into the same trees, `y·s`, `·γ`, `+β`. Unused lanes are padded with
+/// `m = 1` (lane independence: their results are simply never stored).
 ///
-/// With `x = None` the pipeline runs in place: stages (1)–(2) read the
-/// row from `o`, which already holds the input. Every later stage reads
-/// `o` in both modes, so each element sees the same operation chain.
+/// With `x = None` the pipeline runs in place: passes (1)–(2) read the
+/// row from `o`, which already holds the input, and (2) writes each
+/// chunk back where it read it.
 ///
 /// # Safety
 ///
@@ -545,30 +590,24 @@ unsafe fn process_block_rows<R: RowReduce>(
 ) {
     let d = ctx.d;
     let block = ROW_LANES * d;
-    let mut scratch: Vec<HostF32> = Vec::with_capacity(d.div_ceil(CHUNK));
+    let mut walk = ChunkWalk::<R>::new();
     for (bi, ob) in o.chunks_mut(block).enumerate() {
         let n = ob.len() / d;
         // Pad unused lanes with a benign finite m: the iteration runs on
         // them (lanewise, independently) and the result is discarded.
         let mut m = [1.0f32; ROW_LANES];
-        for ri in 0..n {
-            let or = &mut ob[ri * d..(ri + 1) * d];
-            match x {
-                Some(x) => {
-                    let xr = &x[bi * block + ri * d..][..d];
-                    let mean = r.sum(xr, &mut scratch, ctx.reduce) * ctx.inv_d;
-                    for (slot, &xi) in or.iter_mut().zip(xr) {
-                        *slot = xi - mean;
-                    }
-                }
-                None => {
-                    let mean = r.sum(or, &mut scratch, ctx.reduce) * ctx.inv_d;
-                    for slot in or.iter_mut() {
-                        *slot -= mean;
-                    }
-                }
-            }
-            m[ri] = r.sum_sq(or, &mut scratch, ctx.reduce);
+        for (ri, mi) in m.iter_mut().enumerate().take(n) {
+            let dst = ob[ri * d..(ri + 1) * d].as_mut_ptr();
+            let src = match x {
+                Some(x) => x[bi * block + ri * d..][..d].as_ptr(),
+                None => dst.cast_const(),
+            };
+            // SAFETY: `src` and `dst` each cover `d` elements of a live
+            // row (the same row in place); no reference to it is held
+            // across the two calls.
+            let mean = reduce_row(r, &mut walk, src, None, d, ctx.reduce) * ctx.inv_d;
+            // SAFETY: as above.
+            *mi = reduce_row(r, &mut walk, src, Some((mean, dst)), d, ctx.reduce);
         }
         let mut scales = [0.0f32; ROW_LANES];
         match ctx.iter_steps {
@@ -579,44 +618,225 @@ unsafe fn process_block_rows<R: RowReduce>(
                 }
             }
         }
-        for ri in 0..n {
-            let or = &mut ob[ri * d..(ri + 1) * d];
-            let s = scales[ri];
-            for v in or.iter_mut() {
-                *v *= s;
-            }
-            if let Some(g) = ctx.gamma {
-                for (v, &gi) in or.iter_mut().zip(g) {
-                    *v *= gi;
+        for (or, &s) in ob.chunks_exact_mut(d).zip(&scales) {
+            match (ctx.gamma, ctx.beta) {
+                (None, None) => or.iter_mut().for_each(|v| *v *= s),
+                (Some(g), None) => {
+                    for (v, &gi) in or.iter_mut().zip(g) {
+                        *v = *v * s * gi;
+                    }
                 }
-            }
-            if let Some(b) = ctx.beta {
-                for (v, &bi) in or.iter_mut().zip(b) {
-                    *v += bi;
+                (None, Some(b)) => {
+                    for (v, &bi) in or.iter_mut().zip(b) {
+                        *v = *v * s + bi;
+                    }
+                }
+                (Some(g), Some(b)) => {
+                    for ((v, &gi), &bi) in or.iter_mut().zip(g).zip(b) {
+                        *v = *v * s * gi + bi;
+                    }
                 }
             }
         }
     }
 }
 
-/// Scalar left-to-right fold — [`ReduceOrder::Linear`]'s order is a
-/// loop-carried chain, identical on every kernel tier.
+/// One reduction pass over a `len`-element row at `src`, in the plan's
+/// order: the row sum when `shift` is `None`; the fused stage when it is
+/// `Some((mean, dst))` — every element is shifted (`x − mean`), stored to
+/// `dst` and squared, and the squares are summed.
+///
+/// `HwTree` walks full chunks through the tier's [`RowReduce::chunk_l1`],
+/// runs the L2 trees of [`TREE_WIDTH`] chunks at a time and streams the
+/// chunk sums into a [`ChunkFold`]. The tail chunk's real elements are
+/// shifted here, into a `+0.0`-padded buffer the primitive then reduces
+/// unshifted — padding must stay `+0.0`, not become `0 − mean`. `Linear`
+/// stays a scalar left-to-right fold, a loop-carried chain no
+/// bit-preserving vectorization can break.
+///
+/// # Safety
+///
+/// `r`'s instruction requirements must hold. `src` must point at `len`
+/// readable `f32`s and `dst`, when given, at `len` writable ones (the
+/// same ones in place) that no live reference covers.
 #[inline(always)]
-fn linear_sum_f32(x: &[f32]) -> f32 {
-    x.iter().fold(0.0f32, |acc, &v| acc + v)
+unsafe fn reduce_row<R: RowReduce>(
+    r: &R,
+    walk: &mut ChunkWalk<R>,
+    src: *const f32,
+    shift: Option<(f32, *mut f32)>,
+    len: usize,
+    reduce: ReduceOrder,
+) -> f32 {
+    let square = shift.is_some();
+    let elem = |i: usize| {
+        let v = *src.add(i);
+        match shift {
+            Some((mean, dst)) => {
+                let y = v - mean;
+                *dst.add(i) = y;
+                y
+            }
+            None => v,
+        }
+    };
+    if reduce == ReduceOrder::Linear {
+        return (0..len).fold(0.0f32, |acc, i| {
+            let y = elem(i);
+            acc + if square { y * y } else { y }
+        });
+    }
+    let full = len / CHUNK;
+    let ChunkWalk { l1, fold } = walk;
+    fold.reset();
+    let mut pending = 0;
+    for c in 0..full {
+        let at = c * CHUNK;
+        let chunk_shift = shift.map(|(mean, dst)| (mean, dst.add(at)));
+        l1[pending] = r.chunk_l1(src.add(at), chunk_shift, square);
+        pending += 1;
+        if pending == TREE_WIDTH {
+            fold.push_all(&r.chunk_sums(l1));
+            pending = 0;
+        }
+    }
+    let rem = len - full * CHUNK;
+    if rem > 0 {
+        let mut buf = [0.0f32; CHUNK];
+        for (i, slot) in buf[..rem].iter_mut().enumerate() {
+            *slot = elem(full * CHUNK + i);
+        }
+        l1[pending] = r.chunk_l1(buf.as_ptr(), None, square);
+        pending += 1;
+    }
+    if pending > 0 {
+        fold.push_all(&r.chunk_sums(l1)[..pending]);
+    }
+    fold.finish()
 }
 
-/// Scalar left-to-right sum of squares (`acc + v·v`, per element).
-#[inline(always)]
-fn linear_sum_sq_f32(x: &[f32]) -> f32 {
-    x.iter().fold(0.0f32, |acc, &v| acc + v * v)
+/// The chunk walk's working storage: the pending chunks' L1 sums and the
+/// fold. [`process_block_rows`] builds it once per call and every pass of
+/// every row reuses it, so a row pays no per-pass initialization; stale
+/// L1 slots only spoil L2 lanes that are never pushed.
+struct ChunkWalk<R: RowReduce> {
+    l1: [R::L1; TREE_WIDTH],
+    fold: ChunkFold,
 }
 
-/// Fold hwtree chunk sums exactly like the scalar engine: the partial
-/// sums pass through `fold_partials`, the same 8-input tree fold.
+impl<R: RowReduce> ChunkWalk<R> {
+    #[inline(always)]
+    fn new() -> Self {
+        ChunkWalk {
+            l1: [R::L1_ZERO; TREE_WIDTH],
+            fold: ChunkFold::new(),
+        }
+    }
+}
+
+/// Scalar 8-input adder tree, `((v₀+v₁)+(v₂+v₃))+((v₄+v₅)+(v₆+v₇))` —
+/// [`crate::hworder::tree_sum8`] on host floats.
 #[inline(always)]
-fn fold_chunk_sums(scratch: &mut Vec<HostF32>) -> f32 {
-    fold_partials(scratch).0
+fn tree8(v: &[f32; TREE_WIDTH]) -> f32 {
+    ((v[0] + v[1]) + (v[2] + v[3])) + ((v[4] + v[5]) + (v[6] + v[7]))
+}
+
+/// Pending-sum levels of a [`ChunkFold`]: rows shorter than
+/// `CHUNK · 8^10` = 2³⁶ elements (256 GiB of `f32`); a longer row would
+/// index past the last level and panic.
+const FOLD_LEVELS: usize = 10;
+
+/// `fold_partials` as a stream, in fixed storage: chunk sums arrive in
+/// row order, every full group of [`TREE_WIDTH`] at a level is tree-summed
+/// into the level above at once, and [`ChunkFold::finish`] flushes the
+/// partial groups exactly as the buffer fold meets them — a level with
+/// one value is the result (the `len == 1` early return, no `+0` add),
+/// and a short group is tree-summed with its missing inputs at `+0`.
+/// Only `fill` and `count` carry state between rows: a level's slots are
+/// written before they are read.
+struct ChunkFold {
+    pending: [[f32; TREE_WIDTH]; FOLD_LEVELS],
+    fill: [u8; FOLD_LEVELS],
+    /// Chunk sums pushed since the last reset (level-0 values).
+    count: usize,
+}
+
+impl ChunkFold {
+    #[inline(always)]
+    fn new() -> Self {
+        ChunkFold {
+            pending: [[0.0; TREE_WIDTH]; FOLD_LEVELS],
+            fill: [0; FOLD_LEVELS],
+            count: 0,
+        }
+    }
+
+    /// Start a new row.
+    #[inline(always)]
+    fn reset(&mut self) {
+        self.fill = [0; FOLD_LEVELS];
+        self.count = 0;
+    }
+
+    /// Append chunk sums in row order. A full group arriving at an empty
+    /// level 0 (every full L2 batch of [`reduce_row`]) is tree-summed
+    /// straight into level 1 — what pushing its eight sums one by one
+    /// would do. Kept out of line: it runs once per eight chunks, and
+    /// inlining its level walk into every pass of every tier nearly
+    /// doubled the kernels' code (AVX2 entry 8 → 14.7 KB).
+    #[inline(never)]
+    fn push_all(&mut self, sums: &[f32]) {
+        self.count += sums.len();
+        match <&[f32; TREE_WIDTH]>::try_from(sums) {
+            Ok(group) if self.fill[0] == 0 => self.push_at(1, tree8(group)),
+            _ => {
+                for &v in sums {
+                    self.push_at(0, v);
+                }
+            }
+        }
+    }
+
+    fn push_at(&mut self, mut level: usize, mut v: f32) {
+        loop {
+            let f = usize::from(self.fill[level]);
+            self.pending[level][f] = v;
+            if f + 1 < TREE_WIDTH {
+                self.fill[level] += 1;
+                return;
+            }
+            self.fill[level] = 0;
+            v = tree8(&self.pending[level]);
+            level += 1;
+        }
+    }
+
+    /// The folded row sum (`+0.0` for no chunks).
+    fn finish(&mut self) -> f32 {
+        let mut count = self.count;
+        if count == 0 {
+            return 0.0;
+        }
+        let mut level = 0;
+        while count > 1 {
+            let f = usize::from(self.fill[level]);
+            if f > 0 {
+                let mut tree = [0.0f32; TREE_WIDTH];
+                tree[..f].copy_from_slice(&self.pending[level][..f]);
+                self.push_at(level + 1, tree8(&tree));
+            }
+            count = count.div_ceil(TREE_WIDTH);
+            level += 1;
+        }
+        self.pending[level][0]
+    }
+}
+
+/// The L2 trees of tiers whose L1 sums sit in a `[f32; 8]`: one scalar
+/// tree per chunk.
+#[inline(always)]
+fn scalar_chunk_sums(l1: &[[f32; TREE_WIDTH]; TREE_WIDTH]) -> [f32; TREE_WIDTH] {
+    l1.map(|groups| tree8(&groups))
 }
 
 // --------------------------------------------------------------------
@@ -626,53 +846,41 @@ fn fold_chunk_sums(scratch: &mut Vec<HostF32>) -> f32 {
 // architecture — and it is the fallback semantics the oracle tests pin.
 // --------------------------------------------------------------------
 
-/// Hardware-order sum of one ≤ 64-element chunk: pad to full width with
-/// `+0.0` (bit-identical to the scalar short-chunk handling, see the
-/// module docs), optionally square, then eight L1 trees and one L2 tree.
-#[inline(always)]
-fn portable_chunk(chunk: &[f32], square: bool) -> f32 {
-    let mut buf = [0.0f32; CHUNK];
-    buf[..chunk.len()].copy_from_slice(chunk);
-    if square {
-        for v in buf.iter_mut() {
-            *v = *v * *v;
-        }
-    }
-    let mut l1 = [0.0f32; TREE_WIDTH];
-    for (g, slot) in l1.iter_mut().enumerate() {
-        let b = &buf[g * TREE_WIDTH..(g + 1) * TREE_WIDTH];
-        *slot = ((b[0] + b[1]) + (b[2] + b[3])) + ((b[4] + b[5]) + (b[6] + b[7]));
-    }
-    ((l1[0] + l1[1]) + (l1[2] + l1[3])) + ((l1[4] + l1[5]) + (l1[6] + l1[7]))
-}
-
 struct PortableReduce;
 
 impl RowReduce for PortableReduce {
-    // SAFETY: portable kernel — no target-specific instructions.
+    type L1 = [f32; TREE_WIDTH];
+    const L1_ZERO: Self::L1 = [0.0; TREE_WIDTH];
+
+    // SAFETY: portable kernel — no target-specific instructions; pointer
+    // validity is the caller's contract.
     #[inline(always)]
-    unsafe fn sum(&self, x: &[f32], scratch: &mut Vec<HostF32>, reduce: ReduceOrder) -> f32 {
-        match reduce {
-            ReduceOrder::Linear => linear_sum_f32(x),
-            ReduceOrder::HwTree => {
-                scratch.clear();
-                scratch.extend(x.chunks(CHUNK).map(|c| HostF32(portable_chunk(c, false))));
-                fold_chunk_sums(scratch)
+    unsafe fn chunk_l1(
+        &self,
+        src: *const f32,
+        shift: Option<(f32, *mut f32)>,
+        square: bool,
+    ) -> Self::L1 {
+        let mut buf = [0.0f32; CHUNK];
+        for (i, slot) in buf.iter_mut().enumerate() {
+            let mut v = *src.add(i);
+            if let Some((mean, dst)) = shift {
+                v -= mean;
+                *dst.add(i) = v;
             }
+            *slot = if square { v * v } else { v };
         }
+        let mut l1 = [0.0f32; TREE_WIDTH];
+        for (slot, group) in l1.iter_mut().zip(buf.chunks_exact(TREE_WIDTH)) {
+            *slot = tree8(group.try_into().expect("TREE_WIDTH-sized group"));
+        }
+        l1
     }
 
-    // SAFETY: portable kernel — no target-specific instructions.
+    // SAFETY: portable kernel — scalar adds only.
     #[inline(always)]
-    unsafe fn sum_sq(&self, x: &[f32], scratch: &mut Vec<HostF32>, reduce: ReduceOrder) -> f32 {
-        match reduce {
-            ReduceOrder::Linear => linear_sum_sq_f32(x),
-            ReduceOrder::HwTree => {
-                scratch.clear();
-                scratch.extend(x.chunks(CHUNK).map(|c| HostF32(portable_chunk(c, true))));
-                fold_chunk_sums(scratch)
-            }
-        }
+    unsafe fn chunk_sums(&self, l1: &[Self::L1; TREE_WIDTH]) -> [f32; TREE_WIDTH] {
+        scalar_chunk_sums(l1)
     }
 
     // SAFETY: portable kernel — no target-specific instructions.
@@ -729,88 +937,73 @@ unsafe fn process_rows_portable(ctx: &RowCtx<'_>, x: Option<&[f32]>, o: &mut [f3
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::{
-        __m128, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_permute2f128_ps,
-        _mm256_set1_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm256_unpackhi_ps,
-        _mm256_unpacklo_ps, _mm_add_ps, _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_mul_ps,
-        _mm_set1_ps, _mm_storeu_ps, _mm_sub_ps, _mm_unpackhi_ps, _mm_unpacklo_ps,
+        __m128, __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_permute2f128_ps,
+        _mm256_set1_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_add_ps,
+        _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_mul_ps, _mm_set1_ps, _mm_storeu_ps,
+        _mm_sub_ps, _mm_unpackhi_ps, _mm_unpacklo_ps,
     };
 
     use softfloat::HostF32;
 
-    use super::{
-        linear_sum_f32, linear_sum_sq_f32, process_block_rows, RowCtx, RowReduce, ROW_LANES,
-    };
-    use crate::hworder::{fold_partials, ReduceOrder, CHUNK, TREE_WIDTH};
+    use super::{process_block_rows, scalar_chunk_sums, RowCtx, RowReduce, ROW_LANES};
+    use crate::hworder::TREE_WIDTH;
     use crate::iteration::{a0_from_exponent, lambda_from_exponent};
 
-    /// Hardware-order sum of one full 64-element chunk with AVX2: load
-    /// the eight 8-element groups into eight registers, transpose 8×8 so
-    /// lane `g` of column `j` holds element `j` of group `g`, then run
-    /// the L1 tree *vertically* — every `vaddps` performs the eight L1
-    /// adds of one tree level, lanewise, in the scalar operand order —
-    /// and finish with the scalar L2 tree over the eight group sums.
+    /// One pair level of the adder trees: `_mm256_shuffle_ps` gathers the
+    /// even and the odd lanes of `a` and `b` (per 128-bit half:
+    /// `[a₀ a₂ b₀ b₂]` and `[a₁ a₃ b₁ b₃]`) and one add sums every
+    /// adjacent pair, left operand first — `[a₀+a₁, a₂+a₃, b₀+b₁, b₂+b₃]`
+    /// per half. No `vhaddps`: its operand order is not the tree's.
     ///
     /// # Safety
     ///
-    /// Requires AVX2; `p` must point at `CHUNK` readable `f32`s.
+    /// Requires AVX.
     #[inline(always)]
-    unsafe fn avx2_chunk(p: *const f32, square: bool) -> f32 {
-        let mut r = [_mm256_set1_ps(0.0); TREE_WIDTH];
-        for (k, reg) in r.iter_mut().enumerate() {
-            let v = _mm256_loadu_ps(p.add(TREE_WIDTH * k));
-            *reg = if square { _mm256_mul_ps(v, v) } else { v };
-        }
-        // 8×8 transpose (unpack → shuffle → 128-bit permute): c[j] lane g
-        // = chunk[8g + j].
-        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
-        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
-        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
-        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
-        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
-        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
-        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
-        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
-        let s0 = _mm256_shuffle_ps::<0b01_00_01_00>(t0, t2);
-        let s1 = _mm256_shuffle_ps::<0b11_10_11_10>(t0, t2);
-        let s2 = _mm256_shuffle_ps::<0b01_00_01_00>(t1, t3);
-        let s3 = _mm256_shuffle_ps::<0b11_10_11_10>(t1, t3);
-        let s4 = _mm256_shuffle_ps::<0b01_00_01_00>(t4, t6);
-        let s5 = _mm256_shuffle_ps::<0b11_10_11_10>(t4, t6);
-        let s6 = _mm256_shuffle_ps::<0b01_00_01_00>(t5, t7);
-        let s7 = _mm256_shuffle_ps::<0b11_10_11_10>(t5, t7);
-        let c0 = _mm256_permute2f128_ps::<0x20>(s0, s4);
-        let c1 = _mm256_permute2f128_ps::<0x20>(s1, s5);
-        let c2 = _mm256_permute2f128_ps::<0x20>(s2, s6);
-        let c3 = _mm256_permute2f128_ps::<0x20>(s3, s7);
-        let c4 = _mm256_permute2f128_ps::<0x31>(s0, s4);
-        let c5 = _mm256_permute2f128_ps::<0x31>(s1, s5);
-        let c6 = _mm256_permute2f128_ps::<0x31>(s2, s6);
-        let c7 = _mm256_permute2f128_ps::<0x31>(s3, s7);
-        // L1 trees, lanewise: ((v0+v1)+(v2+v3)) + ((v4+v5)+(v6+v7)).
-        let a0 = _mm256_add_ps(c0, c1);
-        let a1 = _mm256_add_ps(c2, c3);
-        let a2 = _mm256_add_ps(c4, c5);
-        let a3 = _mm256_add_ps(c6, c7);
-        let b0 = _mm256_add_ps(a0, a1);
-        let b1 = _mm256_add_ps(a2, a3);
-        let t = _mm256_add_ps(b0, b1);
-        let mut groups = [0.0f32; TREE_WIDTH];
-        _mm256_storeu_ps(groups.as_mut_ptr(), t);
-        // The L2 tree over the eight group sums (scalar — 7 adds).
-        ((groups[0] + groups[1]) + (groups[2] + groups[3]))
-            + ((groups[4] + groups[5]) + (groups[6] + groups[7]))
+    unsafe fn pair_sums(a: __m256, b: __m256) -> __m256 {
+        let even = _mm256_shuffle_ps::<0b10_00_10_00>(a, b);
+        let odd = _mm256_shuffle_ps::<0b11_01_11_01>(a, b);
+        _mm256_add_ps(even, odd)
     }
 
-    /// Hardware-order sum of one full chunk with SSE2: per quad of
-    /// groups, transpose the 4 low halves and the 4 high halves (4×4
-    /// each), run the tree vertically, and sum low + high per lane.
+    /// Eight 8-input adder trees at once: lane `k` of the result is
+    /// `((v₀+v₁)+(v₂+v₃))+((v₄+v₅)+(v₆+v₇))` over the lanes of `r[k]`.
+    /// Two pair levels leave, per 128-bit half, the `(v₀..v₃)` sums of
+    /// four registers in the low half and their `(v₄..v₇)` sums in the
+    /// high half; two `vperm2f128` line those halves up and the last add
+    /// joins them. 14 shuffle µops in all, against 24 for a transpose.
     ///
     /// # Safety
     ///
-    /// Requires SSE2 (the x86-64 baseline); `p` must point at `CHUNK`
-    /// readable `f32`s.
+    /// Requires AVX.
     #[inline(always)]
-    unsafe fn sse2_chunk(p: *const f32, square: bool) -> f32 {
+    unsafe fn tree8x8(r: &[__m256; TREE_WIDTH]) -> __m256 {
+        // p0 = [g0:01 g0:23 g1:01 g1:23 | g0:45 g0:67 g1:45 g1:67], …
+        let p0 = pair_sums(r[0], r[1]);
+        let p1 = pair_sums(r[2], r[3]);
+        let p2 = pair_sums(r[4], r[5]);
+        let p3 = pair_sums(r[6], r[7]);
+        // q0 = [g0:0-3 g1:0-3 g2:0-3 g3:0-3 | g0:4-7 g1:4-7 g2:4-7 g3:4-7].
+        let q0 = pair_sums(p0, p1);
+        let q1 = pair_sums(p2, p3);
+        let lo = _mm256_permute2f128_ps::<0x20>(q0, q1);
+        let hi = _mm256_permute2f128_ps::<0x31>(q0, q1);
+        _mm256_add_ps(lo, hi)
+    }
+
+    /// Hardware-order L1 sums of one full 64-element chunk with SSE2: per
+    /// quad of groups, transpose the 4 low halves and the 4 high halves
+    /// (4×4 each), run the tree vertically, and sum low + high per lane.
+    ///
+    /// # Safety
+    ///
+    /// Requires SSE2 (the x86-64 baseline); pointers per
+    /// [`RowReduce::chunk_l1`].
+    #[inline(always)]
+    unsafe fn sse2_chunk_l1(
+        p: *const f32,
+        shift: Option<(f32, *mut f32)>,
+        square: bool,
+    ) -> [f32; TREE_WIDTH] {
         // SAFETY: SSE2 shuffle/unpack only, same baseline the enclosing fn requires.
         #[inline(always)]
         unsafe fn transpose4(r0: __m128, r1: __m128, r2: __m128, r3: __m128) -> [__m128; 4] {
@@ -825,16 +1018,33 @@ mod x86 {
                 _mm_movehl_ps(t3, t2),
             ]
         }
+        // SAFETY: SSE2 load/sub/store/mul; pointers per the enclosing fn.
+        #[inline(always)]
+        unsafe fn load(
+            p: *const f32,
+            at: usize,
+            shift: Option<(f32, *mut f32)>,
+            square: bool,
+        ) -> __m128 {
+            let mut v = _mm_loadu_ps(p.add(at));
+            if let Some((mean, dst)) = shift {
+                v = _mm_sub_ps(v, _mm_set1_ps(mean));
+                _mm_storeu_ps(dst.add(at), v);
+            }
+            if square {
+                _mm_mul_ps(v, v)
+            } else {
+                v
+            }
+        }
         let mut groups = [0.0f32; TREE_WIDTH];
         for quad in 0..2 {
             let mut lo = [_mm_set1_ps(0.0); 4];
             let mut hi = [_mm_set1_ps(0.0); 4];
             for i in 0..4 {
                 let g = quad * 4 + i;
-                let l = _mm_loadu_ps(p.add(TREE_WIDTH * g));
-                let h = _mm_loadu_ps(p.add(TREE_WIDTH * g + 4));
-                lo[i] = if square { _mm_mul_ps(l, l) } else { l };
-                hi[i] = if square { _mm_mul_ps(h, h) } else { h };
+                lo[i] = load(p, TREE_WIDTH * g, shift, square);
+                hi[i] = load(p, TREE_WIDTH * g + 4, shift, square);
             }
             let cl = transpose4(lo[0], lo[1], lo[2], lo[3]);
             let ch = transpose4(hi[0], hi[1], hi[2], hi[3]);
@@ -846,88 +1056,47 @@ mod x86 {
                 _mm_add_ps(lo_sum, hi_sum),
             );
         }
-        ((groups[0] + groups[1]) + (groups[2] + groups[3]))
-            + ((groups[4] + groups[5]) + (groups[6] + groups[7]))
-    }
-
-    /// A chunk-sum primitive, dispatched *statically*: the kernels must
-    /// monomorphize and inline into the one `#[target_feature]` entry
-    /// point — routing them through a function pointer would outline a
-    /// copy without the feature attribute, turning every intrinsic inside
-    /// into a real (non-inlined) call.
-    trait ChunkSum {
-        /// Hardware-order sum of one full 64-element chunk.
-        ///
-        /// # Safety
-        ///
-        /// `p` must point at `CHUNK` readable `f32`s, and the caller must
-        /// hold the implementation's instruction requirements.
-        unsafe fn chunk(p: *const f32, square: bool) -> f32;
-    }
-
-    /// Shared hwtree row reduction over a chunk-sum primitive: full
-    /// chunks go straight to the kernel, the tail chunk is padded with
-    /// `+0.0` (bit-identical, see the module docs), and the partial sums
-    /// fold through the scalar engine's own `fold_partials`.
-    ///
-    /// # Safety
-    ///
-    /// Requires the `C` kernel's instruction set on the running host.
-    #[inline(always)]
-    unsafe fn hw_row_sum<C: ChunkSum>(x: &[f32], scratch: &mut Vec<HostF32>, square: bool) -> f32 {
-        scratch.clear();
-        let mut iter = x.chunks_exact(CHUNK);
-        for full in &mut iter {
-            scratch.push(HostF32(C::chunk(full.as_ptr(), square)));
-        }
-        let rem = iter.remainder();
-        if !rem.is_empty() {
-            let mut buf = [0.0f32; CHUNK];
-            buf[..rem.len()].copy_from_slice(rem);
-            scratch.push(HostF32(C::chunk(buf.as_ptr(), square)));
-        }
-        fold_partials(scratch).0
-    }
-
-    struct Avx2Chunk;
-
-    impl ChunkSum for Avx2Chunk {
-        // SAFETY: forwards to `avx2_chunk`; the caller holds the AVX2+FMA requirement.
-        #[inline(always)]
-        unsafe fn chunk(p: *const f32, square: bool) -> f32 {
-            avx2_chunk(p, square)
-        }
-    }
-
-    struct Sse2Chunk;
-
-    impl ChunkSum for Sse2Chunk {
-        // SAFETY: forwards to `sse2_chunk`; SSE2 is the x86-64 baseline.
-        #[inline(always)]
-        unsafe fn chunk(p: *const f32, square: bool) -> f32 {
-            sse2_chunk(p, square)
-        }
+        groups
     }
 
     struct Avx2Reduce;
 
     impl RowReduce for Avx2Reduce {
-        // SAFETY: linear path is scalar; hwtree forwards to the AVX2 chunk kernel under the caller’s AVX2+FMA guarantee.
+        type L1 = __m256;
+        // SAFETY: `__m256` is eight plain `f32`s with no invalid bit
+        // patterns, so the all-zero array is a valid value of it.
+        const L1_ZERO: __m256 = unsafe { core::mem::transmute([0.0f32; TREE_WIDTH]) };
+
+        // SAFETY: AVX load/sub/store/mul plus the pair tree, under the
+        // caller's AVX2+FMA guarantee; pointers per the trait contract.
         #[inline(always)]
-        unsafe fn sum(&self, x: &[f32], scratch: &mut Vec<HostF32>, reduce: ReduceOrder) -> f32 {
-            match reduce {
-                ReduceOrder::Linear => linear_sum_f32(x),
-                ReduceOrder::HwTree => hw_row_sum::<Avx2Chunk>(x, scratch, false),
+        unsafe fn chunk_l1(
+            &self,
+            src: *const f32,
+            shift: Option<(f32, *mut f32)>,
+            square: bool,
+        ) -> __m256 {
+            let mut r = [Self::L1_ZERO; TREE_WIDTH];
+            for (k, reg) in r.iter_mut().enumerate() {
+                let mut v = _mm256_loadu_ps(src.add(TREE_WIDTH * k));
+                if let Some((mean, dst)) = shift {
+                    v = _mm256_sub_ps(v, _mm256_set1_ps(mean));
+                    _mm256_storeu_ps(dst.add(TREE_WIDTH * k), v);
+                }
+                *reg = if square { _mm256_mul_ps(v, v) } else { v };
             }
+            // Register k holds group k, so lane g of the result is L1 tree g.
+            tree8x8(&r)
         }
 
-        // SAFETY: linear path is scalar; hwtree forwards to the AVX2 chunk kernel under the caller’s AVX2+FMA guarantee.
+        // SAFETY: the pair tree and one store, under the caller's AVX2 guarantee.
         #[inline(always)]
-        unsafe fn sum_sq(&self, x: &[f32], scratch: &mut Vec<HostF32>, reduce: ReduceOrder) -> f32 {
-            match reduce {
-                ReduceOrder::Linear => linear_sum_sq_f32(x),
-                ReduceOrder::HwTree => hw_row_sum::<Avx2Chunk>(x, scratch, true),
-            }
+        unsafe fn chunk_sums(&self, l1: &[__m256; TREE_WIDTH]) -> [f32; TREE_WIDTH] {
+            // Register c holds chunk c's L1 sums, so lane c of the same
+            // tree is chunk c's L2 tree.
+            let mut sums = [0.0f32; TREE_WIDTH];
+            _mm256_storeu_ps(sums.as_mut_ptr(), tree8x8(l1));
+            sums
         }
 
         // SAFETY: AVX2 lanewise mul/add/sub only, under the caller’s AVX2 guarantee.
@@ -964,22 +1133,24 @@ mod x86 {
     struct Sse2Reduce;
 
     impl RowReduce for Sse2Reduce {
-        // SAFETY: linear path is scalar; hwtree forwards to the SSE2 chunk kernel (x86-64 baseline).
+        type L1 = [f32; TREE_WIDTH];
+        const L1_ZERO: Self::L1 = [0.0; TREE_WIDTH];
+
+        // SAFETY: forwards to `sse2_chunk_l1` (x86-64 baseline); pointers per the trait contract.
         #[inline(always)]
-        unsafe fn sum(&self, x: &[f32], scratch: &mut Vec<HostF32>, reduce: ReduceOrder) -> f32 {
-            match reduce {
-                ReduceOrder::Linear => linear_sum_f32(x),
-                ReduceOrder::HwTree => hw_row_sum::<Sse2Chunk>(x, scratch, false),
-            }
+        unsafe fn chunk_l1(
+            &self,
+            src: *const f32,
+            shift: Option<(f32, *mut f32)>,
+            square: bool,
+        ) -> Self::L1 {
+            sse2_chunk_l1(src, shift, square)
         }
 
-        // SAFETY: linear path is scalar; hwtree forwards to the SSE2 chunk kernel (x86-64 baseline).
+        // SAFETY: scalar adds only.
         #[inline(always)]
-        unsafe fn sum_sq(&self, x: &[f32], scratch: &mut Vec<HostF32>, reduce: ReduceOrder) -> f32 {
-            match reduce {
-                ReduceOrder::Linear => linear_sum_sq_f32(x),
-                ReduceOrder::HwTree => hw_row_sum::<Sse2Chunk>(x, scratch, true),
-            }
+        unsafe fn chunk_sums(&self, l1: &[Self::L1; TREE_WIDTH]) -> [f32; TREE_WIDTH] {
+            scalar_chunk_sums(l1)
         }
 
         // SAFETY: SSE2 lanewise ops only (x86-64 baseline).
@@ -1057,6 +1228,7 @@ mod x86 {
 mod tests {
     use super::*;
     use crate::engine::MethodSpec;
+    use crate::hworder::{linear_sum, linear_sum_sq};
     use softfloat::Float;
 
     #[test]
@@ -1110,91 +1282,181 @@ mod tests {
         assert_eq!(SimdKernel::Avx2.level(), SimdLevel::Avx2);
     }
 
+    /// `len` rounding-sensitive values with ±0 and subnormals mixed in.
+    fn sample_row(len: usize) -> Vec<f32> {
+        (0..len)
+            .map(|i| {
+                let base = ((i * 37 + 11) % 101) as f32 / 17.0 - 2.0;
+                if i % 9 == 0 {
+                    -0.0
+                } else if i % 7 == 0 {
+                    f32::from_bits(i as u32 + 1) // subnormal
+                } else {
+                    base + (i as f32) * 5.0e-8
+                }
+            })
+            .collect()
+    }
+
+    /// The portable tier's two reduction passes over `vals`: the row sum,
+    /// and the fused stage at `mean` (its sum of squares and the shifted
+    /// row it stores).
+    fn portable_passes(vals: &[f32], mean: f32, reduce: ReduceOrder) -> (f32, f32, Vec<f32>) {
+        let mut shifted = vec![f32::NAN; vals.len()];
+        let mut walk = ChunkWalk::new();
+        // SAFETY: the portable kernel has no instruction requirements; the
+        // pointers cover `vals.len()` elements of two live buffers.
+        unsafe {
+            let sum = reduce_row(
+                &PortableReduce,
+                &mut walk,
+                vals.as_ptr(),
+                None,
+                vals.len(),
+                reduce,
+            );
+            let sum_sq = reduce_row(
+                &PortableReduce,
+                &mut walk,
+                vals.as_ptr(),
+                Some((mean, shifted.as_mut_ptr())),
+                vals.len(),
+                reduce,
+            );
+            (sum, sum_sq, shifted)
+        }
+    }
+
     #[test]
     fn portable_chunk_matches_scalar_hworder_bitwise() {
-        use crate::hworder::chunk_sum;
+        use crate::hworder::{hw_sum, hw_sum_sq};
         // Every chunk length (remainder straddling both tree levels),
-        // rounding-sensitive values, ±0 and subnormals.
-        for len in [1usize, 2, 7, 8, 9, 15, 16, 17, 33, 63, 64] {
-            let vals: Vec<f32> = (0..len)
-                .map(|i| {
-                    let base = ((i * 37 + 11) % 101) as f32 / 17.0 - 2.0;
-                    if i % 9 == 0 {
-                        -0.0
-                    } else if i % 7 == 0 {
-                        f32::from_bits(i as u32 + 1) // subnormal
-                    } else {
-                        base + (i as f32) * 5.0e-8
-                    }
-                })
-                .collect();
+        // then rows whose chunk count straddles the eight-chunk L2 batch
+        // and the partial-sum fold levels.
+        let lens = [1usize, 2, 7, 8, 9, 15, 16, 17, 33, 63, 64];
+        for len in lens.into_iter().chain([65, 448, 511, 512, 513, 576, 4097]) {
+            let vals = sample_row(len);
             let host: Vec<HostF32> = vals.iter().map(|&v| HostF32(v)).collect();
+            let mean = 0.375f32;
+            let (sum, sum_sq, shifted) = portable_passes(&vals, mean, ReduceOrder::HwTree);
+            assert_eq!(sum.to_bits(), hw_sum(&host).0.to_bits(), "sum len {len}");
+            let want: Vec<HostF32> = host.iter().map(|&v| v - HostF32(mean)).collect();
+            let got: Vec<u32> = shifted.iter().map(|v| v.to_bits()).collect();
+            let want_bits: Vec<u32> = want.iter().map(|v| v.0.to_bits()).collect();
+            assert_eq!(got, want_bits, "shifted row len {len}");
             assert_eq!(
-                portable_chunk(&vals, false).to_bits(),
-                chunk_sum(&host).0.to_bits(),
-                "sum len {len}"
-            );
-            let squared: Vec<HostF32> = host.iter().map(|&v| v * v).collect();
-            assert_eq!(
-                portable_chunk(&vals, true).to_bits(),
-                chunk_sum(&squared).0.to_bits(),
+                sum_sq.to_bits(),
+                hw_sum_sq(&want).0.to_bits(),
                 "sum_sq len {len}"
             );
+            let (lin, lin_sq, lin_shifted) = portable_passes(&vals, mean, ReduceOrder::Linear);
+            assert_eq!(
+                lin.to_bits(),
+                linear_sum(&host).0.to_bits(),
+                "linear len {len}"
+            );
+            assert_eq!(
+                lin_sq.to_bits(),
+                linear_sum_sq(&want).0.to_bits(),
+                "linear sum_sq len {len}"
+            );
+            assert_eq!(lin_shifted, shifted, "linear shifted row len {len}");
+        }
+    }
+
+    #[test]
+    fn chunk_fold_matches_fold_partials_bitwise() {
+        use crate::hworder::fold_partials;
+        // All −0 partial sums stay −0 only through full trees and the
+        // one-value return, so they pin the padding rules; the mixed sums
+        // pin the operand order.
+        let mut fold = ChunkFold::new();
+        for n in (0usize..=600).chain([4095, 4096, 4097, 32_768, 32_769]) {
+            for negative_zero in [false, true] {
+                let sums: Vec<f32> = (0..n)
+                    .map(|i| {
+                        if negative_zero {
+                            -0.0
+                        } else {
+                            ((i * 73 + 5) % 251) as f32 / 41.0 - 3.0 + (i as f32) * 3.0e-8
+                        }
+                    })
+                    .collect();
+                let mut partials: Vec<HostF32> = sums.iter().map(|&v| HostF32(v)).collect();
+                let want = fold_partials(&mut partials).0;
+                // Push in batches of up to eight, as `reduce_row` does,
+                // into one fold reset per row like the kernels reuse it.
+                fold.reset();
+                for batch in sums.chunks(TREE_WIDTH) {
+                    fold.push_all(batch);
+                }
+                assert_eq!(
+                    fold.finish().to_bits(),
+                    want.to_bits(),
+                    "n {n} negative_zero {negative_zero}"
+                );
+            }
         }
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn x86_kernels_match_portable_reduction_bitwise() {
-        // The transpose kernels must equal the portable (== scalar) chunk
-        // reduction for every row length, including padded tails.
-        for d in [1usize, 7, 8, 9, 63, 64, 65, 127, 129, 384, 500] {
-            let vals: Vec<f32> = (0..d)
-                .map(|i| ((i * 73 + 5) % 251) as f32 / 41.0 - 3.0 + (i as f32) * 3.0e-8)
+        // The x86 kernels (pair tree, eight-chunk L2 tree, fused shift)
+        // must give the portable (== scalar) reduction's rows for every
+        // row length, including padded tails and partial L2 batches.
+        for d in [
+            1usize, 7, 8, 9, 63, 64, 65, 127, 129, 384, 448, 500, 511, 512, 513, 4097,
+        ] {
+            let clean: Vec<u32> = (0..d)
+                .map(|i| (((i * 73 + 5) % 251) as f32 / 41.0 - 3.0 + (i as f32) * 3.0e-8).to_bits())
                 .collect();
-            let mut scratch = Vec::new();
-            for square in [false, true] {
-                // SAFETY: PortableReduce and Sse2-on-x86-64 have no
-                // instruction requirements beyond the baseline.
-                let want = unsafe {
-                    if square {
-                        PortableReduce.sum_sq(&vals, &mut scratch, ReduceOrder::HwTree)
-                    } else {
-                        PortableReduce.sum(&vals, &mut scratch, ReduceOrder::HwTree)
-                    }
+            let mut bits = clean;
+            bits.extend(edge_rows(3, d));
+            bits.extend(std::iter::repeat_n((-0.0f32).to_bits(), d));
+            for reduce in [ReduceOrder::HwTree, ReduceOrder::Linear] {
+                let plan = NormPlan::<HostF32>::new(d).unwrap().with_reduce(reduce);
+                let spec = MethodSpec::iterl2(5);
+                let method = spec.build::<HostF32>();
+                let run = |kernel| {
+                    let simd = SimdNative::new(kernel, &plan, &method);
+                    let mut out = vec![0u32; bits.len()];
+                    simd.normalize_batch(&plan, &method, &bits, &mut out, 1)
+                        .unwrap();
+                    out
                 };
+                let portable = run(SimdKernel::Portable);
+                let mut engine =
+                    crate::engine::Normalizer::for_plan(spec.build::<HostF32>(), &plan);
+                let decoded: Vec<HostF32> = bits.iter().map(|&b| HostF32::from_bits(b)).collect();
+                let mut out_scalar = vec![HostF32(0.0); bits.len()];
+                engine
+                    .normalize_batch(&plan, &decoded, &mut out_scalar)
+                    .unwrap();
+                let scalar: Vec<u32> = out_scalar.iter().map(|v| v.to_bits()).collect();
                 for kernel in [SimdKernel::Sse2, SimdKernel::Avx2] {
                     if kernel == SimdKernel::Avx2 && !host_has_avx2_fma() {
                         eprintln!("skipping avx2 reduction check: host lacks avx2+fma");
                         continue;
                     }
-                    let simd = SimdNative {
-                        kernel,
-                        iter_steps: Some(5),
-                        gamma: None,
-                        beta: None,
-                    };
-                    // Drive one full row through the batch path and
-                    // compare against the scalar engine instead of
-                    // poking kernel internals.
-                    let plan = NormPlan::<HostF32>::new(d).unwrap();
-                    let spec = crate::engine::MethodSpec::iterl2(5);
-                    let method = spec.build::<HostF32>();
-                    let bits: Vec<u32> = vals.iter().map(|v| v.to_bits()).collect();
-                    let mut out_simd = vec![0u32; d];
-                    simd.normalize_batch(&plan, &method, &bits, &mut out_simd, 1)
-                        .unwrap();
-                    let mut engine =
-                        crate::engine::Normalizer::for_plan(spec.build::<HostF32>(), &plan);
-                    let decoded: Vec<HostF32> =
-                        bits.iter().map(|&b| HostF32::from_bits(b)).collect();
-                    let mut out_scalar = vec![HostF32(0.0); d];
-                    engine
-                        .normalize_batch(&plan, &decoded, &mut out_scalar)
-                        .unwrap();
-                    let scalar_bits: Vec<u32> = out_scalar.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(out_simd, scalar_bits, "kernel {kernel:?} d {d}");
-                    let _ = want; // reduction equality is subsumed by the row check
+                    let out = run(kernel);
+                    for (i, ((&got, &want), &oracle)) in
+                        out.iter().zip(&portable).zip(&scalar).enumerate()
+                    {
+                        // A row mixing ∞ − ∞ with an input NaN carries
+                        // whichever payload an add's first operand held,
+                        // and LLVM may commute scalar adds: only the NaN
+                        // itself is pinned there, not its payload.
+                        let nan = |b: u32| f32::from_bits(b).is_nan();
+                        for (reference, name) in [(want, "portable"), (oracle, "scalar")] {
+                            assert!(
+                                got == reference || (nan(got) && nan(reference)),
+                                "kernel {kernel:?} vs {name}: d {d} {reduce:?} row {} element {}: {got:#010x} vs {reference:#010x}",
+                                i / d,
+                                i % d
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -1234,7 +1496,7 @@ mod tests {
         .collect();
         assert!(levels.len() >= 2, "the scalar engine and a vector tier");
         let methods = [MethodSpec::iterl2(5), MethodSpec::Fisr { newton: 1 }];
-        for d in [1usize, 63, 64, 65, 768, 4096] {
+        for d in [1usize, 63, 64, 65, 448, 511, 512, 513, 768, 4096, 4097] {
             let gamma: Vec<u32> = (0..d).map(|j| (1.0 + j as f32 * 1e-3).to_bits()).collect();
             let beta: Vec<u32> = (0..d).map(|j| (j as f32 * 1e-4 - 0.5).to_bits()).collect();
             for rows in [1usize, 7, 8, 9, 17] {

@@ -222,9 +222,10 @@ fn parallel_preserves_row_stats_independence() {
 // --------------------------------------------------------------------
 
 /// The SIMD sweep's dimensions: below/at/above one 8-lane group, one full
-/// 64-element hardware chunk, the paper's transformer widths, and a
-/// many-chunk width that exercises the partial-fold tree.
-const SIMD_DIMS: [usize; 8] = [1, 7, 8, 9, 64, 384, 768, 4096];
+/// 64-element hardware chunk, the paper's transformer widths, widths
+/// around the eight-chunk (512-element) L2 batch of the AVX2 kernel, and
+/// many-chunk widths that exercise the partial-fold tree.
+const SIMD_DIMS: [usize; 13] = [1, 7, 8, 9, 64, 384, 448, 511, 512, 513, 768, 4096, 4097];
 
 /// Every *forced* level (never `Auto` — the sweep must know exactly which
 /// kernel ran).

@@ -1,8 +1,9 @@
 //! Proof of the engine's zero-allocation hot path: a counting global
 //! allocator observes `normalize_into` / `normalize_in_place` /
 //! `normalize_batch` after plan construction — and a warm native
-//! whitening executor's group calls — and asserts that not a single heap
-//! allocation happens on the calling thread.
+//! backend's batch and in-place calls at every SIMD level, and a warm
+//! native whitening executor's group calls — and asserts that not a
+//! single heap allocation happens on the calling thread.
 
 // The counting allocator below is the one test in the workspace that needs
 // unsafe outside the SIMD kernels; it opts in explicitly per L002.
@@ -12,8 +13,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use iterl2norm::{
-    build_whiten, BackendKind, FormatKind, MethodSpec, NormPlan, Normalizer, ReduceOrder,
-    SimdLevel, WhitenSpec,
+    build_backend_affine, build_whiten, BackendKind, FormatKind, MethodSpec, NormError, NormPlan,
+    Normalizer, ReduceOrder, SerialRunner, SimdLevel, WhitenSpec,
 };
 use softfloat::{Bf16, Float, Fp16, Fp32};
 
@@ -114,6 +115,83 @@ fn hot_path_is_allocation_free_fp16() {
 #[test]
 fn hot_path_is_allocation_free_bf16() {
     assert_hot_path_allocation_free::<Bf16>(129, 3);
+}
+
+#[test]
+fn warm_native_norm_calls_are_allocation_free_at_every_simd_level() {
+    // The serving shapes (one 768 row, 64 × 4096) plus a width with a
+    // partial chunk and a partial eight-chunk batch, and a row count
+    // that leaves the last block short.
+    let levels = [
+        SimdLevel::Scalar,
+        SimdLevel::Portable,
+        SimdLevel::Sse2,
+        SimdLevel::Avx2,
+    ];
+    for (d, rows) in [(768usize, 1usize), (4096, 64), (4097, 9)] {
+        let bits: Vec<u32> = (0..rows * d)
+            .map(|i| ((i * 29 % 97) as f32 / 24.0 - 2.0).to_bits())
+            .collect();
+        let gamma: Vec<u32> = (0..d).map(|j| (1.0 + j as f32 * 1e-3).to_bits()).collect();
+        let beta: Vec<u32> = (0..d).map(|j| (j as f32 * 1e-4 - 0.5).to_bits()).collect();
+        for level in levels {
+            for spec in MethodSpec::REGISTRY {
+                for reduce in [ReduceOrder::HwTree, ReduceOrder::Linear] {
+                    for affine in [false, true] {
+                        let (g, b) = if affine {
+                            (Some(&gamma[..]), Some(&beta[..]))
+                        } else {
+                            (None, None)
+                        };
+                        let mut backend = match build_backend_affine(
+                            BackendKind::Native,
+                            FormatKind::Fp32,
+                            d,
+                            &spec,
+                            reduce,
+                            g,
+                            b,
+                            level,
+                        ) {
+                            Ok(backend) => backend,
+                            Err(NormError::SimdUnsupported { .. }) => {
+                                eprintln!("notice: skipping simd level '{level}' on this host");
+                                break;
+                            }
+                            Err(other) => panic!("building the {level} backend failed: {other}"),
+                        };
+                        let mut out = vec![0u32; bits.len()];
+                        let mut in_place = bits.clone();
+                        // Warm-up sizes any scratch the scalar engine keeps.
+                        backend
+                            .normalize_batch_bits(&bits, &mut out, 1)
+                            .expect("batch shape");
+                        backend
+                            .normalize_in_place_runner(&mut [&mut in_place[..]], &SerialRunner)
+                            .expect("segment shape");
+                        let before = allocations();
+                        for _ in 0..2 {
+                            backend
+                                .normalize_batch_bits(&bits, &mut out, 1)
+                                .expect("batch shape");
+                            backend
+                                .normalize_in_place_runner(&mut [&mut in_place[..]], &SerialRunner)
+                                .expect("segment shape");
+                        }
+                        let after = allocations();
+                        assert_eq!(
+                            after - before,
+                            0,
+                            "{level} {} reduce={reduce:?} affine={affine} d={d} rows={rows}: \
+                             warm calls allocated {} times",
+                            spec.label(),
+                            after - before
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -193,8 +193,12 @@ impl Float for HostF32 {
         // flushed to ±0), so the single f64 → f32 rounding reproduces the
         // emulator's round-once-on-subnormal-entry semantics bit for bit
         // (oracle: `tests/native_equiv.rs::scale_by_pow2_matches_native_ldexp`).
+        // 2^k is built from its f64 exponent bits, not `exp2`: ±600 lies
+        // well inside f64's normal exponent range (−1022..=1023), so the
+        // biased field `k + 1023` with a zero significand is exactly 2^k.
         let k = k.clamp(-600, 600);
-        HostF32((f64::from(self.0) * f64::from(k).exp2()) as f32)
+        let pow2 = f64::from_bits(((k + 1023) as u64) << 52);
+        HostF32((f64::from(self.0) * pow2) as f32)
     }
 
     #[inline]

@@ -175,6 +175,40 @@ fn scale_by_pow2_matches_across_the_exponent_range() {
 }
 
 #[test]
+fn scale_by_pow2_matches_for_every_clamped_exponent() {
+    // Every k the native path builds 2^k for from exponent bits, over
+    // values whose results cover subnormal entry, exact flush to ±0,
+    // ordinary normals and overflow to ±∞.
+    let samples: Vec<u32> = [
+        0x0000_0000u32, // +0
+        0x8000_0000,    // -0
+        0x0000_0001,    // smallest subnormal
+        0x807F_FFFF,    // largest negative subnormal
+        0x0080_0000,    // smallest normal
+        0x3F80_0000,    // 1.0
+        0xBFC0_0001,    // -1.5000001
+        0x3EAA_AAAB,    // 1/3 (rounding-sensitive significand)
+        0x4B7F_FFFF,    // 16777215
+        0x7F7F_FFFF,    // f32::MAX
+        0xFF00_0001,    // large negative normal
+        0x7F80_0000,    // +inf
+        0xFF80_0000,    // -inf
+    ]
+    .into_iter()
+    .chain((0..64u32).map(|i| i.wrapping_mul(0x9E37_79B9) & 0x7F7F_FFFF))
+    .collect();
+    for k in -600i32..=600 {
+        for &bits in &samples {
+            assert_eq!(
+                Fp32::from_bits(bits).scale_by_pow2(k).to_bits(),
+                HostF32::from_bits(bits).scale_by_pow2(k).to_bits(),
+                "scale_by_pow2({bits:#010x}, {k})"
+            );
+        }
+    }
+}
+
+#[test]
 fn field_accessors_match() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xF32_0007);
     for _ in 0..50_000 {

@@ -256,6 +256,30 @@ impl Gate {
     }
 }
 
+/// Wait until the service has decided each of the first `sent` frames:
+/// accepted into a shard, or rejected because the shard's line was full.
+/// `NormClient::send` only writes the socket, so without this wait a test
+/// can open the gate before the server's reader has parsed its later
+/// frames, and they would then find the line already drained.
+fn await_decided(handle: &ServerHandle, sent: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = handle.service().stats();
+        let decided = stats.requests + stats.queue_full_rejections;
+        if decided >= sent {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the server decided {decided} of {sent} frames within 10 s \
+             (accepted {}, queue-full {})",
+            stats.requests,
+            stats.queue_full_rejections
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 /// Copy-through backend that blocks at the gate on every call.
 struct GatedBackend {
     gate: Arc<Gate>,
@@ -338,6 +362,7 @@ fn queue_full_surfaces_as_error_frames_over_the_wire() {
             .expect("send");
         gate.await_entered();
     }
+    await_decided(&handle, burst as u64);
     gate.open();
     let mut ok = 0;
     let mut queue_full = 0;
@@ -403,8 +428,8 @@ fn priority_flag_cannot_self_promote_unconfigured_tenants() {
         .expect("send");
     gate.await_entered();
     // …and fills the single waiting slot. The connection's reader
-    // processes frames strictly in order, so by the time the next frame
-    // is parsed this one has parked.
+    // processes frames strictly in order, so once the server has parsed
+    // the next frame this one has parked.
     let parked = client
         .send(&ClientRequest::new(9, D as u32, &bits))
         .expect("send");
@@ -420,6 +445,9 @@ fn priority_flag_cannot_self_promote_unconfigured_tenants() {
         .send(&ClientRequest::new(1, D as u32, &bits).with_priority(Priority::High))
         .expect("send");
 
+    // Sending only writes the socket: hold the gate until the server has
+    // decided all four frames, or it could drain the line first.
+    await_decided(&handle, 4);
     gate.open();
     let replies: Vec<ServerReply> = (0..4)
         .map(|_| client.recv_reply().expect("reply"))
