@@ -29,20 +29,25 @@
 //! # The idle-shard inline path
 //!
 //! Handing a request to the driver and back costs a condvar round trip —
-//! several times the kernel for a small request. So a blocking submit
-//! ([`NormService::submit`] / [`NormService::submit_into`]) that finds
-//! its shard idle runs inline: nothing queued, no thread executing on the
-//! shard, and no coalescing window the driver would hold for this
-//! arrival (a zero window, or an adaptive window whose estimator is
-//! closed). The caller takes the shard's claim, runs its own request on
-//! the shard's backend and partition helpers — writing straight into a
-//! `submit_into` buffer — and gives the claim back. While the claim is
-//! held, other arrivals queue and the driver waits; the releasing caller
-//! wakes it if anything queued. Submitters still never execute other
-//! callers' work: an inline caller runs only its own request, and the
-//! driver is the only thread that runs queued work. A panic in an inline
-//! call fails the shard and shuts the service down exactly like a
-//! driver-round panic, and surfaces on the caller's own thread.
+//! several times the kernel for a small request — plus, for a queued
+//! request, a copy of its payload into a pooled buffer. So every entry
+//! point ([`NormService::submit`], [`NormService::submit_into`] and
+//! [`NormService::submit_async`]) that finds its shard idle runs inline:
+//! nothing queued, no thread executing on the shard, and no coalescing
+//! window the driver would hold for this arrival (a zero window, or an
+//! adaptive window whose estimator is closed). The caller takes the
+//! shard's claim, runs its own request on the shard's backend and
+//! partition helpers — reading a bit payload where the caller holds it
+//! and writing straight into a `submit_into` buffer or a pooled reply —
+//! and gives the claim back. An inline `submit_async` returns an
+//! already-complete ticket. While the claim is held, other arrivals
+//! queue and the driver waits; the releasing caller wakes it if anything
+//! queued. Submitters still never execute other callers' work: an inline
+//! caller runs only its own request, and the driver is the only thread
+//! that runs queued work. A panic in an inline call fails the shard and
+//! shuts the service down exactly like a driver-round panic; it surfaces
+//! on a blocking caller's own thread, and an inline ticket holds
+//! [`NormError::ServiceShutdown`] instead.
 //!
 //! # Micro-batching
 //!
@@ -72,23 +77,23 @@
 //! # Async submission
 //!
 //! [`NormService::submit`] parks the submitting thread until its result is
-//! ready. [`NormService::submit_async`] does not: it enqueues into the
-//! shard's combining queue and returns a [`NormTicket`] immediately, so a
-//! caller can overlap its own work with normalization the way an
-//! inference loop overlaps layers, then collect through
+//! ready. [`NormService::submit_async`] does not: on a busy shard it
+//! enqueues into the shard's combining queue and returns a [`NormTicket`]
+//! immediately, so a caller can overlap its own work with normalization
+//! the way an inference loop overlaps layers, then collect through
 //! [`NormTicket::try_take`] (poll), [`NormTicket::wait`] (park),
 //! [`NormTicket::wait_timeout`] (bounded park) or — waker-native —
 //! [`NormTicket::on_ready`] (a completion callback the driver invokes) and
 //! [`TicketSet::wait_any`] (collect a batch of tickets in completion
-//! order, without polling). A ticket always hands off to the driver —
-//! even on an idle shard, `submit_async` returns without doing the work —
-//! and async requests ride the *same* driver rounds as queued blocking
-//! ones, so async, blocking (inline or queued) and serial per-request
-//! execution are all bit-identical (enforced by
-//! `tests/service_bit_identity.rs` and `tests/inline_submit.rs`).
-//! Backpressure applies at enqueue time: a full shard fails
-//! `submit_async` with [`NormError::QueueFull`] before any request-sized
-//! work is done.
+//! order, without polling). On an idle shard the ticket's request runs
+//! inline (above) and the ticket comes back already complete — the
+//! collect methods then return at once. Queued async requests ride the
+//! *same* driver rounds as queued blocking ones, so async, blocking
+//! (inline or queued) and serial per-request execution are all
+//! bit-identical (enforced by `tests/service_bit_identity.rs` and
+//! `tests/inline_submit.rs`). Backpressure applies at enqueue time: a
+//! full shard fails `submit_async` with [`NormError::QueueFull`] before
+//! any request-sized work is done.
 //!
 //! ```
 //! use iterl2norm::service::{NormRequest, ServiceConfig};
@@ -149,7 +154,9 @@
 //! by a dead driver. A panic in an inline call is contained the same
 //! way by the caller's claim guard: the service shuts down, entries that
 //! queued behind the claim fail with [`NormError::ServiceShutdown`], and
-//! the payload unwinds on the caller's own thread. A panicking
+//! the payload unwinds on a blocking caller's own thread — an inline
+//! ticket catches it and reports [`NormError::ServiceShutdown`], so
+//! `submit_async` never unwinds. A panicking
 //! [`NormTicket::on_ready`] callback is likewise contained in the driver
 //! and counted ([`ServiceStats::waker_panics`]). Plain-data caches
 //! (result slots, the pool's service cache) recover the poisoned guard
@@ -193,7 +200,6 @@
 // closed through `Core::torn_state`, or attach a justified waiver.
 
 use std::any::Any;
-use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -1011,31 +1017,25 @@ impl<'a> NormRequest<'a> {
         self.len() == 0
     }
 
-    /// Encode into the service's storage bits, writing into a (possibly
-    /// pooled) buffer. FP32 keeps `f32` payloads bit for bit; narrower
-    /// formats round each value in.
-    fn encode_into(&self, format: FormatKind, out: &mut Vec<u32>) {
-        out.clear();
+    /// Encode into the service's storage bits, overwriting `out` (exactly
+    /// [`len`](NormRequest::len) elements, typically a pool lease). FP32
+    /// keeps `f32` payloads bit for bit; narrower formats round each
+    /// value in.
+    fn encode_into(&self, format: FormatKind, out: &mut [u32]) {
         match self.payload {
-            Payload::Bits(b) => out.extend_from_slice(b),
+            Payload::Bits(b) => out.copy_from_slice(b),
             Payload::F32(v) => match format {
-                FormatKind::Fp32 => out.extend(v.iter().map(|x| x.to_bits())),
-                _ => out.extend(v.iter().map(|&x| format.encode_f64(f64::from(x)))),
+                FormatKind::Fp32 => {
+                    for (o, x) in out.iter_mut().zip(v) {
+                        *o = x.to_bits();
+                    }
+                }
+                _ => {
+                    for (o, &x) in out.iter_mut().zip(v) {
+                        *o = format.encode_f64(f64::from(x));
+                    }
+                }
             },
-        }
-    }
-
-    /// Encode without copying when the request already carries storage
-    /// bits — the uncontended submit path borrows the caller's buffer for
-    /// the duration of the backend call.
-    fn encode_cow(&self, format: FormatKind) -> Cow<'a, [u32]> {
-        match self.payload {
-            Payload::Bits(b) => Cow::Borrowed(b),
-            Payload::F32(_) => {
-                let mut owned = Vec::new();
-                self.encode_into(format, &mut owned);
-                Cow::Owned(owned)
-            }
         }
     }
 }
@@ -1071,9 +1071,12 @@ impl BufferPool {
         }
     }
 
-    /// An empty buffer, reusing a returned buffer's capacity when one is
-    /// available.
-    fn lease(&self) -> Vec<u32> {
+    /// A buffer of exactly `len` elements, reusing a returned buffer when
+    /// one is available. Its contents are unspecified — every caller
+    /// overwrites all of it. Returned buffers keep their length, so the
+    /// resize writes only a tail the buffer grows by: a steady stream of
+    /// same-sized requests leases without any zero-fill.
+    fn lease(&self, len: usize) -> Vec<u32> {
         let mut buf = if self.enabled {
             self.free
                 .lock()
@@ -1083,11 +1086,11 @@ impl BufferPool {
         } else {
             Vec::new()
         };
-        buf.clear();
+        buf.resize(len, 0);
         buf
     }
 
-    /// Return a leased buffer's capacity to the free list.
+    /// Return a leased buffer (length and capacity) to the free list.
     fn give_back(&self, buf: Vec<u32>) {
         if !self.enabled || buf.capacity() == 0 || buf.capacity() > Self::MAX_POOLED_CAPACITY {
             return;
@@ -1439,9 +1442,7 @@ type ReadyWaker = Box<dyn FnOnce() + Send>;
 
 struct SlotResult {
     bits: Vec<u32>,
-    rows: usize,
-    batch_rows: usize,
-    batch_requests: usize,
+    served: Served,
 }
 
 /// What one combining round executed (for the driver's stats update).
@@ -1485,8 +1486,10 @@ struct Executed {
 enum Sink<'a> {
     /// A caller-provided buffer of exactly the request's length.
     Caller(&'a mut [u32]),
-    /// The reply buffer: inline, the request's payload encoded into a
-    /// pool lease and normalized in place; queued, the round's reply.
+    /// The reply buffer. Inline, a pool lease of the request's length: a
+    /// bit payload is normalized out of place from the caller's slice
+    /// straight into it (no payload copy), an `f32` payload is encoded
+    /// into it and normalized in place. Queued, the round's reply.
     Leased(&'a mut Vec<u32>),
 }
 
@@ -1509,27 +1512,32 @@ impl Served {
     }
 }
 
-/// What [`NormService::admit_idle`] decided for a blocking arrival.
+/// What [`NormService::admit`] decided for an arrival.
 enum Admission<'s> {
-    /// The shard was idle: run on the calling thread under this claim.
+    /// Run on the calling thread under this claim.
     Inline(InlineClaim<'s>),
     /// Hand off to the driver through the combining queue. `recorded`
     /// is true when the arrival-rate estimator already saw the arrival.
     Queue { recorded: bool },
 }
 
-/// A blocking caller's hold on an idle shard while it runs its own
-/// request inline. [`release`](InlineClaim::release) gives the claim back
-/// and folds in the request's stats under one queue lock, then wakes the
-/// driver if entries queued behind the claim. Dropped unreleased — the
-/// backend call unwound — the guard fails the shard the way
-/// [`deliver_panic`] does: the claim is cleared, the shard marked failed
-/// and the service shut down, and the woken driver fails whatever queued
-/// behind the claim instead of stranding it. The panic itself keeps
-/// unwinding on the caller's own thread.
+/// A caller's hold on its shard while it runs its own request inline:
+/// the shard's claim when the shard was idle, or — in per-request mode,
+/// where every request runs inline and concurrent callers serialize on
+/// the backend lock — no claim at all (`claimed` false).
+/// [`release`](InlineClaim::release) gives the claim back and folds in
+/// the request's stats under one queue lock, then wakes the driver if
+/// entries queued behind the claim. Dropped unreleased — the backend
+/// call unwound — the guard fails the shard the way [`deliver_panic`]
+/// does: the claim is cleared, the shard marked failed and the service
+/// shut down, and the woken driver fails whatever queued behind the
+/// claim instead of stranding it. The panic itself keeps unwinding on
+/// the caller's own thread (a ticket catches it; see
+/// [`NormService::inline_ticket`]).
 struct InlineClaim<'s> {
     core: &'s Core,
     shard: &'s Shard,
+    claimed: bool,
     released: bool,
 }
 
@@ -1543,7 +1551,12 @@ impl InlineClaim<'_> {
     ) {
         self.released = true;
         let mut queue = self.core.queue_of(self.shard);
-        queue.claimed = false;
+        if self.claimed {
+            queue.claimed = false;
+        } else {
+            // Per-request mode counts the request here, in the same lock.
+            queue.stats.accept(kind);
+        }
         queue.stats.record_lone(kind, rows, accepted, executed);
         let queued = !queue.pending.is_empty();
         drop(queue);
@@ -1560,7 +1573,9 @@ impl Drop for InlineClaim<'_> {
         }
         {
             let mut queue = self.core.queue_of(self.shard);
-            queue.claimed = false;
+            if self.claimed {
+                queue.claimed = false;
+            }
             queue.failed = true;
         }
         self.core.request_shutdown();
@@ -1572,11 +1587,6 @@ impl Drop for InlineClaim<'_> {
 /// traffic; a caller-provided buffer gets a copy and the result buffer
 /// returns to the pool.
 fn finish(result: SlotResult, sink: &mut Sink<'_>, pool: &BufferPool) -> Result<Served, NormError> {
-    let served = Served {
-        rows: result.rows,
-        batch_rows: result.batch_rows,
-        batch_requests: result.batch_requests,
-    };
     match sink {
         Sink::Caller(out) => {
             out.copy_from_slice(&result.bits);
@@ -1584,7 +1594,7 @@ fn finish(result: SlotResult, sink: &mut Sink<'_>, pool: &BufferPool) -> Result<
         }
         Sink::Leased(vec) => **vec = result.bits,
     }
-    Ok(served)
+    Ok(result.served)
 }
 
 /// One waiting submitter's mailbox. Filled by the shard's resident
@@ -1957,6 +1967,27 @@ impl Core {
         self.request_shutdown();
         NormError::ServiceShutdown
     }
+
+    /// The public response for a request `shard` served into `bits`,
+    /// stamped with the all-in span since the request was accepted.
+    fn respond(
+        &self,
+        shard: &Shard,
+        bits: Vec<u32>,
+        served: &Served,
+        accepted: Instant,
+    ) -> NormResponse {
+        NormResponse {
+            bits,
+            pool: Arc::clone(&shard.pool),
+            format: self.config.format,
+            rows: served.rows,
+            batch_rows: served.batch_rows,
+            batch_requests: served.batch_requests,
+            elapsed: accepted.elapsed(),
+            simd: self.simd_level,
+        }
+    }
 }
 
 /// Everything one driver round produced besides filled slots: the
@@ -2258,12 +2289,14 @@ fn run_subround(
                 sub.whiten_rows = batch_rows as u64;
             }
             for entry in entries {
-                let rows = entry.bits.len() / d;
-                wakers.extend(entry.slot.fill(Ok(SlotResult {
-                    bits: entry.bits,
-                    rows,
+                let served = Served {
+                    rows: entry.bits.len() / d,
                     batch_rows,
                     batch_requests,
+                };
+                wakers.extend(entry.slot.fill(Ok(SlotResult {
+                    bits: entry.bits,
+                    served,
                 })));
             }
         }
@@ -2390,35 +2423,11 @@ impl NormService {
     /// whole `d`-length rows, plus any backend execution error.
     pub fn submit(&self, request: NormRequest<'_>) -> Result<NormResponse, NormError> {
         self.validate_shape(&request)?;
-        // Refuse before leasing: a shut-down service must not pay
-        // request-sized work on its fail-fast path. (`serve` re-checks —
-        // the flag can flip between here and there, harmlessly.)
-        if self.inner.shutdown.load(Ordering::SeqCst) {
-            return Err(NormError::ServiceShutdown);
-        }
-        let start = Instant::now();
+        let accepted = Instant::now();
         let shard = &self.inner.shards[self.pick_shard(request.key())];
         let mut out = Vec::new();
-        let served = {
-            let mut sink = Sink::Leased(&mut out);
-            self.serve(&request, &mut sink, shard)
-        };
-        match served {
-            Ok(served) => Ok(NormResponse {
-                bits: out,
-                pool: Arc::clone(&shard.pool),
-                format: self.inner.config.format,
-                rows: served.rows,
-                batch_rows: served.batch_rows,
-                batch_requests: served.batch_requests,
-                elapsed: start.elapsed(),
-                simd: self.inner.simd_level,
-            }),
-            Err(err) => {
-                shard.pool.give_back(out);
-                Err(err)
-            }
-        }
+        let served = self.serve(&request, &mut Sink::Leased(&mut out), shard, accepted);
+        self.reply(shard, out, served, accepted)
     }
 
     /// [`submit`](NormService::submit) writing the normalized bits into a
@@ -2450,40 +2459,49 @@ impl NormService {
             });
         }
         let shard = &self.inner.shards[self.pick_shard(request.key())];
-        Ok(self.serve(&request, &mut Sink::Caller(out), shard)?.rows)
+        let accepted = Instant::now();
+        Ok(self
+            .serve(&request, &mut Sink::Caller(out), shard, accepted)?
+            .rows)
     }
 
-    /// Non-blocking submission: enqueue the request into its shard's
-    /// combining queue and return a [`NormTicket`] immediately, without
-    /// parking the submitting thread. Unlike the blocking entry points, a
-    /// ticket never runs inline — even on an idle shard the driver does
-    /// the work, so this call returns without it. The caller overlaps its
-    /// own work with normalization and collects the result later through
-    /// [`NormTicket::try_take`] / [`wait`](NormTicket::wait) /
-    /// [`wait_timeout`](NormTicket::wait_timeout) — the pipelining shape
-    /// an inference loop wants (submit the next layer's norm, keep
-    /// computing, join before the result is needed).
+    /// Non-blocking submission: returns a [`NormTicket`] without parking
+    /// the submitting thread on its shard. When the shard is idle — the
+    /// rule the blocking [`submit`](NormService::submit) runs inline by —
+    /// the request executes right here on the calling thread, out of
+    /// place from the borrowed payload into a pooled reply, and the
+    /// returned ticket is already complete: no payload copy and no driver
+    /// hand-off. When the shard is busy the payload is encoded into a
+    /// pooled buffer and queued for the shard's resident driver, and this
+    /// call returns without doing the work. Either way the borrowed
+    /// request data is free to be reused as soon as this returns. The
+    /// caller collects the result through [`NormTicket::try_take`] /
+    /// [`wait`](NormTicket::wait) / [`wait_timeout`](NormTicket::wait_timeout)
+    /// — the pipelining shape an inference loop wants (submit the next
+    /// layer's norm, keep computing, join before the result is needed),
+    /// which overlaps work whenever the ticket queued.
     ///
-    /// The ticket composes with every blocking-path mechanism: its request
-    /// coalesces into the same resident-driver rounds as blocking submits
-    /// (a concurrent [`submit`](NormService::submit) may share its backend
-    /// batch), it is admitted through the same per-shard queue-depth
-    /// bound — a full shard rejects **here, at enqueue time**, not at
-    /// collect time — and the output bits are identical to
+    /// A queued ticket composes with every blocking-path mechanism: its
+    /// request coalesces into the same resident-driver rounds as queued
+    /// blocking submits (a concurrent [`submit`](NormService::submit) may
+    /// share its backend batch), and it is admitted through the same
+    /// per-shard queue-depth bound — a full shard rejects **here, at
+    /// enqueue time**, not at collect time. Output bits are identical to
     /// [`submit`](NormService::submit) and to serial per-request execution
-    /// (enforced by `tests/service_bit_identity.rs`). The payload is
-    /// encoded into a pooled buffer before this returns, so the borrowed
-    /// request data is free to be reused immediately.
+    /// on every path (enforced by `tests/service_bit_identity.rs` and
+    /// `tests/inline_submit.rs`).
     ///
-    /// The shard's resident driver executes the request whether or not
-    /// the ticket is ever collected — a dropped, never-collected ticket's
-    /// buffers return to the shard pool when its round runs (see
-    /// [`NormTicket`]). Event loops that would rather be called than
-    /// poll register a callback with [`NormTicket::on_ready`] or collect
-    /// many tickets through a [`TicketSet`]. On a service built
-    /// [`with_coalescing(false)`](ServiceConfig::with_coalescing) there is
-    /// no queue to park in: the request executes synchronously and the
-    /// returned ticket is already complete.
+    /// An accepted request executes whether or not its ticket is ever
+    /// collected — a dropped, never-collected ticket's buffers return to
+    /// the shard pool (see [`NormTicket`]). Event loops that would rather
+    /// be called than poll register a callback with
+    /// [`NormTicket::on_ready`] or collect many tickets through a
+    /// [`TicketSet`]. On a service built
+    /// [`with_coalescing(false)`](ServiceConfig::with_coalescing) every
+    /// ticket runs inline. A backend panic during an inline run never
+    /// unwinds into the submitter: the service shuts down, as it does for
+    /// a panic in a driver round, and the ticket holds
+    /// [`NormError::ServiceShutdown`].
     ///
     /// # Errors
     ///
@@ -2497,52 +2515,24 @@ impl NormService {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return Err(NormError::ServiceShutdown);
         }
-        let rows = request.len() / self.inner.config.d;
+        let accepted = Instant::now();
         let shard_idx = self.pick_shard(request.key());
         let shard = &self.inner.shards[shard_idx];
-
-        if !self.inner.config.coalescing {
-            // Per-request mode has no combining queue to park in: run the
-            // request to completion now and hand back a finished ticket.
-            let accepted = Instant::now();
-            let mut out = Vec::new();
-            let served = {
-                let mut sink = Sink::Leased(&mut out);
-                self.serve(&request, &mut sink, shard)
-            };
-            let outcome = match served {
-                Ok(served) => Ok(NormResponse {
-                    bits: out,
-                    pool: Arc::clone(&shard.pool),
-                    format: self.inner.config.format,
-                    rows: served.rows,
-                    batch_rows: served.batch_rows,
-                    batch_requests: served.batch_requests,
-                    elapsed: accepted.elapsed(),
-                    simd: self.inner.simd_level,
-                }),
-                Err(err) => {
-                    shard.pool.give_back(out);
-                    Err(err)
-                }
-            };
-            return Ok(NormTicket {
-                core: Arc::clone(&self.inner.core),
-                shard_idx,
-                rows,
-                delivered: false,
-                repr: TicketRepr::Immediate(Some(outcome)),
-            });
-        }
-
-        let accepted = Instant::now();
-        let slot = self.enqueue(shard, &request, accepted, Waiter::Ticket, false)?;
+        let repr = match self.admit(shard, &request)? {
+            Admission::Inline(claim) => {
+                TicketRepr::Immediate(Some(self.inline_ticket(&request, shard, claim, accepted)))
+            }
+            Admission::Queue { recorded } => {
+                let slot = self.enqueue(shard, &request, accepted, Waiter::Ticket, recorded)?;
+                TicketRepr::Queued { slot, accepted }
+            }
+        };
         Ok(NormTicket {
             core: Arc::clone(&self.inner.core),
             shard_idx,
-            rows,
+            rows: request.len() / self.inner.config.d,
             delivered: false,
-            repr: TicketRepr::Queued { slot, accepted },
+            repr,
         })
     }
 
@@ -2572,53 +2562,26 @@ impl NormService {
 
     /// The submission protocol [`submit`](NormService::submit) and
     /// [`submit_into`](NormService::submit_into) share, writing the
-    /// normalized bits into `sink`:
-    ///
-    /// 1. **Per-request mode** (coalescing disabled): one backend call on
-    ///    the placed shard, borrowing bit payloads — executed by the
-    ///    caller thread directly on the shard's resident partition
-    ///    helpers (the driver stays parked; the backend lock serializes
-    ///    concurrent callers).
-    /// 2. **Idle shard**: when the shard has nothing queued, nobody holds
-    ///    its claim and the driver would not hold a coalescing window for
-    ///    this arrival, the caller takes the claim and runs the same
-    ///    per-request code — no payload copy, no driver hand-off, no
-    ///    condvar. It runs only its own request, so no submitter is ever
-    ///    held serving other callers' traffic.
-    /// 3. **Combining queue**: otherwise enqueue (subject to the shard's
-    ///    queue-depth bound), then park on the shard condvar until the
-    ///    resident driver's round serves us. The driver stays the only
-    ///    thread that runs queued work.
+    /// normalized bits into `sink`: run on the calling thread when
+    /// [`admit`](NormService::admit) grants it, otherwise enqueue (subject
+    /// to the shard's queue-depth bound) and park on the shard condvar
+    /// until the resident driver's round serves us. The driver stays the
+    /// only thread that runs queued work, and an inline caller runs only
+    /// its own request, so no submitter is ever held serving other
+    /// callers' traffic.
     fn serve(
         &self,
         request: &NormRequest<'_>,
         sink: &mut Sink<'_>,
         shard: &Shard,
+        accepted: Instant,
     ) -> Result<Served, NormError> {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return Err(NormError::ServiceShutdown);
         }
-        let accepted = Instant::now();
-        let rows = request.len() / self.inner.config.d;
-
-        if !self.inner.config.coalescing {
-            let executed = self.execute_on_caller(request, sink, shard);
-            let mut queue = self.inner.queue_of(shard);
-            queue.stats.accept(request.kind());
-            queue
-                .stats
-                .record_lone(request.kind(), rows, accepted, &executed);
-            drop(queue);
-            executed?;
-            return Ok(Served::alone(rows));
-        }
-
-        let recorded = match self.admit_idle(shard, request)? {
+        let recorded = match self.admit(shard, request)? {
             Admission::Inline(claim) => {
-                let executed = self.execute_on_caller(request, sink, shard);
-                claim.release(request.kind(), rows, accepted, &executed);
-                executed?;
-                return Ok(Served::alone(rows));
+                return self.run_inline(request, sink, shard, claim, accepted)
             }
             Admission::Queue { recorded } => recorded,
         };
@@ -2644,19 +2607,31 @@ impl NormService {
         }
     }
 
-    /// Decide, under the shard's queue lock, whether a blocking arrival
-    /// runs inline: the service is up, the shard has nothing queued, no
-    /// thread holds its claim, and the driver would hold no coalescing
-    /// window for this arrival — the window is zero, or the adaptive
-    /// estimator's verdict is closed after recording it. On success the
-    /// caller holds the claim and the request is already counted in
-    /// `requests`, exactly as a queued request is counted before it parks.
-    fn admit_idle<'s>(
+    /// Decide whether an arrival runs inline on the calling thread.
+    /// Per-request mode (coalescing disabled) always does, without a
+    /// claim. Otherwise the decision is made under the shard's queue
+    /// lock: inline when the service is up, the shard has nothing
+    /// queued, no thread holds its claim, and the driver would hold no
+    /// coalescing window for this arrival — the window is zero, or the
+    /// adaptive estimator's verdict is closed after recording it. On
+    /// success the caller holds the claim and the request is already
+    /// counted in `requests`, exactly as a queued request is counted
+    /// before it parks.
+    fn admit<'s>(
         &'s self,
         shard: &'s Shard,
         request: &NormRequest<'_>,
     ) -> Result<Admission<'s>, NormError> {
         let config = &self.inner.config;
+        let claim = |claimed| InlineClaim {
+            core: &self.inner.core,
+            shard,
+            claimed,
+            released: false,
+        };
+        if !config.coalescing {
+            return Ok(Admission::Inline(claim(false)));
+        }
         if !config.window.is_zero() && config.adaptive.is_none() {
             // A fixed window always holds the round open.
             return Ok(Admission::Queue { recorded: false });
@@ -2680,17 +2655,73 @@ impl NormService {
         }
         queue.claimed = true;
         queue.stats.accept(request.kind());
-        Ok(Admission::Inline(InlineClaim {
-            core: &self.inner.core,
-            shard,
-            released: false,
-        }))
+        Ok(Admission::Inline(claim(true)))
     }
 
     /// Run `request` as its own backend call on the calling thread,
-    /// straight into the sink: a caller-provided buffer is written from
-    /// the borrowed bit payload; a pooled reply is the payload encoded
-    /// into a lease and normalized in place.
+    /// straight into `sink`, then release `claim` with the call's stats.
+    fn run_inline(
+        &self,
+        request: &NormRequest<'_>,
+        sink: &mut Sink<'_>,
+        shard: &Shard,
+        claim: InlineClaim<'_>,
+        accepted: Instant,
+    ) -> Result<Served, NormError> {
+        let rows = request.len() / self.inner.config.d;
+        let executed = self.execute_on_caller(request, sink, shard);
+        claim.release(request.kind(), rows, accepted, &executed);
+        executed?;
+        Ok(Served::alone(rows))
+    }
+
+    /// The one inline-ticket path, for idle-shard tickets and per-request
+    /// mode alike: run the request under `claim` into a pooled reply and
+    /// return the finished outcome. A backend panic is contained here,
+    /// never unwinding into the submitter: the claim's drop fails the
+    /// shard and shuts the service down, and the ticket reports
+    /// [`NormError::ServiceShutdown`] — the outcome a panic contained in
+    /// a driver round gives every ticket.
+    fn inline_ticket(
+        &self,
+        request: &NormRequest<'_>,
+        shard: &Shard,
+        claim: InlineClaim<'_>,
+        accepted: Instant,
+    ) -> Result<NormResponse, NormError> {
+        let mut out = Vec::new();
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            self.run_inline(request, &mut Sink::Leased(&mut out), shard, claim, accepted)
+        }))
+        .unwrap_or(Err(NormError::ServiceShutdown));
+        self.reply(shard, out, served, accepted)
+    }
+
+    /// Wrap an outcome served into the reply lease `out` as the public
+    /// result; a failed request's lease returns to the pool.
+    fn reply(
+        &self,
+        shard: &Shard,
+        out: Vec<u32>,
+        served: Result<Served, NormError>,
+        accepted: Instant,
+    ) -> Result<NormResponse, NormError> {
+        match served {
+            Ok(served) => Ok(self.inner.respond(shard, out, &served, accepted)),
+            Err(err) => {
+                shard.pool.give_back(out);
+                Err(err)
+            }
+        }
+    }
+
+    /// Run `request` as its own backend call on the calling thread,
+    /// straight into the sink: the caller's buffer, or a pool lease of the
+    /// request's length (no zero-fill once the pool holds a buffer of that
+    /// length). A bit payload is read where the caller holds it and
+    /// written out of place — no payload copy. An `f32` payload needs a
+    /// conversion pass anyway: it is encoded into the sink and normalized
+    /// there in place.
     fn execute_on_caller(
         &self,
         request: &NormRequest<'_>,
@@ -2698,17 +2729,19 @@ impl NormService {
         shard: &Shard,
     ) -> Result<Executed, NormError> {
         let core = &self.inner.core;
-        let format = self.inner.config.format;
-        match sink {
-            Sink::Caller(out) => {
-                let bits = request.encode_cow(format);
-                execute(core, shard, request.kind(), Work::Into { bits: &bits, out })
-            }
+        let kind = request.kind();
+        let out: &mut [u32] = match sink {
+            Sink::Caller(out) => out,
             Sink::Leased(reply) => {
-                **reply = shard.pool.lease();
-                request.encode_into(format, reply);
-                let mut segments = [reply.as_mut_slice()];
-                execute(core, shard, request.kind(), Work::InPlace(&mut segments))
+                **reply = shard.pool.lease(request.len());
+                reply
+            }
+        };
+        match request.payload {
+            Payload::Bits(bits) => execute(core, shard, kind, Work::Into { bits, out }),
+            Payload::F32(_) => {
+                request.encode_into(self.inner.config.format, out);
+                execute(core, shard, kind, Work::InPlace(&mut [out]))
             }
         }
     }
@@ -2752,7 +2785,7 @@ impl NormService {
                 return Err(NormError::QueueFull { depth });
             }
         }
-        let mut bits = shard.pool.lease();
+        let mut bits = shard.pool.lease(request.len());
         request.encode_into(self.inner.config.format, &mut bits);
         let slot = Slot::new(Arc::clone(&shard.pool));
         let now = self.inner.clock.now_nanos();
@@ -2847,11 +2880,10 @@ impl NormService {
         let start = Instant::now();
         let shard = &self.inner.shards[self.pick_shard(request.key())];
         let pool = &shard.pool;
-        let mut bits = pool.lease();
+        let mut bits = pool.lease(request.len());
         request.encode_into(self.inner.config.format, &mut bits);
         let rows = bits.len() / self.inner.config.d.max(1);
-        let mut out = pool.lease();
-        out.resize(bits.len(), 0);
+        let mut out = pool.lease(bits.len());
         let exec_start;
         let moments = match request.kind() {
             RequestKind::Normalize => {
@@ -2920,22 +2952,13 @@ impl NormService {
         queue.stats.queue_wait += exec_start.duration_since(start);
         queue.stats.execute += execute;
         drop(queue);
-        Ok((
-            NormResponse {
-                bits: out,
-                pool: Arc::clone(pool),
-                format: self.inner.config.format,
-                rows: served_rows,
-                batch_rows: served_rows,
-                batch_requests: 1,
-                elapsed: start.elapsed(),
-                // The detailed path runs the scalar engine (it reports
-                // intermediates), but the service's tier is what callers
-                // care about — and bits are identical either way.
-                simd: self.inner.simd_level,
-            },
-            moments,
-        ))
+        // The detailed path runs the scalar engine (it reports
+        // intermediates), but the response carries the service's tier —
+        // what callers care about, and bits are identical either way.
+        let response = self
+            .inner
+            .respond(shard, out, &Served::alone(served_rows), start);
+        Ok((response, moments))
     }
 
     /// Whiten one group directly on shard 0's executor with a
@@ -3061,8 +3084,9 @@ enum WaitMode {
 
 /// A ticket's backing state.
 enum TicketRepr {
-    /// Per-request mode executed the request at submit time; the finished
-    /// outcome is parked here until a collect method takes it.
+    /// The request ran inline at submit time (an idle shard, or
+    /// per-request mode); the finished outcome is parked here until a
+    /// collect method takes it.
     Immediate(Option<Result<NormResponse, NormError>>),
     /// A combining-queue entry: the slot is filled by the shard's
     /// resident driver when its round serves the request.
@@ -3077,8 +3101,10 @@ enum TicketRepr {
 /// The poll/wait handle returned by [`NormService::submit_async`]: the
 /// submitted request's claim on a future [`NormResponse`].
 ///
-/// The ticket's request is executed by its shard's **resident driver** —
-/// the ticket never runs rounds itself, so every collect method is pure
+/// A ticket whose shard was idle at submit time comes back already
+/// complete: its request ran inline on the submitting thread. Otherwise
+/// its request is executed by the shard's **resident driver** — the
+/// ticket never runs rounds itself, so every collect method is pure
 /// waiting: [`try_take`](NormTicket::try_take) peeks the mailbox,
 /// [`wait`](NormTicket::wait) / [`wait_timeout`](NormTicket::wait_timeout)
 /// park on the shard condvar, and [`on_ready`](NormTicket::on_ready)
@@ -3087,7 +3113,7 @@ enum TicketRepr {
 ///
 /// Dropping a ticket without collecting is safe and leak-free: the
 /// request's pooled payload and response buffers return to the shard's
-/// pool (immediately if the round already ran, otherwise when it does),
+/// pool (immediately if the request already ran, otherwise when it does),
 /// and the drop is counted in [`ServiceStats::abandoned_tickets`]. A
 /// ticket holds the service's shared state alive, but **not** its driver
 /// threads — those are owned by the service handles, so work accepted
@@ -3216,8 +3242,8 @@ impl NormTicket {
     /// the outcome guaranteed collectable, so
     /// `ticket.try_take()` inside the callback always returns `Some`.
     ///
-    /// If the outcome is already there (an immediate per-request-mode
-    /// ticket, or a round that completed before registration), the
+    /// If the outcome is already there (a ticket whose request ran inline,
+    /// or a round that completed before registration), the
     /// callback runs **synchronously on this thread** before `on_ready`
     /// returns. Otherwise it runs on the shard's resident driver thread,
     /// after the driver has released every shard lock — the callback may
@@ -3309,16 +3335,9 @@ impl NormTicket {
             Err(fail) => return Err(fail.into_error()),
         };
         let shard = &self.core.shards[self.shard_idx];
-        Ok(NormResponse {
-            bits: result.bits,
-            pool: Arc::clone(&shard.pool),
-            format: self.core.config.format,
-            rows: result.rows,
-            batch_rows: result.batch_rows,
-            batch_requests: result.batch_requests,
-            elapsed: accepted.elapsed(),
-            simd: self.core.simd_level,
-        })
+        Ok(self
+            .core
+            .respond(shard, result.bits, &result.served, accepted))
     }
 }
 

@@ -13,6 +13,14 @@
 //! * A panic inside an inline call surfaces on the caller's thread and
 //!   fails the shard like a driver-round panic: a ticket queued behind
 //!   it collects `ServiceShutdown` instead of hanging.
+//! * `submit_async` on an idle shard runs inline too: on the caller's
+//!   thread, without waking the driver, and the ticket is complete when
+//!   the call returns; on a busy shard the ticket still queues for the
+//!   driver. Inline tickets (and `submit_into`) match the oracle for bit
+//!   and `f32` payloads, normalization and whitening, with coalescing on
+//!   and off; a dropped one is counted and its reply buffer goes back to
+//!   the pool; and a panicking backend yields a `ServiceShutdown` ticket
+//!   instead of unwinding into the submitter.
 //!
 //! The gated backends record the name of every thread that enters them:
 //! resident drivers are named `ns{service}s{shard}d`, so "who executed
@@ -426,4 +434,235 @@ fn a_panicking_inline_call_fails_the_ticket_queued_behind_it() {
             .unwrap_err(),
         NormError::ServiceShutdown
     );
+}
+
+#[test]
+fn an_idle_shard_ticket_runs_on_the_caller_and_is_complete_on_return() {
+    let gate = Gate::new(true);
+    let service = gated(ServiceConfig::new(D), &gate, false);
+    let bits = request_bits(2, 0x7000);
+    let before = service.stats();
+    let (mut ticket, immediate) = std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .name(CALLER.into())
+            .spawn_scoped(scope, || {
+                let mut ticket = service.submit_async(NormRequest::bits(&bits)).unwrap();
+                let immediate = ticket.try_take();
+                (ticket, immediate)
+            })
+            .unwrap()
+            .join()
+            .unwrap()
+    });
+    let response = immediate
+        .expect("an inline ticket is complete when submit_async returns")
+        .unwrap();
+    assert_eq!(response.bits(), &bits[..], "identity backend");
+    assert_eq!(response.rows(), 2);
+    assert_eq!(response.batch_requests(), 1);
+    assert_eq!(
+        gate.entered(),
+        vec![CALLER.to_string()],
+        "an idle shard's ticket must run on the submitting thread"
+    );
+    let after = service.stats();
+    assert_eq!(
+        after.worker_wakeups, before.worker_wakeups,
+        "an inline ticket must not hand off to the driver"
+    );
+    assert_eq!(after.requests - before.requests, 1);
+    assert_eq!(after.rows - before.rows, 2);
+    assert_eq!(after.abandoned_tickets, 0);
+    drop(response);
+    // The ticket is spent: exactly-once delivery holds for inline tickets.
+    let respent = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ticket.try_take()));
+    assert!(
+        respent.is_err(),
+        "a spent inline ticket must panic on reuse"
+    );
+}
+
+#[test]
+fn a_busy_shard_ticket_is_still_served_by_the_driver() {
+    let gate = Gate::new(false);
+    let service = gated(ServiceConfig::new(D), &gate, false);
+    let held = request_bits(1, 0x7100);
+    let queued = request_bits(3, 0x7101);
+
+    std::thread::scope(|scope| {
+        let occupier = std::thread::Builder::new()
+            .name(CALLER.into())
+            .spawn_scoped(scope, || service.submit(NormRequest::bits(&held)))
+            .unwrap();
+        gate.await_entered(1);
+        let before = service.stats();
+        let mut ticket = service.submit_async(NormRequest::bits(&queued)).unwrap();
+        assert!(
+            ticket.try_take().is_none(),
+            "a ticket on a busy shard must queue, not run inline"
+        );
+        gate.open();
+        assert_eq!(occupier.join().unwrap().unwrap().bits(), &held[..]);
+        let response = ticket
+            .wait_timeout(Duration::from_secs(10))
+            .expect("the queued ticket was stranded")
+            .unwrap();
+        assert_eq!(response.bits(), &queued[..]);
+        assert!(
+            service.stats().worker_wakeups > before.worker_wakeups,
+            "the driver must have been woken for the queued ticket"
+        );
+    });
+
+    let entered = gate.entered();
+    assert_eq!(entered.len(), 2, "one inline call + one driver round");
+    assert_eq!(entered[0], CALLER);
+    assert!(
+        is_driver(&entered[1]),
+        "the queued ticket ran on {entered:?}"
+    );
+}
+
+#[test]
+fn inline_tickets_match_the_emulated_oracle() {
+    for backend in [BackendKind::Emulated, BackendKind::Native] {
+        for spec in MethodSpec::REGISTRY {
+            for (shards, coalescing) in [(1usize, true), (2, true), (1, false)] {
+                let context = format!(
+                    "{}/{} shards={shards} coalescing={coalescing}",
+                    backend.name(),
+                    spec.label()
+                );
+                let service = ServiceConfig::new(D)
+                    .with_backend(backend)
+                    .with_method(spec)
+                    .with_shards(shards)
+                    .with_coalescing(coalescing)
+                    .with_whiten(WhitenSpec::default())
+                    .build()
+                    .unwrap();
+                for salt in 0..2 * shards as u64 {
+                    let norm = request_bits(1 + salt as usize % 3, 0x8000 + salt);
+                    let norm_f32: Vec<f32> = norm.iter().map(|&b| f32::from_bits(b)).collect();
+                    let group = request_bits(5, 0x9000 + salt);
+                    let group_f32: Vec<f32> = group.iter().map(|&b| f32::from_bits(b)).collect();
+                    let expect_norm = oracle_norm(&spec, &norm);
+                    let expect_group = oracle_whiten(&group);
+                    for (request, expect, what) in [
+                        (NormRequest::bits(&norm), &expect_norm, "norm bits"),
+                        (NormRequest::f32(&norm_f32), &expect_norm, "norm f32"),
+                        (
+                            NormRequest::whiten_group(&group),
+                            &expect_group,
+                            "whiten bits",
+                        ),
+                        (
+                            NormRequest::whiten_group_f32(&group_f32),
+                            &expect_group,
+                            "whiten f32",
+                        ),
+                    ] {
+                        // One caller, one request at a time: every shard
+                        // it lands on is idle, so every ticket runs inline.
+                        let response = service
+                            .submit_async(request)
+                            .unwrap()
+                            .try_take()
+                            .unwrap_or_else(|| panic!("{context}: {what} ticket queued"))
+                            .unwrap();
+                        assert_eq!(response.bits(), &expect[..], "{context}: {what}");
+                        // The caller's-buffer sink takes the same path.
+                        let mut out = vec![0u32; expect.len()];
+                        service.submit_into(request, &mut out).unwrap();
+                        assert_eq!(&out, expect, "{context}: {what} submit_into");
+                    }
+                }
+                let stats = service.stats();
+                assert_eq!(stats.requests, 16 * shards as u64, "{context}");
+                assert_eq!(stats.batches, stats.requests, "{context}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_dropped_inline_ticket_is_counted_and_its_buffer_returns_to_the_pool() {
+    let service = ServiceConfig::new(D)
+        .with_backend(BackendKind::Native)
+        .build()
+        .unwrap();
+    let bits = request_bits(4, 0xA000);
+    // Prime the shard's pool with one reply buffer of this length.
+    let first = service
+        .submit_async(NormRequest::bits(&bits))
+        .unwrap()
+        .try_take()
+        .unwrap()
+        .unwrap();
+    let pooled = first.bits().as_ptr();
+    drop(first);
+
+    // The next inline ticket leases that buffer; dropped uncollected, it
+    // must hand the buffer straight back.
+    drop(service.submit_async(NormRequest::bits(&bits)).unwrap());
+    assert_eq!(service.stats().abandoned_tickets, 1);
+    // Had the buffer been freed instead of pooled, the allocator would
+    // likely hand its address to this same-sized allocation.
+    let hog = vec![0u32; bits.len()];
+    let reply = service
+        .submit_async(NormRequest::bits(&bits))
+        .unwrap()
+        .try_take()
+        .unwrap()
+        .unwrap();
+    assert_eq!(
+        reply.bits().as_ptr(),
+        pooled,
+        "the dropped ticket's reply buffer was not returned to the pool"
+    );
+    assert_eq!(
+        reply.bits(),
+        &oracle_norm(&MethodSpec::iterl2(5), &bits)[..]
+    );
+    drop(hog);
+    assert_eq!(service.stats().abandoned_tickets, 1);
+}
+
+#[test]
+fn a_panicking_inline_ticket_reports_shutdown_without_unwinding() {
+    for coalescing in [true, false] {
+        let gate = Gate::new(true);
+        let service = gated(
+            ServiceConfig::new(D).with_coalescing(coalescing),
+            &gate,
+            true,
+        );
+        let bits = request_bits(1, 0xB000);
+        let submitted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            service.submit_async(NormRequest::bits(&bits))
+        }));
+        let mut ticket = submitted
+            .unwrap_or_else(|_| panic!("coalescing={coalescing}: submit_async unwound"))
+            .unwrap();
+        assert_eq!(
+            ticket
+                .try_take()
+                .expect("an inline ticket is complete when submit_async returns")
+                .unwrap_err(),
+            NormError::ServiceShutdown,
+            "coalescing={coalescing}"
+        );
+        assert!(service.is_shutdown(), "coalescing={coalescing}");
+        assert_eq!(gate.entered().len(), 1, "coalescing={coalescing}");
+        assert_eq!(
+            service.submit_async(NormRequest::bits(&bits)).unwrap_err(),
+            NormError::ServiceShutdown,
+            "coalescing={coalescing}"
+        );
+        assert_eq!(
+            service.submit(NormRequest::bits(&bits)).unwrap_err(),
+            NormError::ServiceShutdown,
+            "coalescing={coalescing}"
+        );
+    }
 }

@@ -326,6 +326,25 @@ fn wait_any_returns_mixed_shard_tickets_in_completion_order() {
     };
     let (key0, key1) = (key_for(0), key_for(1));
 
+    // A ticket on an idle shard runs inline on the submitting thread, so
+    // occupy each shard first: a helper's blocking submit takes the
+    // shard's claim and holds it inside the gate, and the tickets below
+    // queue behind it for the shard's driver.
+    let occupiers: Vec<_> = [key0, key1]
+        .into_iter()
+        .map(|key| {
+            let service = service.clone();
+            std::thread::spawn(move || {
+                let bits = row_bits(8);
+                service
+                    .submit(NormRequest::bits(&bits).with_key(key))
+                    .map(|r| r.rows())
+            })
+        })
+        .collect();
+    gates[0].await_entered();
+    gates[1].await_entered();
+
     let first_bits = row_bits(6);
     let second_bits = row_bits(7);
     let mut set = TicketSet::new();
@@ -340,8 +359,6 @@ fn wait_any_returns_mixed_shard_tickets_in_completion_order() {
             .unwrap(),
     );
     assert_eq!(set.outstanding(), 2);
-    gates[0].await_entered();
-    gates[1].await_entered();
 
     // Release shard 1 first: its ticket must surface first even though
     // it was inserted second.
@@ -354,6 +371,9 @@ fn wait_any_returns_mixed_shard_tickets_in_completion_order() {
     let (index, outcome) = set.wait_any().expect("one ticket left");
     assert_eq!(index, on_shard0);
     assert_eq!(outcome.unwrap().bits(), &first_bits[..]);
+    for occupier in occupiers {
+        assert_eq!(occupier.join().unwrap(), Ok(1));
+    }
 
     // Drained: the set reports completion, forever.
     assert!(set.wait_any().is_none());

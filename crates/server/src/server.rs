@@ -6,17 +6,22 @@
 //!
 //! * the *reader* parses frames, runs shape checks and per-tenant
 //!   admission, and drives admitted requests through
-//!   [`submit_async`](iterl2norm::NormService::submit_async), so a single
-//!   connection can pipeline many in-flight tickets without waiting for
-//!   earlier responses;
+//!   [`submit_async`](iterl2norm::NormService::submit_async). A request
+//!   whose shard is idle runs inline on the reader itself, straight from
+//!   the decoded payload into a pooled reply, and its ticket is already
+//!   complete — no driver hand-off. A request whose shard is busy queues
+//!   for the shard's driver, so a single connection can still pipeline
+//!   many in-flight tickets without waiting for earlier responses;
 //! * the *writer* collects those tickets in **completion order** through
-//!   a [`TicketSet`] — so a finished response is harvested (and its shard
-//!   buffer recycled) the moment the resident driver delivers it, never
-//!   parked behind a slower earlier ticket — and a reorder buffer puts
-//!   frames back on the wire in **submission order**. The channel bound
-//!   is the per-connection pipelining window: a client that floods
-//!   faster than responses drain blocks in the reader, which is exactly
-//!   the flow control a byte stream wants.
+//!   a [`TicketSet`] — so a finished response is harvested the moment it
+//!   is delivered, never parked behind a slower earlier ticket — and a
+//!   reorder buffer puts frames back on the wire in **submission
+//!   order**. Each reply is encoded from the served response's bits into
+//!   one reused per-connection buffer, reserved to the frame's exact
+//!   size, after which the response's buffer returns to its shard pool.
+//!   The channel bound is the per-connection pipelining window: a client
+//!   that floods faster than responses drain blocks in the reader, which
+//!   is exactly the flow control a byte stream wants.
 //!
 //! Rejections are explicit error frames, never dropped bytes: shape
 //! mismatches, over-quota tenants, a full shard queue and a shut-down
@@ -43,13 +48,15 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use iterl2norm::{NormError, NormRequest, NormService, NormTicket, Priority, TicketSet};
+use iterl2norm::{
+    NormError, NormRequest, NormResponse, NormService, NormTicket, Priority, TicketSet,
+};
 
 use crate::admission::{Admission, Decision};
 use crate::metrics::{MetricsRegistry, RejectCause, RequestMethod, TenantCounters};
 use crate::protocol::{
-    decode_body, write_frame, ErrorCode, ErrorFrame, Frame, FrameError, RequestFrame,
-    ResponseFrame, WireError, MAX_FRAME_BYTES,
+    decode_body, encode_frame_into, encode_response_into, ErrorCode, ErrorFrame, Frame, FrameError,
+    RequestFrame, WireError, MAX_FRAME_BYTES,
 };
 
 /// How often a parked connection reader wakes to re-check the shutdown
@@ -626,11 +633,35 @@ struct InFlight {
     counters: Arc<TenantCounters>,
 }
 
+/// A finished item parked in the writer's reorder buffer until its wire
+/// turn: a ready frame, or a served response whose bits are encoded
+/// straight from the service's reply buffer when its turn comes.
+enum Finished {
+    Frame(Frame),
+    Response {
+        request_id: u64,
+        response: NormResponse,
+    },
+}
+
+impl Finished {
+    /// Encode this item's wire form into the connection's reused buffer.
+    fn encode_into(&self, wire: &mut Vec<u8>) {
+        match self {
+            Finished::Frame(frame) => encode_frame_into(frame, wire),
+            Finished::Response {
+                request_id,
+                response,
+            } => encode_response_into(*request_id, response.rows() as u32, response.bits(), wire),
+        }
+    }
+}
+
 /// The writer half, waker-native: every arriving item gets a wire
 /// sequence number; tickets go into a [`TicketSet`] and are harvested in
 /// **completion order** with [`TicketSet::wait_any`] — a finished
-/// response is collected (and its shard buffer recycled) the moment the
-/// resident driver fires the ticket's waker, never parked behind a
+/// response is collected the moment its ticket's waker fires (at once
+/// for a ticket that ran inline), never parked behind a
 /// slower earlier ticket — while a reorder buffer holds finished frames
 /// until their turn so the wire still sees **submission order**.
 ///
@@ -640,26 +671,32 @@ struct InFlight {
 /// Exits when the channel disconnects (reader done) and the set drains;
 /// if the socket dies first (client gone), remaining tickets still
 /// drain so their buffers return to the shard pools, they just have
-/// nowhere to go.
+/// nowhere to go. Every frame is encoded into one per-connection buffer,
+/// reserved to the frame's exact size and reused for the next.
 fn connection_writer<W: Write>(writer: &mut W, rx: Receiver<WriteItem>) {
     let mut socket_dead = false;
     let mut set = TicketSet::new();
     // TicketSet slot -> identity, and which wire sequences are in it.
     let mut in_flight: HashMap<usize, InFlight> = HashMap::new();
     let mut in_flight_seqs: HashSet<u64> = HashSet::new();
-    // Finished frames parked until their wire turn.
-    let mut ready: BTreeMap<u64, Frame> = BTreeMap::new();
+    // Finished items parked until their wire turn.
+    let mut ready: BTreeMap<u64, Finished> = BTreeMap::new();
+    let mut wire = Vec::new();
     let mut next_seq: u64 = 0;
     let mut next_write: u64 = 0;
     let mut disconnected = false;
     loop {
-        // Put every finished frame that is up next on the wire.
-        while let Some(frame) = ready.remove(&next_write) {
+        // Put every finished item that is up next on the wire.
+        while let Some(item) = ready.remove(&next_write) {
             next_write += 1;
             if socket_dead {
                 continue;
             }
-            if write_frame(writer, &frame)
+            item.encode_into(&mut wire);
+            // A served response's buffer goes back to its shard pool now.
+            drop(item);
+            if writer
+                .write_all(&wire)
                 .and_then(|_| writer.flush())
                 .is_err()
             {
@@ -668,8 +705,8 @@ fn connection_writer<W: Write>(writer: &mut W, rx: Receiver<WriteItem>) {
             }
         }
         // The next wire slot is an in-flight ticket: harvest completions
-        // until it lands (each harvest frees a shard buffer right away,
-        // whichever sequence it belongs to).
+        // until it lands (one finished out of turn waits, with its reply
+        // buffer, in the reorder buffer).
         if in_flight_seqs.contains(&next_write) || (disconnected && !set.is_empty()) {
             let (slot, outcome) = set
                 .wait_any()
@@ -690,7 +727,7 @@ fn connection_writer<W: Write>(writer: &mut W, rx: Receiver<WriteItem>) {
         }
         match rx.recv() {
             Ok(WriteItem::Frame(frame)) => {
-                ready.insert(next_seq, frame);
+                ready.insert(next_seq, Finished::Frame(frame));
                 next_seq += 1;
             }
             Ok(WriteItem::Ticket {
@@ -715,32 +752,31 @@ fn connection_writer<W: Write>(writer: &mut W, rx: Receiver<WriteItem>) {
     }
 }
 
-/// Turn a harvested ticket outcome into its wire frame, counting it.
+/// Turn a harvested ticket outcome into its wire item, counting it.
 fn finished_frame(
     request_id: u64,
     counters: &TenantCounters,
-    outcome: Result<iterl2norm::NormResponse, NormError>,
-) -> Frame {
+    outcome: Result<NormResponse, NormError>,
+) -> Finished {
     match outcome {
         Ok(response) => {
             counters.completed.fetch_add(1, Ordering::Relaxed);
             counters
                 .rows
                 .fetch_add(response.rows() as u64, Ordering::Relaxed);
-            Frame::Response(ResponseFrame {
+            Finished::Response {
                 request_id,
-                rows: response.rows() as u32,
-                bits: response.bits().to_vec(),
-            })
+                response,
+            }
         }
         Err(err) => {
             let (code, cause) = classify(&err);
             counters.reject(cause);
-            Frame::Error(ErrorFrame {
+            Finished::Frame(Frame::Error(ErrorFrame {
                 request_id,
                 code,
                 message: err.to_string(),
-            })
+            }))
         }
     }
 }

@@ -11,12 +11,15 @@
 //! be micro-batched together — bit-identical either way). The final norm
 //! is **pipelined**: each position's final-norm request is submitted
 //! asynchronously ([`NormService::submit_async`]) and collected one
-//! position later, after the next layer stack has run — the head
-//! projection is off the next position's critical path, and the site's
-//! resident shard driver executes the ticket *while* that next layer
-//! stack runs on this thread, batching it with concurrent windows'
-//! final norms when traffic overlaps (output bits identical either
-//! way, like every serving knob). The honest
+//! position later, after the next layer stack has run, so the head
+//! projection is off the next position's critical path. When the site's
+//! shard is idle (one forward pass alone), the norm runs inline inside
+//! `submit_async` and the ticket comes back complete — one row's norm
+//! is cheaper than handing it to another thread. When concurrent
+//! windows keep the shard busy, the ticket queues and the site's
+//! resident shard driver executes it *while* the next layer stack runs
+//! on this thread, batching it with the other windows' final norms
+//! (output bits identical either way, like every serving knob). The honest
 //! trade vs the old typed per-worker engines: concurrent workers'
 //! norm submissions serialize (or batch) on each site's shared backend.
 //! That is acceptable here because the matvecs around every norm dominate
@@ -358,8 +361,9 @@ impl<F: ExecFloat> Model<F> {
             }
             bits_buf.clear();
             bits_buf.extend(x.iter().map(|v| v.to_bits()));
-            // submit_async encodes the payload before returning, so
-            // bits_buf is free for the next position immediately.
+            // submit_async is done with the payload when it returns (it
+            // ran inline, or encoded a queued copy), so bits_buf is free
+            // for the next position immediately.
             pending_final = Some(
                 final_service
                     .submit_async(NormRequest::bits(&bits_buf))

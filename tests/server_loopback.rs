@@ -211,27 +211,29 @@ fn over_quota_tenant_is_rejected_while_others_proceed() {
     handle.shutdown();
 }
 
-/// A gate the test controls: the injected backend blocks until opened
-/// (bounded by a 10 s timeout so a bug can never hang the suite).
+/// A gate the test controls: the injected backend's `n`-th call blocks
+/// until the test lets `n` calls through (bounded by a 10 s timeout so a
+/// bug can never hang the suite).
 struct Gate {
-    state: Mutex<(bool, bool)>, // (entered, open)
+    state: Mutex<(usize, usize)>, // (calls entered, calls let through)
     cv: Condvar,
 }
 
 impl Gate {
     fn new() -> Arc<Self> {
         Arc::new(Gate {
-            state: Mutex::new((false, false)),
+            state: Mutex::new((0, 0)),
             cv: Condvar::new(),
         })
     }
 
     fn pass(&self) {
         let mut state = self.state.lock().unwrap();
-        state.0 = true;
+        state.0 += 1;
+        let turn = state.0;
         self.cv.notify_all();
         let deadline = Duration::from_secs(10);
-        while !state.1 {
+        while state.1 < turn {
             let (next, timeout) = self.cv.wait_timeout(state, deadline).unwrap();
             state = next;
             if timeout.timed_out() {
@@ -240,20 +242,43 @@ impl Gate {
         }
     }
 
-    fn await_entered(&self) {
+    /// Wait until `calls` backend calls have entered the gate.
+    fn await_entered(&self, calls: usize) {
         let mut state = self.state.lock().unwrap();
         let deadline = Duration::from_secs(10);
-        while !state.0 {
+        while state.0 < calls {
             let (next, timeout) = self.cv.wait_timeout(state, deadline).unwrap();
             state = next;
             assert!(!timeout.timed_out(), "backend never entered the gate");
         }
     }
 
-    fn open(&self) {
-        self.state.lock().unwrap().1 = true;
+    /// Let the first `calls` backend calls through.
+    fn let_through(&self, calls: usize) {
+        self.state.lock().unwrap().1 = calls;
         self.cv.notify_all();
     }
+
+    fn open(&self) {
+        self.let_through(usize::MAX);
+    }
+}
+
+/// Occupy the service's only shard: a blocking submit from a helper
+/// thread runs inline on the idle shard and holds the shard's claim
+/// inside the gate. A wire request that finds a shard idle runs inline
+/// on the connection's reader, which would then park in the gate itself
+/// and stop parsing frames; behind the claim, wire requests queue for
+/// the shard's driver instead.
+fn occupy(handle: &ServerHandle, gate: &Gate) -> std::thread::JoinHandle<Result<usize, NormError>> {
+    let service = handle.service().clone();
+    let occupier = std::thread::spawn(move || {
+        service
+            .submit(NormRequest::bits(&payload(1, 99)))
+            .map(|r| r.rows())
+    });
+    gate.await_entered(1);
+    occupier
 }
 
 /// Wait until the service has decided each of the first `sent` frames:
@@ -352,18 +377,21 @@ fn queue_full_surfaces_as_error_frames_over_the_wire() {
     let mut client = NormClient::connect_tcp(handle.tcp_addr().expect("tcp")).expect("connect");
     let bits = payload(1, 0);
 
-    // Pipeline a burst without reading replies: the first request enters
-    // the (gated) backend, the second parks in the depth-1 waiting line,
-    // and once rejections start appearing the shard is provably full.
+    // Pipeline a burst without reading replies: a helper's request holds
+    // the (gated) shard, the first wire request parks in the depth-1
+    // waiting line, and the rest find the shard provably full.
+    let occupier = occupy(&handle, &gate);
     let burst = 8;
     for _ in 0..burst {
         client
             .send(&ClientRequest::new(1, D as u32, &bits))
             .expect("send");
-        gate.await_entered();
+        gate.await_entered(1);
     }
-    await_decided(&handle, burst as u64);
+    // The occupier's request counts as decided too.
+    await_decided(&handle, burst as u64 + 1);
     gate.open();
+    assert_eq!(occupier.join().unwrap(), Ok(1));
     let mut ok = 0;
     let mut queue_full = 0;
     for _ in 0..burst {
@@ -422,14 +450,21 @@ fn priority_flag_cannot_self_promote_unconfigured_tenants() {
     let mut client = NormClient::connect_tcp(handle.tcp_addr().expect("tcp")).expect("connect");
     let bits = payload(1, 7);
 
-    // Tenant 9 (unconfigured) occupies the backend…
+    // Tenant 9 (unconfigured) occupies the backend: its request queues
+    // behind a helper's gated request, and once the helper is let
+    // through the shard's driver takes it into the gate, leaving the
+    // waiting line empty…
+    let occupier = occupy(&handle, &gate);
     let executing = client
         .send(&ClientRequest::new(9, D as u32, &bits))
         .expect("send");
-    gate.await_entered();
-    // …and fills the single waiting slot. The connection's reader
-    // processes frames strictly in order, so once the server has parsed
-    // the next frame this one has parked.
+    await_decided(&handle, 2);
+    gate.let_through(1);
+    gate.await_entered(2);
+    assert_eq!(occupier.join().unwrap(), Ok(1));
+    // …and a second request fills the single waiting slot. The
+    // connection's reader processes frames strictly in order, so once
+    // the server has parsed the next frame this one has parked.
     let parked = client
         .send(&ClientRequest::new(9, D as u32, &bits))
         .expect("send");
@@ -446,8 +481,9 @@ fn priority_flag_cannot_self_promote_unconfigured_tenants() {
         .expect("send");
 
     // Sending only writes the socket: hold the gate until the server has
-    // decided all four frames, or it could drain the line first.
-    await_decided(&handle, 4);
+    // decided all four frames (and the occupier's), or it could drain the
+    // line first.
+    await_decided(&handle, 5);
     gate.open();
     let replies: Vec<ServerReply> = (0..4)
         .map(|_| client.recv_reply().expect("reply"))
