@@ -3425,7 +3425,13 @@ impl ReadyQueue {
 /// # }
 /// ```
 pub struct TicketSet {
-    tickets: Vec<Option<NormTicket>>,
+    /// Tickets by index, the front one holding index `base`. A collected
+    /// ticket leaves `None` behind until every ticket before it has been
+    /// collected too, then the front is trimmed: the set keeps the span
+    /// from its oldest outstanding ticket to its newest, not every ticket
+    /// it ever held (a server connection keeps one set for its lifetime).
+    tickets: VecDeque<Option<NormTicket>>,
+    base: usize,
     ready: Arc<ReadyQueue>,
     outstanding: usize,
 }
@@ -3448,7 +3454,8 @@ impl TicketSet {
     /// An empty set.
     pub fn new() -> Self {
         TicketSet {
-            tickets: Vec::new(),
+            tickets: VecDeque::new(),
+            base: 0,
             ready: Arc::new(ReadyQueue {
                 queue: Mutex::new(VecDeque::new()),
                 cv: Condvar::new(),
@@ -3462,10 +3469,10 @@ impl TicketSet {
     /// completion waker is registered here — if it already completed,
     /// the index is immediately ready.
     pub fn insert(&mut self, ticket: NormTicket) -> usize {
-        let index = self.tickets.len();
+        let index = self.base + self.tickets.len();
         let ready = Arc::clone(&self.ready);
         ticket.register_waker(Box::new(move || ready.push(index)));
-        self.tickets.push(Some(ticket));
+        self.tickets.push_back(Some(ticket));
         self.outstanding += 1;
         index
     }
@@ -3498,14 +3505,24 @@ impl TicketSet {
             // take can only follow a duplicate push, which the
             // exactly-once waker protocol rules out — loop rather than
             // trust that with a panic.
-            let Some(mut ticket) = self.tickets[index].take() else {
+            let Some(slot) = index
+                .checked_sub(self.base)
+                .and_then(|at| self.tickets.get_mut(at))
+            else {
+                continue;
+            };
+            let Some(mut ticket) = slot.take() else {
                 continue;
             };
             let Some(result) = ticket.try_take() else {
-                self.tickets[index] = Some(ticket);
+                *slot = Some(ticket);
                 continue;
             };
             self.outstanding -= 1;
+            while let Some(None) = self.tickets.front() {
+                self.tickets.pop_front();
+                self.base += 1;
+            }
             return Some((index, result));
         }
     }
@@ -4171,6 +4188,23 @@ mod tests {
         let mut ticket = service.submit_async(NormRequest::bits(&bits)).unwrap();
         let _ = ticket.wait();
         let _ = ticket.try_take();
+    }
+
+    #[test]
+    fn ticket_set_holds_only_the_outstanding_span() {
+        let d = 8;
+        let service = ServiceConfig::new(d).build().unwrap();
+        let bits = row_bits(d, 5);
+        let mut set = TicketSet::new();
+        for expect in 0..1000usize {
+            let index = set.insert(service.submit_async(NormRequest::bits(&bits)).unwrap());
+            assert_eq!(index, expect, "indices count up from zero");
+            let (got, result) = set.wait_any().unwrap();
+            assert_eq!(got, index);
+            assert_eq!(result.unwrap().rows(), 1);
+            assert!(set.tickets.is_empty(), "a collected front is trimmed");
+        }
+        assert!(set.wait_any().is_none());
     }
 
     #[test]
