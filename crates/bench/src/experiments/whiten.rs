@@ -110,6 +110,7 @@ pub fn run_at(shapes: &[(usize, u32, usize)]) -> std::io::Result<()> {
         SimdLevel::Portable,
         SimdLevel::Sse2,
         SimdLevel::Avx2,
+        SimdLevel::Avx512,
     ];
     let mut points: Vec<Point> = Vec::new();
     let mut table = Vec::new();

@@ -23,7 +23,9 @@ use workloads::VectorGen;
 use crate::args::Parsed;
 
 /// Usage text shown by `help` and on errors.
-pub const USAGE: &str = "\
+pub fn usage() -> String {
+    format!(
+        "\
 iterl2norm — fast iterative L2-normalization (DATE 2025 reproduction)
 
 USAGE:
@@ -85,14 +87,24 @@ arrivals per bucket) or interval_us:open_at:close_below, e.g. 1000:2:2
 --placement P picks how requests
 spread across shards: round-robin (the default) or request-hash (keyed
 requests stick to one shard, keeping its caches warm). --simd L selects
-the native backend's vector tier: auto (the default — best level the
-host supports), scalar, portable, sse2 or avx2. A forced level the host
-or backend cannot run is an error, never a silent downgrade, and every
-level produces identical output bits. None of these knobs changes
-output bits. Format, backend, placement and simd names are
-case-insensitive. whiten's --group-mode picks whether the group is
-mean-centered before the covariance (center, the default) or taken
-raw; --eps is the diagonal ridge added to the covariance.";
+the native backend's vector tier, one of {levels}.
+auto (the default) picks the best level the host supports; avx512
+widens only the whitening kernel (normalization runs its avx2 kernel
+there). A forced level the host or backend cannot run is an error,
+never a silent downgrade, and every level produces identical output
+bits. None of these knobs changes output bits. Format, backend,
+placement and simd names are case-insensitive. whiten's --group-mode
+picks whether the group is mean-centered before the covariance
+(center, the default) or taken raw; --eps is the diagonal ridge added
+to the covariance.",
+        levels = simd_levels()
+    )
+}
+
+/// Every `--simd` name, `|`-separated, from the core registry.
+fn simd_levels() -> String {
+    SimdLevel::ALL.map(SimdLevel::name).join("|")
+}
 
 /// Resolve `--method`/`--steps` into a registry entry. `--steps` keeps its
 /// historical meaning as the IterL2Norm step count; combining it with a
@@ -259,7 +271,7 @@ fn simd_arg(parsed: &Parsed) -> Result<SimdLevel, String> {
     match parsed.get("simd") {
         None => Ok(SimdLevel::Auto),
         Some(text) => SimdLevel::parse(text)
-            .ok_or_else(|| format!("unknown simd level '{text}' (auto|scalar|portable|sse2|avx2)")),
+            .ok_or_else(|| format!("unknown simd level '{text}' ({})", simd_levels())),
     }
 }
 

@@ -25,7 +25,7 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!();
-            eprintln!("{}", commands::USAGE);
+            eprintln!("{}", commands::usage());
             ExitCode::FAILURE
         }
     }
@@ -46,7 +46,7 @@ fn run(argv: &[String]) -> Result<(), String> {
         "whiten" => commands::whiten(&parsed),
         "serve" => commands::serve(&parsed),
         "help" | "--help" | "-h" => {
-            println!("{}", commands::USAGE);
+            println!("{}", commands::usage());
             Ok(())
         }
         other => Err(format!("unknown subcommand '{other}'")),

@@ -471,10 +471,10 @@ fn simd_flag_happy_paths_and_rejections() {
         }
     })
     .unwrap();
-    // Unknown levels are rejected with the alternatives named.
-    let err = commands::demo(&parsed(&["--d", "16", "--simd", "avx512"])).unwrap_err();
+    // Unknown levels are rejected with every alternative named.
+    let err = commands::demo(&parsed(&["--d", "16", "--simd", "neon"])).unwrap_err();
     assert!(
-        err.contains("avx512") && err.contains("auto|scalar|portable|sse2|avx2"),
+        err.contains("'neon'") && err.contains("auto|scalar|portable|sse2|avx2|avx512"),
         "{err}"
     );
     // Forcing a vector level onto the emulated backend is a config error

@@ -1126,7 +1126,12 @@ mod tests {
     #[test]
     fn simd_factory_rejects_emulated_vector_levels() {
         let spec = MethodSpec::iterl2(5);
-        for level in [SimdLevel::Portable, SimdLevel::Sse2, SimdLevel::Avx2] {
+        for level in [
+            SimdLevel::Portable,
+            SimdLevel::Sse2,
+            SimdLevel::Avx2,
+            SimdLevel::Avx512,
+        ] {
             assert_eq!(
                 build_backend_simd(
                     BackendKind::Emulated,

@@ -39,10 +39,12 @@
 //! `x86-64` AVX2+FMA and SSE2 [`core::arch`] kernels behind runtime
 //! [`std::arch::is_x86_feature_detected!`] dispatch, plus a portable
 //! fixed-width-chunk kernel written so the autovectorizer can do the same
-//! transformation on any architecture. `SimdLevel::Auto` degrades
-//! gracefully (AVX2 → SSE2 → portable); forcing a level the host cannot
-//! run is a clean [`NormError::SimdUnsupported`], never a silent
-//! downgrade.
+//! transformation on any architecture. The AVX-512 level exists for the
+//! whitening engine's 32-column matmul tiles (`whiten.rs`); the row
+//! kernel has no zmm form, so at that level it runs the AVX2 kernel.
+//! `SimdLevel::Auto` degrades gracefully (AVX-512 → AVX2 → SSE2 →
+//! portable); forcing a level the host cannot run is a clean
+//! [`NormError::SimdUnsupported`], never a silent downgrade.
 //!
 //! Why bit-identity survives vectorization: every vector instruction used
 //! here (`vaddps`, `vmulps`, `vsubps` and their SSE forms) performs the
@@ -90,11 +92,13 @@ use crate::layernorm::{DimConsts, RsqrtScale};
 /// and in [`NormResponse`](crate::service::NormResponse) metadata.
 ///
 /// Output bits are identical across every level — the levels differ only
-/// in throughput (enforced by `tests/backend_bit_identity.rs`).
+/// in throughput (enforced by `tests/backend_bit_identity.rs` and
+/// `tests/whiten_bit_identity.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimdLevel {
-    /// Pick the widest supported kernel (AVX2 → SSE2 → portable). Never
-    /// fails to resolve; the emulated backend reports `Scalar`.
+    /// Pick the widest supported kernel (AVX-512 → AVX2 → SSE2 →
+    /// portable). Never fails to resolve; the emulated backend reports
+    /// `Scalar`.
     #[default]
     Auto,
     /// Force the generic scalar engine (the pre-SIMD path).
@@ -106,33 +110,35 @@ pub enum SimdLevel {
     Sse2,
     /// Force the x86-64 AVX2+FMA kernel (8 lanes; runtime-detected).
     Avx2,
+    /// Force the x86-64 AVX-512 tier (needs avx512f + avx2 + fma;
+    /// runtime-detected). Whitening runs its register-tile matmuls with
+    /// 32-column tiles (two zmm registers per tile row). The norm row
+    /// kernel has no zmm form: at this level it runs the unchanged AVX2
+    /// kernel.
+    Avx512,
 }
 
 impl SimdLevel {
     /// All levels, for sweeps and CLI help.
-    pub const ALL: [SimdLevel; 5] = [
+    pub const ALL: [SimdLevel; 6] = [
         SimdLevel::Auto,
         SimdLevel::Scalar,
         SimdLevel::Portable,
         SimdLevel::Sse2,
         SimdLevel::Avx2,
+        SimdLevel::Avx512,
     ];
 
-    /// Parse a level name (`"auto"`, `"scalar"`, `"portable"`, `"sse2"`,
-    /// `"avx2"`), case-insensitively. Returns `None` for anything else.
+    /// Parse a level name (any of [`SimdLevel::ALL`]'s
+    /// [`name`](SimdLevel::name)s), case-insensitively. Returns `None` for
+    /// anything else.
     pub fn parse(text: &str) -> Option<Self> {
-        match text.to_ascii_lowercase().as_str() {
-            "auto" => Some(SimdLevel::Auto),
-            "scalar" => Some(SimdLevel::Scalar),
-            "portable" => Some(SimdLevel::Portable),
-            "sse2" => Some(SimdLevel::Sse2),
-            "avx2" => Some(SimdLevel::Avx2),
-            _ => None,
-        }
+        let text = text.to_ascii_lowercase();
+        Self::ALL.into_iter().find(|level| level.name() == text)
     }
 
     /// Canonical name (`"auto"` / `"scalar"` / `"portable"` / `"sse2"` /
-    /// `"avx2"`).
+    /// `"avx2"` / `"avx512"`).
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Auto => "auto",
@@ -140,6 +146,7 @@ impl SimdLevel {
             SimdLevel::Portable => "portable",
             SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
+            SimdLevel::Avx512 => "avx512",
         }
     }
 }
@@ -157,6 +164,7 @@ pub(crate) enum SimdKernel {
     Portable,
     Sse2,
     Avx2,
+    Avx512,
 }
 
 impl SimdKernel {
@@ -166,6 +174,7 @@ impl SimdKernel {
             SimdKernel::Portable => SimdLevel::Portable,
             SimdKernel::Sse2 => SimdLevel::Sse2,
             SimdKernel::Avx2 => SimdLevel::Avx2,
+            SimdKernel::Avx512 => SimdLevel::Avx512,
         }
     }
 }
@@ -173,6 +182,11 @@ impl SimdKernel {
 #[cfg(target_arch = "x86_64")]
 fn host_has_avx2_fma() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+}
+
+#[cfg(target_arch = "x86_64")]
+fn host_has_avx512() -> bool {
+    host_has_avx2_fma() && std::arch::is_x86_feature_detected!("avx512f")
 }
 
 /// Resolve a requested level against the backend kind and the running
@@ -227,10 +241,26 @@ pub(crate) fn resolve(
                     unsupported()
                 }
             }
+            SimdLevel::Avx512 => {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    if host_has_avx512() {
+                        Ok(Some(SimdKernel::Avx512))
+                    } else {
+                        unsupported()
+                    }
+                }
+                #[cfg(not(target_arch = "x86_64"))]
+                {
+                    unsupported()
+                }
+            }
             SimdLevel::Auto => {
                 #[cfg(target_arch = "x86_64")]
                 {
-                    if host_has_avx2_fma() {
+                    if host_has_avx512() {
+                        Ok(Some(SimdKernel::Avx512))
+                    } else if host_has_avx2_fma() {
                         Ok(Some(SimdKernel::Avx2))
                     } else {
                         Ok(Some(SimdKernel::Sse2))
@@ -458,10 +488,12 @@ impl SimdNative {
             // SAFETY: `resolve` yields Sse2 only on x86-64, where SSE2 is baseline.
             SimdKernel::Sse2 => unsafe { x86::process_rows_sse2(ctx, x, o) },
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `resolve` yields Avx2 only after runtime-detecting AVX2+FMA.
-            SimdKernel::Avx2 => unsafe { x86::process_rows_avx2(ctx, x, o) },
+            // SAFETY: `resolve` yields Avx2 and Avx512 only after
+            // runtime-detecting AVX2+FMA. The row kernel has no zmm form:
+            // the AVX-512 level runs the AVX2 kernel.
+            SimdKernel::Avx2 | SimdKernel::Avx512 => unsafe { x86::process_rows_avx2(ctx, x, o) },
             #[cfg(not(target_arch = "x86_64"))]
-            SimdKernel::Sse2 | SimdKernel::Avx2 => {
+            SimdKernel::Sse2 | SimdKernel::Avx2 | SimdKernel::Avx512 => {
                 unreachable!("x86 kernels are never resolved off x86-64")
             }
         }
@@ -1242,7 +1274,8 @@ mod tests {
             assert_eq!(level.to_string(), level.name());
         }
         assert_eq!(SimdLevel::parse("AVX2"), Some(SimdLevel::Avx2));
-        for text in ["", "avx512", "sse", "neon", " auto", "auto "] {
+        assert_eq!(SimdLevel::parse("AVX512"), Some(SimdLevel::Avx512));
+        for text in ["", "avx1024", "sse", "neon", " auto", "auto "] {
             assert_eq!(SimdLevel::parse(text), None, "{text:?} must be rejected");
         }
         assert_eq!(SimdLevel::default(), SimdLevel::Auto);
@@ -1264,7 +1297,12 @@ mod tests {
 
     #[test]
     fn emulated_rejects_forced_vector_levels() {
-        for level in [SimdLevel::Portable, SimdLevel::Sse2, SimdLevel::Avx2] {
+        for level in [
+            SimdLevel::Portable,
+            SimdLevel::Sse2,
+            SimdLevel::Avx2,
+            SimdLevel::Avx512,
+        ] {
             assert_eq!(
                 resolve(level, BackendKind::Emulated).unwrap_err(),
                 NormError::SimdUnsupported {
@@ -1280,6 +1318,7 @@ mod tests {
         assert_eq!(SimdKernel::Portable.level(), SimdLevel::Portable);
         assert_eq!(SimdKernel::Sse2.level(), SimdLevel::Sse2);
         assert_eq!(SimdKernel::Avx2.level(), SimdLevel::Avx2);
+        assert_eq!(SimdKernel::Avx512.level(), SimdLevel::Avx512);
     }
 
     /// `len` rounding-sensitive values with ±0 and subnormals mixed in.
@@ -1434,9 +1473,13 @@ mod tests {
                     .normalize_batch(&plan, &decoded, &mut out_scalar)
                     .unwrap();
                 let scalar: Vec<u32> = out_scalar.iter().map(|v| v.to_bits()).collect();
-                for kernel in [SimdKernel::Sse2, SimdKernel::Avx2] {
+                for kernel in [SimdKernel::Sse2, SimdKernel::Avx2, SimdKernel::Avx512] {
                     if kernel == SimdKernel::Avx2 && !host_has_avx2_fma() {
                         eprintln!("skipping avx2 reduction check: host lacks avx2+fma");
+                        continue;
+                    }
+                    if kernel == SimdKernel::Avx512 && !host_has_avx512() {
+                        eprintln!("skipping avx512 reduction check: host lacks avx512f");
                         continue;
                     }
                     let out = run(kernel);

@@ -32,9 +32,10 @@
 //!   for every format (FP32/FP16/BF16) — the bit-accurate reference
 //!   oracle.
 //! * A host-`f32` native path (FP32 only) that reuses the existing
-//!   [`SimdLevel`] dispatch — AVX2, SSE2, portable, or forced scalar,
-//!   runtime-resolved exactly like the normalization backend and never
-//!   silently downgraded.
+//!   [`SimdLevel`] dispatch — AVX-512, AVX2, SSE2, portable, or forced
+//!   scalar, runtime-resolved exactly like the normalization backend and
+//!   never silently downgraded. The AVX-512 level runs the same tile
+//!   kernel with 32-column tiles instead of 16.
 //!
 //! The native path is **bit-identical** to the emulated FP32 oracle at
 //! every SIMD level. The argument is the same as `simd.rs`, but it is
@@ -55,6 +56,15 @@
 //! and intrinsic calls are never contracted), and no reduction is ever
 //! reassociated across lanes or tiles. `tests/whiten_bit_identity.rs`
 //! enforces native ≡ emulated for every forced level × d × T.
+//!
+//! The native path also skips work whose bits the oracle's chain already
+//! fixes. The covariance and step 2's `P₁·P₁` are bitwise symmetric —
+//! `c[j][i]` folds `c[i][j]`'s products, commuted, in the same order — so
+//! only the tiles touching the upper triangle run and the rest is
+//! mirrored. Step 1 starts from `P₀ = I`, and its three identity
+//! products fold to exactly `Σ_N + 0.0` when `Σ_N` is finite, so that
+//! step is one elementwise pass. At the served shape (d = 64, m = 256,
+//! T = 5) this cuts multiply-adds from 6.03M to 4.75M.
 //!
 //! Division and square root are correctly rounded in both IEEE binary32
 //! hardware and the softfloat emulator, so `1/trace` and `√(1/trace)`
@@ -603,6 +613,9 @@ fn detail_from_scratch<F: Float>(x: &[F], s: &Scratch<F>, d: usize, t: u32) -> W
 /// `‖P²·Σ_N − I‖_max` in `f64` — the Newton–Schulz convergence measure.
 /// `T = 0` means the caller asked for the pure trace rescale, which is
 /// exact by definition, so the residual is reported as 0.
+///
+/// Both products walk their right operand row by row; every element
+/// still sums `k` ascending from `0.0`.
 fn residual_f64(p: &[f64], sigman: &[f64], d: usize, t: u32) -> f64 {
     if t == 0 {
         return 0.0;
@@ -617,12 +630,16 @@ fn residual_f64(p: &[f64], sigman: &[f64], d: usize, t: u32) -> f64 {
         }
     }
     let mut worst = 0.0f64;
+    let mut row = vec![0.0f64; d];
     for i in 0..d {
-        for j in 0..d {
-            let mut v = 0.0f64;
-            for k in 0..d {
-                v += p2[i * d + k] * sigman[k * d + j];
+        row.fill(0.0);
+        for k in 0..d {
+            let aik = p2[i * d + k];
+            for (v, &skj) in row.iter_mut().zip(&sigman[k * d..(k + 1) * d]) {
+                *v += aik * skj;
             }
+        }
+        for (j, &v) in row.iter().enumerate() {
             let target = if i == j { 1.0 } else { 0.0 };
             let err = (v - target).abs();
             if !err.is_finite() {
@@ -919,8 +936,11 @@ impl ScratchF32 {
 
 /// Rows of one register tile.
 const TILE_ROWS: usize = 4;
-/// Columns of one register tile.
+/// Columns of one register tile: two ymm registers per tile row. Also
+/// the tail tile after the last whole wide tile.
 const TILE_COLS: usize = 16;
+/// Columns of one AVX-512 register tile: two zmm registers per tile row.
+const TILE_COLS_WIDE: usize = 32;
 
 /// One product `c = a·b`: `c` is `m × n` row-major, `b` is `k × n`
 /// row-major, and `a[i][p]` sits at `a[i * a_row + p * a_k]` — so the
@@ -929,9 +949,10 @@ const TILE_COLS: usize = 16;
 /// Every output element runs the chain of [`matmul_soft`]: start at
 /// `+0.0`, then fold `p` ascending as `acc + (a[i][p] * b[p][j])` — a
 /// multiply, then an add, never FMA, operands in that order. The kernel
-/// keeps a `TILE_ROWS × TILE_COLS` block of such accumulators in
-/// registers across the whole `p` loop; tail rows and columns run the
-/// same chain in narrower tiles. Tiles, rows and lanes only ever span
+/// keeps a `TILE_ROWS × TC` block of such accumulators in registers
+/// across the whole `p` loop (`TC` is [`TILE_COLS`], or
+/// [`TILE_COLS_WIDE`] at the AVX-512 level); tail rows and columns run
+/// the same chain in narrower tiles. Tiles, rows and lanes only ever span
 /// independent outputs, so blocking changes where the operations run,
 /// never which operands pair or in what order.
 #[derive(Clone, Copy)]
@@ -961,27 +982,72 @@ impl<'a> MatMul<'a> {
         }
     }
 
-    /// Write the product into `c` (every element is overwritten).
+    /// Write the product into `c` (every element is overwritten), in
+    /// `TILE_ROWS × TC` tiles.
     #[inline(always)]
-    fn run(&self, c: &mut [f32]) {
-        let full_rows = self.m - self.m % TILE_ROWS;
-        for i in (0..full_rows).step_by(TILE_ROWS) {
-            self.row_block::<TILE_ROWS>(c, i);
-        }
-        for i in full_rows..self.m {
-            self.row_block::<1>(c, i);
+    fn run<const TC: usize>(&self, c: &mut [f32]) {
+        self.tiles::<TC>(c, false);
+    }
+
+    /// [`run`](MatMul::run) for a square product whose result is
+    /// bitwise symmetric: `c[j][i]` folds the products of `c[i][j]`,
+    /// commuted, in the same `p` order — the covariance `Xcᵀ·Xc`, or
+    /// `P·P` for a bitwise-symmetric `P`. Only the tiles that touch the
+    /// upper triangle run; the strict lower triangle is then mirrored
+    /// from it.
+    #[inline(always)]
+    fn run_symmetric<const TC: usize>(&self, c: &mut [f32]) {
+        debug_assert_eq!(self.m, self.n, "a symmetric product is square");
+        self.tiles::<TC>(c, true);
+        let n = self.n;
+        for i in 1..n {
+            for j in 0..i {
+                c[i * n + j] = c[j * n + i];
+            }
         }
     }
 
+    /// Every tile of the product, or with `upper` only those that touch
+    /// the upper triangle.
     #[inline(always)]
-    fn row_block<const R: usize>(&self, c: &mut [f32], i: usize) {
-        let full_cols = self.n - self.n % TILE_COLS;
-        for j in (0..full_cols).step_by(TILE_COLS) {
-            self.tile::<R, TILE_COLS>(c, i, j);
+    fn tiles<const TC: usize>(&self, c: &mut [f32], upper: bool) {
+        let full_rows = self.m - self.m % TILE_ROWS;
+        for i in (0..full_rows).step_by(TILE_ROWS) {
+            self.row_block::<TILE_ROWS, TC>(c, i, if upper { i } else { 0 });
         }
-        for j in full_cols..self.n {
-            self.tile::<R, 1>(c, i, j);
+        for i in full_rows..self.m {
+            self.row_block::<1, TC>(c, i, if upper { i } else { 0 });
         }
+    }
+
+    /// Rows `i..i + R`: whole `TC`-wide tiles, one [`TILE_COLS`]-wide
+    /// tile if one still fits, then one column at a time. Tiles that end
+    /// at or before column `from` are skipped.
+    #[inline(always)]
+    fn row_block<const R: usize, const TC: usize>(&self, c: &mut [f32], i: usize, from: usize) {
+        let j = self.strip::<R, TC>(c, i, 0, from);
+        let j = self.strip::<R, TILE_COLS>(c, i, j, from);
+        self.strip::<R, 1>(c, i, j, from);
+    }
+
+    /// `R × C` tiles from column `j` while a whole one fits, skipping
+    /// those that end at or before column `from`. Returns the first
+    /// column left over.
+    #[inline(always)]
+    fn strip<const R: usize, const C: usize>(
+        &self,
+        c: &mut [f32],
+        i: usize,
+        mut j: usize,
+        from: usize,
+    ) -> usize {
+        while j + C <= self.n {
+            if j + C > from {
+                self.tile::<R, C>(c, i, j);
+            }
+            j += C;
+        }
+        j
     }
 
     /// The `R × C` block of outputs at row `i`, column `j`.
@@ -1009,10 +1075,12 @@ impl<'a> MatMul<'a> {
 /// whitened rows land in `s.y`. Each output element runs the oracle's
 /// operation chain: the elementwise passes go through `ops`, and the
 /// covariance, the Newton–Schulz products and the apply through
-/// [`MatMul`] (start at `+0.0`, fold `k` ascending, multiply then add).
+/// [`MatMul`] in `TC`-column tiles (start at `+0.0`, fold `k` ascending,
+/// multiply then add). Elements whose bits the chain already fixes are
+/// not recomputed: see [`MatMul::run_symmetric`] and [`newton_schulz`].
 // SAFETY: bounds-checked slice loops; `unsafe` only forwards the `ops` ISA contract.
 #[inline(always)]
-unsafe fn whiten_group_f32<O: WhitenOps>(
+unsafe fn whiten_group_f32<O: WhitenOps, const TC: usize>(
     ops: &O,
     d: usize,
     spec: &WhitenSpec,
@@ -1035,7 +1103,8 @@ unsafe fn whiten_group_f32<O: WhitenOps>(
         }
         GroupMode::Raw => {}
     }
-    // Σ[i][j] folds Xc[k][i]·Xc[k][j] over the rows k.
+    // Σ[i][j] folds Xc[k][i]·Xc[k][j] over the rows k, and Σ[j][i] the
+    // same products commuted: a symmetric product.
     MatMul {
         a: &s.xc,
         a_row: 1,
@@ -1045,7 +1114,7 @@ unsafe fn whiten_group_f32<O: WhitenOps>(
         n: d,
         k: m,
     }
-    .run(&mut s.sigma);
+    .run_symmetric::<TC>(&mut s.sigma);
     ops.scale_assign(&mut s.sigma, inv_m);
     for i in 0..d {
         s.sigma[i * d + i] += eps;
@@ -1057,18 +1126,7 @@ unsafe fn whiten_group_f32<O: WhitenOps>(
     let rtr = 1.0f32 / tr;
     s.sigman.copy_from_slice(&s.sigma);
     ops.scale_assign(&mut s.sigman, rtr);
-    s.p.fill(0.0);
-    for i in 0..d {
-        s.p[i * d + i] = 1.0;
-    }
-    // normlint: kernel-begin
-    for _ in 0..spec.t {
-        MatMul::square(&s.p, &s.p, d).run(&mut s.p2);
-        MatMul::square(&s.p2, &s.p, d).run(&mut s.p3);
-        MatMul::square(&s.p3, &s.sigman, d).run(&mut s.g);
-        ops.ns_combine(&mut s.p, &s.g);
-    }
-    // normlint: kernel-end
+    newton_schulz::<O, TC>(ops, d, spec.t, s);
     let scale = rtr.sqrt();
     s.g.copy_from_slice(&s.p);
     ops.scale_assign(&mut s.g, scale);
@@ -1087,19 +1145,72 @@ unsafe fn whiten_group_f32<O: WhitenOps>(
         n: d,
         k: d,
     }
-    .run(&mut s.y);
+    .run::<TC>(&mut s.y);
+}
+
+/// `t` Newton–Schulz steps on `s.sigman` from `P₀ = I`, leaving `P_t` in
+/// `s.p` — the oracle's loop, minus two kinds of work whose bits are
+/// already fixed:
+///
+/// * Step 1 multiplies by identities: `I·I` and `I·I·I` are exactly `I`,
+///   and each element of `I·Σ_N` folds `1·Σ_N[i][j]` among products
+///   `+0.0·Σ_N[k][j]` that are `±0.0`. From a `+0.0` start that fold is
+///   `Σ_N[i][j] + 0.0` (a `−0.0` element becomes `+0.0`; every other
+///   value, subnormals included, passes unchanged). So the step is
+///   `P₁ = 1.5·I − 0.5·(Σ_N + 0.0)`, through the same combine. This
+///   needs every `Σ_N` element finite: `0·∞` and `0·NaN` make NaNs that
+///   spread along columns, so a non-finite `Σ_N` runs the full step.
+/// * After that shortcut `P₁` is bitwise symmetric (`Σ_N` is, being a
+///   scaled symmetric product), so step 2's `P₁·P₁` is a symmetric
+///   product. Later iterates are not: `P²·P` pairs different operands in
+///   `[i][j]` and `[j][i]`.
+// SAFETY: bounds-checked slice loops; `unsafe` only forwards the `ops` ISA contract.
+#[inline(always)]
+unsafe fn newton_schulz<O: WhitenOps, const TC: usize>(
+    ops: &O,
+    d: usize,
+    t: u32,
+    s: &mut ScratchF32,
+) {
+    s.p.fill(0.0);
+    for i in 0..d {
+        s.p[i * d + i] = 1.0;
+    }
+    let shortcut = t > 0 && s.sigman.iter().all(|v| v.is_finite());
+    let first_full = if shortcut {
+        for (gij, &nij) in s.g.iter_mut().zip(&s.sigman) {
+            *gij = nij + 0.0;
+        }
+        ops.ns_combine(&mut s.p, &s.g);
+        1
+    } else {
+        0
+    };
+    // normlint: kernel-begin
+    for step in first_full..t {
+        let square = MatMul::square(&s.p, &s.p, d);
+        if shortcut && step == 1 {
+            square.run_symmetric::<TC>(&mut s.p2);
+        } else {
+            square.run::<TC>(&mut s.p2);
+        }
+        MatMul::square(&s.p2, &s.p, d).run::<TC>(&mut s.p3);
+        MatMul::square(&s.p3, &s.sigman, d).run::<TC>(&mut s.g);
+        ops.ns_combine(&mut s.p, &s.g);
+    }
+    // normlint: kernel-end
 }
 
 /// Safe scalar entry point (no special instructions).
 fn whiten_group_scalar(d: usize, spec: &WhitenSpec, eps: f32, s: &mut ScratchF32) {
     // SAFETY: ScalarOps uses no special instructions.
-    unsafe { whiten_group_f32(&ScalarOps, d, spec, eps, s) }
+    unsafe { whiten_group_f32::<_, TILE_COLS>(&ScalarOps, d, spec, eps, s) }
 }
 
 /// Portable entry point (no special instructions; autovectorizable).
 fn whiten_group_portable(d: usize, spec: &WhitenSpec, eps: f32, s: &mut ScratchF32) {
     // SAFETY: PortableOps uses no special instructions.
-    unsafe { whiten_group_f32(&PortableOps, d, spec, eps, s) }
+    unsafe { whiten_group_f32::<_, TILE_COLS>(&PortableOps, d, spec, eps, s) }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -1110,7 +1221,7 @@ mod x86 {
     //! autovectorizer widens the tiles to that ISA. Routing through a
     //! function pointer would outline a copy without the feature attribute.
 
-    use super::{whiten_group_f32, ScratchF32, WhitenOps, WhitenSpec};
+    use super::{whiten_group_f32, ScratchF32, WhitenOps, WhitenSpec, TILE_COLS, TILE_COLS_WIDE};
     use core::arch::x86_64::*;
 
     pub(super) struct Sse2Ops;
@@ -1267,7 +1378,7 @@ mod x86 {
         eps: f32,
         s: &mut ScratchF32,
     ) {
-        whiten_group_f32(&Sse2Ops, d, spec, eps, s)
+        whiten_group_f32::<_, TILE_COLS>(&Sse2Ops, d, spec, eps, s)
     }
 
     /// # Safety
@@ -1282,7 +1393,23 @@ mod x86 {
         eps: f32,
         s: &mut ScratchF32,
     ) {
-        whiten_group_f32(&Avx2Ops, d, spec, eps, s)
+        whiten_group_f32::<_, TILE_COLS>(&Avx2Ops, d, spec, eps, s)
+    }
+
+    /// # Safety
+    ///
+    /// Caller guarantees AVX-512F, AVX2 and FMA were runtime-detected.
+    /// The elementwise passes keep the AVX2 maps; the tile kernel runs
+    /// 32-column tiles, which the autovectorizer widens to two zmm
+    /// registers per tile row. As at AVX2, no FMA instruction is used.
+    #[target_feature(enable = "avx2,fma,avx512f")]
+    pub(super) unsafe fn whiten_group_avx512(
+        d: usize,
+        spec: &WhitenSpec,
+        eps: f32,
+        s: &mut ScratchF32,
+    ) {
+        whiten_group_f32::<_, TILE_COLS_WIDE>(&Avx2Ops, d, spec, eps, s)
     }
 }
 
@@ -1351,8 +1478,12 @@ impl NativeWhitenF32 {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `simd::resolve` yields Avx2 only after runtime-detecting AVX2+FMA.
             Some(SimdKernel::Avx2) => unsafe { x86::whiten_group_avx2(d, spec, eps, scratch) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `simd::resolve` yields Avx512 only after runtime-detecting
+            // AVX-512F, AVX2 and FMA.
+            Some(SimdKernel::Avx512) => unsafe { x86::whiten_group_avx512(d, spec, eps, scratch) },
             #[cfg(not(target_arch = "x86_64"))]
-            Some(SimdKernel::Sse2) | Some(SimdKernel::Avx2) => {
+            Some(SimdKernel::Sse2) | Some(SimdKernel::Avx2) | Some(SimdKernel::Avx512) => {
                 unreachable!("x86 kernels are never resolved off x86-64")
             }
         }
@@ -1688,10 +1819,20 @@ mod tests {
         expected == actual || (f32::from_bits(expected).is_nan() && f32::from_bits(actual).is_nan())
     }
 
+    /// The product at both tile widths.
+    fn products(mm: &MatMul<'_>) -> [Vec<f32>; 2] {
+        let mut narrow = vec![f32::NAN; mm.m * mm.n];
+        mm.run::<TILE_COLS>(&mut narrow);
+        let mut wide = vec![f32::NAN; mm.m * mm.n];
+        mm.run::<TILE_COLS_WIDE>(&mut wide);
+        [narrow, wide]
+    }
+
     #[test]
     fn tile_kernel_matches_the_soft_matmul_chain_bit_for_bit() {
-        // Shapes around the 4 × 16 tile: all-tail, exact tiles, and
-        // partial tiles next to full ones in both dimensions.
+        // Shapes around the 4 × 16 and 4 × 32 tiles: all-tail, exact
+        // tiles, and partial tiles next to full ones in both dimensions
+        // (48 is a wide tile beside a 16-column one).
         let shapes = [
             (1, 1, 1),
             (3, 5, 7),
@@ -1702,6 +1843,8 @@ mod tests {
             (16, 16, 16),
             (20, 20, 20),
             (33, 33, 33),
+            (6, 48, 5),
+            (5, 51, 9),
         ];
         let mut discriminating = 0;
         for (si, &(m, n, k)) in shapes.iter().enumerate() {
@@ -1737,8 +1880,7 @@ mod tests {
                 }
             }
             for (label, data, a_row, a_k) in [("row-major", &a, k, 1), ("transposed", &at, 1, m)] {
-                let mut c = vec![f32::NAN; m * n];
-                MatMul {
+                let mm = MatMul {
                     a: data,
                     a_row,
                     a_k,
@@ -1746,14 +1888,16 @@ mod tests {
                     m,
                     n,
                     k,
-                }
-                .run(&mut c);
-                for (idx, (&e, v)) in expected.iter().zip(&c).enumerate() {
-                    assert!(
-                        same_bits(e, v.to_bits()),
-                        "{label} {m}×{k}·{k}×{n}: element {idx} expected {e:#010x}, got {:#010x}",
-                        v.to_bits()
-                    );
+                };
+                for (c, cols) in products(&mm).iter().zip([TILE_COLS, TILE_COLS_WIDE]) {
+                    for (idx, (&e, v)) in expected.iter().zip(c).enumerate() {
+                        assert!(
+                            same_bits(e, v.to_bits()),
+                            "{label} {m}×{k}·{k}×{n} ({cols}-column tiles): element {idx} \
+                             expected {e:#010x}, got {:#010x}",
+                            v.to_bits()
+                        );
+                    }
                 }
             }
         }
@@ -1761,6 +1905,273 @@ mod tests {
             discriminating > 0,
             "the operands must tell a +0.0 start from a first-product seed"
         );
+    }
+
+    /// `v` with its strict lower triangle mirrored from the upper one.
+    fn symmetrize(mut v: Vec<f32>, d: usize) -> Vec<f32> {
+        for i in 0..d {
+            for j in 0..i {
+                v[i * d + j] = v[j * d + i];
+            }
+        }
+        v
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// [`same_bits`] over whole matrices, naming the first mismatch.
+    fn assert_same_bits(expected: &[f32], actual: &[f32], context: &str) {
+        assert_eq!(expected.len(), actual.len(), "{context}");
+        for (idx, (e, a)) in expected.iter().zip(actual).enumerate() {
+            assert!(
+                same_bits(e.to_bits(), a.to_bits()),
+                "{context}: element {idx} expected {:#010x}, got {:#010x}",
+                e.to_bits(),
+                a.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn symmetric_products_match_the_full_product_bit_for_bit() {
+        for (case, &(rows, d)) in [(1, 1), (3, 5), (9, 16), (7, 20), (5, 33), (40, 48), (2, 64)]
+            .iter()
+            .enumerate()
+        {
+            // The covariance Xcᵀ·Xc (read strided, as the kernel does)
+            // and P·P for a symmetric P. The edge entries put signed
+            // zeros, subnormals, overflowing products and ∞ into both.
+            let xc = edge_matrix(rows * d, 40 + case as u64);
+            let p = symmetrize(edge_matrix(d * d, 60 + case as u64), d);
+            let symmetric = [
+                MatMul {
+                    a: &xc,
+                    a_row: 1,
+                    a_k: d,
+                    b: &xc,
+                    m: d,
+                    n: d,
+                    k: rows,
+                },
+                MatMul::square(&p, &p, d),
+            ];
+            for (label, mm) in ["covariance", "P·P"].into_iter().zip(symmetric) {
+                let [narrow, wide] = products(&mm);
+                let mut sym_narrow = vec![f32::NAN; d * d];
+                mm.run_symmetric::<TILE_COLS>(&mut sym_narrow);
+                let mut sym_wide = vec![f32::NAN; d * d];
+                mm.run_symmetric::<TILE_COLS_WIDE>(&mut sym_wide);
+                let context = format!("{label} d {d} rows {rows}");
+                assert_same_bits(&narrow, &sym_narrow, &context);
+                assert_same_bits(&wide, &sym_wide, &format!("{context} wide"));
+            }
+        }
+    }
+
+    /// The oracle's loop shape over `s.sigman`: `t` full steps from
+    /// `P₀ = I`, every product run whole.
+    fn full_steps(d: usize, t: u32, s: &mut ScratchF32) {
+        s.p.fill(0.0);
+        for i in 0..d {
+            s.p[i * d + i] = 1.0;
+        }
+        for _ in 0..t {
+            MatMul::square(&s.p, &s.p, d).run::<TILE_COLS>(&mut s.p2);
+            MatMul::square(&s.p2, &s.p, d).run::<TILE_COLS>(&mut s.p3);
+            MatMul::square(&s.p3, &s.sigman, d).run::<TILE_COLS>(&mut s.g);
+            // SAFETY: ScalarOps uses no special instructions.
+            unsafe { ScalarOps.ns_combine(&mut s.p, &s.g) };
+        }
+    }
+
+    /// A trace-normalized covariance of a `3d × d` group, as the kernel
+    /// computes it, with a symmetric pair of `−0.0` and one of
+    /// subnormals: a `Σ_N` whose iterates stay finite.
+    fn trace_normalized_covariance(d: usize) -> Vec<f32> {
+        let m = 3 * d;
+        let xc: Vec<f32> = group_bits(m, d, 11)
+            .into_iter()
+            .map(f32::from_bits)
+            .collect();
+        let mut sigman = vec![0.0f32; d * d];
+        MatMul {
+            a: &xc,
+            a_row: 1,
+            a_k: d,
+            b: &xc,
+            m: d,
+            n: d,
+            k: m,
+        }
+        .run::<TILE_COLS>(&mut sigman);
+        let tr: f32 = (0..d).map(|i| sigman[i * d + i]).sum();
+        for v in &mut sigman {
+            *v *= 1.0 / tr;
+        }
+        for (i, j, v) in [(1, 4, -0.0f32), (2, 7, 1.0e-40)] {
+            sigman[i * d + j] = v;
+            sigman[j * d + i] = v;
+        }
+        sigman
+    }
+
+    #[test]
+    fn newton_schulz_shortcuts_match_the_full_steps_bit_for_bit() {
+        let d = 20;
+        let scratch = |sigman: &[f32]| {
+            let mut s = ScratchF32::default();
+            s.reserve(1, d);
+            s.sigman.copy_from_slice(sigman);
+            s
+        };
+        // A finite symmetric Σ_N with ±0.0, subnormals and values near
+        // the top of the range (edge_matrix's ±∞ replaced by −0.0), whose
+        // products overflow; and a covariance whose iterates stay finite,
+        // where a mirrored P₂·P₂ would show.
+        let edge: Vec<f32> = edge_matrix(d * d, 7)
+            .into_iter()
+            .map(|v| if v.is_finite() { v } else { -0.0 })
+            .collect();
+        let edge = symmetrize(edge, d);
+        let covariance = trace_normalized_covariance(d);
+        // Σ_N holding ∞ on the diagonal, or NaN: 0·∞ and 0·NaN in the
+        // identity products spread NaNs down their columns, so P₁ is not
+        // symmetric and neither shortcut may run.
+        let mut with_inf = covariance.clone();
+        with_inf[0] = f32::INFINITY;
+        let mut with_nan = covariance.clone();
+        with_nan[3 * d + 5] = f32::NAN;
+        with_nan[5 * d + 3] = f32::NAN;
+        let cases = [
+            ("edge", &edge, true),
+            ("covariance", &covariance, true),
+            ("covariance with ∞", &with_inf, false),
+            ("covariance with NaN", &with_nan, false),
+        ];
+        for (label, sigman, finite) in cases {
+            for t in [0u32, 1, 2, 3, 5] {
+                let mut expected = scratch(sigman);
+                full_steps(d, t, &mut expected);
+                for wide in [false, true] {
+                    let mut got = scratch(sigman);
+                    // SAFETY: ScalarOps uses no special instructions.
+                    unsafe {
+                        if wide {
+                            newton_schulz::<_, TILE_COLS_WIDE>(&ScalarOps, d, t, &mut got);
+                        } else {
+                            newton_schulz::<_, TILE_COLS>(&ScalarOps, d, t, &mut got);
+                        }
+                    }
+                    let context = format!("{label} Σ_N, t = {t}, wide tiles {wide}");
+                    // P_t, and the last step's I·Σ_N or P³·Σ_N. The
+                    // shortcut leaves P² and P³ unwritten in step 1, so
+                    // they are compared from step 2 on.
+                    let mut pairs = vec![(&expected.p, &got.p, "P"), (&expected.g, &got.g, "G")];
+                    if t >= 2 {
+                        pairs.push((&expected.p2, &got.p2, "P²"));
+                        pairs.push((&expected.p3, &got.p3, "P³"));
+                    }
+                    for (want, have, name) in pairs {
+                        assert_same_bits(want, have, &format!("{context}: {name}"));
+                    }
+                }
+            }
+            // The shortcut formula itself tells the cases apart: it
+            // matches the full step's I·Σ_N only when Σ_N is finite, and
+            // it differs from plain Σ_N where Σ_N holds −0.0.
+            let mut full = scratch(sigman);
+            full_steps(d, 1, &mut full);
+            let shortcut: Vec<f32> = sigman.iter().map(|&v| v + 0.0).collect();
+            assert_eq!(
+                bits(&shortcut) == bits(&full.g),
+                finite,
+                "{label} Σ_N: Σ_N + 0.0 against I·I·I·Σ_N"
+            );
+            if finite {
+                assert_ne!(
+                    bits(&full.g),
+                    bits(sigman),
+                    "{label}: −0.0 must become +0.0"
+                );
+            }
+        }
+    }
+
+    /// The column walk `residual_f64` used before its second product
+    /// read `Σ_N` row by row.
+    fn residual_by_columns(p: &[f64], sigman: &[f64], d: usize) -> f64 {
+        let mut p2 = vec![0.0f64; d * d];
+        for i in 0..d {
+            for k in 0..d {
+                let aik = p[i * d + k];
+                for j in 0..d {
+                    p2[i * d + j] += aik * p[k * d + j];
+                }
+            }
+        }
+        let mut worst = 0.0f64;
+        for i in 0..d {
+            for j in 0..d {
+                let mut v = 0.0f64;
+                for k in 0..d {
+                    v += p2[i * d + k] * sigman[k * d + j];
+                }
+                let target = if i == j { 1.0 } else { 0.0 };
+                let err = (v - target).abs();
+                if !err.is_finite() {
+                    return f64::NAN;
+                }
+                if err > worst {
+                    worst = err;
+                }
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn residual_matches_the_column_walk_bit_for_bit() {
+        // Edge entries kept to signed zeros, subnormals and [-2, 2], so
+        // the worst element is a rounding-sensitive sum, not one huge
+        // product.
+        let moderate = |len: usize, salt: u64, scale: f64| -> Vec<f64> {
+            edge_matrix(len, salt)
+                .into_iter()
+                .map(|v| {
+                    if v.abs() <= 2.0 {
+                        v as f64 * scale
+                    } else {
+                        0.5
+                    }
+                })
+                .collect()
+        };
+        for d in [1usize, 5, 16, 33] {
+            for salt in 0..8 {
+                // A converged-ish P (near I), a rough one, and one with an
+                // overflowing entry, which reports NaN.
+                let sigman = moderate(d * d, 3 + 16 * salt, 0.1);
+                let mut near_identity = moderate(d * d, 5 + 16 * salt, 1e-3);
+                for i in 0..d {
+                    near_identity[i * d + i] += 1.0;
+                }
+                let rough = moderate(d * d, 9 + 16 * salt, 1.0);
+                let mut blown = rough.clone();
+                blown[d * d / 2] = f64::MAX;
+                for (label, p) in [
+                    ("near I", &near_identity),
+                    ("rough", &rough),
+                    ("blown", &blown),
+                ] {
+                    let got = residual_f64(p, &sigman, d, 5);
+                    let want = residual_by_columns(p, &sigman, d);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{label} d {d} salt {salt}");
+                }
+            }
+        }
+        assert_eq!(residual_f64(&[2.0], &[7.0], 1, 0), 0.0, "T = 0 is exact");
     }
 
     #[test]
@@ -2173,6 +2584,7 @@ mod tests {
                 SimdLevel::Portable,
                 SimdLevel::Sse2,
                 SimdLevel::Avx2,
+                SimdLevel::Avx512,
             ] {
                 let Ok(exec) = NativeWhitenF32::with_simd(d, spec, level) else {
                     continue;

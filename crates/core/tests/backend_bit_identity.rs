@@ -229,11 +229,12 @@ const SIMD_DIMS: [usize; 13] = [1, 7, 8, 9, 64, 384, 448, 511, 512, 513, 768, 40
 
 /// Every *forced* level (never `Auto` — the sweep must know exactly which
 /// kernel ran).
-const FORCED_LEVELS: [SimdLevel; 4] = [
+const FORCED_LEVELS: [SimdLevel; 5] = [
     SimdLevel::Scalar,
     SimdLevel::Portable,
     SimdLevel::Sse2,
     SimdLevel::Avx2,
+    SimdLevel::Avx512,
 ];
 
 /// Build the native backend at a forced level, or `None` (with a notice on
@@ -319,7 +320,12 @@ fn assert_nan_batch_bit_stable(d: usize, spec: &MethodSpec, bits: &[u32], contex
             .all(|&b| (b & 0x7F80_0000) == 0x7F80_0000 && (b & 0x007F_FFFF) != 0),
         "{context}: NaN rows must normalize to NaNs"
     );
-    for level in [SimdLevel::Portable, SimdLevel::Sse2, SimdLevel::Avx2] {
+    for level in [
+        SimdLevel::Portable,
+        SimdLevel::Sse2,
+        SimdLevel::Avx2,
+        SimdLevel::Avx512,
+    ] {
         let Some(mut native) = forced_native(d, spec, ReduceOrder::HwTree, level) else {
             continue;
         };
@@ -393,7 +399,12 @@ fn forced_unavailable_levels_error_instead_of_downgrading() {
     let spec = MethodSpec::iterl2(5);
     // The emulated backend has no vector tier: every forced vector level
     // is a clean, nameable error — never a silent fall-through to scalar.
-    for level in [SimdLevel::Portable, SimdLevel::Sse2, SimdLevel::Avx2] {
+    for level in [
+        SimdLevel::Portable,
+        SimdLevel::Sse2,
+        SimdLevel::Avx2,
+        SimdLevel::Avx512,
+    ] {
         let err = match build_backend_simd(
             BackendKind::Emulated,
             FormatKind::Fp32,
@@ -415,20 +426,30 @@ fn forced_unavailable_levels_error_instead_of_downgrading() {
             "{text}"
         );
     }
-    // On a host without AVX2, forcing it on the native backend errors the
-    // same way (cannot be asserted unconditionally — CI hosts vary).
+    // On a host without AVX2 or AVX-512F, forcing that level on the native
+    // backend errors the same way (cannot be asserted unconditionally — CI
+    // hosts vary).
     #[cfg(target_arch = "x86_64")]
-    if !std::arch::is_x86_feature_detected!("avx2") {
+    for (level, present) in [
+        (SimdLevel::Avx2, std::arch::is_x86_feature_detected!("avx2")),
+        (
+            SimdLevel::Avx512,
+            std::arch::is_x86_feature_detected!("avx512f"),
+        ),
+    ] {
+        if present {
+            continue;
+        }
         let err = match build_backend_simd(
             BackendKind::Native,
             FormatKind::Fp32,
             64,
             &spec,
             ReduceOrder::HwTree,
-            SimdLevel::Avx2,
+            level,
         ) {
             Err(e) => e,
-            Ok(_) => panic!("host without avx2 accepted forced avx2"),
+            Ok(_) => panic!("host without {level} accepted forced {level}"),
         };
         assert!(matches!(err, NormError::SimdUnsupported { .. }), "{err}");
     }

@@ -17,18 +17,23 @@ use iterl2norm::{
 use workloads::{Distribution, VectorGen};
 
 /// The acceptance grid: d × T ∈ {0, 1, 5} for every forced level. The
-/// matmul kernel works in 4 × 16 register tiles, so 1, 4, 16, 64 and
-/// 256 are all-tail or all-full. 20 puts a 4-column tail next to a full
-/// 16-wide tile; 33 adds a one-row and a one-column tail to full tiles
-/// (the group sizes {1, 3, 7} add row tails to the apply).
-const DIMS: [usize; 7] = [1, 4, 16, 20, 33, 64, 256];
+/// matmul kernel works in register tiles of 4 rows by 16 columns, or by
+/// 32 columns at the AVX-512 level, then a 16-column tile if one fits,
+/// then single columns. 1, 4, 16, 64 and 256 are all-tail or all-full
+/// at both widths. 20 puts a 4-column tail next to a full 16-wide tile;
+/// 33 adds a one-row and a one-column tail to full tiles; 48 is a full
+/// 32-column tile beside a 16-column tail (the group sizes {1, 3, 7} add
+/// row tails to the apply). T = 5 runs both shortcut steps: the
+/// identity-free step 1 and the symmetric P₁·P₁.
+const DIMS: [usize; 8] = [1, 4, 16, 20, 33, 48, 64, 256];
 const STEPS: [u32; 3] = [0, 1, 5];
 
-const FORCED_LEVELS: [SimdLevel; 4] = [
+const FORCED_LEVELS: [SimdLevel; 5] = [
     SimdLevel::Scalar,
     SimdLevel::Portable,
     SimdLevel::Sse2,
     SimdLevel::Avx2,
+    SimdLevel::Avx512,
 ];
 
 /// Deterministic row-major `m × d` group with moderate values in
@@ -179,12 +184,17 @@ fn auto_resolution_and_detailed_path_agree_with_batch() {
 }
 
 /// Forced vector levels are a hard error where they cannot run: the
-/// emulator accepts only auto/scalar, and native AVX2 must fail cleanly on
-/// hosts without the feature.
+/// emulator accepts only auto/scalar, and native AVX2 and AVX-512 must
+/// fail cleanly on hosts without the feature.
 #[test]
 fn forced_unavailable_levels_error_cleanly() {
     let spec = WhitenSpec::default();
-    for level in [SimdLevel::Portable, SimdLevel::Sse2, SimdLevel::Avx2] {
+    for level in [
+        SimdLevel::Portable,
+        SimdLevel::Sse2,
+        SimdLevel::Avx2,
+        SimdLevel::Avx512,
+    ] {
         let err = build_whiten(BackendKind::Emulated, FormatKind::Fp32, 8, spec, level)
             .err()
             .expect("emulated must reject forced vector levels");
@@ -195,19 +205,22 @@ fn forced_unavailable_levels_error_cleanly() {
         );
     }
     #[cfg(target_arch = "x86_64")]
-    if !std::arch::is_x86_feature_detected!("avx2") {
-        let err = build_whiten(
-            BackendKind::Native,
-            FormatKind::Fp32,
-            8,
-            spec,
-            SimdLevel::Avx2,
-        )
-        .err()
-        .expect("native avx2 must be rejected on a host without avx2");
+    for (level, present) in [
+        (SimdLevel::Avx2, std::arch::is_x86_feature_detected!("avx2")),
+        (
+            SimdLevel::Avx512,
+            std::arch::is_x86_feature_detected!("avx512f"),
+        ),
+    ] {
+        if present {
+            continue;
+        }
+        let err = build_whiten(BackendKind::Native, FormatKind::Fp32, 8, spec, level)
+            .err()
+            .expect("native must reject a level the host lacks");
         assert!(
             matches!(err, NormError::SimdUnsupported { .. }),
-            "got {err:?}"
+            "{level}: got {err:?}"
         );
     }
     // Native whitening is an f32 pipeline: narrow formats stay on the oracle.
@@ -461,7 +474,12 @@ fn nan_rows_propagate_to_the_whole_group() {
         scalar_out.iter().all(|&b| f32::from_bits(b).is_nan()),
         "native: NaN must poison the whole group"
     );
-    for level in [SimdLevel::Portable, SimdLevel::Sse2, SimdLevel::Avx2] {
+    for level in [
+        SimdLevel::Portable,
+        SimdLevel::Sse2,
+        SimdLevel::Avx2,
+        SimdLevel::Avx512,
+    ] {
         let Some(mut native) = forced_native(d, spec, level) else {
             continue;
         };
