@@ -12,8 +12,9 @@
 //!
 //! * [`NormBackend`] — the object-safe execution interface: row-major
 //!   batches of raw `u32` bit patterns in, normalized bit patterns out,
-//!   with a worker-thread count. Bits are the lingua franca because the
-//!   two implementations store values in different Rust types.
+//!   partitioned over a [`PartitionRunner`] or a worker-thread count.
+//!   Bits are the lingua franca because the two implementations store
+//!   values in different Rust types.
 //! * [`Emulated<F>`](Emulated) — the softfloat path, available for every
 //!   format and always the reference.
 //! * [`NativeF32`] — the host-`f32` fast path, FP32 only.
@@ -50,7 +51,7 @@ use softfloat::{Bf16, Float, Fp16, Fp32, HostF32};
 
 use crate::engine::{MethodSpec, NormPlan, Normalizer};
 use crate::error::NormError;
-use crate::executor::PartitionRunner;
+use crate::executor::{PartitionRunner, ScopedRunner};
 use crate::hworder::ReduceOrder;
 use crate::simd::{self, SimdKernel, SimdLevel, SimdNative};
 
@@ -250,39 +251,39 @@ pub trait NormBackend: Send {
     }
 
     /// Normalize a row-major batch of bit patterns from `input` into
-    /// `out`, partitioned across up to `threads` worker threads, returning
-    /// the number of rows. Output bits do not depend on `threads`.
+    /// `out`, partitioned across the parts of `runner` (the resident
+    /// per-shard pool in the serving path), returning the number of rows.
+    /// Output bits do not depend on the runner or its width.
     ///
     /// # Errors
     ///
-    /// [`NormError::ZeroThreads`] when `threads == 0`, plus the shape
-    /// errors of [`Normalizer::normalize_batch`].
-    fn normalize_batch_bits(
-        &mut self,
-        input: &[u32],
-        out: &mut [u32],
-        threads: usize,
-    ) -> Result<usize, NormError>;
-
-    /// [`normalize_batch_bits`](NormBackend::normalize_batch_bits) over an
-    /// injected [`PartitionRunner`] — the resident per-shard pool in the
-    /// serving path. The default implementation executes through the
-    /// thread-count entry point at the runner's width (correct for any
-    /// backend, since output bits never depend on the partition vehicle);
-    /// the built-in backends override it to run their partitioned paths on
-    /// the runner itself, so no scoped threads are spawned per call.
-    ///
-    /// # Errors
-    ///
-    /// The shape errors of
-    /// [`normalize_batch_bits`](NormBackend::normalize_batch_bits).
+    /// [`NormError::OutputLengthMismatch`] when `out` differs from `input`
+    /// in length, plus the shape errors of [`Normalizer::normalize_batch`].
     fn normalize_batch_runner(
         &mut self,
         input: &[u32],
         out: &mut [u32],
         runner: &dyn PartitionRunner,
+    ) -> Result<usize, NormError>;
+
+    /// [`normalize_batch_runner`](NormBackend::normalize_batch_runner)
+    /// over `threads` per-call scoped worker threads ([`ScopedRunner`]),
+    /// for callers that hold no resident pool.
+    ///
+    /// # Errors
+    ///
+    /// [`NormError::ZeroThreads`] when `threads == 0`, plus the errors of
+    /// [`normalize_batch_runner`](NormBackend::normalize_batch_runner).
+    fn normalize_batch_bits(
+        &mut self,
+        input: &[u32],
+        out: &mut [u32],
+        threads: usize,
     ) -> Result<usize, NormError> {
-        self.normalize_batch_bits(input, out, runner.width().max(1))
+        if threads == 0 {
+            return Err(NormError::ZeroThreads);
+        }
+        self.normalize_batch_runner(input, out, &ScopedRunner(threads))
     }
 
     /// Normalize a round's buffers where they sit, over an injected
@@ -363,8 +364,8 @@ pub(crate) fn scatter(src: &[u32], segments: &mut [&mut [u32]]) {
 }
 
 /// The shared plan/engine/buffer bundle behind both backend types: decode
-/// bits into `F`, run the (serial or partitioned) batch engine, encode the
-/// result. The decode/encode buffers are reused across calls.
+/// bits into `F`, run the partitioned batch engine, encode the result.
+/// The decode/encode buffers are reused across calls.
 #[derive(Debug, Clone)]
 struct BitsEngine<F: Float> {
     plan: NormPlan<F>,
@@ -385,38 +386,15 @@ impl<F: Float> BitsEngine<F> {
         }
     }
 
-    fn run(&mut self, input: &[u32], out: &mut [u32], threads: usize) -> Result<usize, NormError> {
-        // The u32-level output length must be checked here — the engine
-        // only sees the internally-sized decode/encode buffers. Thread
-        // count and whole-rows validation live in the engine call below.
-        if out.len() != input.len() {
-            return Err(NormError::OutputLengthMismatch {
-                expected: input.len(),
-                actual: out.len(),
-            });
-        }
-        self.decoded.clear();
-        self.decoded.extend(input.iter().map(|&b| F::from_bits(b)));
-        self.encoded.clear();
-        self.encoded.resize(input.len(), F::zero());
-        let rows = self.engine.normalize_batch_parallel(
-            &self.plan,
-            &self.decoded,
-            &mut self.encoded,
-            threads,
-        )?;
-        for (slot, v) in out.iter_mut().zip(&self.encoded) {
-            *slot = v.to_bits();
-        }
-        Ok(rows)
-    }
-
-    fn run_runner(
+    fn run(
         &mut self,
         input: &[u32],
         out: &mut [u32],
         runner: &dyn PartitionRunner,
     ) -> Result<usize, NormError> {
+        // The u32-level output length must be checked here — the engine
+        // only sees the internally-sized decode/encode buffers. Whole-rows
+        // validation lives in the engine call below.
         if out.len() != input.len() {
             return Err(NormError::OutputLengthMismatch {
                 expected: input.len(),
@@ -439,7 +417,7 @@ impl<F: Float> BitsEngine<F> {
         Ok(rows)
     }
 
-    /// [`run_runner`](BitsEngine::run_runner) over a round's segments:
+    /// [`run`](BitsEngine::run) over a round's segments:
     /// they decode back to back into `decoded`, run as the one
     /// concatenated engine call (so the row partition is that call's),
     /// and encode straight back into the segments they came from.
@@ -535,22 +513,13 @@ impl<F: Float> NormBackend for Emulated<F> {
         self.inner.spec.label()
     }
 
-    fn normalize_batch_bits(
-        &mut self,
-        input: &[u32],
-        out: &mut [u32],
-        threads: usize,
-    ) -> Result<usize, NormError> {
-        self.inner.run(input, out, threads)
-    }
-
     fn normalize_batch_runner(
         &mut self,
         input: &[u32],
         out: &mut [u32],
         runner: &dyn PartitionRunner,
     ) -> Result<usize, NormError> {
-        self.inner.run_runner(input, out, runner)
+        self.inner.run(input, out, runner)
     }
 
     fn normalize_in_place_runner(
@@ -668,24 +637,6 @@ impl NormBackend for NativeF32 {
             .map_or(SimdLevel::Scalar, SimdNative::level)
     }
 
-    fn normalize_batch_bits(
-        &mut self,
-        input: &[u32],
-        out: &mut [u32],
-        threads: usize,
-    ) -> Result<usize, NormError> {
-        match &self.simd {
-            Some(simd) => simd.normalize_batch(
-                &self.inner.plan,
-                self.inner.engine.method(),
-                input,
-                out,
-                threads,
-            ),
-            None => self.inner.run(input, out, threads),
-        }
-    }
-
     fn normalize_batch_runner(
         &mut self,
         input: &[u32],
@@ -700,7 +651,7 @@ impl NormBackend for NativeF32 {
                 out,
                 runner,
             ),
-            None => self.inner.run_runner(input, out, runner),
+            None => self.inner.run(input, out, runner),
         }
     }
 

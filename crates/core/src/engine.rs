@@ -24,11 +24,11 @@
 //!   the experiment harness, the CLI) now build a [`MethodSpec`] and let
 //!   [`MethodSpec::build`] materialize it for a format.
 //!
-//! Large batches can additionally be partitioned across scoped worker
-//! threads with [`normalize_batch_parallel`](Normalizer::normalize_batch_parallel)
-//! / [`normalize_batch_parallel_in_place`](Normalizer::normalize_batch_parallel_in_place):
+//! Large batches can additionally be partitioned across the parts of a
+//! [`PartitionRunner`](crate::executor::PartitionRunner) with
+//! [`normalize_batch_runner`](Normalizer::normalize_batch_runner):
 //! contiguous row runs per worker, per-worker scratch, and per-row output
-//! bits that do not depend on the thread count.
+//! bits that do not depend on the partition.
 //!
 //! The engine is generic over [`Float`], which is also where execution
 //! *backends* plug in: driving it with [`softfloat::HostF32`] (host `f32`)
@@ -569,122 +569,18 @@ impl<F: Float, S: RsqrtScale<F>> Normalizer<F, S> {
 }
 
 impl<F: Float, S: RsqrtScale<F> + Sync> Normalizer<F, S> {
-    /// [`normalize_batch`](Normalizer::normalize_batch) partitioned across
-    /// up to `threads` scoped worker threads.
+    /// [`normalize_batch`](Normalizer::normalize_batch) partitioned over
+    /// the parts of a [`PartitionRunner`](crate::executor::PartitionRunner):
+    /// the resident per-shard pool in the serving path, per-call scoped
+    /// threads or the serial loop elsewhere.
     ///
     /// Rows are split into contiguous runs — the first `rows % workers`
     /// workers take one extra row — and every worker owns its own
-    /// partial-sum scratch, so the per-row pipeline still performs zero
-    /// heap allocations and every output row is **bit-identical** to the
-    /// serial call for any thread count (rows are independent; the
-    /// reduction order inside a row never changes). `threads == 1`, or a
-    /// batch of at most one row, falls through to the serial path and
+    /// partial-sum scratch, so every output row is **bit-identical** to
+    /// the serial call for any runner and width (rows are independent;
+    /// the reduction order inside a row never changes). A width of 1, or
+    /// a batch of at most one row, falls through to the serial path and
     /// reuses this engine's scratch.
-    ///
-    /// # Errors
-    ///
-    /// [`NormError::ZeroThreads`] when `threads == 0`, plus the shape
-    /// errors of [`normalize_batch`](Normalizer::normalize_batch).
-    pub fn normalize_batch_parallel(
-        &mut self,
-        plan: &NormPlan<F>,
-        input: &[F],
-        out: &mut [F],
-        threads: usize,
-    ) -> Result<usize, NormError> {
-        if threads == 0 {
-            return Err(NormError::ZeroThreads);
-        }
-        let rows = plan.rows_of(input.len())?;
-        if out.len() != input.len() {
-            return Err(NormError::OutputLengthMismatch {
-                expected: input.len(),
-                actual: out.len(),
-            });
-        }
-        let workers = threads.min(rows);
-        if workers <= 1 {
-            return self.normalize_batch(plan, input, out);
-        }
-        let d = plan.d();
-        let params = plan.params();
-        let method = &self.method;
-        std::thread::scope(|scope| {
-            let mut in_rest = input;
-            let mut out_rest = &mut *out;
-            for wi in 0..workers {
-                let take = worker_rows(rows, workers, wi) * d;
-                let (in_chunk, in_tail) = in_rest.split_at(take);
-                let (out_chunk, out_tail) = out_rest.split_at_mut(take);
-                in_rest = in_tail;
-                out_rest = out_tail;
-                let params = &params;
-                scope.spawn(move || {
-                    let mut partials = Vec::with_capacity(partials_capacity(d));
-                    for (x_row, out_row) in
-                        in_chunk.chunks_exact(d).zip(out_chunk.chunks_exact_mut(d))
-                    {
-                        normalize_row_into(x_row, out_row, params, method, &mut partials);
-                    }
-                });
-            }
-        });
-        Ok(rows)
-    }
-
-    /// [`normalize_batch_in_place`](Normalizer::normalize_batch_in_place)
-    /// partitioned across up to `threads` scoped worker threads, with the
-    /// same bit-identity guarantee as
-    /// [`normalize_batch_parallel`](Normalizer::normalize_batch_parallel).
-    ///
-    /// # Errors
-    ///
-    /// [`NormError::ZeroThreads`] when `threads == 0`,
-    /// [`NormError::BatchLengthMismatch`] when `data` is not whole rows.
-    pub fn normalize_batch_parallel_in_place(
-        &mut self,
-        plan: &NormPlan<F>,
-        data: &mut [F],
-        threads: usize,
-    ) -> Result<usize, NormError> {
-        if threads == 0 {
-            return Err(NormError::ZeroThreads);
-        }
-        let rows = plan.rows_of(data.len())?;
-        let workers = threads.min(rows);
-        if workers <= 1 {
-            return self.normalize_batch_in_place(plan, data);
-        }
-        let d = plan.d();
-        let params = plan.params();
-        let method = &self.method;
-        std::thread::scope(|scope| {
-            let mut rest = data;
-            for wi in 0..workers {
-                let take = worker_rows(rows, workers, wi) * d;
-                let (chunk, tail) = rest.split_at_mut(take);
-                rest = tail;
-                let params = &params;
-                scope.spawn(move || {
-                    let mut partials = Vec::with_capacity(partials_capacity(d));
-                    for row in chunk.chunks_exact_mut(d) {
-                        normalize_row_in_place(row, params, method, &mut partials);
-                    }
-                });
-            }
-        });
-        Ok(rows)
-    }
-
-    /// [`normalize_batch_parallel`](Normalizer::normalize_batch_parallel)
-    /// over an injected execution vehicle: the same contiguous
-    /// `worker_rows` partition, but the parts run on whatever
-    /// [`PartitionRunner`](crate::executor::PartitionRunner) supplies —
-    /// the resident per-shard pool in the
-    /// serving path, scoped threads or the serial loop elsewhere. The
-    /// split depends only on `runner.width()`, so output bits are
-    /// identical to the scoped path at `threads = width` (and to the
-    /// serial path, as ever).
     ///
     /// # Errors
     ///
@@ -750,7 +646,7 @@ fn partials_capacity(d: usize) -> usize {
 
 /// Rows assigned to worker `wi` when `rows` are split into contiguous
 /// runs across `workers` workers: the first `rows % workers` workers take
-/// one extra row. Shared by the scalar parallel paths above and the SIMD
+/// one extra row. Shared by the scalar runner path above and the SIMD
 /// batch driver, so every execution tier partitions identically and
 /// per-row output bits never depend on the thread count.
 pub(crate) fn worker_rows(rows: usize, workers: usize, wi: usize) -> usize {

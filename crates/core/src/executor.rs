@@ -1,14 +1,10 @@
-//! Resident partition execution and the clock seam behind adaptive
+//! Partition execution vehicles and the clock seam behind adaptive
 //! coalescing.
 //!
-//! Before this module existed, every parallel batch call
-//! ([`Normalizer::normalize_batch_parallel`](crate::Normalizer::normalize_batch_parallel),
-//! the SIMD batch driver, the whitening group partitioner) spawned and
-//! joined scoped OS threads *inside the call*. That is correct — rows
-//! are independent and the partition math never changes output bits —
-//! but it puts a `clone`+`spawn`+`join` on the latency path of every
-//! round the serving layer runs. The pieces here let threads be paid
-//! for **once**:
+//! Every partitioned call — the generic and SIMD norm engines, the
+//! whitening group partitioner — splits its work into contiguous parts
+//! itself and hands the parts to a [`PartitionRunner`], the one
+//! fork-join seam in the crate:
 //!
 //! - [`PartitionRunner`] is the seam the engines partition through: a
 //!   width (how many parts to split into) and a `run(parts, task)`
@@ -17,16 +13,18 @@
 //!   (contiguous runs via `worker_rows`); the runner only supplies the
 //!   execution vehicle, so output bits cannot depend on which runner
 //!   ran.
-//! - [`SerialRunner`] runs parts in a loop on the caller —
-//!   the `threads == 1` behaviour, now spelled as a runner.
-//! - [`ScopedRunner`] reproduces the legacy per-call
-//!   `std::thread::scope` workers — kept as the reference vehicle the
-//!   resident pool is tested against.
+//! - [`SerialRunner`] runs parts in a loop on the caller.
+//! - [`ScopedRunner`] spawns per-call `std::thread::scope` workers. It
+//!   is the vehicle behind the thread-count entry points
+//!   ([`NormBackend::normalize_batch_bits`](crate::NormBackend::normalize_batch_bits),
+//!   [`WhitenExec::whiten_groups`](crate::WhitenExec::whiten_groups)),
+//!   which one-shot callers (CLI, benches, tests) use, and the only
+//!   place in the crate's non-test code that spawns a scoped thread.
 //! - [`PartitionPool`] is the resident vehicle: N helper threads spawn
 //!   once, park on a condvar, execute claimed parts when a round
 //!   arrives, and park again. The caller participates as the
 //!   (N+1)-th worker, so a pool of `t-1` helpers gives the same
-//!   `t`-way partition the scoped path produced with `threads = t`.
+//!   `t`-way partition as `ScopedRunner(t)`.
 //!   Idle helpers burn zero CPU (no busy-spin — proven by the
 //!   wake-up counter the thread-hygiene tests read), and
 //!   [`PartitionPool::shutdown`]/`Drop` joins every helper.
@@ -95,11 +93,12 @@ impl PartitionRunner for SerialRunner {
     }
 }
 
-/// The legacy vehicle: per-call `std::thread::scope` workers, one
-/// spawned thread per part beyond the caller's own. Kept as the
-/// reference implementation the resident pool is checked against, and
-/// as the fallback for one-shot call sites that never justified a
-/// resident pool.
+/// Per-call `std::thread::scope` workers, one spawned thread per part
+/// beyond the caller's own: the vehicle behind the thread-count entry
+/// points ([`NormBackend::normalize_batch_bits`](crate::NormBackend::normalize_batch_bits),
+/// [`WhitenExec::whiten_groups`](crate::WhitenExec::whiten_groups)),
+/// where a call is too rare to justify a resident pool. The serving path
+/// runs on [`PartitionPool`] instead.
 #[derive(Debug, Clone, Copy)]
 pub struct ScopedRunner(pub usize);
 

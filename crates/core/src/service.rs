@@ -2763,7 +2763,7 @@ impl NormService {
     /// behind earlier high-priority ones, so the class jumps the line
     /// while staying FIFO within itself.
     ///
-    /// `recorded` is true when [`admit_idle`](NormService::admit_idle)
+    /// `recorded` is true when [`admit`](NormService::admit)
     /// already fed this arrival to the arrival-rate estimator.
     fn enqueue(
         &self,

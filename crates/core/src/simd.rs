@@ -42,6 +42,8 @@
 //! transformation on any architecture. The AVX-512 level exists for the
 //! whitening engine's 32-column matmul tiles (`whiten.rs`); the row
 //! kernel has no zmm form, so at that level it runs the AVX2 kernel.
+//! Whitening in turn has no portable or SSE2 form: at those levels it
+//! runs its baseline kernel.
 //! `SimdLevel::Auto` degrades gracefully (AVX-512 → AVX2 → SSE2 →
 //! portable); forcing a level the host cannot run is a clean
 //! [`NormError::SimdUnsupported`], never a silent downgrade.
@@ -104,9 +106,13 @@ pub enum SimdLevel {
     /// Force the generic scalar engine (the pre-SIMD path).
     Scalar,
     /// Force the portable fixed-width-chunk kernel (any architecture;
-    /// written so the autovectorizer can widen it).
+    /// written so the autovectorizer can widen it). Whitening has no
+    /// portable form: at this level it runs its baseline kernel, the one
+    /// forced `Scalar` runs.
     Portable,
     /// Force the x86-64 SSE2 kernel (4 lanes; baseline on every x86-64).
+    /// Whitening runs its baseline kernel here too: SSE2 is what that
+    /// build already targets.
     Sse2,
     /// Force the x86-64 AVX2+FMA kernel (8 lanes; runtime-detected).
     Avx2,
@@ -336,59 +342,11 @@ impl SimdNative {
     }
 
     /// The SIMD counterpart of the generic bits engine: same validation
-    /// order, same worker partitioning (contiguous runs, first
-    /// `rows % workers` workers take one extra row), bit-identical output.
-    /// Operates on the storage bits in place of a decode/encode pass —
-    /// `u32` and `f32` share size, alignment and total bit-pattern
-    /// validity, so the cast is free.
-    pub(crate) fn normalize_batch(
-        &self,
-        plan: &NormPlan<HostF32>,
-        method: &ScaleMethod,
-        input: &[u32],
-        out: &mut [u32],
-        threads: usize,
-    ) -> Result<usize, NormError> {
-        if out.len() != input.len() {
-            return Err(NormError::OutputLengthMismatch {
-                expected: input.len(),
-                actual: out.len(),
-            });
-        }
-        if threads == 0 {
-            return Err(NormError::ZeroThreads);
-        }
-        let rows = plan.rows_of(input.len())?;
-        let d = plan.d();
-        let ctx = self.ctx(plan, method);
-        let x = bits_as_f32(input);
-        let o = bits_as_f32_mut(out);
-        let workers = threads.min(rows);
-        if workers <= 1 {
-            self.process_rows(&ctx, Some(x), o);
-            return Ok(rows);
-        }
-        std::thread::scope(|scope| {
-            let mut x_rest = x;
-            let mut o_rest = o;
-            for wi in 0..workers {
-                let take = worker_rows(rows, workers, wi) * d;
-                let (x_chunk, x_tail) = x_rest.split_at(take);
-                let (o_chunk, o_tail) = o_rest.split_at_mut(take);
-                x_rest = x_tail;
-                o_rest = o_tail;
-                let ctx = &ctx;
-                scope.spawn(move || self.process_rows(ctx, Some(x_chunk), o_chunk));
-            }
-        });
-        Ok(rows)
-    }
-
-    /// [`normalize_batch`](SimdNative::normalize_batch) over an injected
-    /// [`PartitionRunner`]: identical validation, identical
-    /// [`worker_rows`] partition at the runner's width, identical output
-    /// bits — only the execution vehicle changes (the serving path's
-    /// resident pool instead of per-call scoped threads).
+    /// order, same worker partitioning at the runner's width (contiguous
+    /// runs, first `rows % workers` workers take one extra row),
+    /// bit-identical output. Operates on the storage bits in place of a
+    /// decode/encode pass — `u32` and `f32` share size, alignment and total
+    /// bit-pattern validity, so the cast is free.
     pub(crate) fn normalize_batch_runner(
         &self,
         plan: &NormPlan<HostF32>,
@@ -1460,8 +1418,14 @@ mod tests {
                 let run = |kernel| {
                     let simd = SimdNative::new(kernel, &plan, &method);
                     let mut out = vec![0u32; bits.len()];
-                    simd.normalize_batch(&plan, &method, &bits, &mut out, 1)
-                        .unwrap();
+                    simd.normalize_batch_runner(
+                        &plan,
+                        &method,
+                        &bits,
+                        &mut out,
+                        &crate::executor::SerialRunner,
+                    )
+                    .unwrap();
                     out
                 };
                 let portable = run(SimdKernel::Portable);

@@ -31,11 +31,13 @@
 //! * [`Emulated<F>`](crate::backend::Emulated)-style softfloat execution
 //!   for every format (FP32/FP16/BF16) — the bit-accurate reference
 //!   oracle.
-//! * A host-`f32` native path (FP32 only) that reuses the existing
-//!   [`SimdLevel`] dispatch — AVX-512, AVX2, SSE2, portable, or forced
-//!   scalar, runtime-resolved exactly like the normalization backend and
-//!   never silently downgraded. The AVX-512 level runs the same tile
-//!   kernel with 32-column tiles instead of 16.
+//! * A host-`f32` native path (FP32 only): one plain-Rust kernel body,
+//!   compiled three times. [`SimdLevel`] resolves exactly like the
+//!   normalization backend and never silently downgrades; `avx2` and
+//!   `avx512` run the body inside a `#[target_feature]` entry, where the
+//!   autovectorizer widens it (16-column tiles at AVX2, 32 at AVX-512),
+//!   and forced `scalar`, `portable` and `sse2` run the baseline build —
+//!   the way the norm path runs its AVX2 kernel at `avx512`.
 //!
 //! The native path is **bit-identical** to the emulated FP32 oracle at
 //! every SIMD level. The argument is the same as `simd.rs`, but it is
@@ -52,8 +54,8 @@
 //! fold; its rows and its vector lanes are different outputs, each
 //! performing the identical IEEE-754 binary32 round-to-nearest-even
 //! operation sequence the oracle performs, in the same order. No FMA is
-//! used on the value path (explicit mul then add; Rust never contracts,
-//! and intrinsic calls are never contracted), and no reduction is ever
+//! used on the value path (explicit mul then add; Rust never contracts a
+//! multiply and an add into one), and no reduction is ever
 //! reassociated across lanes or tiles. `tests/whiten_bit_identity.rs`
 //! enforces native ≡ emulated for every forced level × d × T.
 //!
@@ -88,6 +90,7 @@ type GroupChunk<'a> = Mutex<Option<(&'a [usize], &'a [u32], &'a mut [u32])>>;
 
 use crate::backend::{scatter, BackendKind, FormatKind};
 use crate::error::NormError;
+use crate::executor::{PartitionRunner, ScopedRunner};
 use crate::simd::{self, SimdKernel, SimdLevel};
 
 /// How a whitening group is shifted before its covariance is taken.
@@ -247,49 +250,49 @@ pub trait WhitenExec: Send {
     /// Whiten a concatenation of groups: `group_rows[g]` is the sample
     /// count `m` of group `g`, and `input`/`out` hold the groups
     /// back-to-back in row-major order. Groups are independent, so an
-    /// implementation may partition them across up to `threads` workers —
-    /// output bits never depend on the thread count (each group's
-    /// operation chain is internally sequential either way). Returns the
-    /// total row count.
+    /// implementation may partition them across the parts of `runner`
+    /// (the serving path's resident per-shard pool) — output bits never
+    /// depend on the runner or its width (each group's operation chain is
+    /// internally sequential either way). Returns the total row count.
     ///
     /// # Errors
     ///
-    /// [`NormError::ZeroThreads`] when `threads == 0`,
     /// [`NormError::OutputLengthMismatch`] when `out` differs from
     /// `input` in length, [`NormError::EmptyRequest`] when there are no
     /// groups or a group has `m = 0`, and
     /// [`NormError::GroupShapeMismatch`] when the buffer is not the
     /// concatenation the row counts describe.
+    fn whiten_groups_runner(
+        &mut self,
+        input: &[u32],
+        out: &mut [u32],
+        group_rows: &[usize],
+        runner: &dyn PartitionRunner,
+    ) -> Result<usize, NormError>;
+
+    /// [`whiten_groups_runner`](WhitenExec::whiten_groups_runner) over
+    /// `threads` per-call scoped worker threads ([`ScopedRunner`]), for
+    /// callers that hold no resident pool.
+    ///
+    /// # Errors
+    ///
+    /// [`NormError::ZeroThreads`] when `threads == 0`, plus the errors of
+    /// [`whiten_groups_runner`](WhitenExec::whiten_groups_runner).
     fn whiten_groups(
         &mut self,
         input: &[u32],
         out: &mut [u32],
         group_rows: &[usize],
         threads: usize,
-    ) -> Result<usize, NormError>;
-
-    /// [`whiten_groups`](WhitenExec::whiten_groups) over an injected
-    /// [`PartitionRunner`](crate::executor::PartitionRunner) — the
-    /// serving path's resident per-shard pool. The default executes
-    /// through the thread-count entry point at the runner's width
-    /// (bits never depend on the vehicle); the native executor
-    /// overrides it to partition groups on the runner itself.
-    ///
-    /// # Errors
-    ///
-    /// The shape errors of [`whiten_groups`](WhitenExec::whiten_groups).
-    fn whiten_groups_runner(
-        &mut self,
-        input: &[u32],
-        out: &mut [u32],
-        group_rows: &[usize],
-        runner: &dyn crate::executor::PartitionRunner,
     ) -> Result<usize, NormError> {
-        self.whiten_groups(input, out, group_rows, runner.width().max(1))
+        if threads == 0 {
+            return Err(NormError::ZeroThreads);
+        }
+        self.whiten_groups_runner(input, out, group_rows, &ScopedRunner(threads))
     }
 
     /// Whiten a round's groups where they sit, over an injected
-    /// [`PartitionRunner`](crate::executor::PartitionRunner): each of
+    /// [`PartitionRunner`]: each of
     /// `groups` is one whole `m × d` group (one request's payload in the
     /// serving path) and is overwritten with its whitened rows, returning
     /// the total row count. Groups split across the runner's parts exactly
@@ -311,7 +314,7 @@ pub trait WhitenExec: Send {
     fn whiten_in_place_runner(
         &mut self,
         groups: &mut [&mut [u32]],
-        runner: &dyn crate::executor::PartitionRunner,
+        runner: &dyn PartitionRunner,
     ) -> Result<usize, NormError> {
         let d = self.d();
         check_groups(d, groups)?;
@@ -331,7 +334,8 @@ pub trait WhitenExec: Send {
     ///
     /// # Errors
     ///
-    /// The shape errors of [`whiten_groups`](WhitenExec::whiten_groups).
+    /// The shape errors of
+    /// [`whiten_groups_runner`](WhitenExec::whiten_groups_runner).
     fn whiten_group_detailed(
         &mut self,
         input: &[u32],
@@ -372,11 +376,7 @@ fn validate_groups(
     input: &[u32],
     out: &[u32],
     group_rows: &[usize],
-    threads: usize,
 ) -> Result<usize, NormError> {
-    if threads == 0 {
-        return Err(NormError::ZeroThreads);
-    }
     if out.len() != input.len() {
         return Err(NormError::OutputLengthMismatch {
             expected: input.len(),
@@ -723,16 +723,16 @@ impl<F: Float> WhitenExec for EmulatedWhiten<F> {
         self.spec
     }
 
-    fn whiten_groups(
+    fn whiten_groups_runner(
         &mut self,
         input: &[u32],
         out: &mut [u32],
         group_rows: &[usize],
-        threads: usize,
+        _runner: &dyn PartitionRunner,
     ) -> Result<usize, NormError> {
-        let rows = validate_groups(self.d, input, out, group_rows, threads)?;
+        let rows = validate_groups(self.d, input, out, group_rows)?;
         // Serial on purpose: groups are independent, so bits cannot
-        // depend on the thread count either way, and the oracle's job is
+        // depend on the partition either way, and the oracle's job is
         // reference semantics, not throughput.
         let mut offset = 0;
         for &m in group_rows {
@@ -749,7 +749,7 @@ impl<F: Float> WhitenExec for EmulatedWhiten<F> {
         out: &mut [u32],
     ) -> Result<WhitenDetail, NormError> {
         let rows = input.len() / self.d.max(1);
-        validate_groups(self.d, input, out, &[rows], 1)?;
+        validate_groups(self.d, input, out, &[rows])?;
         self.run_group(input, out);
         Ok(detail_from_scratch(
             &self.decoded,
@@ -762,140 +762,44 @@ impl<F: Float> WhitenExec for EmulatedWhiten<F> {
 
 // --------------------------------------------------------------------
 // Native f32 path: every output element runs the oracle's operation
-// chain. The elementwise passes go through a SIMD kernel tier, the
-// products through one register-tile kernel; lanes and tile rows span
-// independent output elements only.
+// chain. The elementwise passes are plain loops, the products run
+// through one register-tile kernel; lanes and tile rows span independent
+// output elements only.
 // --------------------------------------------------------------------
 
-/// The elementwise primitives of the non-matmul passes. Each is a
-/// lanewise map over contiguous `f32` slices — implementations differ
-/// only in lane width, never in per-element operation order.
-///
-/// Methods are `unsafe` because implementations may use instructions the
-/// host must support — callers reach them only through kernels resolved
-/// by [`simd::resolve`] for this host.
-trait WhitenOps {
-    /// `dst[i] = dst[i] + src[i]`.
-    ///
-    /// # Safety: callers must hold the implementation's ISA requirement
-    /// (kernels are resolved for this host by [`simd::resolve`]).
-    unsafe fn add_assign(&self, dst: &mut [f32], src: &[f32]);
-    /// `dst[i] = dst[i] * s`.
-    ///
-    /// # Safety: callers must hold the implementation's ISA requirement
-    /// (kernels are resolved for this host by [`simd::resolve`]).
-    unsafe fn scale_assign(&self, dst: &mut [f32], s: f32);
-    /// `dst[i] = dst[i] - src[i]`.
-    ///
-    /// # Safety: callers must hold the implementation's ISA requirement
-    /// (kernels are resolved for this host by [`simd::resolve`]).
-    unsafe fn sub_assign(&self, dst: &mut [f32], src: &[f32]);
-    /// `p[i] = (1.5 * p[i]) - (0.5 * g[i])` — the Newton–Schulz combine.
-    ///
-    /// # Safety: callers must hold the implementation's ISA requirement
-    /// (kernels are resolved for this host by [`simd::resolve`]).
-    unsafe fn ns_combine(&self, p: &mut [f32], g: &[f32]);
-}
+// The elementwise maps of the non-matmul passes. They carry no
+// cross-lane state, so however wide the autovectorizer makes them inside
+// a `#[target_feature]` entry, each element runs the oracle's operation.
 
-/// Plain scalar loops — the forced-`SimdLevel::Scalar` tier, and the
-/// per-element semantics every wider tier must reproduce.
-struct ScalarOps;
-
-impl WhitenOps for ScalarOps {
-    // SAFETY: plain scalar loops — no instruction-set requirement.
-    #[inline(always)]
-    unsafe fn add_assign(&self, dst: &mut [f32], src: &[f32]) {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d += s;
-        }
-    }
-
-    // SAFETY: plain scalar loops — no instruction-set requirement.
-    #[inline(always)]
-    unsafe fn scale_assign(&self, dst: &mut [f32], s: f32) {
-        for d in dst.iter_mut() {
-            *d *= s;
-        }
-    }
-
-    // SAFETY: plain scalar loops — no instruction-set requirement.
-    #[inline(always)]
-    unsafe fn sub_assign(&self, dst: &mut [f32], src: &[f32]) {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d -= s;
-        }
-    }
-
-    // SAFETY: plain scalar loops — no instruction-set requirement.
-    #[inline(always)]
-    unsafe fn ns_combine(&self, p: &mut [f32], g: &[f32]) {
-        for (pi, &gi) in p.iter_mut().zip(g) {
-            *pi = (1.5 * *pi) - (0.5 * gi);
-        }
+/// `dst[i] = dst[i] + src[i]`.
+#[inline(always)]
+fn add_assign(dst: &mut [f32], src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += s;
     }
 }
 
-/// Lane width of the portable tier's explicit chunks.
-const PORTABLE_LANES: usize = 8;
-
-/// Fixed-width chunks in plain Rust, shaped so the autovectorizer can
-/// widen them on any architecture. Elementwise maps carry no cross-lane
-/// state, so the chunking cannot change bits — it only exposes the
-/// parallelism.
-struct PortableOps;
-
-macro_rules! portable_map {
-    ($dst:expr, |$d:ident| $body:expr) => {{
-        let mut chunks = $dst.chunks_exact_mut(PORTABLE_LANES);
-        for chunk in &mut chunks {
-            for $d in chunk.iter_mut() {
-                $body
-            }
-        }
-        for $d in chunks.into_remainder().iter_mut() {
-            $body
-        }
-    }};
+/// `dst[i] = dst[i] * s`.
+#[inline(always)]
+fn scale_assign(dst: &mut [f32], s: f32) {
+    for d in dst.iter_mut() {
+        *d *= s;
+    }
 }
 
-macro_rules! portable_zip {
-    ($dst:expr, $src:expr, |$d:ident, $s:ident| $body:expr) => {{
-        let mut dc = $dst.chunks_exact_mut(PORTABLE_LANES);
-        let mut sc = $src.chunks_exact(PORTABLE_LANES);
-        for (dchunk, schunk) in (&mut dc).zip(&mut sc) {
-            for ($d, &$s) in dchunk.iter_mut().zip(schunk) {
-                $body
-            }
-        }
-        for ($d, &$s) in dc.into_remainder().iter_mut().zip(sc.remainder()) {
-            $body
-        }
-    }};
+/// `dst[i] = dst[i] - src[i]`.
+#[inline(always)]
+fn sub_assign(dst: &mut [f32], src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d -= s;
+    }
 }
 
-impl WhitenOps for PortableOps {
-    // SAFETY: portable lanewise loops — no target-specific instructions.
-    #[inline(always)]
-    unsafe fn add_assign(&self, dst: &mut [f32], src: &[f32]) {
-        portable_zip!(dst, src, |d, s| *d += s);
-    }
-
-    // SAFETY: portable lanewise loops — no target-specific instructions.
-    #[inline(always)]
-    unsafe fn scale_assign(&self, dst: &mut [f32], s: f32) {
-        portable_map!(dst, |d| *d *= s);
-    }
-
-    // SAFETY: portable lanewise loops — no target-specific instructions.
-    #[inline(always)]
-    unsafe fn sub_assign(&self, dst: &mut [f32], src: &[f32]) {
-        portable_zip!(dst, src, |d, s| *d -= s);
-    }
-
-    // SAFETY: portable lanewise loops — no target-specific instructions.
-    #[inline(always)]
-    unsafe fn ns_combine(&self, p: &mut [f32], g: &[f32]) {
-        portable_zip!(p, g, |pi, gi| *pi = (1.5 * *pi) - (0.5 * gi));
+/// `p[i] = (1.5 * p[i]) - (0.5 * g[i])` — the Newton–Schulz combine.
+#[inline(always)]
+fn ns_combine(p: &mut [f32], g: &[f32]) {
+    for (pi, &gi) in p.iter_mut().zip(g) {
+        *pi = (1.5 * *pi) - (0.5 * gi);
     }
 }
 
@@ -1073,20 +977,13 @@ impl<'a> MatMul<'a> {
 /// Whiten one group in host-`f32` arithmetic — the f32 twin of
 /// [`whiten_group_soft`]. The group arrives decoded in `s.xc`; the
 /// whitened rows land in `s.y`. Each output element runs the oracle's
-/// operation chain: the elementwise passes go through `ops`, and the
-/// covariance, the Newton–Schulz products and the apply through
+/// operation chain: the elementwise passes are plain maps, and the
+/// covariance, the Newton–Schulz products and the apply go through
 /// [`MatMul`] in `TC`-column tiles (start at `+0.0`, fold `k` ascending,
 /// multiply then add). Elements whose bits the chain already fixes are
 /// not recomputed: see [`MatMul::run_symmetric`] and [`newton_schulz`].
-// SAFETY: bounds-checked slice loops; `unsafe` only forwards the `ops` ISA contract.
 #[inline(always)]
-unsafe fn whiten_group_f32<O: WhitenOps, const TC: usize>(
-    ops: &O,
-    d: usize,
-    spec: &WhitenSpec,
-    eps: f32,
-    s: &mut ScratchF32,
-) {
+fn whiten_group_f32<const TC: usize>(d: usize, spec: &WhitenSpec, eps: f32, s: &mut ScratchF32) {
     let m = s.xc.len() / d;
     s.reserve(m, d);
     let inv_m = 1.0f32 / (m as f64 as f32);
@@ -1094,11 +991,11 @@ unsafe fn whiten_group_f32<O: WhitenOps, const TC: usize>(
         GroupMode::Center => {
             s.mean.fill(0.0);
             for row in s.xc.chunks_exact(d) {
-                ops.add_assign(&mut s.mean, row);
+                add_assign(&mut s.mean, row);
             }
-            ops.scale_assign(&mut s.mean, inv_m);
+            scale_assign(&mut s.mean, inv_m);
             for row in s.xc.chunks_exact_mut(d) {
-                ops.sub_assign(row, &s.mean);
+                sub_assign(row, &s.mean);
             }
         }
         GroupMode::Raw => {}
@@ -1115,7 +1012,7 @@ unsafe fn whiten_group_f32<O: WhitenOps, const TC: usize>(
         k: m,
     }
     .run_symmetric::<TC>(&mut s.sigma);
-    ops.scale_assign(&mut s.sigma, inv_m);
+    scale_assign(&mut s.sigma, inv_m);
     for i in 0..d {
         s.sigma[i * d + i] += eps;
     }
@@ -1125,11 +1022,11 @@ unsafe fn whiten_group_f32<O: WhitenOps, const TC: usize>(
     }
     let rtr = 1.0f32 / tr;
     s.sigman.copy_from_slice(&s.sigma);
-    ops.scale_assign(&mut s.sigman, rtr);
-    newton_schulz::<O, TC>(ops, d, spec.t, s);
+    scale_assign(&mut s.sigman, rtr);
+    newton_schulz::<TC>(d, spec.t, s);
     let scale = rtr.sqrt();
     s.g.copy_from_slice(&s.p);
-    ops.scale_assign(&mut s.g, scale);
+    scale_assign(&mut s.g, scale);
     for i in 0..d {
         for j in 0..d {
             s.wmt[j * d + i] = s.g[i * d + j];
@@ -1164,14 +1061,8 @@ unsafe fn whiten_group_f32<O: WhitenOps, const TC: usize>(
 ///   scaled symmetric product), so step 2's `P₁·P₁` is a symmetric
 ///   product. Later iterates are not: `P²·P` pairs different operands in
 ///   `[i][j]` and `[j][i]`.
-// SAFETY: bounds-checked slice loops; `unsafe` only forwards the `ops` ISA contract.
 #[inline(always)]
-unsafe fn newton_schulz<O: WhitenOps, const TC: usize>(
-    ops: &O,
-    d: usize,
-    t: u32,
-    s: &mut ScratchF32,
-) {
+fn newton_schulz<const TC: usize>(d: usize, t: u32, s: &mut ScratchF32) {
     s.p.fill(0.0);
     for i in 0..d {
         s.p[i * d + i] = 1.0;
@@ -1181,7 +1072,7 @@ unsafe fn newton_schulz<O: WhitenOps, const TC: usize>(
         for (gij, &nij) in s.g.iter_mut().zip(&s.sigman) {
             *gij = nij + 0.0;
         }
-        ops.ns_combine(&mut s.p, &s.g);
+        ns_combine(&mut s.p, &s.g);
         1
     } else {
         0
@@ -1196,196 +1087,34 @@ unsafe fn newton_schulz<O: WhitenOps, const TC: usize>(
         }
         MatMul::square(&s.p2, &s.p, d).run::<TC>(&mut s.p3);
         MatMul::square(&s.p3, &s.sigman, d).run::<TC>(&mut s.g);
-        ops.ns_combine(&mut s.p, &s.g);
+        ns_combine(&mut s.p, &s.g);
     }
     // normlint: kernel-end
 }
 
-/// Safe scalar entry point (no special instructions).
+/// The baseline build of the kernel, which forced `scalar`, `portable`
+/// and `sse2` all run (SSE2 is the x86-64 baseline it already targets).
 fn whiten_group_scalar(d: usize, spec: &WhitenSpec, eps: f32, s: &mut ScratchF32) {
-    // SAFETY: ScalarOps uses no special instructions.
-    unsafe { whiten_group_f32::<_, TILE_COLS>(&ScalarOps, d, spec, eps, s) }
-}
-
-/// Portable entry point (no special instructions; autovectorizable).
-fn whiten_group_portable(d: usize, spec: &WhitenSpec, eps: f32, s: &mut ScratchF32) {
-    // SAFETY: PortableOps uses no special instructions.
-    unsafe { whiten_group_f32::<_, TILE_COLS>(&PortableOps, d, spec, eps, s) }
+    whiten_group_f32::<TILE_COLS>(d, spec, eps, s)
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! SSE2/AVX2 lanewise maps. As in `simd.rs`, the generic pipeline —
-    //! the `MatMul` tile kernel included — is `#[inline(always)]` and
-    //! instantiated *inside* each `#[target_feature]` entry point, so the
-    //! autovectorizer widens the tiles to that ISA. Routing through a
-    //! function pointer would outline a copy without the feature attribute.
+    //! The wide entry points. As in `simd.rs`, the generic pipeline —
+    //! the `MatMul` tile kernel and the elementwise maps included — is
+    //! `#[inline(always)]` and instantiated *inside* each
+    //! `#[target_feature]` entry point, so the autovectorizer widens it
+    //! to that ISA. Routing through a function pointer would outline a
+    //! copy without the feature attribute.
 
-    use super::{whiten_group_f32, ScratchF32, WhitenOps, WhitenSpec, TILE_COLS, TILE_COLS_WIDE};
-    use core::arch::x86_64::*;
-
-    pub(super) struct Sse2Ops;
-
-    impl WhitenOps for Sse2Ops {
-        // SAFETY: SSE2 ops on in-bounds offsets (`i + 4 <= len`); SSE2 is the x86-64 baseline.
-        #[inline(always)]
-        unsafe fn add_assign(&self, dst: &mut [f32], src: &[f32]) {
-            let mut i = 0;
-            while i + 4 <= dst.len() {
-                let d = _mm_loadu_ps(dst.as_ptr().add(i));
-                let s = _mm_loadu_ps(src.as_ptr().add(i));
-                _mm_storeu_ps(dst.as_mut_ptr().add(i), _mm_add_ps(d, s));
-                i += 4;
-            }
-            while i < dst.len() {
-                dst[i] += src[i];
-                i += 1;
-            }
-        }
-
-        // SAFETY: SSE2 ops on in-bounds offsets (`i + 4 <= len`); SSE2 is the x86-64 baseline.
-        #[inline(always)]
-        unsafe fn scale_assign(&self, dst: &mut [f32], s: f32) {
-            let sv = _mm_set1_ps(s);
-            let mut i = 0;
-            while i + 4 <= dst.len() {
-                let d = _mm_loadu_ps(dst.as_ptr().add(i));
-                _mm_storeu_ps(dst.as_mut_ptr().add(i), _mm_mul_ps(d, sv));
-                i += 4;
-            }
-            while i < dst.len() {
-                dst[i] *= s;
-                i += 1;
-            }
-        }
-
-        // SAFETY: SSE2 ops on in-bounds offsets (`i + 4 <= len`); SSE2 is the x86-64 baseline.
-        #[inline(always)]
-        unsafe fn sub_assign(&self, dst: &mut [f32], src: &[f32]) {
-            let mut i = 0;
-            while i + 4 <= dst.len() {
-                let d = _mm_loadu_ps(dst.as_ptr().add(i));
-                let s = _mm_loadu_ps(src.as_ptr().add(i));
-                _mm_storeu_ps(dst.as_mut_ptr().add(i), _mm_sub_ps(d, s));
-                i += 4;
-            }
-            while i < dst.len() {
-                dst[i] -= src[i];
-                i += 1;
-            }
-        }
-
-        // SAFETY: SSE2 ops on in-bounds offsets (`i + 4 <= len`); SSE2 is the x86-64 baseline.
-        #[inline(always)]
-        unsafe fn ns_combine(&self, p: &mut [f32], g: &[f32]) {
-            let c15 = _mm_set1_ps(1.5);
-            let c05 = _mm_set1_ps(0.5);
-            let mut i = 0;
-            while i + 4 <= p.len() {
-                let pv = _mm_loadu_ps(p.as_ptr().add(i));
-                let gv = _mm_loadu_ps(g.as_ptr().add(i));
-                let lhs = _mm_mul_ps(c15, pv);
-                let rhs = _mm_mul_ps(c05, gv);
-                _mm_storeu_ps(p.as_mut_ptr().add(i), _mm_sub_ps(lhs, rhs));
-                i += 4;
-            }
-            while i < p.len() {
-                p[i] = (1.5 * p[i]) - (0.5 * g[i]);
-                i += 1;
-            }
-        }
-    }
-
-    pub(super) struct Avx2Ops;
-
-    impl WhitenOps for Avx2Ops {
-        // SAFETY: AVX2 ops on in-bounds offsets; reached only through the AVX2-resolved kernel.
-        #[inline(always)]
-        unsafe fn add_assign(&self, dst: &mut [f32], src: &[f32]) {
-            let mut i = 0;
-            while i + 8 <= dst.len() {
-                let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-                let s = _mm256_loadu_ps(src.as_ptr().add(i));
-                _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_add_ps(d, s));
-                i += 8;
-            }
-            while i < dst.len() {
-                dst[i] += src[i];
-                i += 1;
-            }
-        }
-
-        // SAFETY: AVX2 ops on in-bounds offsets; reached only through the AVX2-resolved kernel.
-        #[inline(always)]
-        unsafe fn scale_assign(&self, dst: &mut [f32], s: f32) {
-            let sv = _mm256_set1_ps(s);
-            let mut i = 0;
-            while i + 8 <= dst.len() {
-                let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-                _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_mul_ps(d, sv));
-                i += 8;
-            }
-            while i < dst.len() {
-                dst[i] *= s;
-                i += 1;
-            }
-        }
-
-        // SAFETY: AVX2 ops on in-bounds offsets; reached only through the AVX2-resolved kernel.
-        #[inline(always)]
-        unsafe fn sub_assign(&self, dst: &mut [f32], src: &[f32]) {
-            let mut i = 0;
-            while i + 8 <= dst.len() {
-                let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-                let s = _mm256_loadu_ps(src.as_ptr().add(i));
-                _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_sub_ps(d, s));
-                i += 8;
-            }
-            while i < dst.len() {
-                dst[i] -= src[i];
-                i += 1;
-            }
-        }
-
-        // SAFETY: AVX2 ops on in-bounds offsets; reached only through the AVX2-resolved kernel.
-        #[inline(always)]
-        unsafe fn ns_combine(&self, p: &mut [f32], g: &[f32]) {
-            let c15 = _mm256_set1_ps(1.5);
-            let c05 = _mm256_set1_ps(0.5);
-            let mut i = 0;
-            while i + 8 <= p.len() {
-                let pv = _mm256_loadu_ps(p.as_ptr().add(i));
-                let gv = _mm256_loadu_ps(g.as_ptr().add(i));
-                let lhs = _mm256_mul_ps(c15, pv);
-                let rhs = _mm256_mul_ps(c05, gv);
-                _mm256_storeu_ps(p.as_mut_ptr().add(i), _mm256_sub_ps(lhs, rhs));
-                i += 8;
-            }
-            while i < p.len() {
-                p[i] = (1.5 * p[i]) - (0.5 * g[i]);
-                i += 1;
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller guarantees SSE2 (the x86-64 baseline — always true here).
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn whiten_group_sse2(
-        d: usize,
-        spec: &WhitenSpec,
-        eps: f32,
-        s: &mut ScratchF32,
-    ) {
-        whiten_group_f32::<_, TILE_COLS>(&Sse2Ops, d, spec, eps, s)
-    }
+    use super::{whiten_group_f32, ScratchF32, WhitenSpec, TILE_COLS, TILE_COLS_WIDE};
 
     /// # Safety
     ///
     /// Caller guarantees AVX2+FMA were runtime-detected. FMA is enabled
-    /// for parity with the resolver's detection, but no FMA intrinsic is
-    /// used — the value path is mul-then-add throughout.
+    /// for parity with the resolver's detection, but Rust never
+    /// contracts a multiply and an add into one — the value path is
+    /// mul-then-add throughout.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn whiten_group_avx2(
         d: usize,
@@ -1393,15 +1122,15 @@ mod x86 {
         eps: f32,
         s: &mut ScratchF32,
     ) {
-        whiten_group_f32::<_, TILE_COLS>(&Avx2Ops, d, spec, eps, s)
+        whiten_group_f32::<TILE_COLS>(d, spec, eps, s)
     }
 
     /// # Safety
     ///
     /// Caller guarantees AVX-512F, AVX2 and FMA were runtime-detected.
-    /// The elementwise passes keep the AVX2 maps; the tile kernel runs
-    /// 32-column tiles, which the autovectorizer widens to two zmm
-    /// registers per tile row. As at AVX2, no FMA instruction is used.
+    /// The tile kernel runs 32-column tiles, which the autovectorizer
+    /// widens to two zmm registers per tile row. As at AVX2, no FMA
+    /// instruction is used.
     #[target_feature(enable = "avx2,fma,avx512f")]
     pub(super) unsafe fn whiten_group_avx512(
         d: usize,
@@ -1409,7 +1138,7 @@ mod x86 {
         eps: f32,
         s: &mut ScratchF32,
     ) {
-        whiten_group_f32::<_, TILE_COLS_WIDE>(&Avx2Ops, d, spec, eps, s)
+        whiten_group_f32::<TILE_COLS_WIDE>(d, spec, eps, s)
     }
 }
 
@@ -1470,11 +1199,9 @@ impl NativeWhitenF32 {
         scratch.xc.extend(src.iter().map(|&b| f32::from_bits(b)));
         let (d, spec, eps) = (self.d, &self.spec, self.eps);
         match self.kernel {
-            None => whiten_group_scalar(d, spec, eps, scratch),
-            Some(SimdKernel::Portable) => whiten_group_portable(d, spec, eps, scratch),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `simd::resolve` yields Sse2 only on x86-64, where SSE2 is baseline.
-            Some(SimdKernel::Sse2) => unsafe { x86::whiten_group_sse2(d, spec, eps, scratch) },
+            None | Some(SimdKernel::Portable) | Some(SimdKernel::Sse2) => {
+                whiten_group_scalar(d, spec, eps, scratch)
+            }
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `simd::resolve` yields Avx2 only after runtime-detecting AVX2+FMA.
             Some(SimdKernel::Avx2) => unsafe { x86::whiten_group_avx2(d, spec, eps, scratch) },
@@ -1483,7 +1210,7 @@ impl NativeWhitenF32 {
             // AVX-512F, AVX2 and FMA.
             Some(SimdKernel::Avx512) => unsafe { x86::whiten_group_avx512(d, spec, eps, scratch) },
             #[cfg(not(target_arch = "x86_64"))]
-            Some(SimdKernel::Sse2) | Some(SimdKernel::Avx2) | Some(SimdKernel::Avx512) => {
+            Some(SimdKernel::Avx2) | Some(SimdKernel::Avx512) => {
                 unreachable!("x86 kernels are never resolved off x86-64")
             }
         }
@@ -1514,15 +1241,15 @@ impl WhitenExec for NativeWhitenF32 {
         self.kernel.map_or(SimdLevel::Scalar, SimdKernel::level)
     }
 
-    fn whiten_groups(
+    fn whiten_groups_runner(
         &mut self,
         input: &[u32],
         out: &mut [u32],
         group_rows: &[usize],
-        threads: usize,
+        runner: &dyn PartitionRunner,
     ) -> Result<usize, NormError> {
-        let rows = validate_groups(self.d, input, out, group_rows, threads)?;
-        let workers = threads.min(group_rows.len());
+        let rows = validate_groups(self.d, input, out, group_rows)?;
+        let workers = runner.width().min(group_rows.len());
         if workers <= 1 {
             let mut scratch = core::mem::take(&mut self.scratch);
             let mut offset = 0;
@@ -1540,52 +1267,9 @@ impl WhitenExec for NativeWhitenF32 {
         }
         // Partition *groups* (not rows) across workers: each group's
         // operation chain is internally sequential, so any partition of
-        // whole groups produces the same bits.
-        let per = group_rows.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let mut in_rest = input;
-            let mut out_rest = out;
-            for chunk in group_rows.chunks(per) {
-                let take: usize = chunk.iter().map(|&m| m * self.d).sum();
-                let (in_chunk, in_tail) = in_rest.split_at(take);
-                let (out_chunk, out_tail) = out_rest.split_at_mut(take);
-                in_rest = in_tail;
-                out_rest = out_tail;
-                let this = &*self;
-                scope.spawn(move || {
-                    let mut scratch = ScratchF32::default();
-                    let mut offset = 0;
-                    for &m in chunk {
-                        let len = m * this.d;
-                        this.run_group(
-                            Some(&in_chunk[offset..offset + len]),
-                            &mut out_chunk[offset..offset + len],
-                            &mut scratch,
-                        );
-                        offset += len;
-                    }
-                });
-            }
-        });
-        Ok(rows)
-    }
-
-    fn whiten_groups_runner(
-        &mut self,
-        input: &[u32],
-        out: &mut [u32],
-        group_rows: &[usize],
-        runner: &dyn crate::executor::PartitionRunner,
-    ) -> Result<usize, NormError> {
-        let width = runner.width().max(1);
-        let rows = validate_groups(self.d, input, out, group_rows, width)?;
-        let workers = width.min(group_rows.len());
-        if workers <= 1 {
-            return self.whiten_groups(input, out, group_rows, 1);
-        }
-        // The same group-wise chunking as the scoped path (identical
-        // `chunks(per)` split → identical bits), with the per-part mutex
-        // hand-off the other runner paths use.
+        // whole groups produces the same bits. Each part takes its
+        // pre-split run out of its own mutex, the hand-off the other
+        // runner paths use.
         let per = group_rows.len().div_ceil(workers);
         let mut parts: Vec<GroupChunk<'_>> = Vec::new();
         let mut in_rest = input;
@@ -1625,7 +1309,7 @@ impl WhitenExec for NativeWhitenF32 {
     fn whiten_in_place_runner(
         &mut self,
         groups: &mut [&mut [u32]],
-        runner: &dyn crate::executor::PartitionRunner,
+        runner: &dyn PartitionRunner,
     ) -> Result<usize, NormError> {
         let rows = check_groups(self.d, groups)?;
         let workers = runner.width().min(groups.len());
@@ -1667,7 +1351,7 @@ impl WhitenExec for NativeWhitenF32 {
         out: &mut [u32],
     ) -> Result<WhitenDetail, NormError> {
         let rows = input.len() / self.d.max(1);
-        validate_groups(self.d, input, out, &[rows], 1)?;
+        validate_groups(self.d, input, out, &[rows])?;
         let mut scratch = core::mem::take(&mut self.scratch);
         self.run_group(Some(input), out, &mut scratch);
         let d = self.d;
@@ -1981,8 +1665,7 @@ mod tests {
             MatMul::square(&s.p, &s.p, d).run::<TILE_COLS>(&mut s.p2);
             MatMul::square(&s.p2, &s.p, d).run::<TILE_COLS>(&mut s.p3);
             MatMul::square(&s.p3, &s.sigman, d).run::<TILE_COLS>(&mut s.g);
-            // SAFETY: ScalarOps uses no special instructions.
-            unsafe { ScalarOps.ns_combine(&mut s.p, &s.g) };
+            ns_combine(&mut s.p, &s.g);
         }
     }
 
@@ -2056,13 +1739,10 @@ mod tests {
                 full_steps(d, t, &mut expected);
                 for wide in [false, true] {
                     let mut got = scratch(sigman);
-                    // SAFETY: ScalarOps uses no special instructions.
-                    unsafe {
-                        if wide {
-                            newton_schulz::<_, TILE_COLS_WIDE>(&ScalarOps, d, t, &mut got);
-                        } else {
-                            newton_schulz::<_, TILE_COLS>(&ScalarOps, d, t, &mut got);
-                        }
+                    if wide {
+                        newton_schulz::<TILE_COLS_WIDE>(d, t, &mut got);
+                    } else {
+                        newton_schulz::<TILE_COLS>(d, t, &mut got);
                     }
                     let context = format!("{label} Σ_N, t = {t}, wide tiles {wide}");
                     // P_t, and the last step's I·Σ_N or P³·Σ_N. The

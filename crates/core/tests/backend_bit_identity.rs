@@ -1,7 +1,8 @@
 //! The execution-backend contract, enforced: `NativeF32` output is
 //! bit-identical to `Emulated<Fp32>` for every scale method and reduction
-//! order, and parallel batches are bit-identical to serial ones for every
-//! tested thread count.
+//! order, and partitioned batches are bit-identical to serial ones for
+//! every tested width of both partition vehicles (per-call scoped threads
+//! and the resident pool).
 //!
 //! The row set deliberately includes the hard cases: subnormal-heavy rows
 //! (FP32 exponent fields 0..=2), all-`+0` and all-`−0` rows, and the
@@ -14,13 +15,23 @@ use iterl2norm::backend::{
     build_backend, build_backend_simd, BackendKind, Emulated, FormatKind, NativeF32,
 };
 use iterl2norm::{
-    MethodSpec, NormBackend, NormError, NormPlan, Normalizer, ReduceOrder, SimdLevel,
+    MethodSpec, NormBackend, NormError, NormPlan, Normalizer, PartitionPool, PartitionRunner,
+    ReduceOrder, ScopedRunner, SimdLevel,
 };
 use softfloat::{Float, Fp32, HostF32};
 use workloads::{Distribution, VectorGen};
 
 const DIMS: [usize; 5] = [1, 7, 64, 384, 768];
 const THREADS: [usize; 4] = [1, 2, 3, 8];
+
+/// Both partition vehicles at width `threads`: per-call scoped threads
+/// and a resident pool whose caller is the last of `threads` workers.
+fn vehicles(threads: usize) -> [Box<dyn PartitionRunner>; 2] {
+    [
+        Box::new(ScopedRunner(threads)),
+        Box::new(PartitionPool::new(threads - 1, "bbi-")),
+    ]
+}
 
 /// A deterministic FP32 bit pattern with exponent field 0..=2: subnormals
 /// and the smallest normals, mixed signs.
@@ -134,26 +145,20 @@ fn parallel_batches_match_serial_for_all_thread_counts() {
         let mut serial = vec![Fp32::ZERO; flat.len()];
         engine.normalize_batch(&plan, &flat, &mut serial).unwrap();
         for threads in THREADS {
-            let mut parallel = vec![Fp32::ZERO; flat.len()];
-            let done = engine
-                .normalize_batch_parallel(&plan, &flat, &mut parallel, threads)
-                .unwrap();
-            assert_eq!(done, rows);
-            for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{} threads={threads}: element {i}",
-                    spec.label()
-                );
-            }
-            // In-place partitioning must agree too.
-            let mut in_place = flat.clone();
-            engine
-                .normalize_batch_parallel_in_place(&plan, &mut in_place, threads)
-                .unwrap();
-            for (a, b) in serial.iter().zip(&in_place) {
-                assert_eq!(a.to_bits(), b.to_bits(), "in-place threads={threads}");
+            for runner in vehicles(threads) {
+                let mut parallel = vec![Fp32::ZERO; flat.len()];
+                let done = engine
+                    .normalize_batch_runner(&plan, &flat, &mut parallel, &*runner)
+                    .unwrap();
+                assert_eq!(done, rows);
+                for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{} threads={threads}: element {i}",
+                        spec.label()
+                    );
+                }
             }
         }
     }
@@ -206,13 +211,15 @@ fn parallel_preserves_row_stats_independence() {
             .collect();
         let mut serial = vec![HostF32::ZERO; flat.len()];
         engine.normalize_batch(&plan, &flat, &mut serial).unwrap();
-        let mut parallel = vec![HostF32::ZERO; flat.len()];
-        let done = engine
-            .normalize_batch_parallel(&plan, &flat, &mut parallel, 16)
-            .unwrap();
-        assert_eq!(done, rows);
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.to_bits(), b.to_bits(), "rows={rows}");
+        for runner in vehicles(16) {
+            let mut parallel = vec![HostF32::ZERO; flat.len()];
+            let done = engine
+                .normalize_batch_runner(&plan, &flat, &mut parallel, &*runner)
+                .unwrap();
+            assert_eq!(done, rows);
+            for (a, b) in serial.iter().zip(&parallel) {
+                assert_eq!(a.to_bits(), b.to_bits(), "rows={rows}");
+            }
         }
     }
 }
@@ -472,28 +479,41 @@ fn forced_unavailable_levels_error_instead_of_downgrading() {
 #[test]
 fn parallel_entry_points_reject_zero_threads() {
     let d = 16;
+    let spec = MethodSpec::iterl2(5);
+    let input = vec![Fp32::ONE.to_bits(); d * 4];
+    let mut out = vec![0u32; d * 4];
+    let mut short = vec![0u32; d];
+    for kind in BackendKind::ALL {
+        let mut backend =
+            build_backend(kind, FormatKind::Fp32, d, &spec, ReduceOrder::HwTree).unwrap();
+        assert_eq!(
+            backend
+                .normalize_batch_bits(&input, &mut out, 0)
+                .unwrap_err(),
+            NormError::ZeroThreads,
+            "{kind}"
+        );
+        // Shape errors still surface through both partition vehicles.
+        for runner in vehicles(2) {
+            assert_eq!(
+                backend
+                    .normalize_batch_runner(&input, &mut short, &*runner)
+                    .unwrap_err(),
+                NormError::OutputLengthMismatch {
+                    expected: d * 4,
+                    actual: d
+                },
+                "{kind}"
+            );
+        }
+    }
     let plan = NormPlan::<Fp32>::new(d).unwrap();
-    let mut engine = Normalizer::from_spec(&MethodSpec::iterl2(5));
+    let mut engine = Normalizer::from_spec(&spec);
     let input = vec![Fp32::ONE; d * 4];
-    let mut out = vec![Fp32::ZERO; d * 4];
-    assert_eq!(
-        engine
-            .normalize_batch_parallel(&plan, &input, &mut out, 0)
-            .unwrap_err(),
-        NormError::ZeroThreads
-    );
-    let mut data = input.clone();
-    assert_eq!(
-        engine
-            .normalize_batch_parallel_in_place(&plan, &mut data, 0)
-            .unwrap_err(),
-        NormError::ZeroThreads
-    );
-    // Shape errors still surface through the parallel path.
     let mut short = vec![Fp32::ZERO; d];
     assert_eq!(
         engine
-            .normalize_batch_parallel(&plan, &input, &mut short, 2)
+            .normalize_batch_runner(&plan, &input, &mut short, &ScopedRunner(2))
             .unwrap_err(),
         NormError::OutputLengthMismatch {
             expected: d * 4,

@@ -27,7 +27,9 @@ use std::time::Duration;
 use iterl2norm::backend::{build_backend, BackendKind, FormatKind};
 use iterl2norm::service::{NormRequest, ServiceConfig};
 use iterl2norm::whiten::{build_whiten, WhitenSpec};
-use iterl2norm::{MethodSpec, NormBackend, NormError, ReduceOrder, RowMoments, SimdLevel};
+use iterl2norm::{
+    MethodSpec, NormBackend, NormError, PartitionRunner, ReduceOrder, RowMoments, SimdLevel,
+};
 use workloads::{Distribution, VectorGen};
 
 const D: usize = 16;
@@ -203,11 +205,11 @@ impl NormBackend for PanickingBackend {
         "panicking-test".into()
     }
 
-    fn normalize_batch_bits(
+    fn normalize_batch_runner(
         &mut self,
         _input: &[u32],
         _out: &mut [u32],
-        _threads: usize,
+        _runner: &dyn PartitionRunner,
     ) -> Result<usize, NormError> {
         panic!("injected resident-worker panic");
     }

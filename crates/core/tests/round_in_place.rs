@@ -22,7 +22,7 @@ use iterl2norm::backend::{build_backend, BackendKind, FormatKind};
 use iterl2norm::service::{NormRequest, NormTicket, ServiceConfig};
 use iterl2norm::whiten::{build_whiten, WhitenDetail, WhitenExec, WhitenSpec};
 use iterl2norm::{MethodSpec, NormBackend, NormError, NormService, ReduceOrder, RowMoments};
-use iterl2norm::{SimdLevel, TicketSet};
+use iterl2norm::{PartitionRunner, SimdLevel, TicketSet};
 use workloads::{Distribution, VectorGen};
 
 const D: usize = 16;
@@ -220,14 +220,14 @@ impl NormBackend for OutOfPlaceOnly {
         "out-of-place-only".into()
     }
 
-    fn normalize_batch_bits(
+    fn normalize_batch_runner(
         &mut self,
         input: &[u32],
         out: &mut [u32],
-        threads: usize,
+        runner: &dyn PartitionRunner,
     ) -> Result<usize, NormError> {
         self.batches.lock().unwrap().push(input.len());
-        self.inner.normalize_batch_bits(input, out, threads)
+        self.inner.normalize_batch_runner(input, out, runner)
     }
 
     fn normalize_row_bits_detailed(
@@ -262,15 +262,16 @@ impl WhitenExec for WhitenOutOfPlaceOnly {
         self.inner.spec()
     }
 
-    fn whiten_groups(
+    fn whiten_groups_runner(
         &mut self,
         input: &[u32],
         out: &mut [u32],
         group_rows: &[usize],
-        threads: usize,
+        runner: &dyn PartitionRunner,
     ) -> Result<usize, NormError> {
         self.batches.lock().unwrap().push(input.len());
-        self.inner.whiten_groups(input, out, group_rows, threads)
+        self.inner
+            .whiten_groups_runner(input, out, group_rows, runner)
     }
 
     fn whiten_group_detailed(
@@ -335,11 +336,11 @@ impl NormBackend for Failing {
         "failing".into()
     }
 
-    fn normalize_batch_bits(
+    fn normalize_batch_runner(
         &mut self,
         _input: &[u32],
         _out: &mut [u32],
-        _threads: usize,
+        _runner: &dyn PartitionRunner,
     ) -> Result<usize, NormError> {
         Err(NormError::EmptyInput)
     }
@@ -347,7 +348,7 @@ impl NormBackend for Failing {
     fn normalize_in_place_runner(
         &mut self,
         segments: &mut [&mut [u32]],
-        _runner: &dyn iterl2norm::executor::PartitionRunner,
+        _runner: &dyn PartitionRunner,
     ) -> Result<usize, NormError> {
         for seg in segments.iter_mut() {
             seg.fill(u32::MAX);

@@ -11,8 +11,8 @@
 
 use iterl2norm::whiten::{build_whiten, WhitenExec, WhitenSpec};
 use iterl2norm::{
-    BackendKind, FormatKind, GroupMode, MethodSpec, NormError, NormRequest, ServiceConfig,
-    SimdLevel,
+    BackendKind, FormatKind, GroupMode, MethodSpec, NormError, NormRequest, PartitionPool,
+    ServiceConfig, SimdLevel,
 };
 use workloads::{Distribution, VectorGen};
 
@@ -107,6 +107,9 @@ fn forced_native(d: usize, spec: WhitenSpec, level: SimdLevel) -> Option<Box<dyn
 /// runs the complete grid.
 #[test]
 fn native_matches_emulated_for_every_forced_level() {
+    // The resident vehicle at the scoped sweep's widest width: two
+    // helpers plus the caller.
+    let pool = PartitionPool::new(2, "wbi-");
     for t in STEPS {
         for d in DIMS {
             if cfg!(debug_assertions) && d == 256 && t == 5 {
@@ -147,6 +150,15 @@ fn native_matches_emulated_for_every_forced_level() {
                             ),
                         );
                     }
+                    let mut actual = vec![0u32; input.len()];
+                    native
+                        .whiten_groups_runner(&input, &mut actual, groups, &pool)
+                        .expect("native whitening must succeed");
+                    assert_bits_eq(
+                        &expected,
+                        &actual,
+                        &format!("d={d} t={t} mode={mode} level={} pool", level.name()),
+                    );
                 }
             }
         }

@@ -15,7 +15,8 @@ pub enum RuleId {
     L001,
     /// `unsafe` outside an opted-in module, or without a `// SAFETY:` comment (PR 7).
     L002,
-    /// Wall-clock / sleep in a value-path module (bit-identity invariant, PRs 2–3).
+    /// Wall-clock, sleep or thread spawn in a value-path module (bit-identity
+    /// invariant, PRs 2–3).
     L003,
     /// `/`, `sqrt`, `mul_add`, `recip` inside a kernel-marked region (PRs 7–8).
     L004,
@@ -56,7 +57,7 @@ impl RuleId {
             RuleId::L000 => "malformed or unmatched normlint directive",
             RuleId::L001 => "unwrap/expect on a lock result defeats poison recovery",
             RuleId::L002 => "unsafe requires module opt-in and a SAFETY comment",
-            RuleId::L003 => "wall-clock or sleep in a value-path module",
+            RuleId::L003 => "wall-clock, sleep or thread spawn in a value-path module",
             RuleId::L004 => "div/sqrt/fma inside a kernel-marked region",
             RuleId::L005 => "second lock acquired while a shard guard is live",
             RuleId::L006 => "NormError variant missing from Display",

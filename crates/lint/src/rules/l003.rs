@@ -5,7 +5,9 @@
 //! whitening, soft-float — configured by path, or self-declared with
 //! `// normlint: value-path`) therefore may not read `Instant::now` /
 //! `SystemTime::now` or call `thread::sleep`; timing belongs to the
-//! service, server and bench layers.
+//! service, server and bench layers. Nor may they `spawn` threads: every
+//! partitioned call forks through a `PartitionRunner` (executor.rs), so
+//! the per-call scoped fork stays in one place.
 
 use crate::diag::{Diagnostic, RuleId};
 use crate::lexer::TokenKind;
@@ -14,7 +16,8 @@ use crate::rules::RuleCtx;
 /// Identifiers that smell of wall-clock / scheduling nondeterminism.
 const BANNED: &[&str] = &["Instant", "SystemTime", "sleep", "sleep_ms", "yield_now"];
 
-/// Flag wall-clock / sleep identifiers in value-path modules.
+/// Flag wall-clock / sleep identifiers and thread spawns in value-path
+/// modules.
 pub fn run(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
     if !ctx.value_path || ctx.in_test_dir {
         return;
@@ -26,20 +29,21 @@ pub fn run(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
             continue;
         }
         let name = t.text(ctx.src);
-        if !BANNED.contains(&name) {
-            continue;
-        }
-        if scope.in_test_region(t.line) {
-            continue;
-        }
-        out.push(ctx.diag(
-            RuleId::L003,
-            t.line,
-            t.col,
+        let message = if BANNED.contains(&name) {
             format!(
                 "`{name}` in a value-path module — kernels must be deterministic; \
                  move timing to the service/bench layer"
-            ),
-        ));
+            )
+        } else if name == "spawn" {
+            "`spawn` in a value-path module — partition through a `PartitionRunner` \
+             (executor.rs), the one fork-join vehicle"
+                .to_string()
+        } else {
+            continue;
+        };
+        if scope.in_test_region(t.line) {
+            continue;
+        }
+        out.push(ctx.diag(RuleId::L003, t.line, t.col, message));
     }
 }

@@ -113,6 +113,23 @@ fn l003_value_path_pragma_opts_a_file_in() {
 }
 
 #[test]
+fn l003_flags_spawn_outside_test_regions() {
+    let got = lint_as("l003_spawn.rs", "crates/core/src/whiten.rs");
+    assert_eq!(
+        got,
+        vec![
+            "crates/core/src/whiten.rs:6:15: [L003] `spawn` in a value-path module — partition \
+             through a `PartitionRunner` (executor.rs), the one fork-join vehicle",
+            "crates/core/src/whiten.rs:12:18: [L003] `spawn` in a value-path module — partition \
+             through a `PartitionRunner` (executor.rs), the one fork-join vehicle",
+        ]
+    );
+    // The executor, which owns the scoped runner, is not on the value path.
+    let off_path = lint_as("l003_spawn.rs", "crates/core/src/executor.rs");
+    assert_eq!(off_path, Vec::<String>::new());
+}
+
+#[test]
 fn l004_fires_inside_kernel_regions_only() {
     let got = lint_as("l004_kernel_div.rs", "crates/core/src/simd.rs");
     assert_eq!(
