@@ -1,26 +1,23 @@
-//! Serving-API throughput: the [`NormService`] micro-batching coalescer
-//! vs per-request execution vs pipelined async submission, across shard
-//! counts and with the response-buffer pool on/off, under 1–8 submitting
-//! threads.
+//! Serving-API throughput: the [`NormService`] with blocking submitters
+//! vs pipelined async submission, across shard counts and per-shard
+//! worker counts, under 1–8 submitting threads.
 //!
 //! Every point drives the same request mix through the same native-f32
-//! service configuration; the variables are whether concurrent requests
-//! may be packed into one partitioned backend batch (`coalesced`), each
-//! request runs as its own blocking backend call (`per-request`), or each
-//! submitter pipelines requests through `submit_async` with
-//! [`PIPELINE_DEPTH`] tickets in flight (`async`, collecting the oldest
-//! ticket before submitting the next), plus how many independent
-//! backend+queue shards the service runs (`--shards`-equivalent), each
-//! shard's resident worker count (`--shard-threads`-equivalent — the
-//! executor axis), and whether response buffers are leased from the pool
-//! or freshly allocated per request. Every point also reports the
+//! service configuration; the variables are whether each submitter
+//! blocks on one request at a time (`coalesced`: concurrent requests
+//! may be packed into one partitioned backend batch) or pipelines
+//! requests through `submit_async` with [`PIPELINE_DEPTH`] tickets in
+//! flight (`async`, collecting the oldest ticket before submitting the
+//! next), plus how many independent backend+queue shards the service
+//! runs (`--shards`-equivalent) and each shard's resident worker count
+//! (`--threads`-equivalent — the executor axis). Every point also reports the
 //! resident workers' wait/execute split: `queue_wait` is time requests
 //! spent waiting in the shard queue (execution excluded), `worker_busy`
 //! is driver time inside rounds, `worker_idle` is parked time, and
 //! `worker_wakeups` counts driver unparks. A self-check asserts every
 //! variant produces bit-identical
-//! output before any number is reported — coalescing, sharding, async
-//! submission and pooling are throughput knobs, never results knobs.
+//! output before any number is reported — coalescing, sharding and async
+//! submission are throughput knobs, never results knobs.
 //!
 //! Emits `results/BENCH_service.json`, whose `host` block names the
 //! machine it ran on (cores, resolved SIMD tier, rustc, git revision).
@@ -32,9 +29,7 @@
 //! toward the pipeline depth — same total work per request, fewer
 //! backend calls. A driver round runs in place in the requests' own
 //! payload buffers, so a coalesced round costs no more memory traffic
-//! than the requests run one by one. The buffer-pool on/off pairs are
-//! both recorded: the removed malloc/free costs ~1 µs against ~30 µs of
-//! execution per d = 4096 request, so the pair is expected within noise.
+//! than the requests run one by one.
 //!
 //! A final sweep sends whitening traffic ([`NormRequest::whiten_group`])
 //! through the same variants: one `32 x 64` group per request under the
@@ -50,28 +45,27 @@ use std::time::Instant;
 
 use iterl2norm::backend::{build_backend, BackendKind, FormatKind};
 use iterl2norm::service::{NormRequest, NormService, ServiceConfig};
-use iterl2norm::{build_whiten, MethodSpec, ReduceOrder, SimdLevel, WhitenSpec};
+use iterl2norm::{build_whiten, MethodSpec, NormError, ReduceOrder, SimdLevel, WhitenSpec};
 use workloads::VectorGen;
 
 use crate::io::{banner, host_json, print_table, write_json};
 
-/// The swept service variants: `(mode, shards, buffer_pool,
-/// shard_threads)` — the last being each shard's resident worker count
-/// (the executor axis: 1 = a lone driver per shard, 2 = driver + one
-/// partition helper, so rounds of more than one request split across
-/// workers). All workers spawn at service build and park when idle.
-const VARIANTS: [(&str, usize, bool, usize); 11] = [
-    ("per-request", 1, true, 1),
-    ("per-request", 1, false, 1),
-    ("coalesced", 1, true, 1),
-    ("coalesced", 1, false, 1),
-    ("coalesced", 2, true, 1),
-    ("coalesced", 2, true, 2),
-    ("coalesced", 4, true, 1),
-    ("async", 1, true, 1),
-    ("async", 2, true, 1),
-    ("async", 2, true, 2),
-    ("async", 4, true, 1),
+/// The swept service variants: `(mode, shards, shard_threads)` — the
+/// last being each shard's resident worker count (the executor axis:
+/// 1 = a lone driver per shard, 2 = driver + one partition helper, so
+/// rounds of more than one request split across workers). All workers
+/// spawn at service build and park when idle.
+type Variant = (&'static str, usize, usize);
+
+const VARIANTS: [Variant; 8] = [
+    ("coalesced", 1, 1),
+    ("coalesced", 2, 1),
+    ("coalesced", 2, 2),
+    ("coalesced", 4, 1),
+    ("async", 1, 1),
+    ("async", 2, 1),
+    ("async", 2, 2),
+    ("async", 4, 1),
 ];
 
 /// Maximum tickets each async-mode submitter keeps in flight before
@@ -86,12 +80,7 @@ pub const PIPELINE_DEPTH: usize = 4;
 /// rows report far fewer requests/s at far higher per-request cost.
 const WHITEN_D: usize = 64;
 const WHITEN_ROWS: usize = 32;
-const WHITEN_VARIANTS: [(&str, usize, bool, usize); 4] = [
-    ("per-request", 1, true, 1),
-    ("coalesced", 1, true, 1),
-    ("coalesced", 1, true, 2),
-    ("async", 1, true, 1),
-];
+const WHITEN_VARIANTS: [Variant; 3] = [("coalesced", 1, 1), ("coalesced", 1, 2), ("async", 1, 1)];
 
 /// One measured configuration.
 struct Point {
@@ -100,7 +89,6 @@ struct Point {
     submitters: usize,
     mode: &'static str,
     shards: usize,
-    buffer_pool: bool,
     shard_threads: usize,
     rows_per_s: f64,
     us_per_request: f64,
@@ -216,25 +204,118 @@ fn measure(
 }
 
 /// Build the service for one variant.
-fn service_for(
-    d: usize,
-    mode: &str,
-    shards: usize,
-    buffer_pool: bool,
-    shard_threads: usize,
-) -> NormService {
+fn service_for(d: usize, shards: usize, shard_threads: usize) -> NormService {
     ServiceConfig::new(d)
         .with_backend(BackendKind::Native)
         .with_format(FormatKind::Fp32)
         .with_method(MethodSpec::iterl2(5))
-        // Async submission needs the combining queue; only the
-        // per-request baseline runs without it.
-        .with_coalescing(mode != "per-request")
         .with_shards(shards)
         .with_threads(shard_threads)
-        .with_buffer_pool(buffer_pool)
         .build()
         .expect("bench service config is valid")
+}
+
+/// One request shape: `rows x d` whiten groups when `whiten`, otherwise
+/// `rows`-row norm requests.
+struct Sweep {
+    d: usize,
+    rows: usize,
+    whiten: bool,
+}
+
+impl Sweep {
+    /// Check every variant's blocking and async output against the
+    /// direct kernel (`reference`, run on one probe request) before any
+    /// number is taken, then time each variant at each submitter count.
+    fn run(
+        &self,
+        variants: &[Variant],
+        submitter_counts: &[usize],
+        requests_per_thread: usize,
+        reference: impl FnOnce(&[u32], &mut [u32]) -> Result<usize, NormError>,
+    ) -> std::io::Result<Vec<Point>> {
+        let Sweep { d, rows, whiten } = *self;
+        let probe = request_bits(d, rows, 0, 0);
+        let mut expect = vec![0u32; probe.len()];
+        reference(&probe, &mut expect).map_err(std::io::Error::other)?;
+        for &(mode, shards, shard_threads) in variants {
+            let service = service_for(d, shards, shard_threads);
+            let blocking = service
+                .submit(request_for(&probe, whiten))
+                .map_err(std::io::Error::other)?;
+            let waited = service
+                .submit_async(request_for(&probe, whiten))
+                .and_then(|mut ticket| ticket.wait())
+                .map_err(std::io::Error::other)?;
+            for (path, bits) in [("blocking", blocking.bits()), ("async", waited.bits())] {
+                assert_eq!(
+                    bits, expect,
+                    "{path} output diverged from the direct kernel at d = {d} \
+                     (whiten={whiten}, {mode}, shards={shards}, threads={shard_threads})"
+                );
+            }
+        }
+        let mut points = Vec::new();
+        for &submitters in submitter_counts {
+            for &variant in variants {
+                points.push(self.time(variant, submitters, requests_per_thread)?);
+            }
+        }
+        Ok(points)
+    }
+
+    /// Time one variant at one submitter count on a fresh, warmed-up
+    /// service.
+    fn time(
+        &self,
+        (mode, shards, shard_threads): Variant,
+        submitters: usize,
+        requests_per_thread: usize,
+    ) -> std::io::Result<Point> {
+        let Sweep { d, rows, whiten } = *self;
+        let service = service_for(d, shards, shard_threads);
+        // Warm-up sizes the conversion buffers and scratch.
+        let warm = request_bits(d, rows, 99, 0);
+        let _ = service
+            .submit(request_for(&warm, whiten))
+            .map_err(std::io::Error::other)?;
+        // Baseline after warm-up: every reported ratio below uses deltas,
+        // so the untimed warm-up request never skews them.
+        let base = service.stats();
+        let seconds = measure(
+            &service,
+            mode,
+            submitters,
+            requests_per_thread,
+            rows,
+            whiten,
+        );
+        let stats = service.stats();
+        let total_requests = (submitters * requests_per_thread) as f64;
+        let measured_requests = if whiten {
+            stats.whiten_requests - base.whiten_requests
+        } else {
+            stats.requests - base.requests
+        } as f64;
+        let per_request =
+            |span: std::time::Duration| span.as_secs_f64() * 1e6 / measured_requests.max(1.0);
+        Ok(Point {
+            workload: if whiten { "whiten" } else { "norm" },
+            d,
+            submitters,
+            mode,
+            shards,
+            shard_threads,
+            rows_per_s: total_requests * rows as f64 / seconds,
+            us_per_request: seconds * 1e6 / total_requests,
+            requests_per_batch: measured_requests
+                / ((stats.batches - base.batches) as f64).max(1.0),
+            queue_wait_us_per_request: per_request(stats.queue_wait - base.queue_wait),
+            worker_busy_us_per_request: per_request(stats.worker_busy - base.worker_busy),
+            worker_idle_us: (stats.worker_idle - base.worker_idle).as_secs_f64() * 1e6,
+            worker_wakeups: stats.worker_wakeups - base.worker_wakeups,
+        })
+    }
 }
 
 /// Run the service bench at the given dimensions and submitter counts,
@@ -249,215 +330,57 @@ pub fn run_at(
     requests_per_thread: usize,
     rows_per_request: usize,
 ) -> std::io::Result<()> {
-    banner(
-        "NormService throughput — blocking/coalesced/async x shards x buffer pool, \
-         1-8 submitting threads",
-    );
+    banner("NormService throughput — coalesced/async x shards x threads, 1-8 submitting threads");
     let spec = MethodSpec::iterl2(5);
     let mut points: Vec<Point> = Vec::new();
-    let mut table = Vec::new();
 
     for &d in dims {
-        // Self-check: every variant must be bit-identical to the raw
-        // backend before its numbers mean anything.
-        let probe = request_bits(d, rows_per_request, 0, 0);
-        let mut reference = build_backend(
-            BackendKind::Native,
-            FormatKind::Fp32,
+        let sweep = Sweep {
             d,
-            &spec,
-            ReduceOrder::HwTree,
-        )
-        .map_err(std::io::Error::other)?;
-        let mut expect = vec![0u32; probe.len()];
-        reference
-            .normalize_batch_bits(&probe, &mut expect, 1)
-            .map_err(std::io::Error::other)?;
-        for (mode, shards, buffer_pool, shard_threads) in VARIANTS {
-            let service = service_for(d, mode, shards, buffer_pool, shard_threads);
-            let response = service
-                .submit(NormRequest::bits(&probe))
-                .map_err(std::io::Error::other)?;
-            assert_eq!(
-                response.bits(),
-                &expect[..],
-                "service output diverged from the backend at \
-                 d = {d} ({mode}, shards={shards}, pool={buffer_pool}, \
-                 threads={shard_threads})"
-            );
-            // The async path must agree bit for bit too before its
-            // throughput numbers mean anything.
-            let mut ticket = service
-                .submit_async(NormRequest::bits(&probe))
-                .map_err(std::io::Error::other)?;
-            let waited = ticket.wait().map_err(std::io::Error::other)?;
-            assert_eq!(
-                waited.bits(),
-                &expect[..],
-                "async output diverged from the backend at \
-                 d = {d} ({mode}, shards={shards}, pool={buffer_pool}, \
-                 threads={shard_threads})"
-            );
-        }
-
-        for &submitters in submitter_counts {
-            for (mode, shards, buffer_pool, shard_threads) in VARIANTS {
-                let service = service_for(d, mode, shards, buffer_pool, shard_threads);
-                // Warm-up sizes the conversion buffers and scratch.
-                let warm = request_bits(d, rows_per_request, 99, 0);
-                let _ = service
-                    .submit(NormRequest::bits(&warm))
-                    .map_err(std::io::Error::other)?;
-                // Baseline after warm-up: every reported ratio below uses
-                // deltas, so the untimed warm-up request never skews them.
-                let base = service.stats();
-                let seconds = measure(
-                    &service,
-                    mode,
-                    submitters,
-                    requests_per_thread,
-                    rows_per_request,
-                    false,
-                );
-                let stats = service.stats();
-                let total_requests = (submitters * requests_per_thread) as f64;
-                let total_rows = total_requests * rows_per_request as f64;
-                let measured_requests = (stats.requests - base.requests) as f64;
-                let requests_per_batch =
-                    measured_requests / ((stats.batches - base.batches) as f64).max(1.0);
-                let queue_wait_us_per_request = (stats.queue_wait - base.queue_wait).as_secs_f64()
-                    * 1e6
-                    / measured_requests.max(1.0);
-                let worker_busy_us_per_request =
-                    (stats.worker_busy - base.worker_busy).as_secs_f64() * 1e6
-                        / measured_requests.max(1.0);
-                points.push(Point {
-                    workload: "norm",
+            rows: rows_per_request,
+            whiten: false,
+        };
+        points.extend(sweep.run(
+            &VARIANTS,
+            submitter_counts,
+            requests_per_thread,
+            |probe, expect| {
+                build_backend(
+                    BackendKind::Native,
+                    FormatKind::Fp32,
                     d,
-                    submitters,
-                    mode,
-                    shards,
-                    buffer_pool,
-                    shard_threads,
-                    rows_per_s: total_rows / seconds,
-                    us_per_request: seconds * 1e6 / total_requests,
-                    requests_per_batch,
-                    queue_wait_us_per_request,
-                    worker_busy_us_per_request,
-                    worker_idle_us: (stats.worker_idle - base.worker_idle).as_secs_f64() * 1e6,
-                    worker_wakeups: stats.worker_wakeups - base.worker_wakeups,
-                });
-                table.push(vec![
-                    "norm".to_string(),
-                    d.to_string(),
-                    submitters.to_string(),
-                    mode.to_string(),
-                    shards.to_string(),
-                    if buffer_pool { "on" } else { "off" }.to_string(),
-                    shard_threads.to_string(),
-                    format!("{:.0}", total_rows / seconds),
-                    format!("{:.1}", seconds * 1e6 / total_requests),
-                    format!("{requests_per_batch:.2}"),
-                    format!("{queue_wait_us_per_request:.2}"),
-                    format!("{worker_busy_us_per_request:.2}"),
-                ]);
-            }
-        }
+                    &spec,
+                    ReduceOrder::HwTree,
+                )?
+                .normalize_batch_bits(probe, expect, 1)
+            },
+        )?);
     }
 
     // Whitening traffic through the same front door: each request is one
     // WHITEN_ROWS x WHITEN_D group whitened under the service's default
-    // spec. Self-check against the direct executor first, then time the
-    // blocking, coalesced and pipelined paths.
+    // spec, checked against the direct executor.
     let whiten_spec = WhitenSpec::new();
-    {
-        let probe = request_bits(WHITEN_D, WHITEN_ROWS, 0, 0);
-        let mut reference = build_whiten(
-            BackendKind::Native,
-            FormatKind::Fp32,
-            WHITEN_D,
-            whiten_spec,
-            SimdLevel::Auto,
-        )
-        .map_err(std::io::Error::other)?;
-        let mut expect = vec![0u32; probe.len()];
-        reference
-            .whiten_groups(&probe, &mut expect, &[WHITEN_ROWS], 1)
-            .map_err(std::io::Error::other)?;
-        for (mode, shards, buffer_pool, shard_threads) in WHITEN_VARIANTS {
-            let service = service_for(WHITEN_D, mode, shards, buffer_pool, shard_threads);
-            let response = service
-                .submit(NormRequest::whiten_group(&probe))
-                .map_err(std::io::Error::other)?;
-            assert_eq!(
-                response.bits(),
-                &expect[..],
-                "service whitening diverged from the direct executor \
-                 ({mode}, shards={shards}, pool={buffer_pool}, \
-                 threads={shard_threads})"
-            );
-        }
-        for &submitters in submitter_counts {
-            for (mode, shards, buffer_pool, shard_threads) in WHITEN_VARIANTS {
-                let service = service_for(WHITEN_D, mode, shards, buffer_pool, shard_threads);
-                let warm = request_bits(WHITEN_D, WHITEN_ROWS, 99, 0);
-                let _ = service
-                    .submit(NormRequest::whiten_group(&warm))
-                    .map_err(std::io::Error::other)?;
-                let base = service.stats();
-                let seconds = measure(
-                    &service,
-                    mode,
-                    submitters,
-                    requests_per_thread,
-                    WHITEN_ROWS,
-                    true,
-                );
-                let stats = service.stats();
-                let total_requests = (submitters * requests_per_thread) as f64;
-                let total_rows = total_requests * WHITEN_ROWS as f64;
-                let measured_requests = (stats.whiten_requests - base.whiten_requests) as f64;
-                let requests_per_batch =
-                    measured_requests / ((stats.batches - base.batches) as f64).max(1.0);
-                let queue_wait_us_per_request = (stats.queue_wait - base.queue_wait).as_secs_f64()
-                    * 1e6
-                    / measured_requests.max(1.0);
-                let worker_busy_us_per_request =
-                    (stats.worker_busy - base.worker_busy).as_secs_f64() * 1e6
-                        / measured_requests.max(1.0);
-                points.push(Point {
-                    workload: "whiten",
-                    d: WHITEN_D,
-                    submitters,
-                    mode,
-                    shards,
-                    buffer_pool,
-                    shard_threads,
-                    rows_per_s: total_rows / seconds,
-                    us_per_request: seconds * 1e6 / total_requests,
-                    requests_per_batch,
-                    queue_wait_us_per_request,
-                    worker_busy_us_per_request,
-                    worker_idle_us: (stats.worker_idle - base.worker_idle).as_secs_f64() * 1e6,
-                    worker_wakeups: stats.worker_wakeups - base.worker_wakeups,
-                });
-                table.push(vec![
-                    "whiten".to_string(),
-                    WHITEN_D.to_string(),
-                    submitters.to_string(),
-                    mode.to_string(),
-                    shards.to_string(),
-                    if buffer_pool { "on" } else { "off" }.to_string(),
-                    shard_threads.to_string(),
-                    format!("{:.0}", total_rows / seconds),
-                    format!("{:.1}", seconds * 1e6 / total_requests),
-                    format!("{requests_per_batch:.2}"),
-                    format!("{queue_wait_us_per_request:.2}"),
-                    format!("{worker_busy_us_per_request:.2}"),
-                ]);
-            }
-        }
-    }
+    let sweep = Sweep {
+        d: WHITEN_D,
+        rows: WHITEN_ROWS,
+        whiten: true,
+    };
+    points.extend(sweep.run(
+        &WHITEN_VARIANTS,
+        submitter_counts,
+        requests_per_thread,
+        |probe, expect| {
+            build_whiten(
+                BackendKind::Native,
+                FormatKind::Fp32,
+                WHITEN_D,
+                whiten_spec,
+                SimdLevel::Auto,
+            )?
+            .whiten_groups(probe, expect, &[WHITEN_ROWS], 1)
+        },
+    )?);
 
     print_table(
         &[
@@ -466,7 +389,6 @@ pub fn run_at(
             "submitters",
             "mode",
             "shards",
-            "pool",
             "threads",
             "rows/s",
             "us/request",
@@ -474,7 +396,24 @@ pub fn run_at(
             "qwait us/req",
             "busy us/req",
         ],
-        &table,
+        &points
+            .iter()
+            .map(|p| {
+                vec![
+                    p.workload.to_string(),
+                    p.d.to_string(),
+                    p.submitters.to_string(),
+                    p.mode.to_string(),
+                    p.shards.to_string(),
+                    p.shard_threads.to_string(),
+                    format!("{:.0}", p.rows_per_s),
+                    format!("{:.1}", p.us_per_request),
+                    format!("{:.2}", p.requests_per_batch),
+                    format!("{:.2}", p.queue_wait_us_per_request),
+                    format!("{:.2}", p.worker_busy_us_per_request),
+                ]
+            })
+            .collect::<Vec<_>>(),
     );
 
     let mut json = String::new();
@@ -511,7 +450,7 @@ pub fn run_at(
     for (i, p) in points.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"workload\": \"{}\", \"d\": {}, \"submitters\": {}, \"mode\": \"{}\", \
-             \"shards\": {}, \"buffer_pool\": {}, \"shard_threads\": {}, \
+             \"shards\": {}, \"shard_threads\": {}, \
              \"rows_per_s\": {:.1}, \"us_per_request\": {:.1}, \
              \"requests_per_batch\": {:.2}, \
              \"queue_wait_us_per_request\": {:.2}, \
@@ -522,7 +461,6 @@ pub fn run_at(
             p.submitters,
             p.mode,
             p.shards,
-            p.buffer_pool,
             p.shard_threads,
             p.rows_per_s,
             p.us_per_request,

@@ -97,8 +97,8 @@ fn ablations_smoke() {
 #[test]
 fn service_smoke() {
     // The serving sweep end to end at tiny scale: every mode (blocking
-    // per-request, coalesced, pipelined async) runs its bit-identity
-    // self-check and lands in the JSON.
+    // coalesced, pipelined async) runs its bit-identity self-check and
+    // lands in the JSON.
     let _ = results_dir();
     benchkit::experiments::service::run_at(&[32], &[1, 2], 4, 2).unwrap();
     let path = results_dir().join("BENCH_service.json");
@@ -108,7 +108,7 @@ fn service_smoke() {
         content.contains("\"bench\": \"service_throughput\""),
         "{content}"
     );
-    for mode in ["per-request", "coalesced", "async"] {
+    for mode in ["coalesced", "async"] {
         assert!(content.contains(&format!("\"mode\": \"{mode}\"")), "{mode}");
     }
     assert!(content.contains("\"async_pipeline_depth\": 4"), "{content}");

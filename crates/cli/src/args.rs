@@ -13,7 +13,7 @@ pub struct Parsed {
 
 /// Option keys that take a value; anything else starting with `--` is a
 /// boolean flag.
-const VALUED: [&str; 23] = [
+const VALUED: [&str; 22] = [
     "format",
     "steps",
     "d",
@@ -24,7 +24,6 @@ const VALUED: [&str; 23] = [
     "rows",
     "backend",
     "threads",
-    "shard-threads",
     "shards",
     "queue-depth",
     "placement",
@@ -137,19 +136,9 @@ mod tests {
 
     #[test]
     fn executor_options_parse_as_values() {
-        let p = Parsed::parse(&sv(&[
-            "--shard-threads",
-            "2,1,3",
-            "--window-us",
-            "250",
-            "--adaptive",
-            "1000:2:2",
-        ]))
-        .unwrap();
-        assert_eq!(p.get("shard-threads"), Some("2,1,3"));
+        let p = Parsed::parse(&sv(&["--window-us", "250", "--adaptive", "1000:2:2"])).unwrap();
         assert_eq!(p.num("window-us", 0u64).unwrap(), 250);
         assert_eq!(p.get("adaptive"), Some("1000:2:2"));
-        assert!(Parsed::parse(&sv(&["--shard-threads"])).is_err());
         assert!(Parsed::parse(&sv(&["--window-us"])).is_err());
         assert!(Parsed::parse(&sv(&["--adaptive"])).is_err());
     }

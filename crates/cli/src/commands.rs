@@ -57,9 +57,8 @@ USAGE:
       an error instead of a report.
   iterl2norm serve --listen ADDR | --unix PATH [--d LEN] [--format …]
                    [--backend B] [--method M] [--threads N] [--shards S]
-                   [--shard-threads N,N,…] [--window-us U] [--adaptive A]
-                   [--queue-depth Q] [--placement P] [--tenants SPEC]
-                   [--simd L]
+                   [--window-us U] [--adaptive A] [--queue-depth Q]
+                   [--placement P] [--tenants SPEC] [--simd L]
       Serve the engine over the wire protocol (TCP and/or Unix socket)
       until interrupted. --tenants configures per-tenant admission:
       'id:rate:burst[:priority]' entries separated by ';', e.g.
@@ -75,10 +74,9 @@ native (host f32, fp32 only, bit-identical output). --threads N partitions
 batch rows across N worker threads (output bits never depend on N).
 --shards S runs S independent backend+queue instances, and --queue-depth Q
 bounds each shard's waiting line (further requests are rejected with a
-queue-full error instead of buffering). --shard-threads N,N,… sets each
-shard's resident worker count individually (one count per shard, e.g.
-2,1,3 for --shards 3) where --threads applies uniformly; the workers
-spawn once at startup and park when idle. --window-us U holds each
+queue-full error instead of buffering). Each shard runs --threads
+resident workers that spawn once at startup and park when idle, and
+always pools its response buffers. --window-us U holds each
 drained round open U microseconds so concurrent requests can join the
 batch (0, the default, never delays). --adaptive A gates that hold
 behind an arrival-rate estimator: 'default' (1000us buckets, open at 2
@@ -172,35 +170,6 @@ fn threads_arg(parsed: &Parsed) -> Result<usize, String> {
         return Err(format!("option --threads: {}", NormError::ZeroThreads));
     }
     Ok(threads)
-}
-
-/// Resolve `--shard-threads` (comma-separated per-shard worker counts,
-/// e.g. `2,1,3`). `None` when absent — `--threads` then applies to every
-/// shard uniformly. Zero entries are rejected here with the option
-/// named; the count-vs-`--shards` length check happens at service build
-/// ([`NormError::ShardThreadsMismatch`](iterl2norm::NormError)).
-fn shard_threads_arg(parsed: &Parsed) -> Result<Option<Vec<usize>>, String> {
-    let Some(text) = parsed.get("shard-threads") else {
-        return Ok(None);
-    };
-    let counts = text
-        .split(',')
-        .map(|part| {
-            let part = part.trim();
-            match part.parse::<usize>() {
-                Ok(0) => Err(format!(
-                    "option --shard-threads: {}",
-                    NormError::ZeroThreads
-                )),
-                Ok(n) => Ok(n),
-                Err(_) => Err(format!(
-                    "option --shard-threads: cannot parse '{part}' \
-                     (comma-separated per-shard counts, e.g. 2,1,3)"
-                )),
-            }
-        })
-        .collect::<Result<Vec<usize>, String>>()?;
-    Ok(Some(counts))
 }
 
 /// Resolve `--window-us` (default 0: no coalescing hold) into the
@@ -311,9 +280,6 @@ fn build_service(
         .with_placement(placement)
         .with_simd(simd)
         .with_window(window_arg(parsed)?);
-    if let Some(counts) = shard_threads_arg(parsed)? {
-        config = config.with_shard_threads(&counts);
-    }
     if let Some(adaptive) = adaptive_arg(parsed)? {
         config = config.with_adaptive_window(adaptive);
     }

@@ -165,8 +165,8 @@ fn sharding_flags_happy_paths_and_rejections() {
 
 #[test]
 fn executor_flags_happy_paths_and_rejections() {
-    // Per-shard worker counts and coalescing knobs end to end — none of
-    // them change output bits, so these succeed like the defaults.
+    // Worker counts and coalescing knobs end to end — none of them
+    // change output bits, so these succeed like the defaults.
     commands::batch(&parsed(&[
         "--d",
         "32",
@@ -174,8 +174,8 @@ fn executor_flags_happy_paths_and_rejections() {
         "8",
         "--shards",
         "2",
-        "--shard-threads",
-        "2,1",
+        "--threads",
+        "2",
     ]))
     .unwrap();
     commands::batch(&parsed(&[
@@ -190,44 +190,6 @@ fn executor_flags_happy_paths_and_rejections() {
     ]))
     .unwrap();
     commands::demo(&parsed(&["--d", "48", "--adaptive", "1000:2:2"])).unwrap();
-    // A count list that doesn't match --shards is the service's own
-    // mismatch error.
-    let err = commands::batch(&parsed(&[
-        "--d",
-        "32",
-        "--rows",
-        "4",
-        "--shards",
-        "2",
-        "--shard-threads",
-        "1,2,3",
-    ]))
-    .unwrap_err();
-    assert!(err.contains("2 shards") && err.contains("3"), "{err}");
-    // Zero and garbage entries are rejected with the option named.
-    let err = commands::batch(&parsed(&[
-        "--d",
-        "32",
-        "--rows",
-        "4",
-        "--shard-threads",
-        "0",
-    ]))
-    .unwrap_err();
-    assert!(err.contains("--shard-threads"), "{err}");
-    let err = commands::batch(&parsed(&[
-        "--d",
-        "32",
-        "--rows",
-        "4",
-        "--shard-threads",
-        "1,x",
-    ]))
-    .unwrap_err();
-    assert!(
-        err.contains("--shard-threads") && err.contains('x'),
-        "{err}"
-    );
     // Malformed adaptive specs name the option and the expected shape;
     // threshold-shape violations surface the service's own validation.
     let err = commands::demo(&parsed(&["--adaptive", "fast"])).unwrap_err();

@@ -104,16 +104,6 @@ pub enum NormError {
         /// Observed buffer length.
         actual: usize,
     },
-    /// A per-shard thread list (`ServiceConfig::with_shard_threads`) did
-    /// not supply exactly one count per shard. The per-shard executor
-    /// spawns its workers at build time, so the shape mismatch is
-    /// refused up front instead of leaving some shard with a default.
-    ShardThreadsMismatch {
-        /// The configured shard count.
-        shards: usize,
-        /// The supplied thread-count list length.
-        actual: usize,
-    },
     /// The adaptive-coalescing configuration
     /// (`ServiceConfig::with_adaptive_window`) is degenerate: a zero
     /// estimator interval, a zero open threshold, or a close threshold
@@ -215,11 +205,6 @@ impl fmt::Display for NormError {
                 // must stay total even for inconsistent hand-built values.
                 actual.saturating_sub(rows.saturating_mul(*d))
             ),
-            NormError::ShardThreadsMismatch { shards, actual } => write!(
-                f,
-                "per-shard thread list has {actual} entries for {shards} shards; supply \
-                 exactly one thread count per shard"
-            ),
             NormError::InvalidAdaptiveWindow { reason } => {
                 write!(f, "adaptive coalescing window is misconfigured: {reason}")
             }
@@ -310,21 +295,6 @@ mod tests {
                 assert!(s.contains(&n.to_string()), "'{s}' missing {n}");
             }
         }
-    }
-
-    #[test]
-    fn shard_threads_mismatch_displays_both_shapes() {
-        let e = NormError::ShardThreadsMismatch {
-            shards: 4,
-            actual: 3,
-        };
-        let s = e.to_string();
-        assert!(
-            s.chars().next().unwrap().is_lowercase(),
-            "not lowercase: {s}"
-        );
-        assert!(s.contains('4') && s.contains('3'), "{s}");
-        assert!(s.contains("per shard"), "{s}");
     }
 
     #[test]

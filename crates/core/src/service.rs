@@ -21,9 +21,7 @@
 //! condvar, drains the combining queue and runs the backend calls, plus
 //! `threads − 1` partition helpers (a
 //! [`PartitionPool`]) the batch kernels
-//! split rows across. [`ServiceConfig::with_shard_threads`] sets the
-//! per-shard worker count individually. Idle workers park — no
-//! busy-spin — and shutdown joins every worker, so a built-then-dropped
+//! split rows across. Idle workers park — no busy-spin — and shutdown joins every worker, so a built-then-dropped
 //! service leaks nothing (proven by `tests/executor_hygiene.rs`).
 //!
 //! # The idle-shard inline path
@@ -136,8 +134,7 @@
 //! shard's queue is full fails fast with [`NormError::QueueFull`] instead
 //! of buffering unboundedly behind a slow backend. Response buffers are
 //! leased from a small per-shard pool and returned when the
-//! [`NormResponse`] drops ([`ServiceConfig::with_buffer_pool`]), so
-//! steady-state serving does not allocate a fresh output buffer per
+//! [`NormResponse`] drops, so steady-state serving does not allocate a fresh output buffer per
 //! request — and the pool's lock is shard-local, not another global
 //! serialization point.
 //!
@@ -278,14 +275,11 @@ pub struct ServiceConfig {
     gamma_bits: Option<Vec<u32>>,
     beta_bits: Option<Vec<u32>>,
     window: Duration,
-    coalescing: bool,
     shards: usize,
     queue_depth: usize,
-    buffer_pool: bool,
     placement: Placement,
     simd: SimdLevel,
     whiten: WhitenSpec,
-    shard_threads: Option<Vec<usize>>,
     adaptive: Option<AdaptiveWindow>,
     clock: Option<Arc<dyn Clock>>,
 }
@@ -307,14 +301,11 @@ impl ServiceConfig {
             gamma_bits: None,
             beta_bits: None,
             window: Duration::ZERO,
-            coalescing: true,
             shards: 1,
             queue_depth: DEFAULT_QUEUE_DEPTH,
-            buffer_pool: true,
             placement: Placement::default(),
             simd: SimdLevel::Auto,
             whiten: WhitenSpec::default(),
-            shard_threads: None,
             adaptive: None,
             clock: None,
         }
@@ -345,18 +336,6 @@ impl ServiceConfig {
     /// bits never depend on it.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Same config with an explicit per-shard worker count: shard `i`
-    /// gets `counts[i]` resident threads (driver + partition helpers),
-    /// overriding the uniform [`with_threads`](ServiceConfig::with_threads)
-    /// count — useful when one shard is pinned to hot keyed traffic and
-    /// deserves more parallelism than the rest. Length must equal the
-    /// shard count and every entry must be ≥ 1, both validated at build.
-    /// Output bits never depend on it.
-    pub fn with_shard_threads(mut self, counts: &[usize]) -> Self {
-        self.shard_threads = Some(counts.to_vec());
         self
     }
 
@@ -422,18 +401,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Same config with coalescing disabled entirely: every request runs
-    /// as its own backend call (requests still serialize per shard,
-    /// blocking on the shard's backend — there is no combining queue in
-    /// this mode, so the [`with_queue_depth`](ServiceConfig::with_queue_depth)
-    /// bound does not apply and `QueueFull` is never returned). This is
-    /// the per-request baseline the `service_bench` compares against;
-    /// output bits are identical either way.
-    pub fn with_coalescing(mut self, coalescing: bool) -> Self {
-        self.coalescing = coalescing;
-        self
-    }
-
     /// Same config sharded across `shards` independent backend instances,
     /// each with its own combining queue; requests are placed round-robin.
     /// Every shard executes the identical plan, so output bits do not
@@ -454,11 +421,7 @@ impl ServiceConfig {
     /// [`NormError::QueueFull`] instead of buffering unboundedly behind a
     /// slow backend. Validated ≥ 1 at build (a zero depth would reject
     /// every request under a coalescing window); `usize::MAX` effectively
-    /// disables the bound. The bound governs the combining queue, so it
-    /// has no effect when coalescing is disabled
-    /// ([`with_coalescing(false)`](ServiceConfig::with_coalescing) —
-    /// per-request callers block on the shard's backend instead of
-    /// queueing).
+    /// disables the bound.
     pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
         self.queue_depth = queue_depth;
         self
@@ -500,17 +463,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Same config with the response-buffer pool enabled or disabled.
-    /// When enabled (the default), output buffers are leased from a small
-    /// free list and returned when the [`NormResponse`] is dropped, so
-    /// steady-state serving does not allocate a fresh buffer per request.
-    /// Disabling exists for benchmarking the pool's effect; output bits
-    /// are identical either way.
-    pub fn with_buffer_pool(mut self, buffer_pool: bool) -> Self {
-        self.buffer_pool = buffer_pool;
-        self
-    }
-
     /// The vector length `d`.
     pub fn d(&self) -> usize {
         self.d
@@ -531,29 +483,15 @@ impl ServiceConfig {
         self.backend
     }
 
-    /// The uniform resident worker-thread count per shard.
+    /// The resident worker-thread count per shard.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The per-shard worker counts, when set with
-    /// [`with_shard_threads`](ServiceConfig::with_shard_threads).
-    pub fn shard_threads(&self) -> Option<&[usize]> {
-        self.shard_threads.as_deref()
     }
 
     /// The adaptive-coalescing policy, when set with
     /// [`with_adaptive_window`](ServiceConfig::with_adaptive_window).
     pub fn adaptive_window(&self) -> Option<AdaptiveWindow> {
         self.adaptive
-    }
-
-    /// Resident workers serving shard `i` (driver + partition helpers).
-    fn shard_thread_count(&self, i: usize) -> usize {
-        self.shard_threads
-            .as_ref()
-            .and_then(|counts| counts.get(i).copied())
-            .unwrap_or(self.threads)
     }
 
     /// The reduction order.
@@ -566,11 +504,6 @@ impl ServiceConfig {
         self.window
     }
 
-    /// Whether micro-batching is enabled.
-    pub fn coalescing(&self) -> bool {
-        self.coalescing
-    }
-
     /// The number of independent shards.
     pub fn shards(&self) -> usize {
         self.shards
@@ -579,11 +512,6 @@ impl ServiceConfig {
     /// The per-shard queue-depth bound.
     pub fn queue_depth(&self) -> usize {
         self.queue_depth
-    }
-
-    /// Whether response buffers are pooled.
-    pub fn buffer_pool(&self) -> bool {
-        self.buffer_pool
     }
 
     /// The shard-placement policy.
@@ -608,11 +536,8 @@ impl ServiceConfig {
     /// # Errors
     ///
     /// [`NormError::EmptyInput`] when `d == 0`, [`NormError::ZeroThreads`]
-    /// when `threads == 0` (or any `with_shard_threads` entry is),
-    /// [`NormError::ZeroShards`] when `shards == 0`,
+    /// when `threads == 0`, [`NormError::ZeroShards`] when `shards == 0`,
     /// [`NormError::ZeroQueueDepth`] when `queue_depth == 0`,
-    /// [`NormError::ShardThreadsMismatch`] when the `with_shard_threads`
-    /// list length differs from the shard count,
     /// [`NormError::InvalidAdaptiveWindow`] for a malformed adaptive
     /// policy, [`NormError::BackendFormatMismatch`] for native +
     /// non-FP32, and the γ/β length-mismatch variants.
@@ -692,17 +617,6 @@ impl ServiceConfig {
         if self.queue_depth == 0 {
             return Err(NormError::ZeroQueueDepth);
         }
-        if let Some(counts) = &self.shard_threads {
-            if counts.len() != self.shards {
-                return Err(NormError::ShardThreadsMismatch {
-                    shards: self.shards,
-                    actual: counts.len(),
-                });
-            }
-            if counts.contains(&0) {
-                return Err(NormError::ZeroThreads);
-            }
-        }
         if let Some(adaptive) = &self.adaptive {
             adaptive.validate()?;
         }
@@ -742,13 +656,12 @@ impl ServiceConfig {
                 // see [`Core::whiten_of`].
                 whiten: Mutex::new(None),
                 // Resident partition helpers: the driver is worker 0, so
-                // a shard with `n` configured threads spawns `n − 1`
-                // helpers — total residents per shard = its thread count.
-                runner: PartitionPool::new(self.shard_thread_count(i) - 1, &format!("ns{sid}s{i}")),
+                // `threads` per shard means `threads − 1` helpers.
+                runner: PartitionPool::new(self.threads - 1, &format!("ns{sid}s{i}")),
                 // Per shard on purpose: a single service-wide pool mutex
                 // would reintroduce the global serialization point that
                 // sharding exists to remove.
-                pool: Arc::new(BufferPool::new(self.buffer_pool)),
+                pool: Arc::default(),
             })
             .collect();
         let core = Arc::new(Core {
@@ -1048,9 +961,8 @@ impl<'a> NormRequest<'a> {
 /// poisoned free-list lock is recovered by skipping the pool (allocation
 /// fallback) — the pool is an optimization, never a correctness
 /// dependency.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct BufferPool {
-    enabled: bool,
     free: Mutex<Vec<Vec<u32>>>,
 }
 
@@ -1064,35 +976,25 @@ impl BufferPool {
     /// lifetime (Vec capacity never shrinks on reuse).
     const MAX_POOLED_CAPACITY: usize = 1 << 20;
 
-    fn new(enabled: bool) -> Self {
-        BufferPool {
-            enabled,
-            free: Mutex::new(Vec::new()),
-        }
-    }
-
     /// A buffer of exactly `len` elements, reusing a returned buffer when
     /// one is available. Its contents are unspecified — every caller
     /// overwrites all of it. Returned buffers keep their length, so the
     /// resize writes only a tail the buffer grows by: a steady stream of
     /// same-sized requests leases without any zero-fill.
     fn lease(&self, len: usize) -> Vec<u32> {
-        let mut buf = if self.enabled {
-            self.free
-                .lock()
-                .map(|mut free| free.pop())
-                .unwrap_or_default()
-                .unwrap_or_default()
-        } else {
-            Vec::new()
-        };
+        let mut buf = self
+            .free
+            .lock()
+            .map(|mut free| free.pop())
+            .unwrap_or_default()
+            .unwrap_or_default();
         buf.resize(len, 0);
         buf
     }
 
     /// Return a leased buffer (length and capacity) to the free list.
     fn give_back(&self, buf: Vec<u32>) {
-        if !self.enabled || buf.capacity() == 0 || buf.capacity() > Self::MAX_POOLED_CAPACITY {
+        if buf.capacity() == 0 || buf.capacity() > Self::MAX_POOLED_CAPACITY {
             return;
         }
         if let Ok(mut free) = self.free.lock() {
@@ -1521,11 +1423,8 @@ enum Admission<'s> {
     Queue { recorded: bool },
 }
 
-/// A caller's hold on its shard while it runs its own request inline:
-/// the shard's claim when the shard was idle, or — in per-request mode,
-/// where every request runs inline and concurrent callers serialize on
-/// the backend lock — no claim at all (`claimed` false).
-/// [`release`](InlineClaim::release) gives the claim back and folds in
+/// A caller's hold on its idle shard's claim while it runs its own
+/// request inline. [`release`](InlineClaim::release) gives the claim back and folds in
 /// the request's stats under one queue lock, then wakes the driver if
 /// entries queued behind the claim. Dropped unreleased — the backend
 /// call unwound — the guard fails the shard the way [`deliver_panic`]
@@ -1537,7 +1436,6 @@ enum Admission<'s> {
 struct InlineClaim<'s> {
     core: &'s Core,
     shard: &'s Shard,
-    claimed: bool,
     released: bool,
 }
 
@@ -1551,12 +1449,7 @@ impl InlineClaim<'_> {
     ) {
         self.released = true;
         let mut queue = self.core.queue_of(self.shard);
-        if self.claimed {
-            queue.claimed = false;
-        } else {
-            // Per-request mode counts the request here, in the same lock.
-            queue.stats.accept(kind);
-        }
+        queue.claimed = false;
         queue.stats.record_lone(kind, rows, accepted, executed);
         let queued = !queue.pending.is_empty();
         drop(queue);
@@ -1573,9 +1466,7 @@ impl Drop for InlineClaim<'_> {
         }
         {
             let mut queue = self.core.queue_of(self.shard);
-            if self.claimed {
-                queue.claimed = false;
-            }
+            queue.claimed = false;
             queue.failed = true;
         }
         self.core.request_shutdown();
@@ -1752,7 +1643,7 @@ struct Shard {
     /// was requested. Separate from `queue_cv` so submitter wakeups never
     /// stampede the driver and vice versa.
     work_cv: Condvar,
-    /// The shard's resident partition helpers (`shard_threads − 1` of
+    /// The shard's resident partition helpers (`threads − 1` of
     /// them; the driver itself is the last lane). Spawned once at build,
     /// parked when idle, joined on drop.
     runner: PartitionPool,
@@ -2034,7 +1925,6 @@ fn driver_loop(core: &Core, idx: usize) {
         // requests — an in-flight round never occupies a depth slot.
         let mut entries = std::mem::take(&mut queue.pending);
         let hold_window = !queue.failed
-            && core.config.coalescing
             && !core.config.window.is_zero()
             && (queue.estimator.is_none() || queue.window_open)
             && !core.shutdown.load(Ordering::SeqCst);
@@ -2434,8 +2324,7 @@ impl NormService {
     /// caller-provided buffer instead of allocating a response — the
     /// hot-path variant for callers that reuse buffers across calls (the
     /// transformer's forward pass). When the request runs on the calling
-    /// thread — always in per-request mode (coalescing disabled), and on
-    /// an idle shard otherwise — bit requests execute straight into `out`
+    /// thread — on an idle shard — bit requests execute straight into `out`
     /// with **zero** service-layer allocations, copies or condvar waits.
     /// A request that queues behind other work rides a resident-driver
     /// round and the served result is copied into `out`. Returns the
@@ -2487,8 +2376,8 @@ impl NormService {
     /// share its backend batch), and it is admitted through the same
     /// per-shard queue-depth bound — a full shard rejects **here, at
     /// enqueue time**, not at collect time. Output bits are identical to
-    /// [`submit`](NormService::submit) and to serial per-request execution
-    /// on every path (enforced by `tests/service_bit_identity.rs` and
+    /// [`submit`](NormService::submit) and to serial execution on every
+    /// path (enforced by `tests/service_bit_identity.rs` and
     /// `tests/inline_submit.rs`).
     ///
     /// An accepted request executes whether or not its ticket is ever
@@ -2496,9 +2385,7 @@ impl NormService {
     /// the shard pool (see [`NormTicket`]). Event loops that would rather
     /// be called than poll register a callback with
     /// [`NormTicket::on_ready`] or collect many tickets through a
-    /// [`TicketSet`]. On a service built
-    /// [`with_coalescing(false)`](ServiceConfig::with_coalescing) every
-    /// ticket runs inline. A backend panic during an inline run never
+    /// [`TicketSet`]. A backend panic during an inline run never
     /// unwinds into the submitter: the service shuts down, as it does for
     /// a panic in a driver round, and the ticket holds
     /// [`NormError::ServiceShutdown`].
@@ -2607,10 +2494,8 @@ impl NormService {
         }
     }
 
-    /// Decide whether an arrival runs inline on the calling thread.
-    /// Per-request mode (coalescing disabled) always does, without a
-    /// claim. Otherwise the decision is made under the shard's queue
-    /// lock: inline when the service is up, the shard has nothing
+    /// Decide whether an arrival runs inline on the calling thread. The
+    /// decision is made under the shard's queue lock: inline when the service is up, the shard has nothing
     /// queued, no thread holds its claim, and the driver would hold no
     /// coalescing window for this arrival — the window is zero, or the
     /// adaptive estimator's verdict is closed after recording it. On
@@ -2623,15 +2508,6 @@ impl NormService {
         request: &NormRequest<'_>,
     ) -> Result<Admission<'s>, NormError> {
         let config = &self.inner.config;
-        let claim = |claimed| InlineClaim {
-            core: &self.inner.core,
-            shard,
-            claimed,
-            released: false,
-        };
-        if !config.coalescing {
-            return Ok(Admission::Inline(claim(false)));
-        }
         if !config.window.is_zero() && config.adaptive.is_none() {
             // A fixed window always holds the round open.
             return Ok(Admission::Queue { recorded: false });
@@ -2655,7 +2531,11 @@ impl NormService {
         }
         queue.claimed = true;
         queue.stats.accept(request.kind());
-        Ok(Admission::Inline(claim(true)))
+        Ok(Admission::Inline(InlineClaim {
+            core: &self.inner.core,
+            shard,
+            released: false,
+        }))
     }
 
     /// Run `request` as its own backend call on the calling thread,
@@ -2675,8 +2555,8 @@ impl NormService {
         Ok(Served::alone(rows))
     }
 
-    /// The one inline-ticket path, for idle-shard tickets and per-request
-    /// mode alike: run the request under `claim` into a pooled reply and
+    /// The one inline-ticket path: run the request under `claim` into a
+    /// pooled reply and
     /// return the finished outcome. A backend panic is contained here,
     /// never unwinding into the submitter: the claim's drop fails the
     /// shard and shuts the service down, and the ticket reports
@@ -3084,9 +2964,8 @@ enum WaitMode {
 
 /// A ticket's backing state.
 enum TicketRepr {
-    /// The request ran inline at submit time (an idle shard, or
-    /// per-request mode); the finished outcome is parked here until a
-    /// collect method takes it.
+    /// The request ran inline at submit time on an idle shard; the
+    /// finished outcome is parked here until a collect method takes it.
     Immediate(Option<Result<NormResponse, NormError>>),
     /// A combining-queue entry: the slot is filled by the shard's
     /// resident driver when its round serves the request.
@@ -3677,25 +3556,6 @@ mod tests {
                 actual: 7
             }
         );
-        assert_eq!(
-            ServiceConfig::new(8)
-                .with_shards(2)
-                .with_shard_threads(&[1, 2, 3])
-                .build()
-                .unwrap_err(),
-            NormError::ShardThreadsMismatch {
-                shards: 2,
-                actual: 3
-            }
-        );
-        assert_eq!(
-            ServiceConfig::new(8)
-                .with_shards(2)
-                .with_shard_threads(&[1, 0])
-                .build()
-                .unwrap_err(),
-            NormError::ZeroThreads
-        );
         let invalid = AdaptiveWindow {
             interval: Duration::ZERO,
             ..AdaptiveWindow::default()
@@ -3713,43 +3573,32 @@ mod tests {
     fn executor_knobs_round_trip_and_build() {
         let config = ServiceConfig::new(8)
             .with_shards(2)
-            .with_shard_threads(&[2, 1])
+            .with_threads(2)
             .with_adaptive_window(AdaptiveWindow::default());
-        assert_eq!(config.shard_threads(), Some(&[2usize, 1][..]));
+        assert_eq!(config.threads(), 2);
         assert_eq!(
             config.adaptive_window(),
             Some(AdaptiveWindow::default()),
             "adaptive knob reads back"
         );
-        assert_eq!(config.shard_thread_count(0), 2);
-        assert_eq!(config.shard_thread_count(1), 1);
         let service = config.build().unwrap();
         let bits = row_bits(8, 1);
         let response = service.submit(NormRequest::bits(&bits)).unwrap();
         assert_eq!(response.rows(), 1);
-        // Without the per-shard override, every shard gets `threads`.
-        let uniform = ServiceConfig::new(8).with_threads(3);
-        assert_eq!(uniform.shard_threads(), None);
-        assert_eq!(uniform.shard_thread_count(0), 3);
     }
 
     #[test]
     fn config_reports_sharding_and_backpressure_knobs() {
-        let config = ServiceConfig::new(8)
-            .with_shards(4)
-            .with_queue_depth(7)
-            .with_buffer_pool(false);
+        let config = ServiceConfig::new(8).with_shards(4).with_queue_depth(7);
         assert_eq!(config.shards(), 4);
         assert_eq!(config.queue_depth(), 7);
-        assert!(!config.buffer_pool());
         let service = config.build().unwrap();
         assert_eq!(service.shards(), 4);
         assert_eq!(service.config().queue_depth(), 7);
-        // Defaults: one shard, bounded queue, pooled buffers.
+        // Defaults: one shard, bounded queue.
         let default = ServiceConfig::new(8);
         assert_eq!(default.shards(), 1);
         assert_eq!(default.queue_depth(), DEFAULT_QUEUE_DEPTH);
-        assert!(default.buffer_pool());
     }
 
     #[test]
@@ -3794,25 +3643,15 @@ mod tests {
             .unwrap()
             .into_bits();
         for shards in [2, 4] {
-            for pooled in [true, false] {
-                let service = ServiceConfig::new(d)
-                    .with_shards(shards)
-                    .with_buffer_pool(pooled)
-                    .build()
-                    .unwrap();
-                // Several submits so round-robin visits every shard.
-                for _ in 0..2 * shards {
-                    let response = service.submit(NormRequest::bits(&bits)).unwrap();
-                    assert_eq!(
-                        response.bits(),
-                        &expect[..],
-                        "shards={shards} pooled={pooled}"
-                    );
-                }
-                let stats = service.stats();
-                assert_eq!(stats.requests, 2 * shards as u64, "stats aggregate shards");
-                assert_eq!(stats.rows, 6 * shards as u64);
+            let service = ServiceConfig::new(d).with_shards(shards).build().unwrap();
+            // Several submits so round-robin visits every shard.
+            for _ in 0..2 * shards {
+                let response = service.submit(NormRequest::bits(&bits)).unwrap();
+                assert_eq!(response.bits(), &expect[..], "shards={shards}");
             }
+            let stats = service.stats();
+            assert_eq!(stats.requests, 2 * shards as u64, "stats aggregate shards");
+            assert_eq!(stats.rows, 6 * shards as u64);
         }
     }
 
@@ -3937,40 +3776,33 @@ mod tests {
     #[test]
     fn submit_into_matches_submit_and_validates_shapes() {
         let d = 20;
-        for coalescing in [true, false] {
-            let service = ServiceConfig::new(d)
-                .with_coalescing(coalescing)
-                .build()
-                .unwrap();
-            let bits: Vec<u32> = (0..2).flat_map(|r| row_bits(d, r)).collect();
-            let expect = service.submit(NormRequest::bits(&bits)).unwrap();
-            let mut out = vec![0u32; bits.len()];
-            assert_eq!(
-                service
-                    .submit_into(NormRequest::bits(&bits), &mut out)
-                    .unwrap(),
-                2,
-                "coalescing={coalescing}"
-            );
-            assert_eq!(&out[..], expect.bits(), "coalescing={coalescing}");
-            let mut short = vec![0u32; d];
-            assert_eq!(
-                service
-                    .submit_into(NormRequest::bits(&bits), &mut short)
-                    .unwrap_err(),
-                NormError::OutputLengthMismatch {
-                    expected: 2 * d,
-                    actual: d
-                }
-            );
-            assert_eq!(
-                service
-                    .submit_into(NormRequest::bits(&[]), &mut [])
-                    .unwrap_err(),
-                NormError::EmptyRequest
-            );
-        }
         let service = ServiceConfig::new(d).build().unwrap();
+        let bits: Vec<u32> = (0..2).flat_map(|r| row_bits(d, r)).collect();
+        let expect = service.submit(NormRequest::bits(&bits)).unwrap();
+        let mut out = vec![0u32; bits.len()];
+        assert_eq!(
+            service
+                .submit_into(NormRequest::bits(&bits), &mut out)
+                .unwrap(),
+            2
+        );
+        assert_eq!(&out[..], expect.bits());
+        let mut short = vec![0u32; d];
+        assert_eq!(
+            service
+                .submit_into(NormRequest::bits(&bits), &mut short)
+                .unwrap_err(),
+            NormError::OutputLengthMismatch {
+                expected: 2 * d,
+                actual: d
+            }
+        );
+        assert_eq!(
+            service
+                .submit_into(NormRequest::bits(&[]), &mut [])
+                .unwrap_err(),
+            NormError::EmptyRequest
+        );
         service.shutdown();
         let bits = row_bits(d, 1);
         let mut out = vec![0u32; d];
@@ -4132,24 +3964,6 @@ mod tests {
             .wait_timeout(Duration::MAX)
             .expect("an unbounded wait always delivers");
         assert_eq!(forever.unwrap().bits(), expect.bits());
-    }
-
-    #[test]
-    fn submit_async_per_request_mode_returns_completed_ticket() {
-        let d = 16;
-        let service = ServiceConfig::new(d)
-            .with_coalescing(false)
-            .build()
-            .unwrap();
-        let bits = row_bits(d, 2);
-        let expect = service.submit(NormRequest::bits(&bits)).unwrap();
-        let mut ticket = service.submit_async(NormRequest::bits(&bits)).unwrap();
-        let response = ticket
-            .try_take()
-            .expect("per-request tickets are complete at submit")
-            .unwrap();
-        assert_eq!(response.bits(), expect.bits());
-        assert_eq!(response.batch_requests(), 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! 15-byte comm limit), so enumerating `/proc/self/task` gives the
 //! ground truth the contract is stated in —
 //!
-//! * exactly `Σ shard_threads` workers spawn, once, at
+//! * exactly `shards × threads` workers spawn, once, at
 //!   [`ServiceConfig::build`] — submitting traffic never spawns more;
 //! * an idle service takes (almost) no wake-ups over a scripted idle
 //!   window — residents park, they never busy-spin;
@@ -101,14 +101,13 @@ fn build_spawns_exactly_the_configured_workers_once() {
     let _guard = census_lock();
     await_no_service_threads(Duration::from_secs(10), "census must start clean");
 
-    // Uneven per-shard counts: shard 0 gets 2 threads (1 driver +
-    // 1 helper), shard 1 gets 3 (1 driver + 2 helpers) — 5 residents.
+    // Two shards of 3 threads each (1 driver + 2 helpers) — 6 residents.
     let service = ServiceConfig::new(D)
         .with_shards(2)
-        .with_shard_threads(&[2, 3])
+        .with_threads(3)
         .build()
         .unwrap();
-    let at_build = await_service_census(5, "shards × shard_threads must spawn exactly");
+    let at_build = await_service_census(6, "shards × threads must spawn exactly");
     // One driver per shard, helpers making up the rest.
     let drivers = at_build.iter().filter(|n| n.ends_with('d')).count();
     assert_eq!(drivers, 2, "one resident driver per shard: {at_build:?}");

@@ -16,8 +16,8 @@
 //!   leaking or hanging — repeated across fresh services.
 //! * **Bit-identity sweep**: async ≡ blocking ≡ serial per-request
 //!   bits on the resident executor, across every registry method ×
-//!   shards {1, 2, 4} × per-shard thread counts (uniform and uneven) ×
-//!   both workloads (normalize and whiten).
+//!   shards {1, 2, 4} × per-shard thread counts {2, 3} × both workloads
+//!   (normalize and whiten).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -301,29 +301,26 @@ fn serial_whiten(backend: BackendKind, bits: &[u32]) -> Vec<u32> {
 
 #[test]
 fn full_bit_identity_sweep_on_the_resident_executor() {
-    // The acceptance sweep from the issue, replayed on the resident
-    // executor with the new per-shard thread axis: uneven thread counts
-    // change only which helper executes which partition — never bits.
+    // The acceptance sweep replayed on the resident executor with a
+    // per-shard thread axis: the thread count changes only which helper
+    // executes which partition — never bits.
     let submitters = 3;
     let whiten_rows = 5;
     for backend in [BackendKind::Emulated, BackendKind::Native] {
         for spec in MethodSpec::REGISTRY {
             for shards in [1usize, 2, 4] {
-                for uneven in [false, true] {
-                    let shard_threads: Vec<usize> = (0..shards)
-                        .map(|i| if uneven { 1 + (i + 1) % 3 } else { 2 })
-                        .collect();
+                for threads in [2, 3] {
                     let service = ServiceConfig::new(D)
                         .with_backend(backend)
                         .with_method(spec)
                         .with_shards(shards)
-                        .with_shard_threads(&shard_threads)
+                        .with_threads(threads)
                         .with_whiten(WhitenSpec::default())
                         .with_window(Duration::from_micros(500))
                         .build()
                         .unwrap();
                     let context = format!(
-                        "{}/{} shards={shards} threads={shard_threads:?}",
+                        "{}/{} shards={shards} threads={threads}",
                         backend.name(),
                         spec.label()
                     );

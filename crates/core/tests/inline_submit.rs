@@ -1,9 +1,10 @@
 //! The idle-shard inline path, enforced:
 //!
-//! * A blocking submit that finds its shard idle runs on the calling
-//!   thread, and its bits equal the emulated soft-float oracle — for
-//!   every registry method × shards {1, 2} × both backends × both
-//!   workloads, through `submit` and `submit_into` alike.
+//! * A submit that finds its shard idle runs on the calling thread, and
+//!   its bits equal the emulated soft-float oracle — for every registry
+//!   method × shards {1, 2} × both backends × both workloads × bit and
+//!   `f32` payloads, through `submit`, `submit_async` and `submit_into`
+//!   alike.
 //! * Sequential inline calls never touch the resident driver: zero
 //!   worker wake-ups, one backend call per request.
 //! * Work that arrives while an inline caller holds the shard queues
@@ -16,16 +17,15 @@
 //! * `submit_async` on an idle shard runs inline too: on the caller's
 //!   thread, without waking the driver, and the ticket is complete when
 //!   the call returns; on a busy shard the ticket still queues for the
-//!   driver. Inline tickets (and `submit_into`) match the oracle for bit
-//!   and `f32` payloads, normalization and whitening, with coalescing on
-//!   and off; a dropped one is counted and its reply buffer goes back to
-//!   the pool; and a panicking backend yields a `ServiceShutdown` ticket
-//!   instead of unwinding into the submitter.
+//!   driver. A dropped inline ticket is counted and its reply buffer goes
+//!   back to the pool, and a panicking backend yields a `ServiceShutdown`
+//!   ticket instead of unwinding into the submitter.
 //!
 //! The gated backends record the name of every thread that enters them:
 //! resident drivers are named `ns{service}s{shard}d`, so "who executed
 //! this call" is observable without touching private state.
 
+use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -208,6 +208,70 @@ fn gated(config: ServiceConfig, gate: &Arc<Gate>, panics: bool) -> NormService {
         .unwrap()
 }
 
+/// Every live thread of this process as `(tid, comm, state)`, read from
+/// `/proc/self/task/*/{comm,stat}`; a thread that exits mid-read is
+/// skipped.
+fn tasks() -> Vec<(String, String, char)> {
+    let read = |entry: std::io::Result<std::fs::DirEntry>| {
+        let dir = entry.ok()?.path();
+        let comm = std::fs::read_to_string(dir.join("comm")).ok()?;
+        let stat = std::fs::read_to_string(dir.join("stat")).ok()?;
+        // `stat` reads `tid (comm) state …`, and comm may itself hold
+        // parentheses, so the state follows the *last* `)`.
+        let state = stat.rsplit_once(')')?.1.trim_start().chars().next()?;
+        let tid = dir.file_name()?.to_string_lossy().into_owned();
+        Some((tid, comm.trim().to_string(), state))
+    };
+    let dir = std::fs::read_dir("/proc/self/task").expect("procfs task dir");
+    dir.filter_map(read).collect()
+}
+
+/// [`gated`], then wait (bounded) until the service's resident driver is
+/// parked. A driver that first runs after work was queued finds that
+/// work without ever parking, so a test that needs the driver to be
+/// *woken* must not race its start-up.
+///
+/// The service is built on a thread named `SPAWNER`, and a new thread
+/// carries its spawner's name until it starts and renames itself. The
+/// wait ends once no thread still carries `SPAWNER`'s name and every
+/// driver thread that appeared during the build has been seen asleep
+/// (`S`). Nothing has been submitted yet, so nobody holds the queue
+/// lock: a sleeping driver is parked on its work condvar.
+fn gated_with_parked_driver(gate: &Arc<Gate>) -> NormService {
+    const SPAWNER: &str = "busy-shard-spn";
+    let before: HashSet<String> = tasks().into_iter().map(|(tid, ..)| tid).collect();
+    let gate = Arc::clone(gate);
+    let service = std::thread::Builder::new()
+        .name(SPAWNER.into())
+        .spawn(move || gated(ServiceConfig::new(D), &gate, false))
+        .unwrap()
+        .join()
+        .unwrap();
+    let mut asleep = HashSet::new();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let live = tasks();
+        let mut parked = live.iter().all(|(_, comm, _)| comm != SPAWNER);
+        for (tid, _, state) in live
+            .iter()
+            .filter(|(tid, comm, _)| is_driver(comm) && !before.contains(tid))
+        {
+            if *state == 'S' {
+                asleep.insert(tid.clone());
+            }
+            parked &= asleep.contains(tid);
+        }
+        if parked {
+            return service;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the shard driver never parked: {live:?}"
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
 /// Poll until `n` requests were accepted (a queued submitter counts
 /// before it parks).
 fn await_accepted(service: &NormService, n: u64) {
@@ -236,34 +300,50 @@ fn idle_shard_submits_match_the_emulated_oracle() {
                     .build()
                     .unwrap();
                 // One caller, one request at a time: every shard it
-                // lands on is idle, so every call runs inline.
-                for salt in 0..2 * shards as u64 {
-                    let norm = request_bits(1 + salt as usize % 3, 0x1000 + salt);
-                    let group = request_bits(5, 0x2000 + salt);
-                    let expect_norm = oracle_norm(&spec, &norm);
-                    let expect_group = oracle_whiten(&group);
-
-                    let response = service.submit(NormRequest::bits(&norm)).unwrap();
-                    assert_eq!(response.bits(), &expect_norm[..], "{context}: submit");
-                    assert_eq!(response.batch_requests(), 1, "{context}");
-                    let mut out = vec![0u32; norm.len()];
-                    service
-                        .submit_into(NormRequest::bits(&norm), &mut out)
-                        .unwrap();
-                    assert_eq!(out, expect_norm, "{context}: submit_into");
-
-                    let response = service.submit(NormRequest::whiten_group(&group)).unwrap();
-                    assert_eq!(response.bits(), &expect_group[..], "{context}: whiten");
-                    let mut out = vec![0u32; group.len()];
-                    service
-                        .submit_into(NormRequest::whiten_group(&group), &mut out)
-                        .unwrap();
-                    assert_eq!(out, expect_group, "{context}: whiten submit_into");
+                // lands on is idle, so every call and ticket runs inline.
+                for (norm_seed, group_seed) in [(0x1000, 0x2000), (0x8000, 0x9000)] {
+                    for salt in 0..2 * shards as u64 {
+                        let norm = request_bits(1 + salt as usize % 3, norm_seed + salt);
+                        let norm_f32: Vec<f32> = norm.iter().map(|&b| f32::from_bits(b)).collect();
+                        let group = request_bits(5, group_seed + salt);
+                        let group_f32: Vec<f32> =
+                            group.iter().map(|&b| f32::from_bits(b)).collect();
+                        let expect_norm = oracle_norm(&spec, &norm);
+                        let expect_group = oracle_whiten(&group);
+                        for (request, expect, what) in [
+                            (NormRequest::bits(&norm), &expect_norm, "norm bits"),
+                            (NormRequest::f32(&norm_f32), &expect_norm, "norm f32"),
+                            (
+                                NormRequest::whiten_group(&group),
+                                &expect_group,
+                                "whiten bits",
+                            ),
+                            (
+                                NormRequest::whiten_group_f32(&group_f32),
+                                &expect_group,
+                                "whiten f32",
+                            ),
+                        ] {
+                            let response = service.submit(request).unwrap();
+                            assert_eq!(response.bits(), &expect[..], "{context}: {what}");
+                            assert_eq!(response.batch_requests(), 1, "{context}: {what}");
+                            let response = service
+                                .submit_async(request)
+                                .unwrap()
+                                .try_take()
+                                .unwrap_or_else(|| panic!("{context}: {what} ticket queued"))
+                                .unwrap();
+                            assert_eq!(response.bits(), &expect[..], "{context}: {what} ticket");
+                            let mut out = vec![0u32; expect.len()];
+                            service.submit_into(request, &mut out).unwrap();
+                            assert_eq!(&out, expect, "{context}: {what} submit_into");
+                        }
+                    }
                 }
                 let stats = service.stats();
-                assert_eq!(stats.requests, 8 * shards as u64, "{context}");
+                assert_eq!(stats.requests, 48 * shards as u64, "{context}");
                 assert_eq!(stats.batches, stats.requests, "{context}");
-                assert_eq!(stats.whiten_requests, 4 * shards as u64, "{context}");
+                assert_eq!(stats.whiten_requests, 24 * shards as u64, "{context}");
             }
         }
     }
@@ -485,7 +565,7 @@ fn an_idle_shard_ticket_runs_on_the_caller_and_is_complete_on_return() {
 #[test]
 fn a_busy_shard_ticket_is_still_served_by_the_driver() {
     let gate = Gate::new(false);
-    let service = gated(ServiceConfig::new(D), &gate, false);
+    let service = gated_with_parked_driver(&gate);
     let held = request_bits(1, 0x7100);
     let queued = request_bits(3, 0x7101);
 
@@ -521,68 +601,6 @@ fn a_busy_shard_ticket_is_still_served_by_the_driver() {
         is_driver(&entered[1]),
         "the queued ticket ran on {entered:?}"
     );
-}
-
-#[test]
-fn inline_tickets_match_the_emulated_oracle() {
-    for backend in [BackendKind::Emulated, BackendKind::Native] {
-        for spec in MethodSpec::REGISTRY {
-            for (shards, coalescing) in [(1usize, true), (2, true), (1, false)] {
-                let context = format!(
-                    "{}/{} shards={shards} coalescing={coalescing}",
-                    backend.name(),
-                    spec.label()
-                );
-                let service = ServiceConfig::new(D)
-                    .with_backend(backend)
-                    .with_method(spec)
-                    .with_shards(shards)
-                    .with_coalescing(coalescing)
-                    .with_whiten(WhitenSpec::default())
-                    .build()
-                    .unwrap();
-                for salt in 0..2 * shards as u64 {
-                    let norm = request_bits(1 + salt as usize % 3, 0x8000 + salt);
-                    let norm_f32: Vec<f32> = norm.iter().map(|&b| f32::from_bits(b)).collect();
-                    let group = request_bits(5, 0x9000 + salt);
-                    let group_f32: Vec<f32> = group.iter().map(|&b| f32::from_bits(b)).collect();
-                    let expect_norm = oracle_norm(&spec, &norm);
-                    let expect_group = oracle_whiten(&group);
-                    for (request, expect, what) in [
-                        (NormRequest::bits(&norm), &expect_norm, "norm bits"),
-                        (NormRequest::f32(&norm_f32), &expect_norm, "norm f32"),
-                        (
-                            NormRequest::whiten_group(&group),
-                            &expect_group,
-                            "whiten bits",
-                        ),
-                        (
-                            NormRequest::whiten_group_f32(&group_f32),
-                            &expect_group,
-                            "whiten f32",
-                        ),
-                    ] {
-                        // One caller, one request at a time: every shard
-                        // it lands on is idle, so every ticket runs inline.
-                        let response = service
-                            .submit_async(request)
-                            .unwrap()
-                            .try_take()
-                            .unwrap_or_else(|| panic!("{context}: {what} ticket queued"))
-                            .unwrap();
-                        assert_eq!(response.bits(), &expect[..], "{context}: {what}");
-                        // The caller's-buffer sink takes the same path.
-                        let mut out = vec![0u32; expect.len()];
-                        service.submit_into(request, &mut out).unwrap();
-                        assert_eq!(&out, expect, "{context}: {what} submit_into");
-                    }
-                }
-                let stats = service.stats();
-                assert_eq!(stats.requests, 16 * shards as u64, "{context}");
-                assert_eq!(stats.batches, stats.requests, "{context}");
-            }
-        }
-    }
 }
 
 #[test]
@@ -630,39 +648,28 @@ fn a_dropped_inline_ticket_is_counted_and_its_buffer_returns_to_the_pool() {
 
 #[test]
 fn a_panicking_inline_ticket_reports_shutdown_without_unwinding() {
-    for coalescing in [true, false] {
-        let gate = Gate::new(true);
-        let service = gated(
-            ServiceConfig::new(D).with_coalescing(coalescing),
-            &gate,
-            true,
-        );
-        let bits = request_bits(1, 0xB000);
-        let submitted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            service.submit_async(NormRequest::bits(&bits))
-        }));
-        let mut ticket = submitted
-            .unwrap_or_else(|_| panic!("coalescing={coalescing}: submit_async unwound"))
-            .unwrap();
-        assert_eq!(
-            ticket
-                .try_take()
-                .expect("an inline ticket is complete when submit_async returns")
-                .unwrap_err(),
-            NormError::ServiceShutdown,
-            "coalescing={coalescing}"
-        );
-        assert!(service.is_shutdown(), "coalescing={coalescing}");
-        assert_eq!(gate.entered().len(), 1, "coalescing={coalescing}");
-        assert_eq!(
-            service.submit_async(NormRequest::bits(&bits)).unwrap_err(),
-            NormError::ServiceShutdown,
-            "coalescing={coalescing}"
-        );
-        assert_eq!(
-            service.submit(NormRequest::bits(&bits)).unwrap_err(),
-            NormError::ServiceShutdown,
-            "coalescing={coalescing}"
-        );
-    }
+    let gate = Gate::new(true);
+    let service = gated(ServiceConfig::new(D), &gate, true);
+    let bits = request_bits(1, 0xB000);
+    let submitted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        service.submit_async(NormRequest::bits(&bits))
+    }));
+    let mut ticket = submitted.expect("submit_async unwound").unwrap();
+    assert_eq!(
+        ticket
+            .try_take()
+            .expect("an inline ticket is complete when submit_async returns")
+            .unwrap_err(),
+        NormError::ServiceShutdown
+    );
+    assert!(service.is_shutdown());
+    assert_eq!(gate.entered().len(), 1);
+    assert_eq!(
+        service.submit_async(NormRequest::bits(&bits)).unwrap_err(),
+        NormError::ServiceShutdown
+    );
+    assert_eq!(
+        service.submit(NormRequest::bits(&bits)).unwrap_err(),
+        NormError::ServiceShutdown
+    );
 }

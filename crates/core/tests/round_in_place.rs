@@ -7,7 +7,7 @@
 //!   1, 7, 8, 9 and 64 rows (straddling the SIMD kernel's 8-row blocks
 //!   and, at two threads, the partition boundary) and whitening groups of
 //!   m ∈ {64, 100, 256}, alone and mixed in one round, on the native and
-//!   emulated backends with `shard_threads` ∈ {1, 2}.
+//!   emulated backends with `threads` ∈ {1, 2}.
 //! * A third-party backend and whitening executor that implement only
 //!   the out-of-place methods serve coalesced rounds through the traits'
 //!   default in-place implementations: one backend call per round over

@@ -410,53 +410,6 @@ fn submit_into_is_bit_identical_under_concurrency() {
 }
 
 #[test]
-fn per_request_mode_matches_coalesced_mode_bitwise() {
-    let d = 48;
-    let bits = request_bits(FormatKind::Fp32, d, 5, 11);
-    let coalesced = ServiceConfig::new(d)
-        .build()
-        .unwrap()
-        .submit(NormRequest::bits(&bits))
-        .unwrap();
-    let per_request_service = ServiceConfig::new(d)
-        .with_coalescing(false)
-        .build()
-        .unwrap();
-    let per_request = per_request_service
-        .submit(NormRequest::bits(&bits))
-        .unwrap();
-    assert_eq!(coalesced.bits(), per_request.bits());
-    assert_eq!(per_request.batch_requests(), 1);
-    // Per-request mode on a sharded service places requests round-robin
-    // over shard backends; every shard must produce the same bits.
-    let sharded_per_request = ServiceConfig::new(d)
-        .with_coalescing(false)
-        .with_shards(4)
-        .build()
-        .unwrap();
-    for _ in 0..8 {
-        let response = sharded_per_request
-            .submit(NormRequest::bits(&bits))
-            .unwrap();
-        assert_eq!(response.bits(), coalesced.bits());
-    }
-    // Per-request mode still honors shutdown and validation.
-    assert_eq!(
-        per_request_service
-            .submit(NormRequest::bits(&[]))
-            .unwrap_err(),
-        NormError::EmptyRequest
-    );
-    per_request_service.shutdown();
-    assert_eq!(
-        per_request_service
-            .submit(NormRequest::bits(&bits))
-            .unwrap_err(),
-        NormError::ServiceShutdown
-    );
-}
-
-#[test]
 fn affine_service_matches_affine_backend_bitwise() {
     let d = 96;
     let gamma: Vec<u32> = (0..d)

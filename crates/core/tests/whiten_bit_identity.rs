@@ -247,7 +247,7 @@ fn forced_unavailable_levels_error_cleanly() {
     }
 }
 
-/// Whitening through the service — serial, coalesced, and async — returns
+/// Whitening through the service — blocking and async — returns
 /// exactly the bits of a direct executor call, and the whiten counters move.
 #[test]
 fn service_path_is_bit_identical_to_direct_executor() {
@@ -261,38 +261,35 @@ fn service_path_is_bit_identical_to_direct_executor() {
         .unwrap();
 
     for backend in [BackendKind::Emulated, BackendKind::Native] {
-        for coalescing in [false, true] {
-            let service = ServiceConfig::new(d)
-                .with_backend(backend)
-                .with_whiten(spec)
-                .with_coalescing(coalescing)
-                .build()
-                .expect("service must start");
-            let response = service
-                .submit(NormRequest::whiten_group(&input))
-                .expect("whiten submit must succeed");
-            assert_eq!(response.rows(), m);
-            assert_bits_eq(
-                &expected,
-                response.bits(),
-                &format!("service backend={backend:?} coalescing={coalescing}"),
-            );
+        let service = ServiceConfig::new(d)
+            .with_backend(backend)
+            .with_whiten(spec)
+            .build()
+            .expect("service must start");
+        let response = service
+            .submit(NormRequest::whiten_group(&input))
+            .expect("whiten submit must succeed");
+        assert_eq!(response.rows(), m);
+        assert_bits_eq(
+            &expected,
+            response.bits(),
+            &format!("service backend={backend:?}"),
+        );
 
-            let mut ticket = service
-                .submit_async(NormRequest::whiten_group(&input))
-                .expect("async whiten submit must succeed");
-            let async_response = ticket.wait().expect("async whiten must complete");
-            assert_bits_eq(
-                &expected,
-                async_response.bits(),
-                &format!("async service backend={backend:?} coalescing={coalescing}"),
-            );
+        let mut ticket = service
+            .submit_async(NormRequest::whiten_group(&input))
+            .expect("async whiten submit must succeed");
+        let async_response = ticket.wait().expect("async whiten must complete");
+        assert_bits_eq(
+            &expected,
+            async_response.bits(),
+            &format!("async service backend={backend:?}"),
+        );
 
-            let stats = service.stats().snapshot();
-            assert_eq!(stats.whiten_requests, 2, "both whiten submissions counted");
-            assert_eq!(stats.whiten_rows, 2 * m as u64, "whitened rows counted");
-            service.shutdown();
-        }
+        let stats = service.stats().snapshot();
+        assert_eq!(stats.whiten_requests, 2, "both whiten submissions counted");
+        assert_eq!(stats.whiten_rows, 2 * m as u64, "whitened rows counted");
+        service.shutdown();
     }
 }
 
@@ -313,7 +310,6 @@ fn mixed_kind_rounds_keep_both_outputs_bit_exact() {
 
     let service = ServiceConfig::new(d)
         .with_whiten(spec)
-        .with_coalescing(true)
         .with_window(std::time::Duration::from_micros(200))
         .build()
         .expect("service must start");

@@ -24,10 +24,13 @@ pub enum RuleId {
     L005,
     /// `NormError` variant missing from its `Display` impl (PR 1).
     L006,
+    /// Condvar notify after an atomic store with no lock taken in between
+    /// (lost wakeup).
+    L007,
 }
 
 /// Every rule, in catalogue order.
-pub const ALL_RULES: [RuleId; 7] = [
+pub const ALL_RULES: [RuleId; 8] = [
     RuleId::L000,
     RuleId::L001,
     RuleId::L002,
@@ -35,6 +38,7 @@ pub const ALL_RULES: [RuleId; 7] = [
     RuleId::L004,
     RuleId::L005,
     RuleId::L006,
+    RuleId::L007,
 ];
 
 impl RuleId {
@@ -48,6 +52,7 @@ impl RuleId {
             RuleId::L004 => "L004",
             RuleId::L005 => "L005",
             RuleId::L006 => "L006",
+            RuleId::L007 => "L007",
         }
     }
 
@@ -61,6 +66,7 @@ impl RuleId {
             RuleId::L004 => "div/sqrt/fma inside a kernel-marked region",
             RuleId::L005 => "second lock acquired while a shard guard is live",
             RuleId::L006 => "NormError variant missing from Display",
+            RuleId::L007 => "condvar notify after an atomic store with no lock in between",
         }
     }
 

@@ -3,7 +3,7 @@
 //! unsafe containment, and lock-poison recovery. Dependency-free by
 //! design (a linter the build can't bootstrap enforces nothing): a
 //! hand-rolled lexer ([`lexer`]), a per-file scope pass ([`scope`]), and
-//! seven small rules ([`rules`], catalogued in [`diag::RuleId`]).
+//! eight small rules ([`rules`], catalogued in [`diag::RuleId`]).
 //!
 //! Library surface: [`check_file_source`] runs every rule over one file
 //! (what the fixture tests use); [`run_workspace`] walks the real tree.
@@ -99,6 +99,7 @@ pub fn check_file_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Diagnos
     rules::l004::run(&ctx, &mut diags);
     rules::l005::run(&ctx, &mut diags);
     rules::l006::run(&ctx, &mut diags);
+    rules::l007::run(&ctx, &mut diags);
 
     // Waivers apply to every rule except the meta rule (a broken escape
     // hatch must not be able to waive itself).

@@ -18,7 +18,8 @@ use crate::diag::{Diagnostic, RuleId};
 use crate::lexer::TokenKind;
 use crate::rules::RuleCtx;
 
-const ACQUIRERS: &[&str] = &["lock", "try_lock", "queue_of", "backend_of", "whiten_of"];
+/// Method names that acquire a lock (L007 shares the set).
+pub(crate) const ACQUIRERS: &[&str] = &["lock", "try_lock", "queue_of", "backend_of", "whiten_of"];
 
 struct Guard {
     name: String,

@@ -11,6 +11,7 @@ pub mod l003;
 pub mod l004;
 pub mod l005;
 pub mod l006;
+pub mod l007;
 
 /// Read-only context handed to every rule for one file.
 pub struct RuleCtx<'a> {

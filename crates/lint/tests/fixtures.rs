@@ -170,6 +170,19 @@ fn l006_fires_on_variant_missing_from_display() {
 }
 
 #[test]
+fn l007_fires_on_notify_after_store_without_a_lock() {
+    let got = lint_as("l007_lost_wakeup.rs", "crates/core/src/service.rs");
+    assert_eq!(
+        got,
+        vec![
+            "crates/core/src/service.rs:14:23: [L007] `.notify_all()` after the atomic store \
+             on line 12 with no lock taken in between — a waiter between its flag check and \
+             its wait misses this wakeup; lock the condvar's mutex after the store",
+        ]
+    );
+}
+
+#[test]
 fn well_formed_waiver_silences_the_rule() {
     let got = lint_as("waived.rs", "crates/server/src/shard.rs");
     assert_eq!(got, Vec::<String>::new());
