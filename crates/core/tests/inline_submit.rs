@@ -2,9 +2,9 @@
 //!
 //! * A submit that finds its shard idle runs on the calling thread, and
 //!   its bits equal the emulated soft-float oracle — for every registry
-//!   method × shards {1, 2} × both backends × both workloads × bit and
-//!   `f32` payloads, through `submit`, `submit_async` and `submit_into`
-//!   alike.
+//!   method × shards {1, 2} × both backends × both workloads, through
+//!   `submit` and `submit_into` alike, and through `submit_async` for
+//!   bit and `f32` payloads.
 //! * Sequential inline calls never touch the resident driver: zero
 //!   worker wake-ups, one backend call per request.
 //! * Work that arrives while an inline caller holds the shard queues
@@ -300,50 +300,34 @@ fn idle_shard_submits_match_the_emulated_oracle() {
                     .build()
                     .unwrap();
                 // One caller, one request at a time: every shard it
-                // lands on is idle, so every call and ticket runs inline.
-                for (norm_seed, group_seed) in [(0x1000, 0x2000), (0x8000, 0x9000)] {
-                    for salt in 0..2 * shards as u64 {
-                        let norm = request_bits(1 + salt as usize % 3, norm_seed + salt);
-                        let norm_f32: Vec<f32> = norm.iter().map(|&b| f32::from_bits(b)).collect();
-                        let group = request_bits(5, group_seed + salt);
-                        let group_f32: Vec<f32> =
-                            group.iter().map(|&b| f32::from_bits(b)).collect();
-                        let expect_norm = oracle_norm(&spec, &norm);
-                        let expect_group = oracle_whiten(&group);
-                        for (request, expect, what) in [
-                            (NormRequest::bits(&norm), &expect_norm, "norm bits"),
-                            (NormRequest::f32(&norm_f32), &expect_norm, "norm f32"),
-                            (
-                                NormRequest::whiten_group(&group),
-                                &expect_group,
-                                "whiten bits",
-                            ),
-                            (
-                                NormRequest::whiten_group_f32(&group_f32),
-                                &expect_group,
-                                "whiten f32",
-                            ),
-                        ] {
-                            let response = service.submit(request).unwrap();
-                            assert_eq!(response.bits(), &expect[..], "{context}: {what}");
-                            assert_eq!(response.batch_requests(), 1, "{context}: {what}");
-                            let response = service
-                                .submit_async(request)
-                                .unwrap()
-                                .try_take()
-                                .unwrap_or_else(|| panic!("{context}: {what} ticket queued"))
-                                .unwrap();
-                            assert_eq!(response.bits(), &expect[..], "{context}: {what} ticket");
-                            let mut out = vec![0u32; expect.len()];
-                            service.submit_into(request, &mut out).unwrap();
-                            assert_eq!(&out, expect, "{context}: {what} submit_into");
-                        }
-                    }
+                // lands on is idle, so every call runs inline.
+                for salt in 0..2 * shards as u64 {
+                    let norm = request_bits(1 + salt as usize % 3, 0x1000 + salt);
+                    let group = request_bits(5, 0x2000 + salt);
+                    let expect_norm = oracle_norm(&spec, &norm);
+                    let expect_group = oracle_whiten(&group);
+
+                    let response = service.submit(NormRequest::bits(&norm)).unwrap();
+                    assert_eq!(response.bits(), &expect_norm[..], "{context}: submit");
+                    assert_eq!(response.batch_requests(), 1, "{context}");
+                    let mut out = vec![0u32; norm.len()];
+                    service
+                        .submit_into(NormRequest::bits(&norm), &mut out)
+                        .unwrap();
+                    assert_eq!(out, expect_norm, "{context}: submit_into");
+
+                    let response = service.submit(NormRequest::whiten_group(&group)).unwrap();
+                    assert_eq!(response.bits(), &expect_group[..], "{context}: whiten");
+                    let mut out = vec![0u32; group.len()];
+                    service
+                        .submit_into(NormRequest::whiten_group(&group), &mut out)
+                        .unwrap();
+                    assert_eq!(out, expect_group, "{context}: whiten submit_into");
                 }
                 let stats = service.stats();
-                assert_eq!(stats.requests, 48 * shards as u64, "{context}");
+                assert_eq!(stats.requests, 8 * shards as u64, "{context}");
                 assert_eq!(stats.batches, stats.requests, "{context}");
-                assert_eq!(stats.whiten_requests, 24 * shards as u64, "{context}");
+                assert_eq!(stats.whiten_requests, 4 * shards as u64, "{context}");
             }
         }
     }
@@ -601,6 +585,63 @@ fn a_busy_shard_ticket_is_still_served_by_the_driver() {
         is_driver(&entered[1]),
         "the queued ticket ran on {entered:?}"
     );
+}
+
+#[test]
+fn inline_tickets_match_the_emulated_oracle() {
+    for backend in [BackendKind::Emulated, BackendKind::Native] {
+        for spec in MethodSpec::REGISTRY {
+            for shards in [1usize, 2] {
+                let context = format!("{}/{} shards={shards}", backend.name(), spec.label());
+                let service = ServiceConfig::new(D)
+                    .with_backend(backend)
+                    .with_method(spec)
+                    .with_shards(shards)
+                    .with_whiten(WhitenSpec::default())
+                    .build()
+                    .unwrap();
+                for salt in 0..2 * shards as u64 {
+                    let norm = request_bits(1 + salt as usize % 3, 0x8000 + salt);
+                    let norm_f32: Vec<f32> = norm.iter().map(|&b| f32::from_bits(b)).collect();
+                    let group = request_bits(5, 0x9000 + salt);
+                    let group_f32: Vec<f32> = group.iter().map(|&b| f32::from_bits(b)).collect();
+                    let expect_norm = oracle_norm(&spec, &norm);
+                    let expect_group = oracle_whiten(&group);
+                    for (request, expect, what) in [
+                        (NormRequest::bits(&norm), &expect_norm, "norm bits"),
+                        (NormRequest::f32(&norm_f32), &expect_norm, "norm f32"),
+                        (
+                            NormRequest::whiten_group(&group),
+                            &expect_group,
+                            "whiten bits",
+                        ),
+                        (
+                            NormRequest::whiten_group_f32(&group_f32),
+                            &expect_group,
+                            "whiten f32",
+                        ),
+                    ] {
+                        // One caller, one request at a time: every shard
+                        // it lands on is idle, so every ticket runs inline.
+                        let response = service
+                            .submit_async(request)
+                            .unwrap()
+                            .try_take()
+                            .unwrap_or_else(|| panic!("{context}: {what} ticket queued"))
+                            .unwrap();
+                        assert_eq!(response.bits(), &expect[..], "{context}: {what}");
+                        // The caller's-buffer sink takes the same path.
+                        let mut out = vec![0u32; expect.len()];
+                        service.submit_into(request, &mut out).unwrap();
+                        assert_eq!(&out, expect, "{context}: {what} submit_into");
+                    }
+                }
+                let stats = service.stats();
+                assert_eq!(stats.requests, 16 * shards as u64, "{context}");
+                assert_eq!(stats.batches, stats.requests, "{context}");
+            }
+        }
+    }
 }
 
 #[test]
