@@ -11,9 +11,8 @@ pub struct Parsed {
     positionals: Vec<String>,
 }
 
-/// Option keys that take a value; anything else starting with `--` is a
-/// boolean flag.
-const VALUED: [&str; 22] = [
+/// Option keys that take a value.
+const VALUED: [&str; 21] = [
     "format",
     "steps",
     "d",
@@ -35,15 +34,19 @@ const VALUED: [&str; 22] = [
     "group-mode",
     "tol",
     "window-us",
-    "adaptive",
 ];
+
+/// Boolean flags: option keys that take no value. An argument starting
+/// with `--` that names neither list is rejected.
+const FLAGS: [&str; 1] = ["utilization"];
 
 impl Parsed {
     /// Parse an argument list.
     ///
     /// # Errors
     ///
-    /// Rejects a valued option with no following value.
+    /// Rejects a valued option with no following value, and an option
+    /// that is neither valued nor a known flag.
     pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut out = Parsed::default();
         let mut it = args.iter().peekable();
@@ -54,8 +57,10 @@ impl Parsed {
                         .next()
                         .ok_or_else(|| format!("option --{key} needs a value"))?;
                     out.options.insert(key.to_string(), value.clone());
-                } else {
+                } else if FLAGS.contains(&key) {
                     out.flags.push(key.to_string());
+                } else {
+                    return Err(format!("unknown option --{key}"));
                 }
             } else {
                 out.positionals.push(arg.clone());
@@ -136,11 +141,26 @@ mod tests {
 
     #[test]
     fn executor_options_parse_as_values() {
-        let p = Parsed::parse(&sv(&["--window-us", "250", "--adaptive", "1000:2:2"])).unwrap();
+        let p = Parsed::parse(&sv(&["--window-us", "250"])).unwrap();
         assert_eq!(p.num("window-us", 0u64).unwrap(), 250);
-        assert_eq!(p.get("adaptive"), Some("1000:2:2"));
         assert!(Parsed::parse(&sv(&["--window-us"])).is_err());
-        assert!(Parsed::parse(&sv(&["--adaptive"])).is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_by_name() {
+        // A misspelt option, and options whose knobs were removed, must
+        // fail instead of parsing as a flag and running with defaults.
+        for (key, value) in [
+            ("thredas", "3"),
+            ("shard-threads", "2,1"),
+            ("adaptive", "default"),
+        ] {
+            let option = format!("--{key}");
+            assert_eq!(
+                Parsed::parse(&sv(&["--d", "32", &option, value])),
+                Err(format!("unknown option {option}")),
+            );
+        }
     }
 
     #[test]

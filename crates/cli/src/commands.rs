@@ -12,8 +12,7 @@ use std::time::{Duration, Instant};
 
 use iterl2norm::service::{NormRequest, NormService, Placement, ServiceConfig};
 use iterl2norm::{
-    AdaptiveWindow, BackendKind, FormatKind, GroupMode, MethodSpec, NormError, SimdLevel,
-    WhitenSpec,
+    BackendKind, FormatKind, GroupMode, MethodSpec, NormError, SimdLevel, WhitenSpec,
 };
 use macrosim::{activity_trace, utilization, IterL2NormMacro, MacroConfig};
 use softfloat::{Bf16, Fp16, Fp32};
@@ -57,7 +56,7 @@ USAGE:
       an error instead of a report.
   iterl2norm serve --listen ADDR | --unix PATH [--d LEN] [--format …]
                    [--backend B] [--method M] [--threads N] [--shards S]
-                   [--window-us U] [--adaptive A] [--queue-depth Q]
+                   [--window-us U] [--queue-depth Q]
                    [--placement P] [--tenants SPEC] [--simd L]
       Serve the engine over the wire protocol (TCP and/or Unix socket)
       until interrupted. --tenants configures per-tenant admission:
@@ -78,11 +77,7 @@ queue-full error instead of buffering). Each shard runs --threads
 resident workers that spawn once at startup and park when idle, and
 always pools its response buffers. --window-us U holds each
 drained round open U microseconds so concurrent requests can join the
-batch (0, the default, never delays). --adaptive A gates that hold
-behind an arrival-rate estimator: 'default' (1000us buckets, open at 2
-arrivals per bucket) or interval_us:open_at:close_below, e.g. 1000:2:2
-— idle or trickle traffic then skips the window entirely.
---placement P picks how requests
+batch (0, the default, never delays). --placement P picks how requests
 spread across shards: round-robin (the default) or request-hash (keyed
 requests stick to one shard, keeping its caches warm). --simd L selects
 the native backend's vector tier, one of {levels}.
@@ -178,34 +173,6 @@ fn window_arg(parsed: &Parsed) -> Result<Duration, String> {
     Ok(Duration::from_micros(parsed.num("window-us", 0u64)?))
 }
 
-/// Resolve `--adaptive` into an [`AdaptiveWindow`]: `default` for the
-/// built-in thresholds, or `interval_us:open_at:close_below` (e.g.
-/// `1000:2:2`). Threshold shape is validated at service build
-/// ([`NormError::InvalidAdaptiveWindow`](iterl2norm::NormError)).
-fn adaptive_arg(parsed: &Parsed) -> Result<Option<AdaptiveWindow>, String> {
-    let Some(text) = parsed.get("adaptive") else {
-        return Ok(None);
-    };
-    if text.eq_ignore_ascii_case("default") {
-        return Ok(Some(AdaptiveWindow::default()));
-    }
-    let parts: Vec<&str> = text.split(':').collect();
-    let invalid = || {
-        format!(
-            "option --adaptive: cannot parse '{text}' \
-             (expected 'default' or interval_us:open_at:close_below, e.g. 1000:2:2)"
-        )
-    };
-    let [interval_us, open_at, close_below] = parts.as_slice() else {
-        return Err(invalid());
-    };
-    Ok(Some(AdaptiveWindow {
-        interval: Duration::from_micros(interval_us.parse().map_err(|_| invalid())?),
-        open_at: open_at.parse().map_err(|_| invalid())?,
-        close_below: close_below.parse().map_err(|_| invalid())?,
-    }))
-}
-
 /// Resolve `--shards` (default 1), rejecting 0 with the service's own
 /// error message.
 fn shards_arg(parsed: &Parsed) -> Result<usize, String> {
@@ -270,7 +237,7 @@ fn build_service(
     let queue_depth = queue_depth_arg(parsed)?;
     let placement = placement_arg(parsed)?;
     let simd = simd_arg(parsed)?;
-    let mut config = ServiceConfig::new(d)
+    ServiceConfig::new(d)
         .with_backend(backend)
         .with_format(format)
         .with_method(spec)
@@ -279,11 +246,9 @@ fn build_service(
         .with_queue_depth(queue_depth)
         .with_placement(placement)
         .with_simd(simd)
-        .with_window(window_arg(parsed)?);
-    if let Some(adaptive) = adaptive_arg(parsed)? {
-        config = config.with_adaptive_window(adaptive);
-    }
-    config.build().map_err(|e| e.to_string())
+        .with_window(window_arg(parsed)?)
+        .build()
+        .map_err(|e| e.to_string())
 }
 
 /// Dispatch a closure over the selected format (emulated execution) — for

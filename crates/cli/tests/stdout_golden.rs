@@ -7,7 +7,7 @@
 //! pinned.
 
 use std::io::Read;
-use std::process::{Command, Stdio};
+use std::process::{Command, ExitStatus, Stdio};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -24,10 +24,10 @@ fn drain(mut pipe: impl Read + Send + 'static) -> JoinHandle<Vec<u8>> {
     })
 }
 
-/// Run the CLI with `args` and return its stdout. A child still running
-/// after [`CHILD_DEADLINE`] is killed and the test fails naming the
-/// command line, instead of hanging the suite.
-fn run(args: &[&str]) -> String {
+/// Run the CLI with `args` and return its exit status, stdout and
+/// stderr. A child still running after [`CHILD_DEADLINE`] is killed and
+/// the test fails naming the command line, instead of hanging the suite.
+fn run_child(args: &[&str]) -> (ExitStatus, Vec<u8>, Vec<u8>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_iterl2norm"))
         .args(args)
         .stdout(Stdio::piped())
@@ -51,8 +51,16 @@ fn run(args: &[&str]) -> String {
         }
         std::thread::sleep(Duration::from_millis(5));
     };
-    let stdout = stdout.join().expect("stdout reader");
-    let stderr = stderr.join().expect("stderr reader");
+    (
+        status,
+        stdout.join().expect("stdout reader"),
+        stderr.join().expect("stderr reader"),
+    )
+}
+
+/// Run the CLI with `args`, require success, and return its stdout.
+fn run(args: &[&str]) -> String {
+    let (status, stdout, stderr) = run_child(args);
     assert!(
         status.success(),
         "{args:?} failed: {}",
@@ -276,5 +284,23 @@ fn case_insensitive_flags_match_lowercase_output_exactly() {
     assert_eq!(
         run(&["normalize", "--format", "Bf16", "1.0", "2.0"]),
         run(&["normalize", "--format", "bf16", "1.0", "2.0"])
+    );
+}
+
+#[test]
+fn unknown_option_exits_1_with_usage_on_stderr() {
+    // A misspelt option must fail, not run with the default it missed.
+    let (status, stdout, stderr) =
+        run_child(&["batch", "--d", "32", "--rows", "4", "--thredas", "3"]);
+    let stderr = String::from_utf8(stderr).expect("stderr must be utf-8");
+    assert_eq!(status.code(), Some(1), "{stderr}");
+    assert!(stdout.is_empty(), "nothing runs before the rejection");
+    assert!(
+        stderr.starts_with("error: unknown option --thredas\n"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("USAGE:"),
+        "usage follows the error: {stderr}"
     );
 }

@@ -104,14 +104,6 @@ pub enum NormError {
         /// Observed buffer length.
         actual: usize,
     },
-    /// The adaptive-coalescing configuration
-    /// (`ServiceConfig::with_adaptive_window`) is degenerate: a zero
-    /// estimator interval, a zero open threshold, or a close threshold
-    /// above the open threshold (the hysteresis band would be inverted).
-    InvalidAdaptiveWindow {
-        /// The violated constraint, in words.
-        reason: &'static str,
-    },
     /// The Newton–Schulz whitening iteration did not reach the requested
     /// residual tolerance after its configured step budget — the produced
     /// `P_T` is not close enough to `Σ_N^{-1/2}`. The residual and the
@@ -205,9 +197,6 @@ impl fmt::Display for NormError {
                 // must stay total even for inconsistent hand-built values.
                 actual.saturating_sub(rows.saturating_mul(*d))
             ),
-            NormError::InvalidAdaptiveWindow { reason } => {
-                write!(f, "adaptive coalescing window is misconfigured: {reason}")
-            }
             NormError::WhitenNotConverged {
                 steps,
                 residual_bits,
@@ -295,19 +284,6 @@ mod tests {
                 assert!(s.contains(&n.to_string()), "'{s}' missing {n}");
             }
         }
-    }
-
-    #[test]
-    fn invalid_adaptive_window_displays_the_reason() {
-        let e = NormError::InvalidAdaptiveWindow {
-            reason: "interval must be non-zero",
-        };
-        let s = e.to_string();
-        assert!(
-            s.chars().next().unwrap().is_lowercase(),
-            "not lowercase: {s}"
-        );
-        assert!(s.contains("adaptive") && s.contains("non-zero"), "{s}");
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Partition execution vehicles and the clock seam behind adaptive
-//! coalescing.
+//! Partition execution vehicles.
 //!
 //! Every partitioned call — the generic and SIMD norm engines, the
 //! whitening group partitioner — splits its work into contiguous parts
@@ -28,10 +27,6 @@
 //!   Idle helpers burn zero CPU (no busy-spin — proven by the
 //!   wake-up counter the thread-hygiene tests read), and
 //!   [`PartitionPool::shutdown`]/`Drop` joins every helper.
-//! - [`Clock`]/[`RealClock`]/[`TestClock`] is the monotonic-time seam
-//!   the adaptive-coalescing estimator reads arrivals through, so the
-//!   deterministic concurrency tests can script time instead of
-//!   sleeping.
 //!
 //! Panic containment: a part that panics inside a pool round is caught
 //! on the helper, recorded, and re-raised on the *calling* thread once
@@ -49,10 +44,8 @@
 use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// The execution vehicle behind the engines' batch partitioning: a
 /// fixed width and a fork-join `run`. Implementations must execute
@@ -389,86 +382,11 @@ fn helper_loop(shared: &PoolShared) {
     }
 }
 
-/// Monotonic time as the adaptive-coalescing estimator sees it:
-/// nanoseconds since an arbitrary per-clock origin. A seam rather than
-/// `Instant` directly so the deterministic concurrency tests can script
-/// arrival times instead of sleeping real wall-clock time. (The
-/// estimator itself, [`crate::adaptive::ArrivalRateEstimator`], is a
-/// pure function of the timestamps fed through this trait — value-path
-/// clean per normlint L003.)
-pub trait Clock: fmt::Debug + Send + Sync {
-    /// Nanoseconds since this clock's origin. Must be monotone
-    /// non-decreasing across calls (from any thread).
-    fn now_nanos(&self) -> u64;
-}
-
-/// The production clock: `Instant` elapsed since construction.
-#[derive(Debug)]
-pub struct RealClock {
-    origin: Instant,
-}
-
-impl RealClock {
-    /// A clock whose origin is now.
-    pub fn new() -> Self {
-        RealClock {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl Default for RealClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for RealClock {
-    fn now_nanos(&self) -> u64 {
-        // u64 nanoseconds overflow after ~584 years of service uptime.
-        u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-}
-
-/// A manually-advanced clock for deterministic tests: time moves only
-/// when [`advance`](TestClock::advance)/[`set_nanos`](TestClock::set_nanos)
-/// say so. Shared with a service via `Arc`, so a test thread can script
-/// arrival timestamps while submitters run.
-#[derive(Debug, Default)]
-pub struct TestClock {
-    nanos: AtomicU64,
-}
-
-impl TestClock {
-    /// A clock at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Move time forward by `delta`.
-    pub fn advance(&self, delta: Duration) {
-        let nanos = u64::try_from(delta.as_nanos()).unwrap_or(u64::MAX);
-        self.nanos.fetch_add(nanos, Ordering::SeqCst);
-    }
-
-    /// Jump to an absolute timestamp. Must not move time backwards
-    /// relative to concurrent readers' expectations; tests script this
-    /// monotonically.
-    pub fn set_nanos(&self, nanos: u64) {
-        self.nanos.store(nanos, Ordering::SeqCst);
-    }
-}
-
-impl Clock for TestClock {
-    fn now_nanos(&self) -> u64 {
-        self.nanos.load(Ordering::SeqCst)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     fn count_parts(runner: &dyn PartitionRunner, parts: usize) -> Vec<usize> {
         let hits: Vec<AtomicUsize> = (0..parts).map(|_| AtomicUsize::new(0)).collect();
@@ -549,19 +467,5 @@ mod tests {
             "idle pool woke {} times over an idle window",
             pool.wakeups() - after_spawn
         );
-    }
-
-    #[test]
-    fn test_clock_is_script_driven() {
-        let clock = TestClock::new();
-        assert_eq!(clock.now_nanos(), 0);
-        clock.advance(Duration::from_micros(5));
-        assert_eq!(clock.now_nanos(), 5_000);
-        clock.set_nanos(42);
-        assert_eq!(clock.now_nanos(), 42);
-        let real = RealClock::new();
-        let a = real.now_nanos();
-        let b = real.now_nanos();
-        assert!(b >= a, "real clock is monotone");
     }
 }

@@ -73,7 +73,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod analytic;
 pub mod backend;
 pub mod baselines;
@@ -90,7 +89,6 @@ pub mod service;
 pub mod simd;
 pub mod whiten;
 
-pub use adaptive::{AdaptiveWindow, ArrivalRateEstimator};
 pub use backend::{
     build_backend, build_backend_affine, build_backend_simd, BackendKind, ExecFloat, FormatKind,
     NormBackend, RowMoments,
@@ -98,9 +96,7 @@ pub use backend::{
 pub use config::{InitRule, IterConfig, LambdaRule, StopRule, UpdateStyle};
 pub use engine::{MethodSpec, NormPlan, Normalizer, ScaleMethod};
 pub use error::NormError;
-pub use executor::{
-    Clock, PartitionPool, PartitionRunner, RealClock, ScopedRunner, SerialRunner, TestClock,
-};
+pub use executor::{PartitionPool, PartitionRunner, ScopedRunner, SerialRunner};
 pub use hworder::ReduceOrder;
 pub use iteration::{
     a0_from_exponent, apply_update, iterate, lambda_from_exponent, update_step, update_step_fused,

@@ -31,14 +31,12 @@
 //! request, a copy of its payload into a pooled buffer. So every entry
 //! point ([`NormService::submit`], [`NormService::submit_into`] and
 //! [`NormService::submit_async`]) that finds its shard idle runs inline:
-//! nothing queued, no thread executing on the shard, and no coalescing
-//! window the driver would hold for this arrival (a zero window, or an
-//! adaptive window whose estimator is closed). The caller takes the
-//! shard's claim, runs its own request on the shard's backend and
-//! partition helpers — reading a bit payload where the caller holds it
-//! and writing straight into a `submit_into` buffer or a pooled reply —
-//! and gives the claim back. An inline `submit_async` returns an
-//! already-complete ticket. While the claim is held, other arrivals
+//! nothing queued, no thread executing on the shard, and a zero
+//! coalescing window. The caller takes the shard's claim, runs its own
+//! request on the shard's backend and partition helpers — reading a bit
+//! payload where the caller holds it and writing straight into a
+//! `submit_into` buffer or a pooled reply — and gives the claim back. An
+//! inline `submit_async` returns an already-complete ticket. While the claim is held, other arrivals
 //! queue and the driver waits; the releasing caller wakes it if anything
 //! queued. Submitters still never execute other callers' work: an inline
 //! caller runs only its own request, and the driver is the only thread
@@ -65,12 +63,6 @@
 //! throughput, never results; the wins show up only under concurrent
 //! load — a single submitting thread's request is drained alone and runs
 //! as its own batch.
-//!
-//! With [`ServiceConfig::with_adaptive_window`] the window becomes
-//! **adaptive**: the driver holds a round open only while the shard's
-//! arrival-rate estimator ([`ArrivalRateEstimator`]) reports traffic
-//! worth coalescing with; idle and trickle traffic drains immediately,
-//! so the window's latency cost is paid exactly when it buys batching.
 //!
 //! # Async submission
 //!
@@ -218,12 +210,11 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-use crate::adaptive::{AdaptiveWindow, ArrivalRateEstimator};
 use crate::backend::{build_backend_affine, BackendKind, FormatKind, NormBackend, RowMoments};
 use crate::config::IterConfig;
 use crate::engine::MethodSpec;
 use crate::error::NormError;
-use crate::executor::{Clock, PartitionPool, RealClock};
+use crate::executor::PartitionPool;
 use crate::hworder::ReduceOrder;
 use crate::iteration::iterate;
 use crate::layernorm::{layer_norm, LayerNormInputs};
@@ -280,8 +271,6 @@ pub struct ServiceConfig {
     placement: Placement,
     simd: SimdLevel,
     whiten: WhitenSpec,
-    adaptive: Option<AdaptiveWindow>,
-    clock: Option<Arc<dyn Clock>>,
 }
 
 impl ServiceConfig {
@@ -306,8 +295,6 @@ impl ServiceConfig {
             placement: Placement::default(),
             simd: SimdLevel::Auto,
             whiten: WhitenSpec::default(),
-            adaptive: None,
-            clock: None,
         }
     }
 
@@ -336,32 +323,6 @@ impl ServiceConfig {
     /// bits never depend on it.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Same config with **adaptive** coalescing: the driver holds a round
-    /// open for the coalescing [`window`](ServiceConfig::with_window)
-    /// only while the shard's arrival-rate estimator says at least
-    /// [`open_at`](AdaptiveWindow::open_at) requests arrived per
-    /// [`interval`](AdaptiveWindow::interval) — idle or trickle traffic
-    /// drains immediately, so the window's latency cost is paid exactly
-    /// when it buys batching. Inert when the window is zero (there is no
-    /// window to gate). Validated at build
-    /// ([`NormError::InvalidAdaptiveWindow`]); output bits are identical
-    /// with the window open, closed, or absent.
-    pub fn with_adaptive_window(mut self, adaptive: AdaptiveWindow) -> Self {
-        self.adaptive = Some(adaptive);
-        self
-    }
-
-    /// Same config reading time from `clock` instead of the real
-    /// monotonic clock. This is the adaptive estimator's test seam: a
-    /// [`TestClock`](crate::executor::TestClock) scripts arrival
-    /// timestamps deterministically, so window open/close decisions can
-    /// be pinned in tests. Only the arrival-rate estimator reads this
-    /// clock — stats timing spans still use the monotonic clock.
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = Some(clock);
         self
     }
 
@@ -402,7 +363,9 @@ impl ServiceConfig {
     }
 
     /// Same config sharded across `shards` independent backend instances,
-    /// each with its own combining queue; requests are placed round-robin.
+    /// each with its own combining queue;
+    /// [`with_placement`](ServiceConfig::with_placement) decides which
+    /// shard a request goes to.
     /// Every shard executes the identical plan, so output bits do not
     /// depend on the shard count or on which shard served a request
     /// (enforced by `tests/service_bit_identity.rs`). More shards remove
@@ -488,12 +451,6 @@ impl ServiceConfig {
         self.threads
     }
 
-    /// The adaptive-coalescing policy, when set with
-    /// [`with_adaptive_window`](ServiceConfig::with_adaptive_window).
-    pub fn adaptive_window(&self) -> Option<AdaptiveWindow> {
-        self.adaptive
-    }
-
     /// The reduction order.
     pub fn reduce(&self) -> ReduceOrder {
         self.reduce
@@ -538,9 +495,8 @@ impl ServiceConfig {
     /// [`NormError::EmptyInput`] when `d == 0`, [`NormError::ZeroThreads`]
     /// when `threads == 0`, [`NormError::ZeroShards`] when `shards == 0`,
     /// [`NormError::ZeroQueueDepth`] when `queue_depth == 0`,
-    /// [`NormError::InvalidAdaptiveWindow`] for a malformed adaptive
-    /// policy, [`NormError::BackendFormatMismatch`] for native +
-    /// non-FP32, and the γ/β length-mismatch variants.
+    /// [`NormError::BackendFormatMismatch`] for native + non-FP32, and
+    /// the γ/β length-mismatch variants.
     pub fn build(self) -> Result<NormService, NormError> {
         self.validate_counts()?;
         let mut backends = Vec::with_capacity(self.shards);
@@ -617,9 +573,6 @@ impl ServiceConfig {
         if self.queue_depth == 0 {
             return Err(NormError::ZeroQueueDepth);
         }
-        if let Some(adaptive) = &self.adaptive {
-            adaptive.validate()?;
-        }
         Ok(())
     }
 
@@ -637,18 +590,11 @@ impl ServiceConfig {
         // Every shard was built from the same config, so the resolved
         // level is uniform — record it once for response metadata.
         let simd_level = backends[0].simd_level();
-        let clock: Arc<dyn Clock> = self
-            .clock
-            .clone()
-            .unwrap_or_else(|| Arc::new(RealClock::new()));
         let shards = backends
             .into_iter()
             .enumerate()
             .map(|(i, backend)| Shard {
-                queue: Mutex::new(QueueState {
-                    estimator: self.adaptive.as_ref().map(ArrivalRateEstimator::new),
-                    ..QueueState::default()
-                }),
+                queue: Mutex::new(QueueState::default()),
                 queue_cv: Condvar::new(),
                 work_cv: Condvar::new(),
                 backend: Mutex::new(backend),
@@ -667,7 +613,6 @@ impl ServiceConfig {
         let core = Arc::new(Core {
             label,
             simd_level,
-            clock,
             config: self,
             make_whiten,
             shards,
@@ -1418,9 +1363,8 @@ impl Served {
 enum Admission<'s> {
     /// Run on the calling thread under this claim.
     Inline(InlineClaim<'s>),
-    /// Hand off to the driver through the combining queue. `recorded`
-    /// is true when the arrival-rate estimator already saw the arrival.
-    Queue { recorded: bool },
+    /// Hand off to the driver through the combining queue.
+    Queue,
 }
 
 /// A caller's hold on its idle shard's claim while it runs its own
@@ -1605,12 +1549,6 @@ struct PendingEntry {
 #[derive(Default)]
 struct QueueState {
     pending: Vec<PendingEntry>,
-    /// Arrival-rate estimator backing adaptive coalescing; `None` when
-    /// the service was built without [`ServiceConfig::with_adaptive_window`].
-    estimator: Option<ArrivalRateEstimator>,
-    /// The estimator's latest verdict, stamped by `enqueue` so the driver
-    /// reads a plain bool instead of re-deriving rate state.
-    window_open: bool,
     /// Set by panic delivery: the shard's backend tore mid-round. The
     /// driver stops opening windows and fails everything it drains.
     failed: bool,
@@ -1674,10 +1612,6 @@ struct Core {
     /// The resolved SIMD level of shard 0's backend (uniform across
     /// shards), stamped onto every response.
     simd_level: SimdLevel,
-    /// Time source for the arrival-rate estimator — [`RealClock`] in
-    /// production, a [`TestClock`](crate::TestClock) in the adaptive
-    /// determinism suite.
-    clock: Arc<dyn Clock>,
     shards: Vec<Shard>,
     /// Round-robin placement cursor (wraps on overflow, which is fine —
     /// placement only needs to spread load, not count).
@@ -1895,10 +1829,9 @@ struct RoundOutput {
 /// `work_cv` while the queue is empty or an inline caller holds the
 /// shard's claim (zero wake-ups over an idle window — the
 /// thread-hygiene suite pins this), holds the claim for the whole
-/// round, holds the coalescing window open when the arrival-rate
-/// estimator says traffic justifies it, and exits once shutdown is
-/// requested *and* the queue is empty — work admitted before shutdown
-/// always executes.
+/// round, holds the coalescing window open when one is configured, and
+/// exits once shutdown is requested *and* the queue is empty — work
+/// admitted before shutdown always executes.
 fn driver_loop(core: &Core, idx: usize) {
     let shard = &core.shards[idx];
     loop {
@@ -1924,10 +1857,8 @@ fn driver_loop(core: &Core, idx: usize) {
         // line, so the queue-depth bound sees only genuinely waiting
         // requests — an in-flight round never occupies a depth slot.
         let mut entries = std::mem::take(&mut queue.pending);
-        let hold_window = !queue.failed
-            && !core.config.window.is_zero()
-            && (queue.estimator.is_none() || queue.window_open)
-            && !core.shutdown.load(Ordering::SeqCst);
+        let hold_window =
+            !queue.failed && !core.config.window.is_zero() && !core.shutdown.load(Ordering::SeqCst);
         if hold_window {
             // Hold the batch open for the configured window so
             // concurrent submitters can join. Arrivals notify `work_cv`
@@ -2409,8 +2340,8 @@ impl NormService {
             Admission::Inline(claim) => {
                 TicketRepr::Immediate(Some(self.inline_ticket(&request, shard, claim, accepted)))
             }
-            Admission::Queue { recorded } => {
-                let slot = self.enqueue(shard, &request, accepted, Waiter::Ticket, recorded)?;
+            Admission::Queue => {
+                let slot = self.enqueue(shard, &request, accepted, Waiter::Ticket)?;
                 TicketRepr::Queued { slot, accepted }
             }
         };
@@ -2466,13 +2397,10 @@ impl NormService {
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return Err(NormError::ServiceShutdown);
         }
-        let recorded = match self.admit(shard, request)? {
-            Admission::Inline(claim) => {
-                return self.run_inline(request, sink, shard, claim, accepted)
-            }
-            Admission::Queue { recorded } => recorded,
-        };
-        let slot = self.enqueue(shard, request, accepted, Waiter::Blocking, recorded)?;
+        if let Admission::Inline(claim) = self.admit(shard, request)? {
+            return self.run_inline(request, sink, shard, claim, accepted);
+        }
+        let slot = self.enqueue(shard, request, accepted, Waiter::Blocking)?;
         let mut queue = self.inner.queue_of(shard);
         loop {
             if let Some(outcome) = slot.take() {
@@ -2494,40 +2422,28 @@ impl NormService {
         }
     }
 
-    /// Decide whether an arrival runs inline on the calling thread. The
-    /// decision is made under the shard's queue lock: inline when the service is up, the shard has nothing
-    /// queued, no thread holds its claim, and the driver would hold no
-    /// coalescing window for this arrival — the window is zero, or the
-    /// adaptive estimator's verdict is closed after recording it. On
-    /// success the caller holds the claim and the request is already
-    /// counted in `requests`, exactly as a queued request is counted
-    /// before it parks.
+    /// Decide whether an arrival runs inline on the calling thread. A
+    /// non-zero coalescing window always queues the arrival, so the
+    /// driver can hold the round open. Otherwise the decision is made
+    /// under the shard's queue lock: inline when the service is up, the
+    /// shard has nothing queued and no thread holds its claim. On success
+    /// the caller holds the claim and the request is already counted in
+    /// `requests`, exactly as a queued request is counted before it
+    /// parks.
     fn admit<'s>(
         &'s self,
         shard: &'s Shard,
         request: &NormRequest<'_>,
     ) -> Result<Admission<'s>, NormError> {
-        let config = &self.inner.config;
-        if !config.window.is_zero() && config.adaptive.is_none() {
-            // A fixed window always holds the round open.
-            return Ok(Admission::Queue { recorded: false });
+        if !self.inner.config.window.is_zero() {
+            return Ok(Admission::Queue);
         }
         let mut queue = self.inner.queue_of(shard);
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return Err(NormError::ServiceShutdown);
         }
         if queue.claimed || queue.failed || !queue.pending.is_empty() {
-            return Ok(Admission::Queue { recorded: false });
-        }
-        if !config.window.is_zero() {
-            let now = self.inner.clock.now_nanos();
-            let state: &mut QueueState = &mut queue;
-            if let Some(estimator) = state.estimator.as_mut() {
-                state.window_open = estimator.record(now);
-                if state.window_open {
-                    return Ok(Admission::Queue { recorded: true });
-                }
-            }
+            return Ok(Admission::Queue);
         }
         queue.claimed = true;
         queue.stats.accept(request.kind());
@@ -2642,16 +2558,12 @@ impl NormService {
     /// touch) and park ahead of every already-waiting normal request but
     /// behind earlier high-priority ones, so the class jumps the line
     /// while staying FIFO within itself.
-    ///
-    /// `recorded` is true when [`admit`](NormService::admit)
-    /// already fed this arrival to the arrival-rate estimator.
     fn enqueue(
         &self,
         shard: &Shard,
         request: &NormRequest<'_>,
         accepted: Instant,
         waiter: Waiter,
-        recorded: bool,
     ) -> Result<Arc<Slot>, NormError> {
         let depth = self.inner.config.queue_depth;
         let limit = match request.priority() {
@@ -2668,7 +2580,6 @@ impl NormService {
         let mut bits = shard.pool.lease(request.len());
         request.encode_into(self.inner.config.format, &mut bits);
         let slot = Slot::new(Arc::clone(&shard.pool));
-        let now = self.inner.clock.now_nanos();
         let mut queue = self.inner.queue_of(shard);
         // Re-checked *under the queue lock*: the driver only exits after
         // observing the shutdown flag under this same lock, so an entry
@@ -2686,14 +2597,6 @@ impl NormService {
             return Err(NormError::QueueFull { depth });
         }
         queue.stats.accept(request.kind());
-        // Record admitted arrivals only — rejected traffic must not hold
-        // the coalescing window open.
-        let state: &mut QueueState = &mut queue;
-        if !recorded {
-            if let Some(estimator) = state.estimator.as_mut() {
-                state.window_open = estimator.record(now);
-            }
-        }
         let entry = PendingEntry {
             bits,
             slot: Arc::clone(&slot),
@@ -3556,17 +3459,6 @@ mod tests {
                 actual: 7
             }
         );
-        let invalid = AdaptiveWindow {
-            interval: Duration::ZERO,
-            ..AdaptiveWindow::default()
-        };
-        assert!(matches!(
-            ServiceConfig::new(8)
-                .with_adaptive_window(invalid)
-                .build()
-                .unwrap_err(),
-            NormError::InvalidAdaptiveWindow { .. }
-        ));
     }
 
     #[test]
@@ -3574,12 +3466,12 @@ mod tests {
         let config = ServiceConfig::new(8)
             .with_shards(2)
             .with_threads(2)
-            .with_adaptive_window(AdaptiveWindow::default());
+            .with_window(Duration::from_micros(250));
         assert_eq!(config.threads(), 2);
         assert_eq!(
-            config.adaptive_window(),
-            Some(AdaptiveWindow::default()),
-            "adaptive knob reads back"
+            config.window(),
+            Duration::from_micros(250),
+            "window knob reads back"
         );
         let service = config.build().unwrap();
         let bits = row_bits(8, 1);

@@ -11,8 +11,9 @@
 //! native FP32) × every registry method × shard counts {1, 2, 4} ×
 //! submitting-thread counts {1, 2, 3, 8}, with the zero-row (m = 0 rows)
 //! request and a mixed-d request rejected identically no matter how busy
-//! the sharded service is, and `QueueFull` backpressure exercised by the
-//! companion `service_resilience` suite. CI runs this suite in debug *and*
+//! the sharded service is, mixed normalize and whitening traffic under a
+//! fixed and a zero coalescing window, and `QueueFull` backpressure
+//! exercised by the companion `service_resilience` suite. CI runs this suite in debug *and*
 //! release mode, like the backend identity suite.
 
 use std::sync::{Arc, Barrier};
@@ -20,7 +21,8 @@ use std::time::Duration;
 
 use iterl2norm::backend::{build_backend, BackendKind, FormatKind};
 use iterl2norm::service::{NormRequest, Placement, ServiceConfig};
-use iterl2norm::{MethodSpec, NormError, ReduceOrder};
+use iterl2norm::whiten::{build_whiten, WhitenSpec};
+use iterl2norm::{MethodSpec, NormError, ReduceOrder, SimdLevel};
 use softfloat::Fp32;
 use workloads::{Distribution, VectorGen};
 
@@ -55,6 +57,23 @@ fn serial_reference(
     let mut reference = build_backend(backend, format, d, spec, ReduceOrder::HwTree).unwrap();
     let mut out = vec![0u32; bits.len()];
     reference.normalize_batch_bits(bits, &mut out, 1).unwrap();
+    out
+}
+
+/// Serial whitening reference: a fresh executor whitens `bits` as one
+/// emulated FP32 group.
+fn serial_whiten(d: usize, bits: &[u32]) -> Vec<u32> {
+    let mut exec = build_whiten(
+        BackendKind::Emulated,
+        FormatKind::Fp32,
+        d,
+        WhitenSpec::default(),
+        SimdLevel::Auto,
+    )
+    .unwrap();
+    let mut out = vec![0u32; bits.len()];
+    exec.whiten_groups(bits, &mut out, &[bits.len() / d], 1)
+        .unwrap();
     out
 }
 
@@ -371,6 +390,70 @@ fn coalescing_actually_happens_under_concurrent_load() {
 }
 
 #[test]
+fn fixed_and_zero_windows_are_bit_identical() {
+    // Window policy may regroup rounds, never change bits: every
+    // response under both policies must equal the same serial
+    // per-request reference, under concurrent mixed-kind traffic.
+    let d = 16;
+    let submitters = 4;
+    let whiten_rows = 6;
+    let spec = MethodSpec::iterl2(5);
+    for shards in [1usize, 2] {
+        for (policy, window) in [
+            ("fixed-window", Duration::from_millis(1)),
+            ("no-window", Duration::ZERO),
+        ] {
+            let service = ServiceConfig::new(d)
+                .with_window(window)
+                .with_shards(shards)
+                .with_whiten(WhitenSpec::default())
+                .build()
+                .unwrap();
+            let barrier = Arc::new(Barrier::new(submitters));
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..submitters)
+                    .map(|who| {
+                        let service = service.clone();
+                        let barrier = Arc::clone(&barrier);
+                        scope.spawn(move || {
+                            let rows = 1 + who % 3;
+                            let norm = request_bits(FormatKind::Fp32, d, rows, who as u64);
+                            let group =
+                                request_bits(FormatKind::Fp32, d, whiten_rows, 0x100 + who as u64);
+                            barrier.wait();
+                            let normalized = service.submit(NormRequest::bits(&norm)).unwrap();
+                            let mut ticket = service
+                                .submit_async(NormRequest::whiten_group(&group))
+                                .unwrap();
+                            let whitened = ticket.wait().unwrap();
+                            (norm, normalized, group, whitened)
+                        })
+                    })
+                    .collect();
+                for handle in handles {
+                    let (norm, normalized, group, whitened) = handle.join().unwrap();
+                    let expect =
+                        serial_reference(BackendKind::Emulated, FormatKind::Fp32, d, &spec, &norm);
+                    assert_eq!(
+                        normalized.bits(),
+                        &expect[..],
+                        "{policy} shards={shards}: normalize bits diverged"
+                    );
+                    assert_eq!(
+                        whitened.bits(),
+                        &serial_whiten(d, &group)[..],
+                        "{policy} shards={shards}: whiten bits diverged"
+                    );
+                }
+            });
+            let stats = service.stats();
+            assert_eq!(stats.requests, 2 * submitters as u64, "{policy}");
+            assert_eq!(stats.whiten_requests, submitters as u64, "{policy}");
+        }
+    }
+}
+
+#[test]
 fn submit_into_is_bit_identical_under_concurrency() {
     // The buffer-reusing entry point parks in the combining queue under
     // a window (its result is copied out of a shared driver round);
@@ -447,7 +530,6 @@ fn affine_service_matches_affine_backend_bitwise() {
 
 #[test]
 fn simd_service_reports_its_level_and_matches_forced_scalar_bitwise() {
-    use iterl2norm::SimdLevel;
     let d = 129; // never a whole number of 64-wide chunks or 8-row blocks
     let bits = request_bits(FormatKind::Fp32, d, 11, 77);
 
