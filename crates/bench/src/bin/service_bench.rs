@@ -1,7 +1,6 @@
 //! Serving-API bench: `NormService` blocking (coalesced) vs pipelined
-//! async-submission throughput across shard counts {1, 2, 4} and per-shard
-//! worker counts {1, 2}, under 1-8 submitting threads, emitting
-//! `results/BENCH_service.json`.
+//! async-submission throughput across shard counts {1, 2, 4}, under 1-8
+//! submitting threads, emitting `results/BENCH_service.json`.
 //!
 //! Requests per submitting thread via `ITERL2_BENCH_REQS` (default 64).
 fn main() -> std::io::Result<()> {

@@ -1,17 +1,17 @@
 //! Serving-API throughput: the [`NormService`] with blocking submitters
-//! vs pipelined async submission, across shard counts and per-shard
-//! worker counts, under 1–8 submitting threads.
+//! vs pipelined async submission, across shard counts, under 1–8
+//! submitting threads.
 //!
 //! Every point drives the same request mix through the same native-f32
 //! service configuration; the variables are whether each submitter
 //! blocks on one request at a time (`coalesced`: concurrent requests
-//! may be packed into one partitioned backend batch) or pipelines
+//! may be packed into one backend batch) or pipelines
 //! requests through `submit_async` with [`PIPELINE_DEPTH`] tickets in
 //! flight (`async`, collecting the oldest ticket before submitting the
 //! next), plus how many independent backend+queue shards the service
-//! runs (`--shards`-equivalent) and each shard's resident worker count
-//! (`--threads`-equivalent — the executor axis). Every point also reports the
-//! resident workers' wait/execute split: `queue_wait` is time requests
+//! runs (`--shards`-equivalent — the executor axis: each shard runs one
+//! resident driver). Every point also reports the
+//! resident drivers' wait/execute split: `queue_wait` is time requests
 //! spent waiting in the shard queue (execution excluded), `worker_busy`
 //! is driver time inside rounds, `worker_idle` is parked time, and
 //! `worker_wakeups` counts driver unparks. A self-check asserts every
@@ -50,22 +50,17 @@ use workloads::VectorGen;
 
 use crate::io::{banner, host_json, print_table, write_json};
 
-/// The swept service variants: `(mode, shards, shard_threads)` — the
-/// last being each shard's resident worker count (the executor axis:
-/// 1 = a lone driver per shard, 2 = driver + one partition helper, so
-/// rounds of more than one request split across workers). All workers
-/// spawn at service build and park when idle.
-type Variant = (&'static str, usize, usize);
+/// The swept service variants: `(mode, shards)`. Each shard runs one
+/// resident driver, spawned at service build and parked when idle.
+type Variant = (&'static str, usize);
 
-const VARIANTS: [Variant; 8] = [
-    ("coalesced", 1, 1),
-    ("coalesced", 2, 1),
-    ("coalesced", 2, 2),
-    ("coalesced", 4, 1),
-    ("async", 1, 1),
-    ("async", 2, 1),
-    ("async", 2, 2),
-    ("async", 4, 1),
+const VARIANTS: [Variant; 6] = [
+    ("coalesced", 1),
+    ("coalesced", 2),
+    ("coalesced", 4),
+    ("async", 1),
+    ("async", 2),
+    ("async", 4),
 ];
 
 /// Maximum tickets each async-mode submitter keeps in flight before
@@ -80,7 +75,12 @@ pub const PIPELINE_DEPTH: usize = 4;
 /// rows report far fewer requests/s at far higher per-request cost.
 const WHITEN_D: usize = 64;
 const WHITEN_ROWS: usize = 32;
-const WHITEN_VARIANTS: [Variant; 3] = [("coalesced", 1, 1), ("coalesced", 1, 2), ("async", 1, 1)];
+const WHITEN_VARIANTS: [Variant; 4] = [
+    ("coalesced", 1),
+    ("coalesced", 2),
+    ("async", 1),
+    ("async", 2),
+];
 
 /// One measured configuration.
 struct Point {
@@ -89,7 +89,6 @@ struct Point {
     submitters: usize,
     mode: &'static str,
     shards: usize,
-    shard_threads: usize,
     rows_per_s: f64,
     us_per_request: f64,
     requests_per_batch: f64,
@@ -204,13 +203,12 @@ fn measure(
 }
 
 /// Build the service for one variant.
-fn service_for(d: usize, shards: usize, shard_threads: usize) -> NormService {
+fn service_for(d: usize, shards: usize) -> NormService {
     ServiceConfig::new(d)
         .with_backend(BackendKind::Native)
         .with_format(FormatKind::Fp32)
         .with_method(MethodSpec::iterl2(5))
         .with_shards(shards)
-        .with_threads(shard_threads)
         .build()
         .expect("bench service config is valid")
 }
@@ -238,8 +236,8 @@ impl Sweep {
         let probe = request_bits(d, rows, 0, 0);
         let mut expect = vec![0u32; probe.len()];
         reference(&probe, &mut expect).map_err(std::io::Error::other)?;
-        for &(mode, shards, shard_threads) in variants {
-            let service = service_for(d, shards, shard_threads);
+        for &(mode, shards) in variants {
+            let service = service_for(d, shards);
             let blocking = service
                 .submit(request_for(&probe, whiten))
                 .map_err(std::io::Error::other)?;
@@ -251,7 +249,7 @@ impl Sweep {
                 assert_eq!(
                     bits, expect,
                     "{path} output diverged from the direct kernel at d = {d} \
-                     (whiten={whiten}, {mode}, shards={shards}, threads={shard_threads})"
+                     (whiten={whiten}, {mode}, shards={shards})"
                 );
             }
         }
@@ -268,12 +266,12 @@ impl Sweep {
     /// service.
     fn time(
         &self,
-        (mode, shards, shard_threads): Variant,
+        (mode, shards): Variant,
         submitters: usize,
         requests_per_thread: usize,
     ) -> std::io::Result<Point> {
         let Sweep { d, rows, whiten } = *self;
-        let service = service_for(d, shards, shard_threads);
+        let service = service_for(d, shards);
         // Warm-up sizes the conversion buffers and scratch.
         let warm = request_bits(d, rows, 99, 0);
         let _ = service
@@ -305,7 +303,6 @@ impl Sweep {
             submitters,
             mode,
             shards,
-            shard_threads,
             rows_per_s: total_requests * rows as f64 / seconds,
             us_per_request: seconds * 1e6 / total_requests,
             requests_per_batch: measured_requests
@@ -330,7 +327,7 @@ pub fn run_at(
     requests_per_thread: usize,
     rows_per_request: usize,
 ) -> std::io::Result<()> {
-    banner("NormService throughput — coalesced/async x shards x threads, 1-8 submitting threads");
+    banner("NormService throughput — coalesced/async x shards, 1-8 submitting threads");
     let spec = MethodSpec::iterl2(5);
     let mut points: Vec<Point> = Vec::new();
 
@@ -389,7 +386,6 @@ pub fn run_at(
             "submitters",
             "mode",
             "shards",
-            "threads",
             "rows/s",
             "us/request",
             "reqs/batch",
@@ -405,7 +401,6 @@ pub fn run_at(
                     p.submitters.to_string(),
                     p.mode.to_string(),
                     p.shards.to_string(),
-                    p.shard_threads.to_string(),
                     format!("{:.0}", p.rows_per_s),
                     format!("{:.1}", p.us_per_request),
                     format!("{:.2}", p.requests_per_batch),
@@ -450,7 +445,7 @@ pub fn run_at(
     for (i, p) in points.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"workload\": \"{}\", \"d\": {}, \"submitters\": {}, \"mode\": \"{}\", \
-             \"shards\": {}, \"shard_threads\": {}, \
+             \"shards\": {}, \
              \"rows_per_s\": {:.1}, \"us_per_request\": {:.1}, \
              \"requests_per_batch\": {:.2}, \
              \"queue_wait_us_per_request\": {:.2}, \
@@ -461,7 +456,6 @@ pub fn run_at(
             p.submitters,
             p.mode,
             p.shards,
-            p.shard_threads,
             p.rows_per_s,
             p.us_per_request,
             p.requests_per_batch,

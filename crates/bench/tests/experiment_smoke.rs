@@ -110,7 +110,20 @@ fn service_smoke() {
     );
     for mode in ["coalesced", "async"] {
         assert!(content.contains(&format!("\"mode\": \"{mode}\"")), "{mode}");
+        // Whitening runs each mode on one and two shards.
+        for shards in [1, 2] {
+            let point = format!(
+                "\"workload\": \"whiten\", \"d\": 64, \"submitters\": 2, \
+                 \"mode\": \"{mode}\", \"shards\": {shards},"
+            );
+            assert!(content.contains(&point), "{point}");
+        }
     }
+    // Six norm variants and four whiten variants at each of two
+    // submitter counts; shards are the only executor axis.
+    assert_eq!(content.matches("\"workload\": \"norm\"").count(), 12);
+    assert_eq!(content.matches("\"workload\": \"whiten\"").count(), 8);
+    assert!(!content.contains("threads"), "{content}");
     assert!(content.contains("\"async_pipeline_depth\": 4"), "{content}");
 }
 

@@ -12,7 +12,7 @@ pub struct Parsed {
 }
 
 /// Option keys that take a value.
-const VALUED: [&str; 21] = [
+const VALUED: [&str; 20] = [
     "format",
     "steps",
     "d",
@@ -22,7 +22,6 @@ const VALUED: [&str; 21] = [
     "method",
     "rows",
     "backend",
-    "threads",
     "shards",
     "queue-depth",
     "placement",
@@ -154,6 +153,7 @@ mod tests {
             ("thredas", "3"),
             ("shard-threads", "2,1"),
             ("adaptive", "default"),
+            ("threads", "2"),
         ] {
             let option = format!("--{key}");
             assert_eq!(

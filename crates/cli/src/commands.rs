@@ -4,7 +4,7 @@
 //! (`--method iterl2|fisr|exact|lut`, with an optional `:parameter`
 //! suffix). Every normalization subcommand routes through the type-erased
 //! [`NormService`] front door — one `ServiceConfig` names the
-//! format × backend × method × threads execution point, and no per-format
+//! format × backend × method × shards execution point, and no per-format
 //! dispatch macro is needed on this side of the API. Format and backend
 //! names parse case-insensitively.
 
@@ -41,7 +41,7 @@ USAGE:
                   [--shards S] [--queue-depth Q] [--placement P] [--simd L]
       Normalize a random uniform(-1,1) vector end to end.
   iterl2norm batch [--d LEN] [--rows R] [--format …] [--backend B]
-                   [--threads N] [--method M] [--seed S]
+                   [--method M] [--seed S]
                    [--shards S] [--queue-depth Q] [--placement P] [--simd L]
       Normalize a random R x LEN batch through the engine, printing rows/s
       for the per-call path vs the plan/batch path.
@@ -55,7 +55,7 @@ USAGE:
       covariance is from the identity. --tol R makes a residual above R
       an error instead of a report.
   iterl2norm serve --listen ADDR | --unix PATH [--d LEN] [--format …]
-                   [--backend B] [--method M] [--threads N] [--shards S]
+                   [--backend B] [--method M] [--shards S]
                    [--window-us U] [--queue-depth Q]
                    [--placement P] [--tenants SPEC] [--simd L]
       Serve the engine over the wire protocol (TCP and/or Unix socket)
@@ -69,13 +69,12 @@ USAGE:
 Methods (--method): iterl2[:steps], fisr[:newton], exact[:eps], lut[:segments];
 --steps N is shorthand for iterl2:N.
 Backends (--backend): emulated (softfloat, every format — the default) or
-native (host f32, fp32 only, bit-identical output). --threads N partitions
-batch rows across N worker threads (output bits never depend on N).
+native (host f32, fp32 only, bit-identical output).
 --shards S runs S independent backend+queue instances, and --queue-depth Q
 bounds each shard's waiting line (further requests are rejected with a
-queue-full error instead of buffering). Each shard runs --threads
-resident workers that spawn once at startup and park when idle, and
-always pools its response buffers. --window-us U holds each
+queue-full error instead of buffering). Each shard runs one resident
+driver that spawns once at startup and parks when idle, and always
+pools its response buffers. --window-us U holds each
 drained round open U microseconds so concurrent requests can join the
 batch (0, the default, never delays). --placement P picks how requests
 spread across shards: round-robin (the default) or request-hash (keyed
@@ -157,16 +156,6 @@ fn backend_kind(parsed: &Parsed) -> Result<BackendKind, String> {
     }
 }
 
-/// Resolve `--threads` (default 1), rejecting 0 with the engine's own
-/// error message.
-fn threads_arg(parsed: &Parsed) -> Result<usize, String> {
-    let threads: usize = parsed.num("threads", 1)?;
-    if threads == 0 {
-        return Err(format!("option --threads: {}", NormError::ZeroThreads));
-    }
-    Ok(threads)
-}
-
 /// Resolve `--window-us` (default 0: no coalescing hold) into the
 /// service's combining-window duration.
 fn window_arg(parsed: &Parsed) -> Result<Duration, String> {
@@ -185,8 +174,7 @@ fn shards_arg(parsed: &Parsed) -> Result<usize, String> {
 
 /// Resolve `--queue-depth` (default
 /// [`DEFAULT_QUEUE_DEPTH`](iterl2norm::service::DEFAULT_QUEUE_DEPTH)),
-/// rejecting 0 with the offending option named — like
-/// `--shards`/`--threads`.
+/// rejecting 0 with the offending option named — like `--shards`.
 fn queue_depth_arg(parsed: &Parsed) -> Result<usize, String> {
     let depth: usize = parsed.num("queue-depth", iterl2norm::service::DEFAULT_QUEUE_DEPTH)?;
     if depth == 0 {
@@ -225,12 +213,7 @@ fn placement_arg(parsed: &Parsed) -> Result<Placement, String> {
 /// `--shards`/`--queue-depth` flags — the single dispatch point every
 /// normalization subcommand shares (the old per-format `with_exec!`
 /// macro, type-erased away).
-fn build_service(
-    parsed: &Parsed,
-    d: usize,
-    spec: MethodSpec,
-    threads: usize,
-) -> Result<NormService, String> {
+fn build_service(parsed: &Parsed, d: usize, spec: MethodSpec) -> Result<NormService, String> {
     let backend = backend_kind(parsed)?;
     let format = format_kind(parsed)?;
     let shards = shards_arg(parsed)?;
@@ -241,7 +224,6 @@ fn build_service(
         .with_backend(backend)
         .with_format(format)
         .with_method(spec)
-        .with_threads(threads)
         .with_shards(shards)
         .with_queue_depth(queue_depth)
         .with_placement(placement)
@@ -284,7 +266,7 @@ pub fn normalize(parsed: &Parsed) -> Result<(), String> {
     if values.is_empty() {
         return Err("normalize needs at least one value".into());
     }
-    let service = build_service(parsed, values.len(), spec, 1)?;
+    let service = build_service(parsed, values.len(), spec)?;
     let format = service.format();
     let bits: Vec<u32> = values.iter().map(|&v| format.encode_f64(v)).collect();
     let (response, moments) = service
@@ -320,7 +302,7 @@ pub fn rsqrt(parsed: &Parsed) -> Result<(), String> {
     }
     let steps: u32 = parsed.num("steps", 5)?;
     // d = 1: the service exists only to carry the (format, backend) pair.
-    let service = build_service(parsed, 1, MethodSpec::iterl2(5), 1)?;
+    let service = build_service(parsed, 1, MethodSpec::iterl2(5))?;
     let trace = service.rsqrt_trace(m_val, steps);
     let target = if m_val > 0.0 {
         1.0 / m_val.sqrt()
@@ -407,7 +389,7 @@ pub fn demo(parsed: &Parsed) -> Result<(), String> {
     let d: usize = parsed.num("d", 768)?;
     let seed: u64 = parsed.num("seed", 0)?;
     let spec = method_spec(parsed)?;
-    let service = build_service(parsed, d, spec, 1)?;
+    let service = build_service(parsed, d, spec)?;
     let format = service.format();
     let bits: Vec<u32> = VectorGen::paper()
         .vector_f64(d, seed)
@@ -540,8 +522,7 @@ pub fn serve_impl(parsed: &Parsed) -> Result<normserver::ServerHandle, String> {
         return Err("serve needs --d at least 1".into());
     }
     let spec = method_spec(parsed)?;
-    let threads = threads_arg(parsed)?;
-    let service = build_service(parsed, d, spec, threads)?;
+    let service = build_service(parsed, d, spec)?;
     let admission = match parsed.get("tenants") {
         None => normserver::Admission::open(),
         Some(text) => {
@@ -590,11 +571,10 @@ pub fn batch(parsed: &Parsed) -> Result<(), String> {
     let rows: usize = parsed.num("rows", 256)?;
     let seed: u64 = parsed.num("seed", 0)?;
     let spec = method_spec(parsed)?;
-    let threads = threads_arg(parsed)?;
     if d == 0 || rows == 0 {
         return Err("batch needs --d and --rows at least 1".into());
     }
-    let service = build_service(parsed, d, spec, threads)?;
+    let service = build_service(parsed, d, spec)?;
     let format = service.format();
     let gen = VectorGen::paper();
     let mut flat: Vec<u32> = Vec::with_capacity(rows * d);
@@ -615,8 +595,8 @@ pub fn batch(parsed: &Parsed) -> Result<(), String> {
     }
     let per_call = t0.elapsed();
 
-    // Batch path: one service request, partitioned across --threads
-    // workers inside the backend (bit-identical for any count). A warm-up
+    // Batch path: one service request, run by the shard's serial
+    // kernels. A warm-up
     // submit sizes the backend's conversion buffers first — the same
     // methodology as backend_bench — so the timed run measures execution,
     // not first-touch allocation.
@@ -643,7 +623,7 @@ pub fn batch(parsed: &Parsed) -> Result<(), String> {
     // NOTE: pinned by the stdout goldens — the resolved SIMD tier lives in
     // `NormResponse::simd_level`, not in this line.
     println!(
-        "format {}  backend {}  d {d}  rows {}  threads {threads}  method {}",
+        "format {}  backend {}  d {d}  rows {}  method {}",
         format.name(),
         service.backend().name(),
         response.rows(),

@@ -141,7 +141,7 @@ fn sharding_flags_happy_paths_and_rejections() {
         "8",
     ]))
     .unwrap();
-    // Zero shards is rejected with the option named, like --threads 0.
+    // Zero shards is rejected with the option named.
     let err = commands::batch(&parsed(&["--d", "32", "--rows", "4", "--shards", "0"])).unwrap_err();
     assert!(
         err.contains("--shards") && err.contains("at least 1"),
@@ -165,19 +165,9 @@ fn sharding_flags_happy_paths_and_rejections() {
 
 #[test]
 fn executor_flags_happy_paths_and_rejections() {
-    // Worker counts and coalescing knobs end to end — none of them
+    // Shard counts and coalescing knobs end to end — none of them
     // change output bits, so these succeed like the defaults.
-    commands::batch(&parsed(&[
-        "--d",
-        "32",
-        "--rows",
-        "8",
-        "--shards",
-        "2",
-        "--threads",
-        "2",
-    ]))
-    .unwrap();
+    commands::batch(&parsed(&["--d", "32", "--rows", "8", "--shards", "2"])).unwrap();
     commands::batch(&parsed(&["--d", "32", "--rows", "8", "--window-us", "100"])).unwrap();
 }
 
@@ -237,8 +227,6 @@ fn backend_flag_happy_paths() {
         "native",
         "--format",
         "fp32",
-        "--threads",
-        "4",
     ]))
     .unwrap();
     commands::batch(&parsed(&[
@@ -248,8 +236,6 @@ fn backend_flag_happy_paths() {
         "8",
         "--backend",
         "emulated",
-        "--threads",
-        "2",
     ]))
     .unwrap();
     commands::demo(&parsed(&["--d", "64", "--backend", "native"])).unwrap();
@@ -348,12 +334,17 @@ fn unknown_backend_and_bad_threads_are_rejected() {
         err.contains("gpu") && err.contains("emulated|native"),
         "{err}"
     );
-    let err =
-        commands::batch(&parsed(&["--d", "32", "--rows", "4", "--threads", "0"])).unwrap_err();
-    assert!(err.contains("at least 1"), "{err}");
-    let err =
-        commands::batch(&parsed(&["--d", "32", "--rows", "4", "--threads", "many"])).unwrap_err();
-    assert!(err.contains("--threads") && err.contains("many"), "{err}");
+    // Shards are the only parallelism: --threads is not an option at all.
+    for value in ["0", "many"] {
+        let owned: Vec<String> = ["--d", "32", "--rows", "4", "--threads", value]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(
+            Parsed::parse(&owned),
+            Err("unknown option --threads".to_string())
+        );
+    }
 }
 
 #[test]
@@ -391,8 +382,6 @@ fn simd_flag_happy_paths_and_rejections() {
         "native",
         "--simd",
         "portable",
-        "--threads",
-        "3",
     ]))
     .unwrap();
     commands::demo(&parsed(&[
@@ -545,8 +534,8 @@ fn serve_binds_an_ephemeral_port_and_shuts_down() {
 
 #[test]
 fn backend_and_threads_take_values() {
-    // Both are valued options: trailing flag with no value is a parse
-    // error, not a silent boolean.
+    // --backend is a valued option: a trailing flag with no value is a
+    // parse error, not a silent boolean. --threads is no option at all.
     let owned: Vec<String> = vec!["--backend".into()];
     assert!(Parsed::parse(&owned).is_err());
     let owned: Vec<String> = vec!["--threads".into()];

@@ -197,14 +197,14 @@ fn batch_stdout_structure_is_preserved() {
         "2",
         "--backend",
         "native",
-        "--threads",
+        "--shards",
         "2",
     ]);
     let lines: Vec<&str> = out.lines().collect();
     assert_eq!(lines.len(), 4, "{out}");
     assert_eq!(
         lines[0],
-        "format FP32  backend native-f32  d 32  rows 8  threads 2  method iterl2[5]"
+        "format FP32  backend native-f32  d 32  rows 8  method iterl2[5]"
     );
     assert!(lines[1].starts_with("  per-call layer_norm : "), "{out}");
     assert!(lines[1].contains(" rows/s  ("), "{out}");
@@ -217,7 +217,7 @@ fn batch_stdout_structure_is_preserved() {
     let emulated = run(&["batch", "--d", "16", "--rows", "4", "--seed", "5"]);
     assert_eq!(
         emulated.lines().next().unwrap(),
-        "format FP32  backend emulated  d 16  rows 4  threads 1  method iterl2[5]"
+        "format FP32  backend emulated  d 16  rows 4  method iterl2[5]"
     );
 }
 

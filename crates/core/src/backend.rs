@@ -12,7 +12,7 @@
 //!
 //! * [`NormBackend`] — the object-safe execution interface: row-major
 //!   batches of raw `u32` bit patterns in, normalized bit patterns out,
-//!   partitioned over a [`PartitionRunner`] or a worker-thread count.
+//!   partitioned over a worker-thread count.
 //!   Bits are the lingua franca because the two implementations store
 //!   values in different Rust types.
 //! * [`Emulated<F>`](Emulated) — the softfloat path, available for every
@@ -51,7 +51,6 @@ use softfloat::{Bf16, Float, Fp16, Fp32, HostF32};
 
 use crate::engine::{MethodSpec, NormPlan, Normalizer};
 use crate::error::NormError;
-use crate::executor::{PartitionRunner, ScopedRunner};
 use crate::hworder::ReduceOrder;
 use crate::simd::{self, SimdKernel, SimdLevel, SimdNative};
 
@@ -251,49 +250,28 @@ pub trait NormBackend: Send {
     }
 
     /// Normalize a row-major batch of bit patterns from `input` into
-    /// `out`, partitioned across the parts of `runner` (the resident
-    /// per-shard pool in the serving path), returning the number of rows.
-    /// Output bits do not depend on the runner or its width.
+    /// `out`, partitioned across `threads` per-call scoped worker threads,
+    /// returning the number of rows. Output bits do not depend on the
+    /// thread count.
     ///
     /// # Errors
     ///
+    /// [`NormError::ZeroThreads`] when `threads == 0`,
     /// [`NormError::OutputLengthMismatch`] when `out` differs from `input`
     /// in length, plus the shape errors of [`Normalizer::normalize_batch`].
-    fn normalize_batch_runner(
-        &mut self,
-        input: &[u32],
-        out: &mut [u32],
-        runner: &dyn PartitionRunner,
-    ) -> Result<usize, NormError>;
-
-    /// [`normalize_batch_runner`](NormBackend::normalize_batch_runner)
-    /// over `threads` per-call scoped worker threads ([`ScopedRunner`]),
-    /// for callers that hold no resident pool.
-    ///
-    /// # Errors
-    ///
-    /// [`NormError::ZeroThreads`] when `threads == 0`, plus the errors of
-    /// [`normalize_batch_runner`](NormBackend::normalize_batch_runner).
     fn normalize_batch_bits(
         &mut self,
         input: &[u32],
         out: &mut [u32],
         threads: usize,
-    ) -> Result<usize, NormError> {
-        if threads == 0 {
-            return Err(NormError::ZeroThreads);
-        }
-        self.normalize_batch_runner(input, out, &ScopedRunner(threads))
-    }
+    ) -> Result<usize, NormError>;
 
-    /// Normalize a round's buffers where they sit, over an injected
-    /// [`PartitionRunner`]: each of `segments` holds whole rows (one
-    /// request's payload in the serving path) and is overwritten with its
-    /// normalized rows, returning the total row count. The rows split
-    /// across the runner's parts exactly as they would in
-    /// [`normalize_batch_runner`](NormBackend::normalize_batch_runner)
-    /// over the segments' concatenation, and rows are independent, so the
-    /// bits equal that call's. On error the segments' contents are
+    /// Normalize a round's buffers where they sit, serially: each of
+    /// `segments` holds whole rows (one request's payload in the serving
+    /// path) and is overwritten with its normalized rows, returning the
+    /// total row count. Rows are independent, so the bits equal
+    /// [`normalize_batch_bits`](NormBackend::normalize_batch_bits) over the
+    /// segments' concatenation. On error the segments' contents are
     /// unspecified.
     ///
     /// The default implementation copies the segments into one input,
@@ -305,16 +283,12 @@ pub trait NormBackend: Send {
     ///
     /// [`NormError::BatchLengthMismatch`] when a segment is not whole
     /// rows, plus the errors of
-    /// [`normalize_batch_runner`](NormBackend::normalize_batch_runner).
-    fn normalize_in_place_runner(
-        &mut self,
-        segments: &mut [&mut [u32]],
-        runner: &dyn PartitionRunner,
-    ) -> Result<usize, NormError> {
+    /// [`normalize_batch_bits`](NormBackend::normalize_batch_bits).
+    fn normalize_in_place(&mut self, segments: &mut [&mut [u32]]) -> Result<usize, NormError> {
         check_segments(self.d(), segments)?;
         let input = segments.concat();
         let mut out = vec![0u32; input.len()];
-        let rows = self.normalize_batch_runner(&input, &mut out, runner)?;
+        let rows = self.normalize_batch_bits(&input, &mut out, 1)?;
         scatter(&out, segments);
         Ok(rows)
     }
@@ -386,12 +360,10 @@ impl<F: Float> BitsEngine<F> {
         }
     }
 
-    fn run(
-        &mut self,
-        input: &[u32],
-        out: &mut [u32],
-        runner: &dyn PartitionRunner,
-    ) -> Result<usize, NormError> {
+    fn run(&mut self, input: &[u32], out: &mut [u32], threads: usize) -> Result<usize, NormError> {
+        if threads == 0 {
+            return Err(NormError::ZeroThreads);
+        }
         // The u32-level output length must be checked here — the engine
         // only sees the internally-sized decode/encode buffers. Whole-rows
         // validation lives in the engine call below.
@@ -405,11 +377,11 @@ impl<F: Float> BitsEngine<F> {
         self.decoded.extend(input.iter().map(|&b| F::from_bits(b)));
         self.encoded.clear();
         self.encoded.resize(input.len(), F::zero());
-        let rows = self.engine.normalize_batch_runner(
+        let rows = self.engine.normalize_batch_parallel(
             &self.plan,
             &self.decoded,
             &mut self.encoded,
-            runner,
+            threads,
         )?;
         for (slot, v) in out.iter_mut().zip(&self.encoded) {
             *slot = v.to_bits();
@@ -417,15 +389,11 @@ impl<F: Float> BitsEngine<F> {
         Ok(rows)
     }
 
-    /// [`run`](BitsEngine::run) over a round's segments:
-    /// they decode back to back into `decoded`, run as the one
-    /// concatenated engine call (so the row partition is that call's),
-    /// and encode straight back into the segments they came from.
-    fn run_in_place(
-        &mut self,
-        segments: &mut [&mut [u32]],
-        runner: &dyn PartitionRunner,
-    ) -> Result<usize, NormError> {
+    /// [`run`](BitsEngine::run) over a round's segments, serially: they
+    /// decode back to back into `decoded`, run as the one concatenated
+    /// engine call, and encode straight back into the segments they came
+    /// from.
+    fn run_in_place(&mut self, segments: &mut [&mut [u32]]) -> Result<usize, NormError> {
         check_segments(self.plan.d(), segments)?;
         self.decoded.clear();
         for seg in segments.iter() {
@@ -433,12 +401,9 @@ impl<F: Float> BitsEngine<F> {
         }
         self.encoded.clear();
         self.encoded.resize(self.decoded.len(), F::zero());
-        let rows = self.engine.normalize_batch_runner(
-            &self.plan,
-            &self.decoded,
-            &mut self.encoded,
-            runner,
-        )?;
+        let rows = self
+            .engine
+            .normalize_batch(&self.plan, &self.decoded, &mut self.encoded)?;
         let slots = segments.iter_mut().flat_map(|seg| seg.iter_mut());
         for (slot, v) in slots.zip(&self.encoded) {
             *slot = v.to_bits();
@@ -513,21 +478,17 @@ impl<F: Float> NormBackend for Emulated<F> {
         self.inner.spec.label()
     }
 
-    fn normalize_batch_runner(
+    fn normalize_batch_bits(
         &mut self,
         input: &[u32],
         out: &mut [u32],
-        runner: &dyn PartitionRunner,
+        threads: usize,
     ) -> Result<usize, NormError> {
-        self.inner.run(input, out, runner)
+        self.inner.run(input, out, threads)
     }
 
-    fn normalize_in_place_runner(
-        &mut self,
-        segments: &mut [&mut [u32]],
-        runner: &dyn PartitionRunner,
-    ) -> Result<usize, NormError> {
-        self.inner.run_in_place(segments, runner)
+    fn normalize_in_place(&mut self, segments: &mut [&mut [u32]]) -> Result<usize, NormError> {
+        self.inner.run_in_place(segments)
     }
 
     fn normalize_row_bits_detailed(
@@ -637,37 +598,30 @@ impl NormBackend for NativeF32 {
             .map_or(SimdLevel::Scalar, SimdNative::level)
     }
 
-    fn normalize_batch_runner(
+    fn normalize_batch_bits(
         &mut self,
         input: &[u32],
         out: &mut [u32],
-        runner: &dyn PartitionRunner,
+        threads: usize,
     ) -> Result<usize, NormError> {
         match &self.simd {
-            Some(simd) => simd.normalize_batch_runner(
+            Some(simd) => simd.normalize_batch_bits(
                 &self.inner.plan,
                 self.inner.engine.method(),
                 input,
                 out,
-                runner,
+                threads,
             ),
-            None => self.inner.run(input, out, runner),
+            None => self.inner.run(input, out, threads),
         }
     }
 
-    fn normalize_in_place_runner(
-        &mut self,
-        segments: &mut [&mut [u32]],
-        runner: &dyn PartitionRunner,
-    ) -> Result<usize, NormError> {
+    fn normalize_in_place(&mut self, segments: &mut [&mut [u32]]) -> Result<usize, NormError> {
         match &self.simd {
-            Some(simd) => simd.normalize_in_place_runner(
-                &self.inner.plan,
-                self.inner.engine.method(),
-                segments,
-                runner,
-            ),
-            None => self.inner.run_in_place(segments, runner),
+            Some(simd) => {
+                simd.normalize_in_place(&self.inner.plan, self.inner.engine.method(), segments)
+            }
+            None => self.inner.run_in_place(segments),
         }
     }
 

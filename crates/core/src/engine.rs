@@ -24,11 +24,10 @@
 //!   the experiment harness, the CLI) now build a [`MethodSpec`] and let
 //!   [`MethodSpec::build`] materialize it for a format.
 //!
-//! Large batches can additionally be partitioned across the parts of a
-//! [`PartitionRunner`](crate::executor::PartitionRunner) with
-//! [`normalize_batch_runner`](Normalizer::normalize_batch_runner):
+//! Large batches can additionally be partitioned across worker threads
+//! with [`normalize_batch_parallel`](Normalizer::normalize_batch_parallel):
 //! contiguous row runs per worker, per-worker scratch, and per-row output
-//! bits that do not depend on the partition.
+//! bits that do not depend on the thread count.
 //!
 //! The engine is generic over [`Float`], which is also where execution
 //! *backends* plug in: driving it with [`softfloat::HostF32`] (host `f32`)
@@ -65,14 +64,10 @@
 //! ```
 
 use softfloat::Float;
-use std::sync::{Mutex, PoisonError};
-
-/// One worker's pre-split slice pair, parked behind its own mutex so a
-/// shared `Fn(usize)` can hand out `&mut` output runs without unsafe.
-pub(crate) type PartChunk<'a, F> = Mutex<Option<(&'a [F], &'a mut [F])>>;
 
 use crate::baselines::{ExactRsqrtNorm, Fisr, LutRsqrt};
 use crate::error::NormError;
+use crate::executor::fork;
 use crate::hworder::ReduceOrder;
 use crate::iteration::IterL2Norm;
 use crate::layernorm::{
@@ -570,28 +565,30 @@ impl<F: Float, S: RsqrtScale<F>> Normalizer<F, S> {
 
 impl<F: Float, S: RsqrtScale<F> + Sync> Normalizer<F, S> {
     /// [`normalize_batch`](Normalizer::normalize_batch) partitioned over
-    /// the parts of a [`PartitionRunner`](crate::executor::PartitionRunner):
-    /// the resident per-shard pool in the serving path, per-call scoped
-    /// threads or the serial loop elsewhere.
+    /// `threads` per-call scoped worker threads.
     ///
     /// Rows are split into contiguous runs — the first `rows % workers`
     /// workers take one extra row — and every worker owns its own
     /// partial-sum scratch, so every output row is **bit-identical** to
-    /// the serial call for any runner and width (rows are independent;
-    /// the reduction order inside a row never changes). A width of 1, or
-    /// a batch of at most one row, falls through to the serial path and
+    /// the serial call for any thread count (rows are independent; the
+    /// reduction order inside a row never changes). One thread, or a
+    /// batch of at most one row, falls through to the serial path and
     /// reuses this engine's scratch.
     ///
     /// # Errors
     ///
-    /// The shape errors of [`normalize_batch`](Normalizer::normalize_batch).
-    pub fn normalize_batch_runner(
+    /// [`NormError::ZeroThreads`] when `threads == 0`, plus the shape
+    /// errors of [`normalize_batch`](Normalizer::normalize_batch).
+    pub fn normalize_batch_parallel(
         &mut self,
         plan: &NormPlan<F>,
         input: &[F],
         out: &mut [F],
-        runner: &dyn crate::executor::PartitionRunner,
+        threads: usize,
     ) -> Result<usize, NormError> {
+        if threads == 0 {
+            return Err(NormError::ZeroThreads);
+        }
         let rows = plan.rows_of(input.len())?;
         if out.len() != input.len() {
             return Err(NormError::OutputLengthMismatch {
@@ -599,36 +596,15 @@ impl<F: Float, S: RsqrtScale<F> + Sync> Normalizer<F, S> {
                 actual: out.len(),
             });
         }
-        let workers = runner.width().min(rows);
+        let workers = threads.min(rows);
         if workers <= 1 {
             return self.normalize_batch(plan, input, out);
         }
         let d = plan.d();
         let params = plan.params();
         let method = &self.method;
-        // Pre-split into disjoint per-part chunks; each part takes its
-        // chunk out of its own (uncontended) mutex, which is what lets a
-        // `Fn(usize)` shared across workers hand out `&mut` output runs
-        // without unsafe.
-        let mut chunks: Vec<PartChunk<'_, F>> = Vec::with_capacity(workers);
-        let mut in_rest = input;
-        let mut out_rest = &mut *out;
-        for wi in 0..workers {
-            let take = worker_rows(rows, workers, wi) * d;
-            let (in_chunk, in_tail) = in_rest.split_at(take);
-            let (out_chunk, out_tail) = out_rest.split_at_mut(take);
-            in_rest = in_tail;
-            out_rest = out_tail;
-            chunks.push(Mutex::new(Some((in_chunk, out_chunk))));
-        }
-        runner.run(workers, &|wi| {
-            let taken = chunks[wi]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            let Some((in_chunk, out_chunk)) = taken else {
-                return;
-            };
+        let parts = split_rows(input, out, d, workers);
+        fork(parts, |(in_chunk, out_chunk)| {
             let mut partials = Vec::with_capacity(partials_capacity(d));
             for (x_row, out_row) in in_chunk.chunks_exact(d).zip(out_chunk.chunks_exact_mut(d)) {
                 normalize_row_into(x_row, out_row, &params, method, &mut partials);
@@ -644,47 +620,26 @@ fn partials_capacity(d: usize) -> usize {
     d.div_ceil(crate::hworder::CHUNK)
 }
 
-/// Rows assigned to worker `wi` when `rows` are split into contiguous
-/// runs across `workers` workers: the first `rows % workers` workers take
-/// one extra row. Shared by the scalar runner path above and the SIMD
-/// batch driver, so every execution tier partitions identically and
-/// per-row output bits never depend on the thread count.
-pub(crate) fn worker_rows(rows: usize, workers: usize, wi: usize) -> usize {
-    rows / workers + usize::from(wi < rows % workers)
-}
-
-/// Split whole-row `segments` (`rows` rows of length `d` in total) into
-/// `workers` parts exactly as [`worker_rows`] splits their
-/// concatenation: part `wi` gets the same run of rows, as the pieces of
-/// the segments that run covers. This is how in-place calls over
-/// separate buffers keep the partition of the concatenated call.
-pub(crate) fn split_segments<'a, T>(
-    segments: &'a mut [&mut [T]],
+/// Split whole-row `input`/`out` (stride `d`) into `workers` contiguous
+/// runs: the first `rows % workers` workers take one extra row. Shared
+/// by the scalar engine above and the SIMD batch driver, so every
+/// execution tier partitions identically and per-row output bits never
+/// depend on the thread count.
+pub(crate) fn split_rows<'a, T>(
+    mut input: &'a [T],
+    mut out: &'a mut [T],
     d: usize,
-    rows: usize,
     workers: usize,
-) -> Vec<Vec<&'a mut [T]>> {
-    let mut rest = segments.iter_mut().map(|seg| &mut **seg);
-    let mut current: &'a mut [T] = &mut [];
+) -> Vec<(&'a [T], &'a mut [T])> {
+    let rows = input.len() / d;
     (0..workers)
         .map(|wi| {
-            let mut need = worker_rows(rows, workers, wi) * d;
-            let mut part = Vec::new();
-            while need > 0 {
-                if current.is_empty() {
-                    match rest.next() {
-                        Some(seg) => current = seg,
-                        None => break,
-                    }
-                    continue;
-                }
-                let take = need.min(current.len());
-                let (head, tail) = std::mem::take(&mut current).split_at_mut(take);
-                part.push(head);
-                current = tail;
-                need -= take;
-            }
-            part
+            let take = (rows / workers + usize::from(wi < rows % workers)) * d;
+            let (in_chunk, in_tail) = input.split_at(take);
+            let (out_chunk, out_tail) = std::mem::take(&mut out).split_at_mut(take);
+            input = in_tail;
+            out = out_tail;
+            (in_chunk, out_chunk)
         })
         .collect()
 }
@@ -743,30 +698,6 @@ mod tests {
                 Fp16::from_f64((d as f64).sqrt()).to_bits()
             );
         }
-    }
-
-    #[test]
-    fn split_segments_follows_the_concatenated_partition() {
-        let d = 3;
-        let mut data: Vec<u32> = (0..10 * d as u32).collect();
-        let (a, rest) = data.split_at_mut(4 * d);
-        let (b, c) = rest.split_at_mut(d);
-        let mut segments: Vec<&mut [u32]> = vec![a, b, c];
-        // 10 rows over 3 workers: 4, 3, 3 rows of the concatenation.
-        let parts = split_segments(&mut segments, d, 10, 3);
-        let flat: Vec<Vec<u32>> = parts
-            .iter()
-            .map(|part| {
-                part.iter()
-                    .flat_map(|piece| piece.iter().copied())
-                    .collect()
-            })
-            .collect();
-        let whole: Vec<u32> = (0..10 * d as u32).collect();
-        assert_eq!(flat[0], whole[..4 * d]);
-        assert_eq!(flat[1], whole[4 * d..7 * d]);
-        assert_eq!(flat[2], whole[7 * d..]);
-        assert_eq!(parts[1].len(), 2, "part 1 spans two segments");
     }
 
     #[test]

@@ -64,12 +64,11 @@
 //! [`ScaleMethod`] registry (or any custom `&dyn RsqrtScale<F>` — the
 //! trait is object-safe).
 
-// `deny` rather than `forbid`: the `simd`, `whiten` and `executor`
-// modules are the only places in the workspace that need `unsafe`
-// (std::arch intrinsics, two u32/f32 slice reinterpretations in `simd`,
-// and the resident pool's one lifetime erasure in `executor`) and opt
-// back in with a scoped `allow`; every other module stays unsafe-free,
-// enforced at compile time.
+// `deny` rather than `forbid`: the `simd` and `whiten` modules are the
+// only places in the workspace that need `unsafe` (std::arch intrinsics
+// and two u32/f32 slice reinterpretations in `simd`) and opt back in
+// with a scoped `allow`; every other module stays unsafe-free, enforced
+// at compile time.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -79,7 +78,7 @@ pub mod baselines;
 mod config;
 mod engine;
 mod error;
-pub mod executor;
+mod executor;
 pub mod hworder;
 mod iteration;
 mod layernorm;
@@ -96,7 +95,6 @@ pub use backend::{
 pub use config::{InitRule, IterConfig, LambdaRule, StopRule, UpdateStyle};
 pub use engine::{MethodSpec, NormPlan, Normalizer, ScaleMethod};
 pub use error::NormError;
-pub use executor::{PartitionPool, PartitionRunner, ScopedRunner, SerialRunner};
 pub use hworder::ReduceOrder;
 pub use iteration::{
     a0_from_exponent, apply_update, iterate, lambda_from_exponent, update_step, update_step_fused,

@@ -1,13 +1,13 @@
 //! The type-erased normalization serving API: one front door over
-//! format × method × backend × threads, with request micro-batching,
-//! sharding and bounded backpressure.
+//! format × method × backend, with request micro-batching, sharding and
+//! bounded backpressure.
 //!
 //! The execution layer underneath ([`backend`](crate::backend)) is already
 //! runtime-polymorphic, but every caller still had to monomorphize its own
 //! dispatch (the CLI's old `with_exec!` macro, the transformer's typed
 //! per-layer plans). [`NormService`] removes that: a [`ServiceConfig`]
 //! names the whole execution point — dimension, format, scale method,
-//! backend, worker threads, reduction order, affine parameters — and
+//! backend, reduction order, affine parameters, shards — and
 //! [`ServiceConfig::build`] erases it behind one object. Callers submit
 //! [`NormRequest`]s (row-major `u32` storage bits, or native `f32` slices)
 //! and get [`NormResponse`]s with per-request execution metadata. No
@@ -15,14 +15,14 @@
 //!
 //! # The resident shard executor
 //!
-//! Each shard owns a small **resident worker pool**, spawned once at
+//! Each shard owns exactly one **resident driver** thread, spawned once at
 //! [`ServiceConfig::build`] and joined when the service shuts down or the
-//! last clone drops: one *driver* thread that parks on the shard's work
-//! condvar, drains the combining queue and runs the backend calls, plus
-//! `threads − 1` partition helpers (a
-//! [`PartitionPool`]) the batch kernels
-//! split rows across. Idle workers park — no busy-spin — and shutdown joins every worker, so a built-then-dropped
-//! service leaks nothing (proven by `tests/executor_hygiene.rs`).
+//! last clone drops. The driver parks on the shard's work condvar, drains
+//! the combining queue and runs the backend calls with the serial
+//! kernels; shards are the service's only parallelism. An idle driver
+//! parks — no busy-spin — and shutdown joins every driver, so a
+//! built-then-dropped service leaks nothing (proven by
+//! `tests/executor_hygiene.rs`).
 //!
 //! # The idle-shard inline path
 //!
@@ -33,9 +33,9 @@
 //! [`NormService::submit_async`]) that finds its shard idle runs inline:
 //! nothing queued, no thread executing on the shard, and a zero
 //! coalescing window. The caller takes the shard's claim, runs its own
-//! request on the shard's backend and partition helpers — reading a bit
-//! payload where the caller holds it and writing straight into a
-//! `submit_into` buffer or a pooled reply — and gives the claim back. An
+//! request on the shard's backend — reading a bit payload where the
+//! caller holds it and writing straight into a `submit_into` buffer or
+//! a pooled reply — and gives the claim back. An
 //! inline `submit_async` returns an already-complete ticket. While the claim is held, other arrivals
 //! queue and the driver waits; the releasing caller wakes it if anything
 //! queued. Submitters still never execute other callers' work: an inline
@@ -51,8 +51,7 @@
 //! plans, scratch and backends. Requests that are waiting in a shard's
 //! queue when its driver starts a round — or that arrive within the
 //! configured coalescing [`window`](ServiceConfig::with_window) — run as
-//! **one** partitioned
-//! [`normalize_in_place_runner`](crate::NormBackend::normalize_in_place_runner)
+//! **one** [`normalize_in_place`](crate::NormBackend::normalize_in_place)
 //! call over the requests' own payload buffers, each normalized where it
 //! sits and handed back as that caller's reply. Rows are independent and
 //! the engine processes each row the same way wherever it lives, so the
@@ -168,7 +167,6 @@
 //!     .with_format(FormatKind::Fp32)
 //!     .with_backend(BackendKind::Native)
 //!     .with_method(MethodSpec::iterl2(5))
-//!     .with_threads(2)
 //!     .with_shards(2)
 //!     .with_queue_depth(256)
 //!     .build()?;
@@ -214,7 +212,6 @@ use crate::backend::{build_backend_affine, BackendKind, FormatKind, NormBackend,
 use crate::config::IterConfig;
 use crate::engine::MethodSpec;
 use crate::error::NormError;
-use crate::executor::PartitionPool;
 use crate::hworder::ReduceOrder;
 use crate::iteration::iterate;
 use crate::layernorm::{layer_norm, LayerNormInputs};
@@ -261,7 +258,6 @@ pub struct ServiceConfig {
     format: FormatKind,
     method: MethodSpec,
     backend: BackendKind,
-    threads: usize,
     reduce: ReduceOrder,
     gamma_bits: Option<Vec<u32>>,
     beta_bits: Option<Vec<u32>>,
@@ -275,7 +271,7 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// Defaults for vectors of length `d`: emulated FP32, `iterl2[5]`,
-    /// one worker thread, hardware-tree reduction, no affine parameters,
+    /// hardware-tree reduction, no affine parameters,
     /// opportunistic coalescing with a zero window, one shard with a
     /// [`DEFAULT_QUEUE_DEPTH`]-request queue bound, pooled response
     /// buffers.
@@ -285,7 +281,6 @@ impl ServiceConfig {
             format: FormatKind::default(),
             method: MethodSpec::iterl2(5),
             backend: BackendKind::default(),
-            threads: 1,
             reduce: ReduceOrder::default(),
             gamma_bits: None,
             beta_bits: None,
@@ -313,16 +308,6 @@ impl ServiceConfig {
     /// Same config with a different execution backend.
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Same config with a different resident worker-thread count per
-    /// shard: each shard's executor spawns this many threads at build
-    /// (one driver plus `threads − 1` partition helpers) and batch
-    /// execution splits rows across them. Validated at build; output
-    /// bits never depend on it.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -418,7 +403,7 @@ impl ServiceConfig {
     /// Same config with a different whitening spec — the iteration count,
     /// covariance ridge and group mode that
     /// [`NormRequest::whiten_group`] requests execute under. Whitening
-    /// shares this config's backend, format, SIMD level and thread count;
+    /// shares this config's backend, format and SIMD level;
     /// the executor itself is built lazily, on the first whitening
     /// request a shard sees, so services that never whiten pay nothing.
     pub fn with_whiten(mut self, whiten: WhitenSpec) -> Self {
@@ -444,11 +429,6 @@ impl ServiceConfig {
     /// The execution backend.
     pub fn backend(&self) -> BackendKind {
         self.backend
-    }
-
-    /// The resident worker-thread count per shard.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The reduction order.
@@ -492,11 +472,10 @@ impl ServiceConfig {
     ///
     /// # Errors
     ///
-    /// [`NormError::EmptyInput`] when `d == 0`, [`NormError::ZeroThreads`]
-    /// when `threads == 0`, [`NormError::ZeroShards`] when `shards == 0`,
-    /// [`NormError::ZeroQueueDepth`] when `queue_depth == 0`,
-    /// [`NormError::BackendFormatMismatch`] for native + non-FP32, and
-    /// the γ/β length-mismatch variants.
+    /// [`NormError::EmptyInput`] when `d == 0`, [`NormError::ZeroShards`]
+    /// when `shards == 0`, [`NormError::ZeroQueueDepth`] when
+    /// `queue_depth == 0`, [`NormError::BackendFormatMismatch`] for
+    /// native + non-FP32, and the γ/β length-mismatch variants.
     pub fn build(self) -> Result<NormService, NormError> {
         self.validate_counts()?;
         let mut backends = Vec::with_capacity(self.shards);
@@ -525,9 +504,9 @@ impl ServiceConfig {
     ///
     /// # Errors
     ///
-    /// [`NormError::EmptyInput`] when `d == 0`, [`NormError::ZeroThreads`]
-    /// when `threads == 0`, [`NormError::ZeroShards`] when `shards == 0`,
-    /// [`NormError::ZeroQueueDepth`] when `queue_depth == 0`.
+    /// [`NormError::EmptyInput`] when `d == 0`, [`NormError::ZeroShards`]
+    /// when `shards == 0`, [`NormError::ZeroQueueDepth`] when
+    /// `queue_depth == 0`.
     pub fn build_with_backends(
         self,
         mut make: impl FnMut() -> Box<dyn NormBackend>,
@@ -564,9 +543,6 @@ impl ServiceConfig {
     }
 
     fn validate_counts(&self) -> Result<(), NormError> {
-        if self.threads == 0 {
-            return Err(NormError::ZeroThreads);
-        }
         if self.shards == 0 {
             return Err(NormError::ZeroShards);
         }
@@ -581,8 +557,8 @@ impl ServiceConfig {
         backends: Vec<Box<dyn NormBackend>>,
         make_whiten: Option<Box<dyn Fn() -> Box<dyn WhitenExec> + Send + Sync>>,
     ) -> NormService {
-        // Distinguishes worker threads across services in one process:
-        // thread names (`ns{sid}s{shard}…`, ≤ 15 bytes for /proc comm)
+        // Distinguishes driver threads across services in one process:
+        // thread names (`ns{sid}s{shard}d`, ≤ 15 bytes for /proc comm)
         // are how the hygiene suite counts this service's residents.
         static SERVICE_ID: AtomicUsize = AtomicUsize::new(0);
         let sid = SERVICE_ID.fetch_add(1, Ordering::Relaxed);
@@ -592,8 +568,7 @@ impl ServiceConfig {
         let simd_level = backends[0].simd_level();
         let shards = backends
             .into_iter()
-            .enumerate()
-            .map(|(i, backend)| Shard {
+            .map(|backend| Shard {
                 queue: Mutex::new(QueueState::default()),
                 queue_cv: Condvar::new(),
                 work_cv: Condvar::new(),
@@ -601,9 +576,6 @@ impl ServiceConfig {
                 // Lazily built on the shard's first whitening request —
                 // see [`Core::whiten_of`].
                 whiten: Mutex::new(None),
-                // Resident partition helpers: the driver is worker 0, so
-                // `threads` per shard means `threads − 1` helpers.
-                runner: PartitionPool::new(self.threads - 1, &format!("ns{sid}s{i}")),
                 // Per shard on purpose: a single service-wide pool mutex
                 // would reintroduce the global serialization point that
                 // sharding exists to remove.
@@ -1096,9 +1068,8 @@ pub struct ServiceStats {
     /// waiting for work — executor headroom. An idle service accumulates
     /// only idle time.
     pub worker_idle: Duration,
-    /// Times a resident worker (shard driver or partition helper) was
-    /// woken from its park. A service with no traffic accumulates ~none:
-    /// the resident pool never busy-spins.
+    /// Times a resident shard driver was woken from its park. A service
+    /// with no traffic accumulates ~none: the drivers never busy-spin.
     pub worker_wakeups: u64,
     /// [`NormTicket::on_ready`] callbacks that panicked. The panic is
     /// contained in the driver (it never takes the executor down); a
@@ -1214,7 +1185,7 @@ pub struct ServiceStatsSnapshot {
     pub worker_busy_us: u64,
     /// Cumulative resident-driver parked time, µs.
     pub worker_idle_us: u64,
-    /// Resident worker (driver + partition helper) park wake-ups.
+    /// Resident shard-driver park wake-ups.
     pub worker_wakeups: u64,
     /// Contained [`NormTicket::on_ready`] callback panics.
     pub waker_panics: u64,
@@ -1571,6 +1542,13 @@ impl QueueState {
 
 /// One independent backend + combining-queue + buffer-pool instance,
 /// served by its own resident driver thread.
+///
+/// Aligned to 128 bytes (a cache-line pair, which adjacent-line
+/// prefetch moves together) so that neighbouring shards in the
+/// service's `Vec` never share a line: otherwise one shard's queue
+/// or backend lock can sit on the line another shard's submitters
+/// write, and shards that should run independently contend.
+#[repr(align(128))]
 struct Shard {
     queue: Mutex<QueueState>,
     /// Wakes waiting submitters when a round completes and their slot may
@@ -1581,10 +1559,6 @@ struct Shard {
     /// was requested. Separate from `queue_cv` so submitter wakeups never
     /// stampede the driver and vice versa.
     work_cv: Condvar,
-    /// The shard's resident partition helpers (`threads − 1` of
-    /// them; the driver itself is the last lane). Spawned once at build,
-    /// parked when idle, joined on drop.
-    runner: PartitionPool,
     backend: Mutex<Box<dyn NormBackend>>,
     /// The shard's whitening executor, built from the config on the first
     /// whitening request this shard sees (`None` until then — a service
@@ -1975,8 +1949,8 @@ enum Work<'a, 'b> {
     InPlace(&'a mut [&'b mut [u32]]),
 }
 
-/// One backend call of `kind` over `work`, spread across the shard's
-/// resident partition helpers. The returned [`Executed`] reports when
+/// One serial backend call of `kind` over `work`. The returned
+/// [`Executed`] reports when
 /// execution began — *after* the backend (or whitening executor) lock
 /// was acquired, so callers charge lock waits to queue-wait, not
 /// execution — and how long the call itself took.
@@ -1986,7 +1960,6 @@ fn execute(
     kind: RequestKind,
     work: Work<'_, '_>,
 ) -> Result<Executed, NormError> {
-    let runner = &shard.runner;
     let timed = |exec_start: Instant| Executed {
         exec_start,
         execute: exec_start.elapsed(),
@@ -1996,8 +1969,8 @@ fn execute(
             let mut backend = core.backend_of(shard)?;
             let exec_start = Instant::now();
             match work {
-                Work::Into { bits, out } => backend.normalize_batch_runner(bits, out, runner),
-                Work::InPlace(segments) => backend.normalize_in_place_runner(segments, runner),
+                Work::Into { bits, out } => backend.normalize_batch_bits(bits, out, 1),
+                Work::InPlace(segments) => backend.normalize_in_place(segments),
             }?;
             Ok(timed(exec_start))
         }
@@ -2012,9 +1985,9 @@ fn execute(
             match work {
                 Work::Into { bits, out } => {
                     let rows = bits.len() / core.config.d;
-                    exec.whiten_groups_runner(bits, out, &[rows], runner)
+                    exec.whiten_groups(bits, out, &[rows], 1)
                 }
-                Work::InPlace(groups) => exec.whiten_in_place_runner(groups, runner),
+                Work::InPlace(groups) => exec.whiten_in_place(groups),
             }?;
             Ok(timed(exec_start))
         }
@@ -2064,11 +2037,11 @@ fn run_round(core: &Core, shard: &Shard, entries: Vec<PendingEntry>) -> RoundOut
 /// One path for one entry or many: the call runs **in place** over the
 /// entries' own payload buffers (encoded at enqueue and owned by the
 /// round), and each buffer is handed to its slot as the reply. There is
-/// no concatenated input, no output lease and no split-back copy; the
-/// backend splits the rows (or groups) across the shard's helpers as it
-/// would split their concatenation. A failed call fails every entry and
-/// returns its buffer to the pool — a partly overwritten buffer is never
-/// delivered — and a panic goes through [`deliver_panic`].
+/// no concatenated input, no output lease and no split-back copy, and
+/// the bits equal one call over their concatenation. A failed call
+/// fails every entry and returns its buffer to the pool — a partly
+/// overwritten buffer is never delivered — and a panic goes through
+/// [`deliver_panic`].
 fn run_subround(
     core: &Core,
     shard: &Shard,
@@ -2177,11 +2150,6 @@ impl NormService {
         self.inner.config.method
     }
 
-    /// The worker-thread count batch execution partitions across.
-    pub fn threads(&self) -> usize {
-        self.inner.config.threads
-    }
-
     /// The number of independent shards requests are placed across.
     pub fn shards(&self) -> usize {
         self.inner.config.shards
@@ -2200,14 +2168,11 @@ impl NormService {
         self.inner.simd_level
     }
 
-    /// Execution counters so far, aggregated over all shards. The
-    /// [`worker_wakeups`](ServiceStats::worker_wakeups) total includes
-    /// both driver wake-ups and the resident partition helpers'.
+    /// Execution counters so far, aggregated over all shards.
     pub fn stats(&self) -> ServiceStats {
         let mut total = ServiceStats::default();
         for shard in &self.inner.shards {
             total.merge(&self.inner.queue_of(shard).stats);
-            total.worker_wakeups += shard.runner.wakeups();
         }
         total
     }
@@ -3332,7 +3297,7 @@ struct Site {
 
 impl NormServicePool {
     /// Pool whose services share `template`'s dimension, format, backend,
-    /// threads, reduction order and sharding/backpressure knobs (the
+    /// reduction order and sharding/backpressure knobs (the
     /// template's own affine parameters and method are ignored — sites and
     /// lookups supply those).
     pub fn new(template: ServiceConfig) -> Self {
@@ -3422,10 +3387,6 @@ mod tests {
             NormError::EmptyInput
         );
         assert_eq!(
-            ServiceConfig::new(8).with_threads(0).build().unwrap_err(),
-            NormError::ZeroThreads
-        );
-        assert_eq!(
             ServiceConfig::new(8).with_shards(0).build().unwrap_err(),
             NormError::ZeroShards
         );
@@ -3465,9 +3426,8 @@ mod tests {
     fn executor_knobs_round_trip_and_build() {
         let config = ServiceConfig::new(8)
             .with_shards(2)
-            .with_threads(2)
             .with_window(Duration::from_micros(250));
-        assert_eq!(config.threads(), 2);
+        assert_eq!(config.shards(), 2);
         assert_eq!(
             config.window(),
             Duration::from_micros(250),

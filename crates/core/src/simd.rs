@@ -71,13 +71,12 @@
 use core::fmt;
 
 use softfloat::HostF32;
-use std::sync::{Mutex, PoisonError};
 
 use crate::backend::{check_segments, BackendKind};
 use crate::config::{IterConfig, StopRule};
-use crate::engine::{split_segments, worker_rows, NormPlan, ScaleMethod};
+use crate::engine::{split_rows, NormPlan, ScaleMethod};
 use crate::error::NormError;
-use crate::executor::PartitionRunner;
+use crate::executor::fork;
 use crate::hworder::{ReduceOrder, CHUNK, TREE_WIDTH};
 use crate::iteration::{a0_from_exponent, lambda_from_exponent};
 use crate::layernorm::{DimConsts, RsqrtScale};
@@ -342,19 +341,22 @@ impl SimdNative {
     }
 
     /// The SIMD counterpart of the generic bits engine: same validation
-    /// order, same worker partitioning at the runner's width (contiguous
-    /// runs, first `rows % workers` workers take one extra row),
-    /// bit-identical output. Operates on the storage bits in place of a
-    /// decode/encode pass — `u32` and `f32` share size, alignment and total
-    /// bit-pattern validity, so the cast is free.
-    pub(crate) fn normalize_batch_runner(
+    /// order, same worker partitioning over `threads` (contiguous runs,
+    /// first `rows % workers` workers take one extra row), bit-identical
+    /// output. Operates on the storage bits in place of a decode/encode
+    /// pass — `u32` and `f32` share size, alignment and total bit-pattern
+    /// validity, so the cast is free.
+    pub(crate) fn normalize_batch_bits(
         &self,
         plan: &NormPlan<HostF32>,
         method: &ScaleMethod,
         input: &[u32],
         out: &mut [u32],
-        runner: &dyn PartitionRunner,
+        threads: usize,
     ) -> Result<usize, NormError> {
+        if threads == 0 {
+            return Err(NormError::ZeroThreads);
+        }
         if out.len() != input.len() {
             return Err(NormError::OutputLengthMismatch {
                 expected: input.len(),
@@ -362,77 +364,37 @@ impl SimdNative {
             });
         }
         let rows = plan.rows_of(input.len())?;
-        let d = plan.d();
         let ctx = self.ctx(plan, method);
         let x = bits_as_f32(input);
         let o = bits_as_f32_mut(out);
-        let workers = runner.width().min(rows);
+        let workers = threads.min(rows);
         if workers <= 1 {
             self.process_rows(&ctx, Some(x), o);
             return Ok(rows);
         }
-        // Same per-part mutex hand-off as the generic engine's runner
-        // path: disjoint chunks parked one per part, claimed by index.
-        let mut chunks: Vec<crate::engine::PartChunk<'_, f32>> = Vec::with_capacity(workers);
-        let mut x_rest = x;
-        let mut o_rest = o;
-        for wi in 0..workers {
-            let take = worker_rows(rows, workers, wi) * d;
-            let (x_chunk, x_tail) = x_rest.split_at(take);
-            let (o_chunk, o_tail) = o_rest.split_at_mut(take);
-            x_rest = x_tail;
-            o_rest = o_tail;
-            chunks.push(Mutex::new(Some((x_chunk, o_chunk))));
-        }
-        runner.run(workers, &|wi| {
-            let taken = chunks[wi]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            let Some((x_chunk, o_chunk)) = taken else {
-                return;
-            };
+        fork(split_rows(x, o, plan.d(), workers), |(x_chunk, o_chunk)| {
             self.process_rows(&ctx, Some(x_chunk), o_chunk);
         });
         Ok(rows)
     }
 
-    /// Normalize whole-row `segments` where they sit, over `runner`: the
-    /// rows are split across parts exactly as
-    /// [`normalize_batch_runner`](SimdNative::normalize_batch_runner)
-    /// splits their concatenation ([`split_segments`]), and each row runs
-    /// the same block pipeline reading from its own output slice. Rows are
-    /// independent, so the bits equal the out-of-place call's.
-    pub(crate) fn normalize_in_place_runner(
+    /// Normalize whole-row `segments` where they sit, serially: each row
+    /// runs the same block pipeline as
+    /// [`normalize_batch_bits`](SimdNative::normalize_batch_bits),
+    /// reading from its own output slice. Rows are independent, so the
+    /// bits equal the out-of-place call's over the segments'
+    /// concatenation.
+    pub(crate) fn normalize_in_place(
         &self,
         plan: &NormPlan<HostF32>,
         method: &ScaleMethod,
         segments: &mut [&mut [u32]],
-        runner: &dyn PartitionRunner,
     ) -> Result<usize, NormError> {
         let rows = check_segments(plan.d(), segments)?;
         let ctx = self.ctx(plan, method);
-        let workers = runner.width().min(rows);
-        if workers <= 1 {
-            for seg in segments.iter_mut() {
-                self.process_rows(&ctx, None, bits_as_f32_mut(seg));
-            }
-            return Ok(rows);
+        for seg in segments.iter_mut() {
+            self.process_rows(&ctx, None, bits_as_f32_mut(seg));
         }
-        let parts: Vec<Mutex<Option<Vec<&mut [u32]>>>> =
-            split_segments(segments, plan.d(), rows, workers)
-                .into_iter()
-                .map(|part| Mutex::new(Some(part)))
-                .collect();
-        runner.run(workers, &|wi| {
-            let taken = parts[wi]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            for piece in taken.into_iter().flatten() {
-                self.process_rows(&ctx, None, bits_as_f32_mut(piece));
-            }
-        });
         Ok(rows)
     }
 
@@ -1418,14 +1380,8 @@ mod tests {
                 let run = |kernel| {
                     let simd = SimdNative::new(kernel, &plan, &method);
                     let mut out = vec![0u32; bits.len()];
-                    simd.normalize_batch_runner(
-                        &plan,
-                        &method,
-                        &bits,
-                        &mut out,
-                        &crate::executor::SerialRunner,
-                    )
-                    .unwrap();
+                    simd.normalize_batch_bits(&plan, &method, &bits, &mut out, 1)
+                        .unwrap();
                     out
                 };
                 let portable = run(SimdKernel::Portable);
@@ -1491,7 +1447,6 @@ mod tests {
     #[test]
     fn in_place_matches_out_of_place_bit_for_bit() {
         use crate::backend::{build_backend_affine, FormatKind};
-        use crate::executor::{ScopedRunner, SerialRunner};
         let levels: Vec<SimdLevel> = [
             SimdLevel::Scalar,
             SimdLevel::Portable,
@@ -1535,29 +1490,25 @@ mod tests {
                         level,
                     )
                     .unwrap();
-                    let runners: [&dyn PartitionRunner; 2] = [&SerialRunner, &ScopedRunner(3)];
-                    for runner in runners {
+                    let mut got = input.clone();
+                    let mut segments: Vec<&mut [u32]> = Vec::new();
+                    let mut rest = got.as_mut_slice();
+                    for w in cuts.windows(2) {
+                        let (head, tail) = rest.split_at_mut(w[1] - w[0]);
+                        segments.push(head);
+                        rest = tail;
+                    }
+                    let served = backend.normalize_in_place(&mut segments).unwrap();
+                    assert_eq!(served, rows);
+                    for threads in [1usize, 3] {
                         let mut expect = vec![0u32; input.len()];
                         backend
-                            .normalize_batch_runner(&input, &mut expect, runner)
+                            .normalize_batch_bits(&input, &mut expect, threads)
                             .unwrap();
-                        let mut got = input.clone();
-                        let mut segments: Vec<&mut [u32]> = Vec::new();
-                        let mut rest = got.as_mut_slice();
-                        for w in cuts.windows(2) {
-                            let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-                            segments.push(head);
-                            rest = tail;
-                        }
-                        let served = backend
-                            .normalize_in_place_runner(&mut segments, runner)
-                            .unwrap();
-                        assert_eq!(served, rows);
                         assert_eq!(
-                            got,
-                            expect,
-                            "{level:?} d {d} rows {rows} affine {affine} {reduce:?} {spec:?} width {}",
-                            runner.width()
+                            got, expect,
+                            "{level:?} d {d} rows {rows} affine {affine} {reduce:?} {spec:?} \
+                             {threads} threads"
                         );
                     }
                 }

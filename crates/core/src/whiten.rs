@@ -82,15 +82,10 @@
 use core::fmt;
 
 use softfloat::{Bf16, Float, Fp16, Fp32};
-use std::sync::{Mutex, PoisonError};
-
-/// One worker's pre-split group run (row counts + bit slices), parked
-/// behind its own mutex for the shared-closure `&mut` hand-off.
-type GroupChunk<'a> = Mutex<Option<(&'a [usize], &'a [u32], &'a mut [u32])>>;
 
 use crate::backend::{scatter, BackendKind, FormatKind};
 use crate::error::NormError;
-use crate::executor::{PartitionRunner, ScopedRunner};
+use crate::executor::fork;
 use crate::simd::{self, SimdKernel, SimdLevel};
 
 /// How a whitening group is shifted before its covariance is taken.
@@ -250,55 +245,33 @@ pub trait WhitenExec: Send {
     /// Whiten a concatenation of groups: `group_rows[g]` is the sample
     /// count `m` of group `g`, and `input`/`out` hold the groups
     /// back-to-back in row-major order. Groups are independent, so an
-    /// implementation may partition them across the parts of `runner`
-    /// (the serving path's resident per-shard pool) — output bits never
-    /// depend on the runner or its width (each group's operation chain is
-    /// internally sequential either way). Returns the total row count.
+    /// implementation may partition them across `threads` per-call scoped
+    /// worker threads — output bits never depend on the thread count
+    /// (each group's operation chain is internally sequential either
+    /// way). Returns the total row count.
     ///
     /// # Errors
     ///
+    /// [`NormError::ZeroThreads`] when `threads == 0`,
     /// [`NormError::OutputLengthMismatch`] when `out` differs from
     /// `input` in length, [`NormError::EmptyRequest`] when there are no
     /// groups or a group has `m = 0`, and
     /// [`NormError::GroupShapeMismatch`] when the buffer is not the
     /// concatenation the row counts describe.
-    fn whiten_groups_runner(
-        &mut self,
-        input: &[u32],
-        out: &mut [u32],
-        group_rows: &[usize],
-        runner: &dyn PartitionRunner,
-    ) -> Result<usize, NormError>;
-
-    /// [`whiten_groups_runner`](WhitenExec::whiten_groups_runner) over
-    /// `threads` per-call scoped worker threads ([`ScopedRunner`]), for
-    /// callers that hold no resident pool.
-    ///
-    /// # Errors
-    ///
-    /// [`NormError::ZeroThreads`] when `threads == 0`, plus the errors of
-    /// [`whiten_groups_runner`](WhitenExec::whiten_groups_runner).
     fn whiten_groups(
         &mut self,
         input: &[u32],
         out: &mut [u32],
         group_rows: &[usize],
         threads: usize,
-    ) -> Result<usize, NormError> {
-        if threads == 0 {
-            return Err(NormError::ZeroThreads);
-        }
-        self.whiten_groups_runner(input, out, group_rows, &ScopedRunner(threads))
-    }
+    ) -> Result<usize, NormError>;
 
-    /// Whiten a round's groups where they sit, over an injected
-    /// [`PartitionRunner`]: each of
-    /// `groups` is one whole `m × d` group (one request's payload in the
-    /// serving path) and is overwritten with its whitened rows, returning
-    /// the total row count. Groups split across the runner's parts exactly
-    /// as [`whiten_groups_runner`](WhitenExec::whiten_groups_runner)
-    /// splits their concatenation, and groups are independent, so the bits
-    /// equal that call's. On error the groups' contents are unspecified.
+    /// Whiten a round's groups where they sit, serially: each of `groups`
+    /// is one whole `m × d` group (one request's payload in the serving
+    /// path) and is overwritten with its whitened rows, returning the
+    /// total row count. Groups are independent, so the bits equal
+    /// [`whiten_groups`](WhitenExec::whiten_groups) over their
+    /// concatenation. On error the groups' contents are unspecified.
     ///
     /// The default implementation copies the groups into one input, makes
     /// that single out-of-place call and copies each result back — cheap
@@ -310,18 +283,14 @@ pub trait WhitenExec: Send {
     /// [`NormError::EmptyRequest`] when there are no groups or a group is
     /// empty, [`NormError::GroupShapeMismatch`] when a group is not whole
     /// `d`-length rows, plus the errors of
-    /// [`whiten_groups_runner`](WhitenExec::whiten_groups_runner).
-    fn whiten_in_place_runner(
-        &mut self,
-        groups: &mut [&mut [u32]],
-        runner: &dyn PartitionRunner,
-    ) -> Result<usize, NormError> {
+    /// [`whiten_groups`](WhitenExec::whiten_groups).
+    fn whiten_in_place(&mut self, groups: &mut [&mut [u32]]) -> Result<usize, NormError> {
         let d = self.d();
         check_groups(d, groups)?;
         let group_rows: Vec<usize> = groups.iter().map(|g| g.len() / d).collect();
         let input = groups.concat();
         let mut out = vec![0u32; input.len()];
-        let rows = self.whiten_groups_runner(&input, &mut out, &group_rows, runner)?;
+        let rows = self.whiten_groups(&input, &mut out, &group_rows, 1)?;
         scatter(&out, groups);
         Ok(rows)
     }
@@ -334,8 +303,7 @@ pub trait WhitenExec: Send {
     ///
     /// # Errors
     ///
-    /// The shape errors of
-    /// [`whiten_groups_runner`](WhitenExec::whiten_groups_runner).
+    /// The shape errors of [`whiten_groups`](WhitenExec::whiten_groups).
     fn whiten_group_detailed(
         &mut self,
         input: &[u32],
@@ -723,13 +691,16 @@ impl<F: Float> WhitenExec for EmulatedWhiten<F> {
         self.spec
     }
 
-    fn whiten_groups_runner(
+    fn whiten_groups(
         &mut self,
         input: &[u32],
         out: &mut [u32],
         group_rows: &[usize],
-        _runner: &dyn PartitionRunner,
+        threads: usize,
     ) -> Result<usize, NormError> {
+        if threads == 0 {
+            return Err(NormError::ZeroThreads);
+        }
         let rows = validate_groups(self.d, input, out, group_rows)?;
         // Serial on purpose: groups are independent, so bits cannot
         // depend on the partition either way, and the oracle's job is
@@ -1241,15 +1212,18 @@ impl WhitenExec for NativeWhitenF32 {
         self.kernel.map_or(SimdLevel::Scalar, SimdKernel::level)
     }
 
-    fn whiten_groups_runner(
+    fn whiten_groups(
         &mut self,
         input: &[u32],
         out: &mut [u32],
         group_rows: &[usize],
-        runner: &dyn PartitionRunner,
+        threads: usize,
     ) -> Result<usize, NormError> {
+        if threads == 0 {
+            return Err(NormError::ZeroThreads);
+        }
         let rows = validate_groups(self.d, input, out, group_rows)?;
-        let workers = runner.width().min(group_rows.len());
+        let workers = threads.min(group_rows.len());
         if workers <= 1 {
             let mut scratch = core::mem::take(&mut self.scratch);
             let mut offset = 0;
@@ -1267,11 +1241,9 @@ impl WhitenExec for NativeWhitenF32 {
         }
         // Partition *groups* (not rows) across workers: each group's
         // operation chain is internally sequential, so any partition of
-        // whole groups produces the same bits. Each part takes its
-        // pre-split run out of its own mutex, the hand-off the other
-        // runner paths use.
+        // whole groups produces the same bits.
         let per = group_rows.len().div_ceil(workers);
-        let mut parts: Vec<GroupChunk<'_>> = Vec::new();
+        let mut parts = Vec::with_capacity(workers);
         let mut in_rest = input;
         let mut out_rest = out;
         for chunk in group_rows.chunks(per) {
@@ -1280,17 +1252,10 @@ impl WhitenExec for NativeWhitenF32 {
             let (out_chunk, out_tail) = out_rest.split_at_mut(take);
             in_rest = in_tail;
             out_rest = out_tail;
-            parts.push(Mutex::new(Some((chunk, in_chunk, out_chunk))));
+            parts.push((chunk, in_chunk, out_chunk));
         }
         let this = &*self;
-        runner.run(parts.len(), &|wi| {
-            let taken = parts[wi]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            let Some((chunk, in_chunk, out_chunk)) = taken else {
-                return;
-            };
+        fork(parts, |(chunk, in_chunk, out_chunk)| {
             let mut scratch = ScratchF32::default();
             let mut offset = 0;
             for &m in chunk {
@@ -1306,42 +1271,13 @@ impl WhitenExec for NativeWhitenF32 {
         Ok(rows)
     }
 
-    fn whiten_in_place_runner(
-        &mut self,
-        groups: &mut [&mut [u32]],
-        runner: &dyn PartitionRunner,
-    ) -> Result<usize, NormError> {
+    fn whiten_in_place(&mut self, groups: &mut [&mut [u32]]) -> Result<usize, NormError> {
         let rows = check_groups(self.d, groups)?;
-        let workers = runner.width().min(groups.len());
-        if workers <= 1 {
-            let mut scratch = core::mem::take(&mut self.scratch);
-            for group in groups.iter_mut() {
-                self.run_group(None, group, &mut scratch);
-            }
-            self.scratch = scratch;
-            return Ok(rows);
+        let mut scratch = core::mem::take(&mut self.scratch);
+        for group in groups.iter_mut() {
+            self.run_group(None, group, &mut scratch);
         }
-        // The `chunks(per)` split of `whiten_groups_runner`, so each part
-        // whitens the same groups it would in the concatenated call.
-        let per = groups.len().div_ceil(workers);
-        let parts: Vec<Mutex<Option<&mut [&mut [u32]]>>> = groups
-            .chunks_mut(per)
-            .map(|chunk| Mutex::new(Some(chunk)))
-            .collect();
-        let this = &*self;
-        runner.run(parts.len(), &|wi| {
-            let taken = parts[wi]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .take();
-            let Some(chunk) = taken else {
-                return;
-            };
-            let mut scratch = ScratchF32::default();
-            for group in chunk.iter_mut() {
-                this.run_group(None, group, &mut scratch);
-            }
-        });
+        self.scratch = scratch;
         Ok(rows)
     }
 
@@ -2232,7 +2168,6 @@ mod tests {
 
     #[test]
     fn run_group_in_place_matches_out_of_place_bit_for_bit() {
-        use crate::executor::{PartitionRunner, ScopedRunner, SerialRunner};
         let spec = WhitenSpec::new().with_t(3);
         for d in [20usize, 33, 64] {
             // Groups of a few sizes; ±0 and subnormals mixed in, and one
@@ -2279,42 +2214,36 @@ mod tests {
                 }
             }
 
-            // Through the trait, every executor, split over runners.
+            // Through the trait, every executor, against every thread count.
             let mut execs = vec![emulated(d, spec)];
             for level in [SimdLevel::Scalar, SimdLevel::Auto] {
                 execs.push(
                     build_whiten(BackendKind::Native, FormatKind::Fp32, d, spec, level).unwrap(),
                 );
             }
-            let runners: [&dyn PartitionRunner; 2] = [&SerialRunner, &ScopedRunner(2)];
             for exec in &mut execs {
-                for runner in runners {
+                let mut got = groups.clone();
+                let mut segments: Vec<&mut [u32]> = got.iter_mut().map(Vec::as_mut_slice).collect();
+                let rows = exec.whiten_in_place(&mut segments).unwrap();
+                assert_eq!(rows, group_rows.iter().sum::<usize>());
+                for threads in [1usize, 2] {
                     let mut expect = vec![0u32; flat.len()];
-                    exec.whiten_groups_runner(&flat, &mut expect, &group_rows, runner)
+                    exec.whiten_groups(&flat, &mut expect, &group_rows, threads)
                         .unwrap();
-                    let mut got = groups.clone();
-                    let mut segments: Vec<&mut [u32]> =
-                        got.iter_mut().map(Vec::as_mut_slice).collect();
-                    let rows = exec.whiten_in_place_runner(&mut segments, runner).unwrap();
-                    assert_eq!(rows, group_rows.iter().sum::<usize>());
                     assert_eq!(
                         got.concat(),
                         expect,
-                        "{} d {d} width {}",
-                        exec.label(),
-                        runner.width()
+                        "{} d {d} {threads} threads",
+                        exec.label()
                     );
                 }
                 // Shape errors surface, not panics.
                 let mut ragged = vec![0u32; d + 1];
                 assert!(matches!(
-                    exec.whiten_in_place_runner(&mut [&mut ragged[..]], &SerialRunner),
+                    exec.whiten_in_place(&mut [&mut ragged[..]]),
                     Err(NormError::GroupShapeMismatch { .. })
                 ));
-                assert_eq!(
-                    exec.whiten_in_place_runner(&mut [], &SerialRunner),
-                    Err(NormError::EmptyRequest)
-                );
+                assert_eq!(exec.whiten_in_place(&mut []), Err(NormError::EmptyRequest));
             }
         }
     }

@@ -1,8 +1,7 @@
 //! The execution-backend contract, enforced: `NativeF32` output is
 //! bit-identical to `Emulated<Fp32>` for every scale method and reduction
 //! order, and partitioned batches are bit-identical to serial ones for
-//! every tested width of both partition vehicles (per-call scoped threads
-//! and the resident pool).
+//! every tested thread count.
 //!
 //! The row set deliberately includes the hard cases: subnormal-heavy rows
 //! (FP32 exponent fields 0..=2), all-`+0` and all-`−0` rows, and the
@@ -15,23 +14,13 @@ use iterl2norm::backend::{
     build_backend, build_backend_simd, BackendKind, Emulated, FormatKind, NativeF32,
 };
 use iterl2norm::{
-    MethodSpec, NormBackend, NormError, NormPlan, Normalizer, PartitionPool, PartitionRunner,
-    ReduceOrder, ScopedRunner, SimdLevel,
+    MethodSpec, NormBackend, NormError, NormPlan, Normalizer, ReduceOrder, SimdLevel,
 };
 use softfloat::{Float, Fp32, HostF32};
 use workloads::{Distribution, VectorGen};
 
 const DIMS: [usize; 5] = [1, 7, 64, 384, 768];
 const THREADS: [usize; 4] = [1, 2, 3, 8];
-
-/// Both partition vehicles at width `threads`: per-call scoped threads
-/// and a resident pool whose caller is the last of `threads` workers.
-fn vehicles(threads: usize) -> [Box<dyn PartitionRunner>; 2] {
-    [
-        Box::new(ScopedRunner(threads)),
-        Box::new(PartitionPool::new(threads - 1, "bbi-")),
-    ]
-}
 
 /// A deterministic FP32 bit pattern with exponent field 0..=2: subnormals
 /// and the smallest normals, mixed signs.
@@ -145,20 +134,18 @@ fn parallel_batches_match_serial_for_all_thread_counts() {
         let mut serial = vec![Fp32::ZERO; flat.len()];
         engine.normalize_batch(&plan, &flat, &mut serial).unwrap();
         for threads in THREADS {
-            for runner in vehicles(threads) {
-                let mut parallel = vec![Fp32::ZERO; flat.len()];
-                let done = engine
-                    .normalize_batch_runner(&plan, &flat, &mut parallel, &*runner)
-                    .unwrap();
-                assert_eq!(done, rows);
-                for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{} threads={threads}: element {i}",
-                        spec.label()
-                    );
-                }
+            let mut parallel = vec![Fp32::ZERO; flat.len()];
+            let done = engine
+                .normalize_batch_parallel(&plan, &flat, &mut parallel, threads)
+                .unwrap();
+            assert_eq!(done, rows);
+            for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{} threads={threads}: element {i}",
+                    spec.label()
+                );
             }
         }
     }
@@ -211,15 +198,13 @@ fn parallel_preserves_row_stats_independence() {
             .collect();
         let mut serial = vec![HostF32::ZERO; flat.len()];
         engine.normalize_batch(&plan, &flat, &mut serial).unwrap();
-        for runner in vehicles(16) {
-            let mut parallel = vec![HostF32::ZERO; flat.len()];
-            let done = engine
-                .normalize_batch_runner(&plan, &flat, &mut parallel, &*runner)
-                .unwrap();
-            assert_eq!(done, rows);
-            for (a, b) in serial.iter().zip(&parallel) {
-                assert_eq!(a.to_bits(), b.to_bits(), "rows={rows}");
-            }
+        let mut parallel = vec![HostF32::ZERO; flat.len()];
+        let done = engine
+            .normalize_batch_parallel(&plan, &flat, &mut parallel, 16)
+            .unwrap();
+        assert_eq!(done, rows);
+        for (a, b) in serial.iter().zip(&parallel) {
+            assert_eq!(a.to_bits(), b.to_bits(), "rows={rows}");
         }
     }
 }
@@ -493,11 +478,11 @@ fn parallel_entry_points_reject_zero_threads() {
             NormError::ZeroThreads,
             "{kind}"
         );
-        // Shape errors still surface through both partition vehicles.
-        for runner in vehicles(2) {
+        // Shape errors still surface, serial or partitioned.
+        for threads in [1usize, 2] {
             assert_eq!(
                 backend
-                    .normalize_batch_runner(&input, &mut short, &*runner)
+                    .normalize_batch_bits(&input, &mut short, threads)
                     .unwrap_err(),
                 NormError::OutputLengthMismatch {
                     expected: d * 4,
@@ -513,7 +498,13 @@ fn parallel_entry_points_reject_zero_threads() {
     let mut short = vec![Fp32::ZERO; d];
     assert_eq!(
         engine
-            .normalize_batch_runner(&plan, &input, &mut short, &ScopedRunner(2))
+            .normalize_batch_parallel(&plan, &input, &mut short, 0)
+            .unwrap_err(),
+        NormError::ZeroThreads
+    );
+    assert_eq!(
+        engine
+            .normalize_batch_parallel(&plan, &input, &mut short, 2)
             .unwrap_err(),
         NormError::OutputLengthMismatch {
             expected: d * 4,

@@ -14,7 +14,7 @@ use std::cell::Cell;
 
 use iterl2norm::{
     build_backend_affine, build_whiten, BackendKind, FormatKind, MethodSpec, NormError, NormPlan,
-    Normalizer, ReduceOrder, SerialRunner, SimdLevel, WhitenSpec,
+    Normalizer, ReduceOrder, SimdLevel, WhitenSpec,
 };
 use softfloat::{Bf16, Float, Fp16, Fp32};
 
@@ -167,7 +167,7 @@ fn warm_native_norm_calls_are_allocation_free_at_every_simd_level() {
                             .normalize_batch_bits(&bits, &mut out, 1)
                             .expect("batch shape");
                         backend
-                            .normalize_in_place_runner(&mut [&mut in_place[..]], &SerialRunner)
+                            .normalize_in_place(&mut [&mut in_place[..]])
                             .expect("segment shape");
                         let before = allocations();
                         for _ in 0..2 {
@@ -175,7 +175,7 @@ fn warm_native_norm_calls_are_allocation_free_at_every_simd_level() {
                                 .normalize_batch_bits(&bits, &mut out, 1)
                                 .expect("batch shape");
                             backend
-                                .normalize_in_place_runner(&mut [&mut in_place[..]], &SerialRunner)
+                                .normalize_in_place(&mut [&mut in_place[..]])
                                 .expect("segment shape");
                         }
                         let after = allocations();

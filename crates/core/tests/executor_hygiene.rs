@@ -1,15 +1,15 @@
 //! Thread hygiene of the resident shard executor, enforced against the
-//! OS rather than internal counters: every worker thread this crate
-//! spawns carries an `ns{service}s{shard}` name (truncated to the
+//! OS rather than internal counters: every resident thread this crate
+//! spawns is a shard driver named `ns{service}s{shard}d` (within the
 //! 15-byte comm limit), so enumerating `/proc/self/task` gives the
 //! ground truth the contract is stated in —
 //!
-//! * exactly `shards × threads` workers spawn, once, at
+//! * exactly `shards` drivers spawn, one per shard, once, at
 //!   [`ServiceConfig::build`] — submitting traffic never spawns more;
 //! * an idle service takes (almost) no wake-ups over a scripted idle
 //!   window — residents park, they never busy-spin;
 //! * [`NormService::shutdown`] retires the shard drivers and the final
-//!   `Drop` joins every worker — a 100-iteration build/drop churn
+//!   `Drop` joins them — a 100-iteration build/drop churn
 //!   leaves the process with zero service threads.
 //!
 //! Thread accounting is process-global, so every test serializes on
@@ -32,9 +32,8 @@ fn census_lock() -> MutexGuard<'static, ()> {
     CENSUS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The comm names of every live service worker thread in this process:
-/// resident drivers (`ns{sid}s{i}d`) and partition helpers
-/// (`ns{sid}s{i}h{j}`), sorted for stable comparison.
+/// The comm names of every live service thread in this process — the
+/// resident drivers (`ns{sid}s{i}d`) — sorted for stable comparison.
 fn service_threads() -> Vec<String> {
     let mut names = Vec::new();
     for entry in std::fs::read_dir("/proc/self/task").expect("procfs task dir") {
@@ -101,16 +100,16 @@ fn build_spawns_exactly_the_configured_workers_once() {
     let _guard = census_lock();
     await_no_service_threads(Duration::from_secs(10), "census must start clean");
 
-    // Two shards of 3 threads each (1 driver + 2 helpers) — 6 residents.
-    let service = ServiceConfig::new(D)
-        .with_shards(2)
-        .with_threads(3)
-        .build()
-        .unwrap();
-    let at_build = await_service_census(6, "shards × threads must spawn exactly");
-    // One driver per shard, helpers making up the rest.
-    let drivers = at_build.iter().filter(|n| n.ends_with('d')).count();
-    assert_eq!(drivers, 2, "one resident driver per shard: {at_build:?}");
+    // Three shards — three residents, one driver each.
+    let service = ServiceConfig::new(D).with_shards(3).build().unwrap();
+    let at_build = await_service_census(3, "one driver per shard must spawn");
+    let sid = at_build[0]
+        .strip_prefix("ns")
+        .and_then(|rest| rest.split_once('s'))
+        .map(|(sid, _)| sid.to_string())
+        .unwrap_or_else(|| panic!("unexpected resident name: {at_build:?}"));
+    let expected: Vec<String> = (0..3).map(|i| format!("ns{sid}s{i}d")).collect();
+    assert_eq!(at_build, expected, "exactly one driver per shard");
 
     // Traffic reuses the residents — the census is identical after
     // blocking, async, and whiten-free submissions from several threads.
@@ -142,11 +141,7 @@ fn idle_residents_park_without_wakeups() {
     let _guard = census_lock();
     await_no_service_threads(Duration::from_secs(10), "census must start clean");
 
-    let service = ServiceConfig::new(D)
-        .with_shards(2)
-        .with_threads(2)
-        .build()
-        .unwrap();
+    let service = ServiceConfig::new(D).with_shards(2).build().unwrap();
     // Let the spawn-time wake-ups (drivers parking for the first time)
     // settle, then take the baseline.
     let bits = row_bits(1);
@@ -176,34 +171,20 @@ fn shutdown_retires_drivers_and_drop_joins_the_rest() {
     let _guard = census_lock();
     await_no_service_threads(Duration::from_secs(10), "census must start clean");
 
-    let service = ServiceConfig::new(D)
-        .with_shards(2)
-        .with_threads(2)
-        .build()
-        .unwrap();
+    let service = ServiceConfig::new(D).with_shards(2).build().unwrap();
     let bits = row_bits(2);
     assert_eq!(service.submit(NormRequest::bits(&bits)).unwrap().rows(), 1);
 
     // Graceful shutdown: the shard drivers drain and exit on their own
-    // (observable as their `…d` names leaving the census)…
+    // (observable as their `…d` names leaving the census) before the
+    // service is dropped…
     service.shutdown();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let drivers: Vec<String> = service_threads()
-            .into_iter()
-            .filter(|n| n.ends_with('d'))
-            .collect();
-        if drivers.is_empty() {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "shutdown never retired the drivers: {drivers:?}"
-        );
-        std::thread::yield_now();
-    }
-    // …while the partition helpers stay resident until the service is
-    // dropped (a shut-down service still answers stats()).
+    await_no_service_threads(
+        Duration::from_secs(10),
+        "shutdown never retired the drivers",
+    );
+    // …and a shut-down service still answers stats() until the drop
+    // joins the retired drivers.
     let _ = service.stats();
 
     drop(service);
@@ -216,7 +197,7 @@ fn hundred_build_drop_cycles_leak_no_threads() {
     await_no_service_threads(Duration::from_secs(10), "census must start clean");
 
     for cycle in 0..100u32 {
-        let service = ServiceConfig::new(D).with_threads(2).build().unwrap();
+        let service = ServiceConfig::new(D).with_shards(2).build().unwrap();
         let bits = row_bits(cycle);
         // Exercise both waiters so every cycle runs a real round; drop
         // one ticket uncollected to churn the abandonment path too.

@@ -16,8 +16,7 @@
 //!   leaking or hanging — repeated across fresh services.
 //! * **Bit-identity sweep**: async ≡ blocking ≡ serial per-request
 //!   bits on the resident executor, across every registry method ×
-//!   shards {1, 2, 4} × per-shard thread counts {2, 3} × both workloads
-//!   (normalize and whiten).
+//!   shards {1, 2, 3, 4, 6, 8} × both workloads (normalize and whiten).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -27,9 +26,7 @@ use std::time::Duration;
 use iterl2norm::backend::{build_backend, BackendKind, FormatKind};
 use iterl2norm::service::{NormRequest, ServiceConfig};
 use iterl2norm::whiten::{build_whiten, WhitenSpec};
-use iterl2norm::{
-    MethodSpec, NormBackend, NormError, PartitionRunner, ReduceOrder, RowMoments, SimdLevel,
-};
+use iterl2norm::{MethodSpec, NormBackend, NormError, ReduceOrder, RowMoments, SimdLevel};
 use workloads::{Distribution, VectorGen};
 
 const D: usize = 16;
@@ -61,16 +58,13 @@ fn request_bits(rows: usize, seed: u64) -> Vec<u32> {
 fn seeded_spawn_shutdown_churn_keeps_every_outcome_clean() {
     let mut rng = Rng(0x5EED_0001);
     for round in 0..24u32 {
-        let shards = [1, 2, 4][(rng.next() % 3) as usize];
-        let threads = 1 + (rng.next() % 3) as usize;
+        // Up to 12 resident drivers, one per shard.
+        let shards = [1, 2, 4][(rng.next() % 3) as usize] * (1 + (rng.next() % 3) as usize);
         let window = Duration::from_micros(rng.next() % 300);
         let jitter = rng.next() % 4;
-        let context = format!(
-            "round={round} shards={shards} threads={threads} window={window:?} jitter={jitter}"
-        );
+        let context = format!("round={round} shards={shards} window={window:?} jitter={jitter}");
         let service = ServiceConfig::new(D)
             .with_shards(shards)
-            .with_threads(threads)
             .with_window(window)
             .build()
             .unwrap();
@@ -127,7 +121,7 @@ fn seeded_spawn_shutdown_churn_keeps_every_outcome_clean() {
             NormError::ServiceShutdown,
             "{context}"
         );
-        // Drop tears the resident pool down; a hang here is a failed
+        // Drop joins the resident drivers; a hang here is a failed
         // join and the harness timeout will name this round's seed.
         drop(service);
     }
@@ -205,11 +199,11 @@ impl NormBackend for PanickingBackend {
         "panicking-test".into()
     }
 
-    fn normalize_batch_runner(
+    fn normalize_batch_bits(
         &mut self,
         _input: &[u32],
         _out: &mut [u32],
-        _runner: &dyn PartitionRunner,
+        _threads: usize,
     ) -> Result<usize, NormError> {
         panic!("injected resident-worker panic");
     }
@@ -302,80 +296,72 @@ fn serial_whiten(backend: BackendKind, bits: &[u32]) -> Vec<u32> {
 #[test]
 fn full_bit_identity_sweep_on_the_resident_executor() {
     // The acceptance sweep replayed on the resident executor with a
-    // per-shard thread axis: the thread count changes only which helper
-    // executes which partition — never bits.
+    // shard axis: the shard count changes only which driver executes
+    // which request — never bits.
     let submitters = 3;
     let whiten_rows = 5;
     for backend in [BackendKind::Emulated, BackendKind::Native] {
         for spec in MethodSpec::REGISTRY {
-            for shards in [1usize, 2, 4] {
-                for threads in [2, 3] {
-                    let service = ServiceConfig::new(D)
-                        .with_backend(backend)
-                        .with_method(spec)
-                        .with_shards(shards)
-                        .with_threads(threads)
-                        .with_whiten(WhitenSpec::default())
-                        .with_window(Duration::from_micros(500))
-                        .build()
-                        .unwrap();
-                    let context = format!(
-                        "{}/{} shards={shards} threads={threads}",
-                        backend.name(),
-                        spec.label()
-                    );
-                    let barrier = Arc::new(Barrier::new(submitters));
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = (0..submitters)
-                            .map(|who| {
-                                let service = service.clone();
-                                let barrier = Arc::clone(&barrier);
-                                scope.spawn(move || {
-                                    let rows = 1 + who % 3;
-                                    let a = request_bits(rows, 0xA0 + who as u64);
-                                    let b = request_bits(rows, 0xB0 + who as u64);
-                                    let g = request_bits(whiten_rows, 0xC0 + who as u64);
-                                    barrier.wait();
-                                    // Async normalize and whiten in flight
-                                    // around a blocking normalize — all
-                                    // three may share driver rounds.
-                                    let mut async_norm =
-                                        service.submit_async(NormRequest::bits(&a)).unwrap();
-                                    let mut async_whiten = service
-                                        .submit_async(NormRequest::whiten_group(&g))
-                                        .unwrap();
-                                    let blocking = service.submit(NormRequest::bits(&b)).unwrap();
-                                    let async_norm = async_norm.wait().unwrap();
-                                    let async_whiten = async_whiten.wait().unwrap();
-                                    [(a, async_norm), (b, blocking), (g, async_whiten)]
-                                })
+            for shards in [1usize, 2, 3, 4, 6, 8] {
+                let service = ServiceConfig::new(D)
+                    .with_backend(backend)
+                    .with_method(spec)
+                    .with_shards(shards)
+                    .with_whiten(WhitenSpec::default())
+                    .with_window(Duration::from_micros(500))
+                    .build()
+                    .unwrap();
+                let context = format!("{}/{} shards={shards}", backend.name(), spec.label());
+                let barrier = Arc::new(Barrier::new(submitters));
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = (0..submitters)
+                        .map(|who| {
+                            let service = service.clone();
+                            let barrier = Arc::clone(&barrier);
+                            scope.spawn(move || {
+                                let rows = 1 + who % 3;
+                                let a = request_bits(rows, 0xA0 + who as u64);
+                                let b = request_bits(rows, 0xB0 + who as u64);
+                                let g = request_bits(whiten_rows, 0xC0 + who as u64);
+                                barrier.wait();
+                                // Async normalize and whiten in flight
+                                // around a blocking normalize — all
+                                // three may share driver rounds.
+                                let mut async_norm =
+                                    service.submit_async(NormRequest::bits(&a)).unwrap();
+                                let mut async_whiten =
+                                    service.submit_async(NormRequest::whiten_group(&g)).unwrap();
+                                let blocking = service.submit(NormRequest::bits(&b)).unwrap();
+                                let async_norm = async_norm.wait().unwrap();
+                                let async_whiten = async_whiten.wait().unwrap();
+                                [(a, async_norm), (b, blocking), (g, async_whiten)]
                             })
-                            .collect();
-                        for handle in handles {
-                            let [(a, async_norm), (b, blocking), (g, async_whiten)] =
-                                handle.join().unwrap();
-                            assert_eq!(
-                                async_norm.bits(),
-                                &serial_norm(backend, &spec, &a)[..],
-                                "{context}: async normalize diverged from serial"
-                            );
-                            assert_eq!(
-                                blocking.bits(),
-                                &serial_norm(backend, &spec, &b)[..],
-                                "{context}: blocking normalize diverged from serial"
-                            );
-                            assert_eq!(
-                                async_whiten.bits(),
-                                &serial_whiten(backend, &g)[..],
-                                "{context}: async whiten diverged from serial"
-                            );
-                        }
-                    });
-                    let stats = service.stats();
-                    assert_eq!(stats.requests, 3 * submitters as u64, "{context}");
-                    assert_eq!(stats.whiten_requests, submitters as u64, "{context}");
-                    assert_eq!(stats.abandoned_tickets, 0, "{context}");
-                }
+                        })
+                        .collect();
+                    for handle in handles {
+                        let [(a, async_norm), (b, blocking), (g, async_whiten)] =
+                            handle.join().unwrap();
+                        assert_eq!(
+                            async_norm.bits(),
+                            &serial_norm(backend, &spec, &a)[..],
+                            "{context}: async normalize diverged from serial"
+                        );
+                        assert_eq!(
+                            blocking.bits(),
+                            &serial_norm(backend, &spec, &b)[..],
+                            "{context}: blocking normalize diverged from serial"
+                        );
+                        assert_eq!(
+                            async_whiten.bits(),
+                            &serial_whiten(backend, &g)[..],
+                            "{context}: async whiten diverged from serial"
+                        );
+                    }
+                });
+                let stats = service.stats();
+                assert_eq!(stats.requests, 3 * submitters as u64, "{context}");
+                assert_eq!(stats.whiten_requests, submitters as u64, "{context}");
+                assert_eq!(stats.abandoned_tickets, 0, "{context}");
             }
         }
     }

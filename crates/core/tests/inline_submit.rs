@@ -32,8 +32,8 @@ use std::time::{Duration, Instant};
 use iterl2norm::backend::{build_backend, BackendKind, FormatKind};
 use iterl2norm::service::{NormRequest, ServiceConfig};
 use iterl2norm::whiten::{build_whiten, WhitenSpec};
+use iterl2norm::SimdLevel;
 use iterl2norm::{MethodSpec, NormBackend, NormError, NormService, ReduceOrder, RowMoments};
-use iterl2norm::{PartitionRunner, SimdLevel};
 use workloads::{Distribution, VectorGen};
 
 const D: usize = 16;
@@ -171,11 +171,11 @@ impl NormBackend for GatedBackend {
         "gated-test".into()
     }
 
-    fn normalize_batch_runner(
+    fn normalize_batch_bits(
         &mut self,
         input: &[u32],
         out: &mut [u32],
-        _runner: &dyn PartitionRunner,
+        _threads: usize,
     ) -> Result<usize, NormError> {
         self.gate.pass();
         assert!(!self.panics, "injected inline backend panic");

@@ -4,10 +4,9 @@
 //!   (`batch_requests == N` on every reply), and the round executes over
 //!   the requests' own payload buffers. Every reply equals the emulated
 //!   soft-float oracle run on that request alone — for norm requests of
-//!   1, 7, 8, 9 and 64 rows (straddling the SIMD kernel's 8-row blocks
-//!   and, at two threads, the partition boundary) and whitening groups of
-//!   m ∈ {64, 100, 256}, alone and mixed in one round, on the native and
-//!   emulated backends with `threads` ∈ {1, 2}.
+//!   1, 7, 8, 9 and 64 rows (straddling the SIMD kernel's 8-row blocks)
+//!   and whitening groups of m ∈ {64, 100, 256}, alone and mixed in one
+//!   round, on the native and emulated backends.
 //! * A third-party backend and whitening executor that implement only
 //!   the out-of-place methods serve coalesced rounds through the traits'
 //!   default in-place implementations: one backend call per round over
@@ -21,8 +20,9 @@ use std::time::Duration;
 use iterl2norm::backend::{build_backend, BackendKind, FormatKind};
 use iterl2norm::service::{NormRequest, NormTicket, ServiceConfig};
 use iterl2norm::whiten::{build_whiten, WhitenDetail, WhitenExec, WhitenSpec};
-use iterl2norm::{MethodSpec, NormBackend, NormError, NormService, ReduceOrder, RowMoments};
-use iterl2norm::{PartitionRunner, SimdLevel, TicketSet};
+use iterl2norm::{
+    MethodSpec, NormBackend, NormError, NormService, ReduceOrder, RowMoments, SimdLevel, TicketSet,
+};
 use workloads::{Distribution, VectorGen};
 
 const D: usize = 16;
@@ -161,10 +161,9 @@ fn one_round(service: &NormService, round: &[Expected], label: &str) {
     }
 }
 
-fn windowed(backend: BackendKind, threads: usize) -> ServiceConfig {
+fn windowed(backend: BackendKind) -> ServiceConfig {
     ServiceConfig::new(D)
         .with_backend(backend)
-        .with_threads(threads)
         .with_window(WINDOW)
 }
 
@@ -178,20 +177,18 @@ fn coalesced_rounds_run_in_place_and_match_the_oracle() {
         .collect();
     std::thread::scope(|scope| {
         for backend in BackendKind::ALL {
-            for threads in [1usize, 2] {
-                let (norm, whiten, mixed) = (&norm, &whiten, &mixed);
-                scope.spawn(move || {
-                    let service = windowed(backend, threads).build().unwrap();
-                    let label = format!("{backend} × {threads} threads");
-                    one_round(&service, norm, &format!("{label}, norm"));
-                    one_round(&service, whiten, &format!("{label}, whiten"));
-                    one_round(&service, mixed, &format!("{label}, mixed"));
-                    let stats = service.stats();
-                    // One backend call per kind per round.
-                    assert_eq!(stats.batches, 4, "{label}");
-                    assert_eq!(stats.coalesced_requests, stats.requests, "{label}");
-                });
-            }
+            let (norm, whiten, mixed) = (&norm, &whiten, &mixed);
+            scope.spawn(move || {
+                let service = windowed(backend).build().unwrap();
+                let label = backend.to_string();
+                one_round(&service, norm, &format!("{label}, norm"));
+                one_round(&service, whiten, &format!("{label}, whiten"));
+                one_round(&service, mixed, &format!("{label}, mixed"));
+                let stats = service.stats();
+                // One backend call per kind per round.
+                assert_eq!(stats.batches, 4, "{label}");
+                assert_eq!(stats.coalesced_requests, stats.requests, "{label}");
+            });
         }
     });
 }
@@ -220,14 +217,14 @@ impl NormBackend for OutOfPlaceOnly {
         "out-of-place-only".into()
     }
 
-    fn normalize_batch_runner(
+    fn normalize_batch_bits(
         &mut self,
         input: &[u32],
         out: &mut [u32],
-        runner: &dyn PartitionRunner,
+        threads: usize,
     ) -> Result<usize, NormError> {
         self.batches.lock().unwrap().push(input.len());
-        self.inner.normalize_batch_runner(input, out, runner)
+        self.inner.normalize_batch_bits(input, out, threads)
     }
 
     fn normalize_row_bits_detailed(
@@ -262,16 +259,15 @@ impl WhitenExec for WhitenOutOfPlaceOnly {
         self.inner.spec()
     }
 
-    fn whiten_groups_runner(
+    fn whiten_groups(
         &mut self,
         input: &[u32],
         out: &mut [u32],
         group_rows: &[usize],
-        runner: &dyn PartitionRunner,
+        threads: usize,
     ) -> Result<usize, NormError> {
         self.batches.lock().unwrap().push(input.len());
-        self.inner
-            .whiten_groups_runner(input, out, group_rows, runner)
+        self.inner.whiten_groups(input, out, group_rows, threads)
     }
 
     fn whiten_group_detailed(
@@ -287,33 +283,31 @@ impl WhitenExec for WhitenOutOfPlaceOnly {
 fn default_in_place_impls_serve_coalesced_rounds() {
     let norm = norm_requests(500);
     let whiten = whiten_requests(600);
-    for threads in [1usize, 2] {
-        let batches = Arc::new(Mutex::new(Vec::new()));
-        let whiten_batches = Arc::new(Mutex::new(Vec::new()));
-        let (b, w) = (Arc::clone(&batches), Arc::clone(&whiten_batches));
-        let service = windowed(BackendKind::Emulated, threads)
-            .build_with_backends_and_whiten(
-                || {
-                    Box::new(OutOfPlaceOnly {
-                        inner: emulated_backend(),
-                        batches: Arc::clone(&b),
-                    })
-                },
-                move || {
-                    Box::new(WhitenOutOfPlaceOnly {
-                        inner: emulated_whiten(),
-                        batches: Arc::clone(&w),
-                    })
-                },
-            )
-            .unwrap();
-        one_round(&service, &norm, "default impl, norm");
-        one_round(&service, &whiten, "default impl, whiten");
-        let total = |round: &[Expected]| round.iter().map(|e| e.request.len()).sum::<usize>();
-        // One out-of-place call per round, over every request's rows.
-        assert_eq!(*batches.lock().unwrap(), vec![total(&norm)]);
-        assert_eq!(*whiten_batches.lock().unwrap(), vec![total(&whiten)]);
-    }
+    let batches = Arc::new(Mutex::new(Vec::new()));
+    let whiten_batches = Arc::new(Mutex::new(Vec::new()));
+    let (b, w) = (Arc::clone(&batches), Arc::clone(&whiten_batches));
+    let service = windowed(BackendKind::Emulated)
+        .build_with_backends_and_whiten(
+            || {
+                Box::new(OutOfPlaceOnly {
+                    inner: emulated_backend(),
+                    batches: Arc::clone(&b),
+                })
+            },
+            move || {
+                Box::new(WhitenOutOfPlaceOnly {
+                    inner: emulated_whiten(),
+                    batches: Arc::clone(&w),
+                })
+            },
+        )
+        .unwrap();
+    one_round(&service, &norm, "default impl, norm");
+    one_round(&service, &whiten, "default impl, whiten");
+    let total = |round: &[Expected]| round.iter().map(|e| e.request.len()).sum::<usize>();
+    // One out-of-place call per round, over every request's rows.
+    assert_eq!(*batches.lock().unwrap(), vec![total(&norm)]);
+    assert_eq!(*whiten_batches.lock().unwrap(), vec![total(&whiten)]);
 }
 
 /// A backend whose every call scribbles over its output and then fails.
@@ -336,20 +330,16 @@ impl NormBackend for Failing {
         "failing".into()
     }
 
-    fn normalize_batch_runner(
+    fn normalize_batch_bits(
         &mut self,
         _input: &[u32],
         _out: &mut [u32],
-        _runner: &dyn PartitionRunner,
+        _threads: usize,
     ) -> Result<usize, NormError> {
         Err(NormError::EmptyInput)
     }
 
-    fn normalize_in_place_runner(
-        &mut self,
-        segments: &mut [&mut [u32]],
-        _runner: &dyn PartitionRunner,
-    ) -> Result<usize, NormError> {
+    fn normalize_in_place(&mut self, segments: &mut [&mut [u32]]) -> Result<usize, NormError> {
         for seg in segments.iter_mut() {
             seg.fill(u32::MAX);
         }

@@ -88,7 +88,6 @@ fn coalesced_matches_serial_for_every_exec_point_method_shard_and_submitter_coun
                         .with_backend(backend)
                         .with_format(format)
                         .with_method(spec)
-                        .with_threads(2)
                         .with_shards(shards)
                         .with_window(Duration::from_millis(2))
                         .build()
@@ -544,10 +543,9 @@ fn simd_service_reports_its_level_and_matches_forced_scalar_bitwise() {
     assert_eq!(reference.simd_level(), SimdLevel::Scalar);
 
     // Auto resolves to a concrete level, reports it on service and
-    // response, and changes no bits — with sharding and threads in play.
+    // response, and changes no bits — with sharding in play.
     let auto = ServiceConfig::new(d)
         .with_backend(BackendKind::Native)
-        .with_threads(3)
         .with_shards(2)
         .build()
         .unwrap();

@@ -24,7 +24,7 @@ use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::Duration;
 
 use iterl2norm::service::{NormRequest, ServiceConfig};
-use iterl2norm::{BackendKind, NormBackend, NormError, PartitionRunner, Priority, RowMoments};
+use iterl2norm::{BackendKind, NormBackend, NormError, Priority, RowMoments};
 
 const D: usize = 8;
 
@@ -114,11 +114,11 @@ impl NormBackend for GatedBackend {
         "gated-test".into()
     }
 
-    fn normalize_batch_runner(
+    fn normalize_batch_bits(
         &mut self,
         input: &[u32],
         out: &mut [u32],
-        _runner: &dyn PartitionRunner,
+        _threads: usize,
     ) -> Result<usize, NormError> {
         self.gate.pass();
         assert!(!self.panics, "injected backend panic");
@@ -755,11 +755,11 @@ impl NormBackend for RecordingBackend {
         "recording-test".into()
     }
 
-    fn normalize_batch_runner(
+    fn normalize_batch_bits(
         &mut self,
         input: &[u32],
         out: &mut [u32],
-        _runner: &dyn PartitionRunner,
+        _threads: usize,
     ) -> Result<usize, NormError> {
         self.gate.pass();
         self.batches.lock().unwrap().push(input.to_vec());
@@ -932,12 +932,12 @@ impl iterl2norm::WhitenExec for PanickingWhiten {
         iterl2norm::WhitenSpec::default()
     }
 
-    fn whiten_groups_runner(
+    fn whiten_groups(
         &mut self,
         _input: &[u32],
         _out: &mut [u32],
         _group_rows: &[usize],
-        _runner: &dyn PartitionRunner,
+        _threads: usize,
     ) -> Result<usize, NormError> {
         panic!("injected whitening panic");
     }
@@ -972,11 +972,11 @@ impl NormBackend for PassBackend {
         "pass-test".into()
     }
 
-    fn normalize_batch_runner(
+    fn normalize_batch_bits(
         &mut self,
         input: &[u32],
         out: &mut [u32],
-        _runner: &dyn PartitionRunner,
+        _threads: usize,
     ) -> Result<usize, NormError> {
         out.copy_from_slice(input);
         Ok(input.len() / D)

@@ -22,7 +22,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use iterl2norm::service::{NormRequest, Placement, ServiceConfig};
-use iterl2norm::{BackendKind, NormBackend, NormError, PartitionRunner, RowMoments, TicketSet};
+use iterl2norm::{BackendKind, NormBackend, NormError, RowMoments, TicketSet};
 
 const D: usize = 8;
 
@@ -104,11 +104,11 @@ impl NormBackend for GatedBackend {
         "gated-test".into()
     }
 
-    fn normalize_batch_runner(
+    fn normalize_batch_bits(
         &mut self,
         input: &[u32],
         out: &mut [u32],
-        _runner: &dyn PartitionRunner,
+        _threads: usize,
     ) -> Result<usize, NormError> {
         self.gate.pass();
         out.copy_from_slice(input);

@@ -11,8 +11,8 @@
 
 use iterl2norm::whiten::{build_whiten, WhitenExec, WhitenSpec};
 use iterl2norm::{
-    BackendKind, FormatKind, GroupMode, MethodSpec, NormError, NormRequest, PartitionPool,
-    ServiceConfig, SimdLevel,
+    BackendKind, FormatKind, GroupMode, MethodSpec, NormError, NormRequest, ServiceConfig,
+    SimdLevel,
 };
 use workloads::{Distribution, VectorGen};
 
@@ -99,17 +99,14 @@ fn forced_native(d: usize, spec: WhitenSpec, level: SimdLevel) -> Option<Box<dyn
 }
 
 /// The tentpole sweep: every forced level × d × T × group mode, multi-group
-/// calls, serial and partitioned across workers — all bit-identical to the
-/// softfloat oracle.
+/// calls, serial, partitioned across workers and in place (the serving
+/// path's call) — all bit-identical to the softfloat oracle.
 ///
 /// The single heaviest oracle run (d = 256, T = 5, ~30 s per mode under a
 /// debug-build softfloat) is release-only; CI's release bit-identity step
 /// runs the complete grid.
 #[test]
 fn native_matches_emulated_for_every_forced_level() {
-    // The resident vehicle at the scoped sweep's widest width: two
-    // helpers plus the caller.
-    let pool = PartitionPool::new(2, "wbi-");
     for t in STEPS {
         for d in DIMS {
             if cfg!(debug_assertions) && d == 256 && t == 5 {
@@ -150,14 +147,21 @@ fn native_matches_emulated_for_every_forced_level() {
                             ),
                         );
                     }
-                    let mut actual = vec![0u32; input.len()];
+                    let mut actual = input.clone();
+                    let mut segments: Vec<&mut [u32]> = Vec::new();
+                    let mut rest = actual.as_mut_slice();
+                    for &m in groups {
+                        let (group, tail) = rest.split_at_mut(m * d);
+                        segments.push(group);
+                        rest = tail;
+                    }
                     native
-                        .whiten_groups_runner(&input, &mut actual, groups, &pool)
+                        .whiten_in_place(&mut segments)
                         .expect("native whitening must succeed");
                     assert_bits_eq(
                         &expected,
                         &actual,
-                        &format!("d={d} t={t} mode={mode} level={} pool", level.name()),
+                        &format!("d={d} t={t} mode={mode} level={} in place", level.name()),
                     );
                 }
             }

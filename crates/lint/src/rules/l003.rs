@@ -6,8 +6,8 @@
 //! `// normlint: value-path`) therefore may not read `Instant::now` /
 //! `SystemTime::now` or call `thread::sleep`; timing belongs to the
 //! service, server and bench layers. Nor may they `spawn` threads: every
-//! partitioned call forks through a `PartitionRunner` (executor.rs), so
-//! the per-call scoped fork stays in one place.
+//! partitioned call forks through `executor::fork` (executor.rs), so the
+//! per-call scoped fork stays in one place.
 
 use crate::diag::{Diagnostic, RuleId};
 use crate::lexer::TokenKind;
@@ -35,7 +35,7 @@ pub fn run(ctx: &RuleCtx<'_>, out: &mut Vec<Diagnostic>) {
                  move timing to the service/bench layer"
             )
         } else if name == "spawn" {
-            "`spawn` in a value-path module — partition through a `PartitionRunner` \
+            "`spawn` in a value-path module — partition through `executor::fork` \
              (executor.rs), the one fork-join vehicle"
                 .to_string()
         } else {

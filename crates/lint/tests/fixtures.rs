@@ -119,12 +119,12 @@ fn l003_flags_spawn_outside_test_regions() {
         got,
         vec![
             "crates/core/src/whiten.rs:6:15: [L003] `spawn` in a value-path module — partition \
-             through a `PartitionRunner` (executor.rs), the one fork-join vehicle",
+             through `executor::fork` (executor.rs), the one fork-join vehicle",
             "crates/core/src/whiten.rs:12:18: [L003] `spawn` in a value-path module — partition \
-             through a `PartitionRunner` (executor.rs), the one fork-join vehicle",
+             through `executor::fork` (executor.rs), the one fork-join vehicle",
         ]
     );
-    // The executor, which owns the scoped runner, is not on the value path.
+    // The executor, which owns the scoped fork, is not on the value path.
     let off_path = lint_as("l003_spawn.rs", "crates/core/src/executor.rs");
     assert_eq!(off_path, Vec::<String>::new());
 }

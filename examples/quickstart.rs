@@ -74,7 +74,7 @@ fn demo_batch() -> Result<(), Box<dyn std::error::Error>> {
 
 fn demo_service() -> Result<(), Box<dyn std::error::Error>> {
     // The serving front door: one ServiceConfig names the whole
-    // format x method x backend x threads execution point, and the built
+    // format x method x backend execution point, and the built
     // NormService is type-erased — no generic parameters at the call site.
     // Fp32 is exactly the host's binary32, so the native backend produces
     // bit-identical output at hardware speed; FP16/BF16 have no host
@@ -96,7 +96,6 @@ fn demo_service() -> Result<(), Box<dyn std::error::Error>> {
         let service = ServiceConfig::new(d)
             .with_backend(backend)
             .with_method(MethodSpec::iterl2(5))
-            .with_threads(4)
             .build()?;
         let t0 = std::time::Instant::now();
         let response = service.submit(NormRequest::bits(&bits))?;

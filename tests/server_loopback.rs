@@ -14,7 +14,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use iterl2norm::backend::FormatKind;
-use iterl2norm::{BackendKind, NormBackend, NormError, PartitionRunner, RowMoments};
+use iterl2norm::{BackendKind, NormBackend, NormError, RowMoments};
 use iterl2norm_suite::prelude::*;
 use normserver::protocol::ErrorCode;
 
@@ -327,11 +327,11 @@ impl NormBackend for GatedBackend {
         "gated-loopback".into()
     }
 
-    fn normalize_batch_runner(
+    fn normalize_batch_bits(
         &mut self,
         input: &[u32],
         out: &mut [u32],
-        _runner: &dyn PartitionRunner,
+        _threads: usize,
     ) -> Result<usize, NormError> {
         self.gate.pass();
         out.copy_from_slice(input);
