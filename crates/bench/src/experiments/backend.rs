@@ -1,7 +1,7 @@
 //! Execution-backend throughput: native-f32 vs softfloat emulation, the
-//! native SIMD tier vs its forced-scalar floor, the forced `sse2` and
-//! `portable` tiers, thread scaling of the partitioned batch path, and
-//! the one-row call shape of a per-token request.
+//! native SIMD tier vs its forced-scalar floor, the forced `avx512`,
+//! `avx2`, `sse2` and `portable` tiers, thread scaling of the partitioned
+//! batch path, and the one-row call shape of a per-token request.
 //!
 //! This is the bench behind the README's performance notes and the
 //! checked-in `results/BENCH_backend.json`. Every point drives the same
@@ -131,20 +131,27 @@ pub fn run_at(dims: &[usize], rows: usize, thread_counts: &[usize]) -> std::io::
         });
 
         // Native: the forced-scalar floor vs the auto-resolved SIMD tier,
-        // across the thread counts; then the forced `sse2` and `portable`
-        // tiers and the one-row call shape, single-threaded. Serial scalar
-        // is the per-d baseline the "vs scalar@1" column compares against.
+        // across the thread counts; then every other forced vector tier
+        // and the one-row call shape, single-threaded. Serial scalar is
+        // the per-d baseline the "vs scalar@1" column compares against.
         let mut configs: Vec<(SimdLevel, usize, Option<usize>)> = Vec::new();
         for simd in [SimdLevel::Scalar, SimdLevel::Auto] {
             configs.extend(thread_counts.iter().map(|&threads| (simd, threads, None)));
         }
         configs.extend([
+            (SimdLevel::Avx512, 1, None),
+            (SimdLevel::Avx2, 1, None),
             (SimdLevel::Sse2, 1, None),
             (SimdLevel::Portable, 1, None),
             (SimdLevel::Auto, 1, Some(1)),
         ]);
         let mut t_scalar_serial = f64::NAN;
+        let mut auto_level = None;
         for (simd, threads, rows_per_call) in configs {
+            // The auto points already measured the tier auto resolves to.
+            if auto_level == Some(simd) {
+                continue;
+            }
             let measured = measure(
                 BackendKind::Native,
                 d,
@@ -173,6 +180,9 @@ pub fn run_at(dims: &[usize], rows: usize, thread_counts: &[usize]) -> std::io::
             );
             if simd == SimdLevel::Scalar && threads == 1 {
                 t_scalar_serial = t;
+            }
+            if simd == SimdLevel::Auto {
+                auto_level = Some(resolved);
             }
             let rows_per_call = rows_per_call.unwrap_or(rows);
             points.push(Point {

@@ -62,6 +62,15 @@ fn backend_smoke() {
     );
     assert!(content.contains("\"backend\": \"native-f32\""), "{content}");
     assert!(content.contains("\"backend\": \"emulated\""), "{content}");
+    // The forced tiers skip the one `auto` already measured: no native
+    // configuration appears twice.
+    let native: Vec<&str> = content
+        .lines()
+        .filter(|line| line.contains("native-f32"))
+        .map(|line| line.split("\"rows_per_s\"").next().unwrap())
+        .collect();
+    let distinct: std::collections::HashSet<&str> = native.iter().copied().collect();
+    assert_eq!(distinct.len(), native.len(), "{content}");
 }
 
 #[test]

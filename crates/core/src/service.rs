@@ -3381,6 +3381,15 @@ mod tests {
     }
 
     #[test]
+    fn shards_never_share_a_cache_line_pair() {
+        // Shards sit side by side in one `Vec`: a 128-byte alignment and a
+        // size that is a whole number of 128-byte pairs keep each shard's
+        // locks off every neighbour's lines.
+        assert!(core::mem::align_of::<Shard>() >= 128);
+        assert_eq!(core::mem::size_of::<Shard>() % 128, 0);
+    }
+
+    #[test]
     fn config_validation_errors_surface_at_build() {
         assert_eq!(
             ServiceConfig::new(0).build().unwrap_err(),

@@ -16,34 +16,40 @@
 //!   shuffle µops per chunk, against 24 for an 8×8 transpose). The same
 //!   tree over eight chunks' L1 registers puts those chunks' L2 sums in
 //!   one register, and the chunk sums stream into a fixed-size fold that
-//!   reproduces `fold_partials` without a buffer. The SSE2 and portable
-//!   tiers keep a 4×4 transpose and plain-Rust trees per chunk. Short
+//!   reproduces `fold_partials` without a buffer. The AVX-512 kernel
+//!   loads a chunk as four zmm registers (groups `2k` and `2k+1` in
+//!   register `k`), runs the same two pair levels in all four 128-bit
+//!   lanes, and joins and reorders the halves with three lane permutes
+//!   and one add; LLVM folds the permutes into two `vpermps`, for 8
+//!   shuffle µops per chunk. It shares the AVX2 L1 register
+//!   form, L2 tree and iteration. The SSE2 and portable tiers keep a
+//!   4×4 transpose and plain-Rust trees per chunk. Short
 //!   tail chunks are padded with `+0.0`: the scalar path substitutes
 //!   `+0` for every missing tree input and leaves fully-empty L1 slots
 //!   at `+0`, and `+0 + +0 = +0` under round-to-nearest-even, so the
 //!   padded full-width kernel reproduces the scalar short-chunk
 //!   semantics bit for bit.
-//! * **Fused shift stage**: each row is read three times — the row sum,
-//!   then one chunk walk that shifts every element (`x − mean`), stores
-//!   it to the output and feeds its square to the trees, then the
-//!   scale/γ/β pass. Every tier runs this one stage through its own
-//!   chunk primitive; only the tail chunk's real elements are shifted,
-//!   so its padding stays `+0.0`.
+//! * **One store per element**: each row is read three times and
+//!   written once — the row sum; the sum of squares, whose chunk walk
+//!   shifts every element (`x − mean`) in registers, feeds its square to
+//!   the trees and prefetches the next row into L2; then one pass that
+//!   writes `((x − mean)·s)[·γ][+β]`, recomputing the same subtract. Only
+//!   the tail chunk's real elements are shifted, so its padding stays
+//!   `+0.0`.
 //! * **Multi-row lane kernel**: the Newton update of the IterL2Norm
 //!   iteration and the scale/affine application are per-row independent,
 //!   so a register holds one *row* per lane (8 rows for AVX2, 4 per
 //!   `__m128` for SSE2) and every lanewise `mul`/`sub`/`add` is the same
 //!   IEEE-754 operation the scalar code performs on that row.
 //!
-//! Three kernels implement this, selected through [`SimdLevel`]:
-//! `x86-64` AVX2+FMA and SSE2 [`core::arch`] kernels behind runtime
-//! [`std::arch::is_x86_feature_detected!`] dispatch, plus a portable
-//! fixed-width-chunk kernel written so the autovectorizer can do the same
-//! transformation on any architecture. The AVX-512 level exists for the
-//! whitening engine's 32-column matmul tiles (`whiten.rs`); the row
-//! kernel has no zmm form, so at that level it runs the AVX2 kernel.
-//! Whitening in turn has no portable or SSE2 form: at those levels it
-//! runs its baseline kernel.
+//! Four kernels implement this, selected through [`SimdLevel`]:
+//! `x86-64` AVX-512, AVX2+FMA and SSE2 [`core::arch`] kernels behind
+//! runtime [`std::arch::is_x86_feature_detected!`] dispatch, plus a
+//! portable fixed-width-chunk kernel written so the autovectorizer can do
+//! the same transformation on any architecture. At the AVX-512 level the
+//! whitening engine also runs its 32-column matmul tiles (`whiten.rs`).
+//! Whitening has no portable or SSE2 form: at those levels it runs its
+//! baseline kernel.
 //! `SimdLevel::Auto` degrades gracefully (AVX-512 → AVX2 → SSE2 →
 //! portable); forcing a level the host cannot run is a clean
 //! [`NormError::SimdUnsupported`], never a silent downgrade.
@@ -56,10 +62,11 @@
 //! Rust never contracts float expressions); and the kernels never
 //! *reassociate* — they only re-bracket work that the hardware reduction
 //! order already brackets that way. Shuffles only move values: each pair
-//! add, `vperm2f128` join and L2 lane computes exactly one add of the
-//! scalar tree, with the same two operands. Fusing the shift into the
-//! sum-of-squares walk changes when an element is computed, not how:
-//! each still sees `x − mean`, then `y·y` into the same tree slot. (LLVM
+//! add, lane join and L2 lane computes exactly one add of the scalar
+//! tree, with the same two operands. Shifting in registers and again in
+//! the final pass changes when an element is computed, not how: each
+//! still sees `x − mean`, then `y·y` into the same tree slot, and the
+//! store sees the same `x − mean` scaled. (LLVM
 //! may emit `vhaddps` for a shuffle/add pair — `fadd` commutes in its IR —
 //! which adds the same two operands; only the payload chosen when *both*
 //! are NaN can differ, and the suites leave mixed-payload NaNs unpinned.)
@@ -116,10 +123,10 @@ pub enum SimdLevel {
     /// Force the x86-64 AVX2+FMA kernel (8 lanes; runtime-detected).
     Avx2,
     /// Force the x86-64 AVX-512 tier (needs avx512f + avx2 + fma;
-    /// runtime-detected). Whitening runs its register-tile matmuls with
-    /// 32-column tiles (two zmm registers per tile row). The norm row
-    /// kernel has no zmm form: at this level it runs the unchanged AVX2
-    /// kernel.
+    /// runtime-detected). The norm row kernel reduces each chunk in zmm
+    /// registers (four loads, 16 elements each); whitening runs its
+    /// register-tile matmuls with 32-column tiles (two zmm registers per
+    /// tile row).
     Avx512,
 }
 
@@ -408,10 +415,13 @@ impl SimdNative {
             // SAFETY: `resolve` yields Sse2 only on x86-64, where SSE2 is baseline.
             SimdKernel::Sse2 => unsafe { x86::process_rows_sse2(ctx, x, o) },
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `resolve` yields Avx2 and Avx512 only after
-            // runtime-detecting AVX2+FMA. The row kernel has no zmm form:
-            // the AVX-512 level runs the AVX2 kernel.
-            SimdKernel::Avx2 | SimdKernel::Avx512 => unsafe { x86::process_rows_avx2(ctx, x, o) },
+            // SAFETY: `resolve` yields Avx2 only after runtime-detecting
+            // AVX2+FMA.
+            SimdKernel::Avx2 => unsafe { x86::process_rows_avx2(ctx, x, o) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `resolve` yields Avx512 only after runtime-detecting
+            // AVX-512F+AVX2+FMA.
+            SimdKernel::Avx512 => unsafe { x86::process_rows_avx512(ctx, x, o) },
             #[cfg(not(target_arch = "x86_64"))]
             SimdKernel::Sse2 | SimdKernel::Avx2 | SimdKernel::Avx512 => {
                 unreachable!("x86 kernels are never resolved off x86-64")
@@ -467,24 +477,16 @@ trait RowReduce {
     /// Its lanes are never read back into a result.
     const L1_ZERO: Self::L1;
 
-    /// Load one full chunk from `src`; with `shift = Some((mean, dst))`,
-    /// subtract `mean` from every element and store the differences to
-    /// `dst` (which may equal `src`); square the values when `square`;
-    /// return the chunk's eight L1 tree sums (group `g` =
-    /// `((v₀+v₁)+(v₂+v₃))+((v₄+v₅)+(v₆+v₇))` over elements `8g..8g+8`).
+    /// One full chunk's eight L1 tree sums: with `shift = Some(mean)`,
+    /// subtract `mean` from every element; square the values when
+    /// `square`; group `g` = `((v₀+v₁)+(v₂+v₃))+((v₄+v₅)+(v₆+v₇))` over
+    /// elements `8g..8g+8`. Stores nothing.
     ///
     /// # Safety
     ///
     /// Callable only on a host that supports the implementing kernel's
-    /// instruction set (`resolve` guarantees the match). `src` must point
-    /// at [`CHUNK`] readable `f32`s and `dst`, when given, at `CHUNK`
-    /// writable ones that no live reference covers.
-    unsafe fn chunk_l1(
-        &self,
-        src: *const f32,
-        shift: Option<(f32, *mut f32)>,
-        square: bool,
-    ) -> Self::L1;
+    /// instruction set (`resolve` guarantees the match).
+    unsafe fn chunk_l1(&self, chunk: &[f32; CHUNK], shift: Option<f32>, square: bool) -> Self::L1;
 
     /// The L2 tree of up to [`TREE_WIDTH`] chunks at once: entry `c` of
     /// the result is the hardware-order sum of the chunk whose L1 sums
@@ -513,19 +515,20 @@ trait RowReduce {
     );
 }
 
-/// The block pipeline every kernel runs, three passes over each row:
-/// (1) the row sum → mean; (2) the fused stage — shift `y = x − mean`,
-/// store `y` to `o`, and reduce `m = Σ y²` in the same chunk walk
-/// ([`reduce_row`]); then, per block of up to [`ROW_LANES`] rows, the
-/// scale — lanewise iteration for the standard IterL2Norm, per-row
-/// [`RsqrtScale`] otherwise — and (3) one scale/γ/β pass. Every element
-/// sees the operation chain of `normalize_row_into`: `x − mean`, `y·y`
-/// into the same trees, `y·s`, `·γ`, `+β`. Unused lanes are padded with
-/// `m = 1` (lane independence: their results are simply never stored).
+/// The block pipeline every kernel runs, three reads of each row: (1) the
+/// row sum → mean; (2) `m = Σ (x − mean)²`, shifting each chunk in
+/// registers ([`reduce_row`]); then, per block of up to [`ROW_LANES`]
+/// rows, the scale — lanewise iteration for the standard IterL2Norm,
+/// per-row [`RsqrtScale`] otherwise — and (3) one pass that writes
+/// `((x − mean)·s)[·γ][+β]`, the only store of each element. Every
+/// element sees the operation chain of `normalize_row_into`: `x − mean`,
+/// `y·y` into the same trees, `y·s`, `·γ`, `+β`; pass (3) recomputes the
+/// same IEEE subtract that pass (2) squared. Unused lanes are padded
+/// with `m = 1` (lane independence: their results are simply never
+/// stored).
 ///
-/// With `x = None` the pipeline runs in place: passes (1)–(2) read the
-/// row from `o`, which already holds the input, and (2) writes each
-/// chunk back where it read it.
+/// With `x = None` the pipeline runs in place: every pass reads the row
+/// from `o`, which already holds the input, and (3) overwrites it.
 ///
 /// # Safety
 ///
@@ -544,59 +547,82 @@ unsafe fn process_block_rows<R: RowReduce>(
     let block = ROW_LANES * d;
     let mut walk = ChunkWalk::<R>::new();
     for (bi, ob) in o.chunks_mut(block).enumerate() {
-        let n = ob.len() / d;
+        let xb = x.map(|x| &x[bi * block..][..ob.len()]);
         // Pad unused lanes with a benign finite m: the iteration runs on
         // them (lanewise, independently) and the result is discarded.
         let mut m = [1.0f32; ROW_LANES];
-        for (ri, mi) in m.iter_mut().enumerate().take(n) {
-            let dst = ob[ri * d..(ri + 1) * d].as_mut_ptr();
-            let src = match x {
-                Some(x) => x[bi * block + ri * d..][..d].as_ptr(),
-                None => dst.cast_const(),
-            };
-            // SAFETY: `src` and `dst` each cover `d` elements of a live
-            // row (the same row in place); no reference to it is held
-            // across the two calls.
-            let mean = reduce_row(r, &mut walk, src, None, d, ctx.reduce) * ctx.inv_d;
-            // SAFETY: as above.
-            *mi = reduce_row(r, &mut walk, src, Some((mean, dst)), d, ctx.reduce);
+        let mut means = [0.0f32; ROW_LANES];
+        for ((row, mi), mean) in xb.unwrap_or(ob).chunks_exact(d).zip(&mut m).zip(&mut means) {
+            *mean = reduce_row(r, &mut walk, row, None, ctx.reduce) * ctx.inv_d;
+            *mi = reduce_row(r, &mut walk, row, Some(*mean), ctx.reduce);
         }
         let mut scales = [0.0f32; ROW_LANES];
         match ctx.iter_steps {
             Some(steps) => r.iter_scales(&m, steps, ctx.sqrt_d, &mut scales),
             None => {
-                for (scale, &mi) in scales.iter_mut().zip(&m).take(n) {
+                for (scale, &mi) in scales.iter_mut().zip(&m).take(ob.len() / d) {
                     *scale = ctx.method.scale_with(HostF32(mi), ctx.dims).0;
                 }
             }
         }
-        for (or, &s) in ob.chunks_exact_mut(d).zip(&scales) {
-            match (ctx.gamma, ctx.beta) {
-                (None, None) => or.iter_mut().for_each(|v| *v *= s),
-                (Some(g), None) => {
-                    for (v, &gi) in or.iter_mut().zip(g) {
-                        *v = *v * s * gi;
-                    }
-                }
-                (None, Some(b)) => {
-                    for (v, &bi) in or.iter_mut().zip(b) {
-                        *v = *v * s + bi;
-                    }
-                }
-                (Some(g), Some(b)) => {
-                    for ((v, &gi), &bi) in or.iter_mut().zip(g).zip(b) {
-                        *v = *v * s * gi + bi;
-                    }
-                }
+        for (ri, ((or, &mean), &s)) in ob.chunks_exact_mut(d).zip(&means).zip(&scales).enumerate() {
+            match xb {
+                Some(xb) => write_row(
+                    or.iter_mut().zip(xb[ri * d..][..d].iter().copied()),
+                    mean,
+                    s,
+                    ctx,
+                ),
+                None => write_row(
+                    or.iter_mut().map(|v| {
+                        let x = *v;
+                        (v, x)
+                    }),
+                    mean,
+                    s,
+                    ctx,
+                ),
             }
         }
     }
 }
 
-/// One reduction pass over a `len`-element row at `src`, in the plan's
-/// order: the row sum when `shift` is `None`; the fused stage when it is
-/// `Some((mean, dst))` — every element is shifted (`x − mean`), stored to
-/// `dst` and squared, and the squares are summed.
+/// Pass (3) of [`process_block_rows`] over one row, given as
+/// `(output slot, input value)` pairs: `((x − mean)·s)[·γ][+β]`.
+#[inline(always)]
+fn write_row<'a>(
+    row: impl Iterator<Item = (&'a mut f32, f32)>,
+    mean: f32,
+    s: f32,
+    ctx: &RowCtx<'_>,
+) {
+    match (ctx.gamma, ctx.beta) {
+        (None, None) => {
+            for (v, x) in row {
+                *v = (x - mean) * s;
+            }
+        }
+        (Some(g), None) => {
+            for ((v, x), &gi) in row.zip(g) {
+                *v = (x - mean) * s * gi;
+            }
+        }
+        (None, Some(b)) => {
+            for ((v, x), &bi) in row.zip(b) {
+                *v = (x - mean) * s + bi;
+            }
+        }
+        (Some(g), Some(b)) => {
+            for (((v, x), &gi), &bi) in row.zip(g).zip(b) {
+                *v = (x - mean) * s * gi + bi;
+            }
+        }
+    }
+}
+
+/// One reduction pass over `row`, in the plan's order: the row sum when
+/// `shift` is `None`; the sum of squares of `x − mean` when it is
+/// `Some(mean)`. Reads only.
 ///
 /// `HwTree` walks full chunks through the tier's [`RowReduce::chunk_l1`],
 /// runs the L2 trees of [`TREE_WIDTH`] chunks at a time and streams the
@@ -604,67 +630,82 @@ unsafe fn process_block_rows<R: RowReduce>(
 /// shifted here, into a `+0.0`-padded buffer the primitive then reduces
 /// unshifted — padding must stay `+0.0`, not become `0 − mean`. `Linear`
 /// stays a scalar left-to-right fold, a loop-carried chain no
-/// bit-preserving vectorization can break.
+/// bit-preserving vectorization can break. The sum-of-squares walk also
+/// prefetches the next row ([`prefetch_next_row`]).
 ///
 /// # Safety
 ///
-/// `r`'s instruction requirements must hold. `src` must point at `len`
-/// readable `f32`s and `dst`, when given, at `len` writable ones (the
-/// same ones in place) that no live reference covers.
+/// `r`'s instruction requirements must hold.
 #[inline(always)]
 unsafe fn reduce_row<R: RowReduce>(
     r: &R,
     walk: &mut ChunkWalk<R>,
-    src: *const f32,
-    shift: Option<(f32, *mut f32)>,
-    len: usize,
+    row: &[f32],
+    shift: Option<f32>,
     reduce: ReduceOrder,
 ) -> f32 {
     let square = shift.is_some();
-    let elem = |i: usize| {
-        let v = *src.add(i);
-        match shift {
-            Some((mean, dst)) => {
-                let y = v - mean;
-                *dst.add(i) = y;
-                y
-            }
-            None => v,
-        }
+    let elem = |v: f32| match shift {
+        Some(mean) => v - mean,
+        None => v,
     };
     if reduce == ReduceOrder::Linear {
-        return (0..len).fold(0.0f32, |acc, i| {
-            let y = elem(i);
+        return row.iter().fold(0.0f32, |acc, &v| {
+            let y = elem(v);
             acc + if square { y * y } else { y }
         });
     }
-    let full = len / CHUNK;
+    let (chunks, tail) = row.as_chunks::<CHUNK>();
     let ChunkWalk { l1, fold } = walk;
     fold.reset();
     let mut pending = 0;
-    for c in 0..full {
-        let at = c * CHUNK;
-        let chunk_shift = shift.map(|(mean, dst)| (mean, dst.add(at)));
-        l1[pending] = r.chunk_l1(src.add(at), chunk_shift, square);
+    for (c, chunk) in chunks.iter().enumerate() {
+        if square {
+            prefetch_next_row(row, c * CHUNK);
+        }
+        l1[pending] = r.chunk_l1(chunk, shift, square);
         pending += 1;
         if pending == TREE_WIDTH {
             fold.push_all(&r.chunk_sums(l1));
             pending = 0;
         }
     }
-    let rem = len - full * CHUNK;
-    if rem > 0 {
+    if !tail.is_empty() {
         let mut buf = [0.0f32; CHUNK];
-        for (i, slot) in buf[..rem].iter_mut().enumerate() {
-            *slot = elem(full * CHUNK + i);
+        for (slot, &v) in buf.iter_mut().zip(tail) {
+            *slot = elem(v);
         }
-        l1[pending] = r.chunk_l1(buf.as_ptr(), None, square);
+        l1[pending] = r.chunk_l1(&buf, None, square);
         pending += 1;
     }
     if pending > 0 {
         fold.push_all(&r.chunk_sums(l1)[..pending]);
     }
     fold.finish()
+}
+
+/// Ask for the [`CHUNK`] elements at offset `at` of the row that follows
+/// `row` in memory to be pulled into L2 (`T1`, not `T0`: in L1 the next
+/// row would compete with the current row's lines), so the next row's
+/// cache-miss latency overlaps this row's compute. A prefetch never
+/// faults, so the address past the last row is harmless. x86-64 only; a
+/// no-op elsewhere.
+#[inline(always)]
+fn prefetch_next_row(row: &[f32], at: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T1};
+        /// `f32`s per 64-byte cache line.
+        const LINE: usize = 16;
+        let next = row.as_ptr().wrapping_add(row.len() + at);
+        for line in (0..CHUNK).step_by(LINE) {
+            // SAFETY: `prefetch` is SSE, the x86-64 baseline, and only
+            // hints the cache: it reads nothing and faults on no address.
+            unsafe { _mm_prefetch::<_MM_HINT_T1>(next.wrapping_add(line).cast::<i8>()) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (row, at);
 }
 
 /// The chunk walk's working storage: the pending chunks' L1 sums and the
@@ -804,22 +845,12 @@ impl RowReduce for PortableReduce {
     type L1 = [f32; TREE_WIDTH];
     const L1_ZERO: Self::L1 = [0.0; TREE_WIDTH];
 
-    // SAFETY: portable kernel — no target-specific instructions; pointer
-    // validity is the caller's contract.
+    // SAFETY: portable kernel — no target-specific instructions.
     #[inline(always)]
-    unsafe fn chunk_l1(
-        &self,
-        src: *const f32,
-        shift: Option<(f32, *mut f32)>,
-        square: bool,
-    ) -> Self::L1 {
+    unsafe fn chunk_l1(&self, chunk: &[f32; CHUNK], shift: Option<f32>, square: bool) -> Self::L1 {
         let mut buf = [0.0f32; CHUNK];
-        for (i, slot) in buf.iter_mut().enumerate() {
-            let mut v = *src.add(i);
-            if let Some((mean, dst)) = shift {
-                v -= mean;
-                *dst.add(i) = v;
-            }
+        for (slot, &x) in buf.iter_mut().zip(chunk) {
+            let v = shift.map_or(x, |mean| x - mean);
             *slot = if square { v * v } else { v };
         }
         let mut l1 = [0.0f32; TREE_WIDTH];
@@ -889,23 +920,28 @@ unsafe fn process_rows_portable(ctx: &RowCtx<'_>, x: Option<&[f32]>, o: &mut [f3
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::{
-        __m128, __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_permute2f128_ps,
-        _mm256_set1_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_add_ps,
-        _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_mul_ps, _mm_set1_ps, _mm_storeu_ps,
-        _mm_sub_ps, _mm_unpackhi_ps, _mm_unpacklo_ps,
+        __m128, __m256, __m512, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps,
+        _mm256_permute2f128_ps, _mm256_permutevar8x32_ps, _mm256_set1_ps, _mm256_setr_epi32,
+        _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm512_add_ps, _mm512_castps512_ps256,
+        _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_shuffle_f32x4,
+        _mm512_shuffle_ps, _mm512_sub_ps, _mm_add_ps, _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps,
+        _mm_mul_ps, _mm_set1_ps, _mm_storeu_ps, _mm_sub_ps, _mm_unpackhi_ps, _mm_unpacklo_ps,
     };
 
     use softfloat::HostF32;
 
     use super::{process_block_rows, scalar_chunk_sums, RowCtx, RowReduce, ROW_LANES};
-    use crate::hworder::TREE_WIDTH;
+    use crate::hworder::{CHUNK, TREE_WIDTH};
     use crate::iteration::{a0_from_exponent, lambda_from_exponent};
 
     /// One pair level of the adder trees: `_mm256_shuffle_ps` gathers the
     /// even and the odd lanes of `a` and `b` (per 128-bit half:
     /// `[a₀ a₂ b₀ b₂]` and `[a₁ a₃ b₁ b₃]`) and one add sums every
     /// adjacent pair, left operand first — `[a₀+a₁, a₂+a₃, b₀+b₁, b₂+b₃]`
-    /// per half. No `vhaddps`: its operand order is not the tree's.
+    /// per half. LLVM emits each shuffle/add pair as one `vhaddps` (the
+    /// AVX2 entry holds 48), which adds the same two operands in the
+    /// other order — equal bits except which payload a NaN + NaN keeps
+    /// (see the module docs).
     ///
     /// # Safety
     ///
@@ -942,18 +978,31 @@ mod x86 {
         _mm256_add_ps(lo, hi)
     }
 
+    /// The zmm form of [`pair_sums`]: the same even/odd gather and add,
+    /// left operand first, in each of the four 128-bit lanes. AVX-512 has
+    /// no `vhaddps`, so this is emitted as written.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F.
+    #[inline(always)]
+    unsafe fn pair_sums_zmm(a: __m512, b: __m512) -> __m512 {
+        let even = _mm512_shuffle_ps::<0b10_00_10_00>(a, b);
+        let odd = _mm512_shuffle_ps::<0b11_01_11_01>(a, b);
+        _mm512_add_ps(even, odd)
+    }
+
     /// Hardware-order L1 sums of one full 64-element chunk with SSE2: per
     /// quad of groups, transpose the 4 low halves and the 4 high halves
     /// (4×4 each), run the tree vertically, and sum low + high per lane.
     ///
     /// # Safety
     ///
-    /// Requires SSE2 (the x86-64 baseline); pointers per
-    /// [`RowReduce::chunk_l1`].
+    /// Requires SSE2 (the x86-64 baseline).
     #[inline(always)]
     unsafe fn sse2_chunk_l1(
-        p: *const f32,
-        shift: Option<(f32, *mut f32)>,
+        chunk: &[f32; CHUNK],
+        shift: Option<f32>,
         square: bool,
     ) -> [f32; TREE_WIDTH] {
         // SAFETY: SSE2 shuffle/unpack only, same baseline the enclosing fn requires.
@@ -970,18 +1019,17 @@ mod x86 {
                 _mm_movehl_ps(t3, t2),
             ]
         }
-        // SAFETY: SSE2 load/sub/store/mul; pointers per the enclosing fn.
+        // SAFETY: SSE2 load/sub/mul; `at + 4 <= CHUNK` at every call.
         #[inline(always)]
         unsafe fn load(
-            p: *const f32,
+            chunk: &[f32; CHUNK],
             at: usize,
-            shift: Option<(f32, *mut f32)>,
+            shift: Option<f32>,
             square: bool,
         ) -> __m128 {
-            let mut v = _mm_loadu_ps(p.add(at));
-            if let Some((mean, dst)) = shift {
+            let mut v = _mm_loadu_ps(chunk[at..at + 4].as_ptr());
+            if let Some(mean) = shift {
                 v = _mm_sub_ps(v, _mm_set1_ps(mean));
-                _mm_storeu_ps(dst.add(at), v);
             }
             if square {
                 _mm_mul_ps(v, v)
@@ -995,8 +1043,8 @@ mod x86 {
             let mut hi = [_mm_set1_ps(0.0); 4];
             for i in 0..4 {
                 let g = quad * 4 + i;
-                lo[i] = load(p, TREE_WIDTH * g, shift, square);
-                hi[i] = load(p, TREE_WIDTH * g + 4, shift, square);
+                lo[i] = load(chunk, TREE_WIDTH * g, shift, square);
+                hi[i] = load(chunk, TREE_WIDTH * g + 4, shift, square);
             }
             let cl = transpose4(lo[0], lo[1], lo[2], lo[3]);
             let ch = transpose4(hi[0], hi[1], hi[2], hi[3]);
@@ -1019,21 +1067,21 @@ mod x86 {
         // patterns, so the all-zero array is a valid value of it.
         const L1_ZERO: __m256 = unsafe { core::mem::transmute([0.0f32; TREE_WIDTH]) };
 
-        // SAFETY: AVX load/sub/store/mul plus the pair tree, under the
-        // caller's AVX2+FMA guarantee; pointers per the trait contract.
+        // SAFETY: AVX load/sub/mul plus the pair tree, under the caller's
+        // AVX2+FMA guarantee; load `k < 8` reads elements `8k..8k+8` of
+        // `chunk`.
         #[inline(always)]
         unsafe fn chunk_l1(
             &self,
-            src: *const f32,
-            shift: Option<(f32, *mut f32)>,
+            chunk: &[f32; CHUNK],
+            shift: Option<f32>,
             square: bool,
         ) -> __m256 {
             let mut r = [Self::L1_ZERO; TREE_WIDTH];
             for (k, reg) in r.iter_mut().enumerate() {
-                let mut v = _mm256_loadu_ps(src.add(TREE_WIDTH * k));
-                if let Some((mean, dst)) = shift {
+                let mut v = _mm256_loadu_ps(chunk.as_ptr().add(TREE_WIDTH * k));
+                if let Some(mean) = shift {
                     v = _mm256_sub_ps(v, _mm256_set1_ps(mean));
-                    _mm256_storeu_ps(dst.add(TREE_WIDTH * k), v);
                 }
                 *reg = if square { _mm256_mul_ps(v, v) } else { v };
             }
@@ -1082,21 +1130,79 @@ mod x86 {
         }
     }
 
+    /// The zmm tier: [`Avx2Reduce`]'s L1 representation, L2 tree and
+    /// iteration, with a chunk primitive that loads 16 elements per
+    /// register.
+    struct Avx512Reduce;
+
+    impl RowReduce for Avx512Reduce {
+        type L1 = __m256;
+        const L1_ZERO: __m256 = Avx2Reduce::L1_ZERO;
+
+        // SAFETY: AVX-512F load/sub/mul/shuffle/add and one AVX2
+        // permute, under the caller's AVX-512F+AVX2 guarantee; load
+        // `k < 4` reads elements `16k..16k+16` of `chunk`.
+        #[inline(always)]
+        unsafe fn chunk_l1(
+            &self,
+            chunk: &[f32; CHUNK],
+            shift: Option<f32>,
+            square: bool,
+        ) -> __m256 {
+            let mut z = [_mm512_setzero_ps(); 4];
+            for (k, reg) in z.iter_mut().enumerate() {
+                let mut v = _mm512_loadu_ps(chunk.as_ptr().add(2 * TREE_WIDTH * k));
+                if let Some(mean) = shift {
+                    v = _mm512_sub_ps(v, _mm512_set1_ps(mean));
+                }
+                *reg = if square { _mm512_mul_ps(v, v) } else { v };
+            }
+            // Register k holds group 2k in 128-bit lanes 0–1 and group
+            // 2k+1 in lanes 2–3. Two pair levels leave lane 0 =
+            // [g0:0-3 g2:0-3 g4:0-3 g6:0-3], lane 1 = the same groups'
+            // 4-7 sums, and lanes 2–3 the same for groups 1, 3, 5, 7.
+            let q = pair_sums_zmm(pair_sums_zmm(z[0], z[1]), pair_sums_zmm(z[2], z[3]));
+            let lo = _mm512_shuffle_f32x4::<0b00_00_10_00>(q, q);
+            let hi = _mm512_shuffle_f32x4::<0b00_00_11_01>(q, q);
+            // (0-3) + (4-7), left operand first: [g0 g2 g4 g6 | g1 g3 g5 g7].
+            let sums = _mm256_add_ps(_mm512_castps512_ps256(lo), _mm512_castps512_ps256(hi));
+            _mm256_permutevar8x32_ps(sums, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7))
+        }
+
+        // SAFETY: the AVX2 tier's L2 tree, under the caller's AVX2 guarantee.
+        #[inline(always)]
+        unsafe fn chunk_sums(&self, l1: &[__m256; TREE_WIDTH]) -> [f32; TREE_WIDTH] {
+            Avx2Reduce.chunk_sums(l1)
+        }
+
+        // SAFETY: the AVX2 tier's iteration, under the caller's AVX2 guarantee.
+        #[inline(always)]
+        unsafe fn iter_scales(
+            &self,
+            m: &[f32; ROW_LANES],
+            steps: u32,
+            sqrt_d: f32,
+            scales: &mut [f32; ROW_LANES],
+        ) {
+            Avx2Reduce.iter_scales(m, steps, sqrt_d, scales);
+        }
+    }
+
     struct Sse2Reduce;
 
     impl RowReduce for Sse2Reduce {
         type L1 = [f32; TREE_WIDTH];
         const L1_ZERO: Self::L1 = [0.0; TREE_WIDTH];
 
-        // SAFETY: forwards to `sse2_chunk_l1` (x86-64 baseline); pointers per the trait contract.
+        // SAFETY: forwards to `sse2_chunk_l1` (x86-64 baseline).
         #[inline(always)]
         unsafe fn chunk_l1(
             &self,
-            src: *const f32,
-            shift: Option<(f32, *mut f32)>,
+            chunk: &[f32; CHUNK],
+            shift: Option<f32>,
             square: bool,
         ) -> Self::L1 {
-            sse2_chunk_l1(src, shift, square)
+            sse2_chunk_l1(chunk, shift, square)
         }
 
         // SAFETY: scalar adds only.
@@ -1162,6 +1268,18 @@ mod x86 {
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn process_rows_avx2(ctx: &RowCtx<'_>, x: Option<&[f32]>, o: &mut [f32]) {
         process_block_rows(&Avx2Reduce, ctx, x, o);
+    }
+
+    /// AVX-512 entry: the zmm chunk primitive, and the rest of the block
+    /// pipeline compiled with AVX-512F enabled.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX-512F, AVX2 and FMA; shapes per
+    /// [`process_block_rows`].
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) unsafe fn process_rows_avx512(ctx: &RowCtx<'_>, x: Option<&[f32]>, o: &mut [f32]) {
+        process_block_rows(&Avx512Reduce, ctx, x, o);
     }
 
     /// SSE2 entry (the x86-64 floor — every x86-64 host runs this).
@@ -1258,30 +1376,15 @@ mod tests {
     }
 
     /// The portable tier's two reduction passes over `vals`: the row sum,
-    /// and the fused stage at `mean` (its sum of squares and the shifted
-    /// row it stores).
+    /// and the sum of squares at `mean`, beside the shifted row
+    /// `v − mean` whose squares the trees should see.
     fn portable_passes(vals: &[f32], mean: f32, reduce: ReduceOrder) -> (f32, f32, Vec<f32>) {
-        let mut shifted = vec![f32::NAN; vals.len()];
+        let shifted = vals.iter().map(|&v| v - mean).collect();
         let mut walk = ChunkWalk::new();
-        // SAFETY: the portable kernel has no instruction requirements; the
-        // pointers cover `vals.len()` elements of two live buffers.
+        // SAFETY: the portable kernel has no instruction requirements.
         unsafe {
-            let sum = reduce_row(
-                &PortableReduce,
-                &mut walk,
-                vals.as_ptr(),
-                None,
-                vals.len(),
-                reduce,
-            );
-            let sum_sq = reduce_row(
-                &PortableReduce,
-                &mut walk,
-                vals.as_ptr(),
-                Some((mean, shifted.as_mut_ptr())),
-                vals.len(),
-                reduce,
-            );
+            let sum = reduce_row(&PortableReduce, &mut walk, vals, None, reduce);
+            let sum_sq = reduce_row(&PortableReduce, &mut walk, vals, Some(mean), reduce);
             (sum, sum_sq, shifted)
         }
     }
@@ -1452,6 +1555,7 @@ mod tests {
             SimdLevel::Portable,
             SimdLevel::Sse2,
             SimdLevel::Avx2,
+            SimdLevel::Avx512,
         ]
         .into_iter()
         .filter(|&level| resolve(level, BackendKind::Native).is_ok())

@@ -36,8 +36,8 @@
 //!   normalization backend and never silently downgrades; `avx2` and
 //!   `avx512` run the body inside a `#[target_feature]` entry, where the
 //!   autovectorizer widens it (16-column tiles at AVX2, 32 at AVX-512),
-//!   and forced `scalar`, `portable` and `sse2` run the baseline build —
-//!   the way the norm path runs its AVX2 kernel at `avx512`.
+//!   and forced `scalar`, `portable` and `sse2` run the baseline build
+//!   (whitening has no form of its own at those levels).
 //!
 //! The native path is **bit-identical** to the emulated FP32 oracle at
 //! every SIMD level. The argument is the same as `simd.rs`, but it is
