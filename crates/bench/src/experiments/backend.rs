@@ -11,12 +11,14 @@
 //! asserts every native configuration (any SIMD level, any thread count)
 //! stays bit-identical to the emulated reference before any number is
 //! reported. Each point records the *resolved* SIMD level (`auto` is
-//! resolved at build time, so a point can never be mislabeled).
+//! resolved at build time, so a point can never be mislabeled). The
+//! single-thread vector tiers are timed round-robin in one rotation, so
+//! the host's drift between minutes cannot rank them by run order.
 
 use std::time::Instant;
 
 use iterl2norm::backend::{build_backend_simd, BackendKind, FormatKind};
-use iterl2norm::{MethodSpec, ReduceOrder, SimdLevel};
+use iterl2norm::{MethodSpec, NormBackend, ReduceOrder, SimdLevel};
 use softfloat::Fp32;
 use workloads::VectorGen;
 
@@ -35,53 +37,141 @@ struct Point {
     ns_per_row: f64,
 }
 
-/// Best-of-[`REPS`] wall-clock for one backend/simd/thread configuration,
-/// plus the resolved SIMD level that actually ran.
-const REPS: usize = 3;
+/// Timed passes per point; the best one is reported. Four, so each of
+/// the (at most four) single-thread vector tiers leads one rep of the
+/// rotation.
+const REPS: usize = 4;
 
-/// Time one configuration (best of [`REPS`] after a warm-up pass).
+/// One built engine, warmed up and ready to time passes over the batch.
 /// With `rows_per_call = Some(1)` the batch goes through the backend one
-/// row per call (the per-token request shape) and the time covers every
-/// call; otherwise it is one call over the whole batch.
-#[allow(clippy::too_many_arguments)]
-fn measure(
-    backend: BackendKind,
-    d: usize,
+/// row per call (the per-token request shape) and a pass covers every
+/// call; otherwise a pass is one call over the whole batch.
+struct Timed {
+    engine: Box<dyn NormBackend>,
     threads: usize,
-    spec: &MethodSpec,
-    simd: SimdLevel,
-    rows_per_call: Option<usize>,
-    input: &[u32],
-    out: &mut [u32],
-) -> std::io::Result<(f64, SimdLevel)> {
-    let mut engine = build_backend_simd(
-        backend,
-        FormatKind::Fp32,
-        d,
-        spec,
-        ReduceOrder::HwTree,
-        simd,
-    )
-    .map_err(std::io::Error::other)?;
-    let resolved = engine.simd_level();
-    let call = rows_per_call.map_or(input.len(), |rows| rows * d);
-    let mut pass = |out: &mut [u32]| -> std::io::Result<()> {
-        for (x, o) in input.chunks(call).zip(out.chunks_mut(call)) {
-            engine
-                .normalize_batch_bits(x, o, threads)
+    /// Elements handed to each backend call.
+    call: usize,
+}
+
+impl Timed {
+    /// Build the engine and run one untimed warm-up pass, which sizes
+    /// the conversion buffers and worker scratch.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        backend: BackendKind,
+        d: usize,
+        threads: usize,
+        spec: &MethodSpec,
+        simd: SimdLevel,
+        rows_per_call: Option<usize>,
+        input: &[u32],
+        out: &mut [u32],
+    ) -> std::io::Result<Self> {
+        let engine = build_backend_simd(
+            backend,
+            FormatKind::Fp32,
+            d,
+            spec,
+            ReduceOrder::HwTree,
+            simd,
+        )
+        .map_err(std::io::Error::other)?;
+        let call = rows_per_call.map_or(input.len(), |rows| rows * d);
+        let mut timed = Timed {
+            engine,
+            threads,
+            call,
+        };
+        timed.pass(input, out)?;
+        Ok(timed)
+    }
+
+    /// The SIMD level the engine actually runs (`auto` resolved).
+    fn resolved(&self) -> SimdLevel {
+        self.engine.simd_level()
+    }
+
+    /// One pass over the batch, in seconds.
+    fn pass(&mut self, input: &[u32], out: &mut [u32]) -> std::io::Result<f64> {
+        let t0 = Instant::now();
+        for (x, o) in input.chunks(self.call).zip(out.chunks_mut(self.call)) {
+            self.engine
+                .normalize_batch_bits(x, o, self.threads)
                 .map_err(std::io::Error::other)?;
         }
-        Ok(())
-    };
-    // Warm-up sizes the conversion buffers and worker scratch.
-    pass(out)?;
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        pass(out)?;
-        best = best.min(t0.elapsed().as_secs_f64());
+        Ok(t0.elapsed().as_secs_f64())
     }
-    Ok((best, resolved))
+
+    /// Best of [`REPS`] back-to-back passes.
+    fn best(&mut self, input: &[u32], out: &mut [u32]) -> std::io::Result<f64> {
+        let mut best = f64::INFINITY;
+        for _ in 0..REPS {
+            best = best.min(self.pass(input, out)?);
+        }
+        Ok(best)
+    }
+}
+
+/// The single-thread whole-batch vector tiers — `auto` first, then every
+/// forced tier the host runs that `auto` did not resolve to — each timed
+/// best of [`REPS`], **round-robin**: rep `r` starts at tier `r mod n`.
+/// The host's speed drifts between minutes, so timing each tier's reps
+/// back to back would rank the tiers by when they ran. Returns
+/// `(requested, resolved, seconds)` per tier; every pass is checked
+/// bit-identical to `reference`.
+fn time_tiers(
+    d: usize,
+    spec: &MethodSpec,
+    input: &[u32],
+    out: &mut [u32],
+    reference: &[u32],
+) -> std::io::Result<Vec<(SimdLevel, SimdLevel, f64)>> {
+    let mut tiers: Vec<(SimdLevel, Timed)> = Vec::new();
+    for simd in [
+        SimdLevel::Auto,
+        SimdLevel::Avx512,
+        SimdLevel::Avx2,
+        SimdLevel::Sse2,
+        SimdLevel::Portable,
+    ] {
+        let engine = match Timed::new(BackendKind::Native, d, 1, spec, simd, None, input, out) {
+            Ok(engine) => engine,
+            // A forced tier this host cannot run is no data point.
+            Err(err) if simd != SimdLevel::Auto => {
+                println!("skipping simd = {simd} at d = {d}: {err}");
+                continue;
+            }
+            Err(err) => return Err(err),
+        };
+        // The auto point already measures the tier auto resolves to.
+        if tiers
+            .first()
+            .is_some_and(|(_, auto)| auto.resolved() == engine.resolved())
+        {
+            continue;
+        }
+        tiers.push((simd, engine));
+    }
+    let n = tiers.len();
+    let mut best = vec![f64::INFINITY; n];
+    for rep in 0..REPS {
+        for k in 0..n {
+            let i = (rep + k) % n;
+            let engine = &mut tiers[i].1;
+            best[i] = best[i].min(engine.pass(input, out)?);
+            assert_eq!(
+                out,
+                reference,
+                "native output diverged from emulated at d = {d}, simd = {}",
+                engine.resolved()
+            );
+        }
+    }
+    Ok(tiers
+        .iter()
+        .zip(best)
+        .map(|((simd, engine), t)| (*simd, engine.resolved(), t))
+        .collect())
 }
 
 /// Run the backend bench at the given dimensions, batch size and thread
@@ -109,7 +199,7 @@ pub fn run_at(dims: &[usize], rows: usize, thread_counts: &[usize]) -> std::io::
         let mut out = vec![0u32; input.len()];
 
         // The emulated serial reference: timed, and kept as the oracle.
-        let (t_emulated, _) = measure(
+        let t_emulated = Timed::new(
             BackendKind::Emulated,
             d,
             1,
@@ -118,8 +208,10 @@ pub fn run_at(dims: &[usize], rows: usize, thread_counts: &[usize]) -> std::io::
             None,
             &input,
             &mut out,
-        )?;
+        )?
+        .best(&input, &mut out)?;
         let reference = out.clone();
+        let tiers = time_tiers(d, &spec, &input, &mut out, &reference)?;
         points.push(Point {
             d,
             backend: BackendKind::Emulated,
@@ -132,8 +224,10 @@ pub fn run_at(dims: &[usize], rows: usize, thread_counts: &[usize]) -> std::io::
 
         // Native: the forced-scalar floor vs the auto-resolved SIMD tier,
         // across the thread counts; then every other forced vector tier
-        // and the one-row call shape, single-threaded. Serial scalar is
-        // the per-d baseline the "vs scalar@1" column compares against.
+        // and the one-row call shape, single-threaded. The single-thread
+        // vector tiers take their times from the rotation above. Serial
+        // scalar is the per-d baseline the "vs scalar@1" column compares
+        // against.
         let mut configs: Vec<(SimdLevel, usize, Option<usize>)> = Vec::new();
         for simd in [SimdLevel::Scalar, SimdLevel::Auto] {
             configs.extend(thread_counts.iter().map(|&threads| (simd, threads, None)));
@@ -146,43 +240,40 @@ pub fn run_at(dims: &[usize], rows: usize, thread_counts: &[usize]) -> std::io::
             (SimdLevel::Auto, 1, Some(1)),
         ]);
         let mut t_scalar_serial = f64::NAN;
-        let mut auto_level = None;
         for (simd, threads, rows_per_call) in configs {
-            // The auto points already measured the tier auto resolves to.
-            if auto_level == Some(simd) {
-                continue;
-            }
-            let measured = measure(
-                BackendKind::Native,
-                d,
-                threads,
-                &spec,
-                simd,
-                rows_per_call,
-                &input,
-                &mut out,
-            );
-            let (t, resolved) = match measured {
-                Ok(point) => point,
-                // A forced tier this host cannot run is no data point.
-                Err(err) if simd != SimdLevel::Scalar && simd != SimdLevel::Auto => {
-                    println!("skipping simd = {simd} at d = {d}: {err}");
-                    continue;
+            let tier = simd != SimdLevel::Scalar && threads == 1 && rows_per_call.is_none();
+            let (t, resolved) = if tier {
+                // Timed in the rotation above; a tier missing there is
+                // one the host cannot run or the one auto resolved to.
+                match tiers.iter().find(|(requested, ..)| *requested == simd) {
+                    Some(&(_, resolved, t)) => (t, resolved),
+                    None => continue,
                 }
-                Err(err) => return Err(err),
+            } else {
+                let mut engine = Timed::new(
+                    BackendKind::Native,
+                    d,
+                    threads,
+                    &spec,
+                    simd,
+                    rows_per_call,
+                    &input,
+                    &mut out,
+                )?;
+                let t = engine.best(&input, &mut out)?;
+                // Self-check before reporting: the speedup must not be a
+                // different computation.
+                assert_eq!(
+                    out,
+                    reference,
+                    "native output diverged from emulated at d = {d}, \
+                     simd = {}, threads = {threads}",
+                    engine.resolved()
+                );
+                (t, engine.resolved())
             };
-            // Self-check before reporting: the speedup must not be a
-            // different computation.
-            assert_eq!(
-                out, reference,
-                "native output diverged from emulated at d = {d}, \
-                 simd = {resolved}, threads = {threads}"
-            );
             if simd == SimdLevel::Scalar && threads == 1 {
                 t_scalar_serial = t;
-            }
-            if simd == SimdLevel::Auto {
-                auto_level = Some(resolved);
             }
             let rows_per_call = rows_per_call.unwrap_or(rows);
             points.push(Point {

@@ -65,9 +65,10 @@
 //!
 //! # Async submission
 //!
-//! [`NormService::submit`] parks the submitting thread until its result is
-//! ready. [`NormService::submit_async`] does not: on a busy shard it
-//! enqueues into the shard's combining queue and returns a [`NormTicket`]
+//! [`NormService::submit`] holds the submitting thread until its result
+//! is ready; queued, it parks on its request's own slot.
+//! [`NormService::submit_async`] does not: on a busy shard it enqueues
+//! into the shard's combining queue and returns a [`NormTicket`]
 //! immediately, so a caller can overlap its own work with normalization
 //! the way an inference loop overlaps layers, then collect through
 //! [`NormTicket::try_take`] (poll), [`NormTicket::wait`] (park),
@@ -152,8 +153,10 @@
 //!
 //! Every path that sets the shutdown flag — [`NormService::shutdown`],
 //! the last handle's drop, poison and panic recovery — takes each
-//! shard's queue lock between the store and the condvar notifies, so a
+//! shard's queue lock between the store and the driver's notify, so a
 //! driver between its flag check and its park can never miss the wakeup.
+//! Submitters need no such wakeup: a queued request parks on its own
+//! slot, and the driver fills every slot it drains, shutdown or not.
 //!
 //! # Example
 //!
@@ -570,7 +573,6 @@ impl ServiceConfig {
             .into_iter()
             .map(|backend| Shard {
                 queue: Mutex::new(QueueState::default()),
-                queue_cv: Condvar::new(),
                 work_cv: Condvar::new(),
                 backend: Mutex::new(backend),
                 // Lazily built on the shard's first whitening request —
@@ -1403,12 +1405,15 @@ fn finish(result: SlotResult, sink: &mut Sink<'_>, pool: &BufferPool) -> Result<
     Ok(result.served)
 }
 
-/// One waiting submitter's mailbox. Filled by the shard's resident
-/// driver when its round serves the request; parked waiters are woken
-/// through the shard-level condvar (`Shard::queue_cv`), not per slot.
-/// The slot lock protects plain one-shot state, so a poisoned guard is
-/// recovered and used as-is — a panic cannot leave that state
-/// inconsistent.
+/// One waiting submitter's mailbox, and the only place a submitter of a
+/// queued request waits. Filled by the shard's resident driver once its
+/// round's stats are folded and the shard's claim is cleared, so a
+/// waiter that wakes finds its round already counted and the shard free
+/// for its next request. A parked waiter sleeps on the slot's own
+/// condvar — completion wakes exactly the waiter it served and never
+/// touches the shard's queue lock. The slot lock protects plain one-shot
+/// state, so a poisoned guard is recovered and used as-is — a panic
+/// cannot leave that state inconsistent.
 ///
 /// The `abandoned` flag is the async path's leak guard: a [`NormTicket`]
 /// dropped before its round ran sets it, and the eventual [`fill`](Slot::fill)
@@ -1423,6 +1428,9 @@ fn finish(result: SlotResult, sink: &mut Sink<'_>, pool: &BufferPool) -> Result<
 /// matter how registration races completion.
 struct Slot {
     state: Mutex<SlotState>,
+    /// Wakes the slot's one parked waiter when [`fill`](Slot::fill) lands
+    /// the outcome.
+    filled: Condvar,
     /// The shard pool an abandoned outcome's buffer returns to.
     pool: Arc<BufferPool>,
 }
@@ -1438,6 +1446,7 @@ impl Slot {
     fn new(pool: Arc<BufferPool>) -> Arc<Self> {
         Arc::new(Slot {
             state: Mutex::new(SlotState::default()),
+            filled: Condvar::new(),
             pool,
         })
     }
@@ -1456,7 +1465,11 @@ impl Slot {
             return None;
         }
         state.outcome = Some(outcome);
-        state.waker.take()
+        let waker = state.waker.take();
+        drop(state);
+        // A slot has one owner, so there is at most one parked waiter.
+        self.filled.notify_one();
+        waker
     }
 
     /// Register a completion callback. If the outcome already arrived,
@@ -1472,12 +1485,32 @@ impl Slot {
         None
     }
 
-    fn take(&self) -> Option<SlotOutcome> {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .outcome
-            .take()
+    /// Take the outcome, parking on the slot per `mode` until the driver
+    /// fills it. `None` only when `mode` gave up first.
+    fn take(&self, mode: WaitMode) -> Option<SlotOutcome> {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if let Some(outcome) = state.outcome.take() {
+                return Some(outcome);
+            }
+            state = match mode {
+                WaitMode::Poll => return None,
+                WaitMode::Forever => self
+                    .filled
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner),
+                WaitMode::Until(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return None;
+                    }
+                    self.filled
+                        .wait_timeout(state, deadline - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
+        }
     }
 
     /// Mark the slot abandoned (its ticket was dropped), returning any
@@ -1490,20 +1523,6 @@ impl Slot {
     }
 }
 
-/// How a pending entry's submitter waits for its outcome — the driver
-/// uses this during panic delivery to pick the one *blocking* waiter
-/// whose thread re-raises the payload ([`NormTicket`] holders observe
-/// [`NormError::ServiceShutdown`] instead).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Waiter {
-    /// A [`NormService::submit`]/`submit_into` caller parked on the
-    /// shard's `queue_cv`.
-    Blocking,
-    /// A [`NormService::submit_async`] ticket — collected later, maybe
-    /// never.
-    Ticket,
-}
-
 /// A request parked in a shard's combining queue. Entries keep their
 /// class so a new high-priority arrival can find the end of the high
 /// prefix — the queue is always high-class entries first, each class in
@@ -1514,7 +1533,11 @@ struct PendingEntry {
     accepted: Instant,
     priority: Priority,
     kind: RequestKind,
-    waiter: Waiter,
+    /// A [`NormService::submit`]/`submit_into` caller parked on the slot,
+    /// not a [`NormService::submit_async`] ticket. Panic delivery re-raises
+    /// the payload on the round's first blocking entry; tickets observe
+    /// [`NormError::ServiceShutdown`] instead.
+    blocking: bool,
 }
 
 #[derive(Default)]
@@ -1551,13 +1574,10 @@ impl QueueState {
 #[repr(align(128))]
 struct Shard {
     queue: Mutex<QueueState>,
-    /// Wakes waiting submitters when a round completes and their slot may
-    /// be filled.
-    queue_cv: Condvar,
     /// Wakes the shard's resident driver: new work arrived, an inline
     /// caller released the claim with work queued behind it, or shutdown
-    /// was requested. Separate from `queue_cv` so submitter wakeups never
-    /// stampede the driver and vice versa.
+    /// was requested. The driver is the only thread that parks on it —
+    /// submitters park on their own [`Slot`].
     work_cv: Condvar,
     backend: Mutex<Box<dyn NormBackend>>,
     /// The shard's whitening executor, built from the config on the first
@@ -1633,19 +1653,19 @@ impl Drop for Inner {
 }
 
 impl Core {
-    /// Set the service-wide refusal flag and wake every parked driver and
-    /// waiter. Each shard's queue lock is taken between the store and
-    /// that shard's notifies: drivers check the flag under that lock
-    /// before parking, so each one either sees the flag or is already
-    /// parked when the notify lands — none can sit between its check and
-    /// its wait and miss both (the lost-wakeup race). Callers must hold
-    /// no queue lock.
+    /// Set the service-wide refusal flag and wake every parked driver.
+    /// Each shard's queue lock is taken between the store and that
+    /// shard's notify: drivers check the flag under that lock before
+    /// parking, so each one either sees the flag or is already parked
+    /// when the notify lands — none can sit between its check and its
+    /// wait and miss both (the lost-wakeup race). Submitters need no
+    /// wakeup: the drivers drain every admitted entry through shutdown,
+    /// and each fill wakes its own slot. Callers must hold no queue lock.
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         for shard in &self.shards {
             drop(self.queue_of(shard));
             shard.work_cv.notify_all();
-            shard.queue_cv.notify_all();
         }
     }
 
@@ -1660,41 +1680,6 @@ impl Core {
             Err(poisoned) => {
                 self.shutdown.store(true, Ordering::SeqCst);
                 poisoned.into_inner()
-            }
-        }
-    }
-
-    /// Block on a shard's condvar, recovering a poisoned guard the same
-    /// way [`queue_of`](Core::queue_of) does.
-    fn wait_on<'s>(
-        &self,
-        shard: &'s Shard,
-        guard: MutexGuard<'s, QueueState>,
-    ) -> MutexGuard<'s, QueueState> {
-        match shard.queue_cv.wait(guard) {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                self.shutdown.store(true, Ordering::SeqCst);
-                poisoned.into_inner()
-            }
-        }
-    }
-
-    /// [`wait_on`](Core::wait_on) bounded by `timeout` — the building
-    /// block of [`NormTicket::wait_timeout`]. Spurious wakeups and
-    /// timeouts look the same to the caller (a returned guard); the
-    /// caller re-checks its deadline against the clock.
-    fn wait_timeout_on<'s>(
-        &self,
-        shard: &'s Shard,
-        guard: MutexGuard<'s, QueueState>,
-        timeout: Duration,
-    ) -> MutexGuard<'s, QueueState> {
-        match shard.queue_cv.wait_timeout(guard, timeout) {
-            Ok((guard, _)) => guard,
-            Err(poisoned) => {
-                self.shutdown.store(true, Ordering::SeqCst);
-                poisoned.into_inner().0
             }
         }
     }
@@ -1759,7 +1744,7 @@ impl Core {
     /// built whitening executor missing behind a held lock): some thread
     /// panicked mid-protocol in a way poison recovery did not catch, so
     /// shard state can no longer be trusted. Marks the service shut
-    /// down, wakes every parked waiter, and returns the error the caller
+    /// down, wakes every parked driver, and returns the error the caller
     /// surfaces — never a panic, which would poison the locks the
     /// recovery helpers just rescued.
     fn torn_state(&self) -> NormError {
@@ -1789,14 +1774,9 @@ impl Core {
     }
 }
 
-/// Everything one driver round produced besides filled slots: the
-/// counters to fold into the shard stats and the ticket wakers to invoke
-/// once every lock is released.
-#[derive(Default)]
-struct RoundOutput {
-    stats: RoundStats,
-    wakers: Vec<ReadyWaker>,
-}
+/// A round's outcome for one entry, held back until the driver has
+/// folded the round's stats and released the shard's claim.
+type Fill = (Arc<Slot>, SlotOutcome);
 
 /// The resident driver loop for shard `idx` — the only thread that
 /// drains this shard's combining queue and runs its rounds. Parks on
@@ -1806,8 +1786,15 @@ struct RoundOutput {
 /// round, holds the coalescing window open when one is configured, and
 /// exits once shutdown is requested *and* the queue is empty — work
 /// admitted before shutdown always executes.
+///
+/// A round's slots are filled only after its stats are folded and the
+/// claim is cleared: a woken submitter then finds its request in
+/// [`NormService::stats`], and its next request on the now idle shard
+/// runs inline instead of queueing behind a round that already ended.
 fn driver_loop(core: &Core, idx: usize) {
     let shard = &core.shards[idx];
+    // Reused across rounds, so steady-state serving does not allocate.
+    let mut fills: Vec<Fill> = Vec::new();
     loop {
         let mut queue = core.queue_of(shard);
         while queue.pending.is_empty() || queue.claimed {
@@ -1862,31 +1849,33 @@ fn driver_loop(core: &Core, idx: usize) {
         let failed = queue.failed;
         drop(queue);
 
-        let output = if failed {
-            let mut output = RoundOutput::default();
-            fail_entries(shard, entries, &mut output.wakers);
-            output
+        let round = if failed {
+            fail_entries(shard, entries, &mut fills);
+            RoundStats::default()
         } else {
-            run_round(core, shard, entries)
+            run_round(core, shard, entries, &mut fills)
         };
         {
             let mut queue = core.queue_of(shard);
-            queue.stats.batches += output.stats.batches;
-            queue.stats.rows += output.stats.rows;
-            queue.stats.whiten_rows += output.stats.whiten_rows;
-            queue.stats.coalesced_requests += output.stats.coalesced_requests;
-            queue.stats.queue_wait += output.stats.queue_wait;
-            queue.stats.execute += output.stats.execute;
+            queue.stats.batches += round.batches;
+            queue.stats.rows += round.rows;
+            queue.stats.whiten_rows += round.whiten_rows;
+            queue.stats.coalesced_requests += round.coalesced_requests;
+            queue.stats.queue_wait += round.queue_wait;
+            queue.stats.execute += round.execute;
             queue.stats.worker_busy += busy_from.elapsed();
             queue.claimed = false;
         }
-        shard.queue_cv.notify_all();
+        let wakers: Vec<ReadyWaker> = fills
+            .drain(..)
+            .filter_map(|(slot, outcome)| slot.fill(outcome))
+            .collect();
         // Wakers are caller code: run them after every shard lock is
         // released, contain their panics, and count the containments —
         // one throwing callback must not take down the driver or block
         // the other tickets' callbacks.
         let mut waker_panics = 0u64;
-        for waker in output.wakers {
+        for waker in wakers {
             if catch_unwind(AssertUnwindSafe(waker)).is_err() {
                 waker_panics += 1;
             }
@@ -1899,16 +1888,15 @@ fn driver_loop(core: &Core, idx: usize) {
 
 /// Fail every entry with [`NormError::ServiceShutdown`], recycling its
 /// payload buffer — the drain path for a shard whose backend tore.
-fn fail_entries(shard: &Shard, entries: Vec<PendingEntry>, wakers: &mut Vec<ReadyWaker>) {
+fn fail_entries(shard: &Shard, entries: Vec<PendingEntry>, fills: &mut Vec<Fill>) {
     for entry in entries {
-        let PendingEntry { bits, slot, .. } = entry;
-        shard.pool.give_back(bits);
-        wakers.extend(slot.fill(Err(SlotFail::Err(NormError::ServiceShutdown))));
+        shard.pool.give_back(entry.bits);
+        fills.push((entry.slot, Err(SlotFail::Err(NormError::ServiceShutdown))));
     }
 }
 
 /// Contain a backend panic caught mid-round: mark the service shut down
-/// and the shard failed, wake everything, and deliver the payload to the
+/// and the shard failed, wake the drivers, and queue the payload for the
 /// round's first *blocking* waiter — its submitter re-raises it on its
 /// own thread, preserving the panicking-backend contract the resilience
 /// suite pins — while every other waiter observes
@@ -1919,24 +1907,21 @@ fn deliver_panic(
     shard: &Shard,
     payload: Box<dyn Any + Send>,
     entries: Vec<PendingEntry>,
-    wakers: &mut Vec<ReadyWaker>,
+    fills: &mut Vec<Fill>,
 ) {
     core.queue_of(shard).failed = true;
     core.request_shutdown();
     let mut payload = Some(payload);
     for entry in entries {
-        let PendingEntry {
-            bits, slot, waiter, ..
-        } = entry;
-        shard.pool.give_back(bits);
+        shard.pool.give_back(entry.bits);
         let fail = match payload.take() {
-            Some(caught) if waiter == Waiter::Blocking => SlotFail::Panic(caught),
+            Some(caught) if entry.blocking => SlotFail::Panic(caught),
             recovered => {
                 payload = recovered;
                 SlotFail::Err(NormError::ServiceShutdown)
             }
         };
-        wakers.extend(slot.fill(Err(fail)));
+        fills.push((entry.slot, Err(fail)));
     }
 }
 
@@ -1994,45 +1979,43 @@ fn execute(
     }
 }
 
-/// Run one combining round: execute the drained entries, split the
-/// output back per caller and fill the waiters' slots. The entries are
+/// Run one combining round: execute the drained entries and queue each
+/// waiter's outcome on `fills`. The entries are
 /// partitioned by [`RequestKind`] — normalization rows and whitening
 /// groups execute through different backend calls, so a mixed round
 /// issues one sub-batch per kind present (arrival order preserved within
 /// each). Panic-safe: a backend panic is caught and contained via
 /// [`deliver_panic`] — the driver thread itself never unwinds.
-fn run_round(core: &Core, shard: &Shard, entries: Vec<PendingEntry>) -> RoundOutput {
+fn run_round(
+    core: &Core,
+    shard: &Shard,
+    entries: Vec<PendingEntry>,
+    fills: &mut Vec<Fill>,
+) -> RoundStats {
     let (whiten, norm): (Vec<_>, Vec<_>) = entries
         .into_iter()
         .partition(|entry| entry.kind == RequestKind::Whiten);
-    let mut output = RoundOutput::default();
+    let mut round = RoundStats::default();
     if !norm.is_empty() {
-        let sub = run_subround(
-            core,
-            shard,
-            norm,
-            RequestKind::Normalize,
-            &mut output.wakers,
-        );
-        output.stats.absorb(sub);
+        let sub = run_subround(core, shard, norm, RequestKind::Normalize, fills);
+        round.absorb(sub);
     }
     if !whiten.is_empty() {
         // A normalization panic earlier in this same round failed the
         // shard; its whitening share must fail too, not execute on torn
         // state.
         if core.queue_of(shard).failed {
-            fail_entries(shard, whiten, &mut output.wakers);
+            fail_entries(shard, whiten, fills);
         } else {
-            let sub = run_subround(core, shard, whiten, RequestKind::Whiten, &mut output.wakers);
-            output.stats.absorb(sub);
+            let sub = run_subround(core, shard, whiten, RequestKind::Whiten, fills);
+            round.absorb(sub);
         }
     }
-    output
+    round
 }
 
 /// Execute one kind's share of a combining round as a single backend
-/// call and fill its waiters' slots, collecting any registered ticket
-/// wakers into `wakers` for the driver to invoke lock-free.
+/// call and queue its waiters' outcomes on `fills`.
 ///
 /// One path for one entry or many: the call runs **in place** over the
 /// entries' own payload buffers (encoded at enqueue and owned by the
@@ -2047,7 +2030,7 @@ fn run_subround(
     shard: &Shard,
     mut entries: Vec<PendingEntry>,
     kind: RequestKind,
-    wakers: &mut Vec<ReadyWaker>,
+    fills: &mut Vec<Fill>,
 ) -> RoundStats {
     let d = core.config.d;
     let batch_requests = entries.len();
@@ -2088,19 +2071,20 @@ fn run_subround(
                     batch_rows,
                     batch_requests,
                 };
-                wakers.extend(entry.slot.fill(Ok(SlotResult {
+                let result = SlotResult {
                     bits: entry.bits,
                     served,
-                })));
+                };
+                fills.push((entry.slot, Ok(result)));
             }
         }
         Ok(Err(err)) => {
             for entry in entries {
                 shard.pool.give_back(entry.bits);
-                wakers.extend(entry.slot.fill(Err(SlotFail::Err(err.clone()))));
+                fills.push((entry.slot, Err(SlotFail::Err(err.clone()))));
             }
         }
-        Err(payload) => deliver_panic(core, shard, payload, entries, wakers),
+        Err(payload) => deliver_panic(core, shard, payload, entries, fills),
     }
     sub
 }
@@ -2306,7 +2290,7 @@ impl NormService {
                 TicketRepr::Immediate(Some(self.inline_ticket(&request, shard, claim, accepted)))
             }
             Admission::Queue => {
-                let slot = self.enqueue(shard, &request, accepted, Waiter::Ticket)?;
+                let slot = self.enqueue(shard, &request, accepted, false)?;
                 TicketRepr::Queued { slot, accepted }
             }
         };
@@ -2346,9 +2330,8 @@ impl NormService {
     /// The submission protocol [`submit`](NormService::submit) and
     /// [`submit_into`](NormService::submit_into) share, writing the
     /// normalized bits into `sink`: run on the calling thread when
-    /// [`admit`](NormService::admit) grants it, otherwise enqueue (subject
-    /// to the shard's queue-depth bound) and park on the shard condvar
-    /// until the resident driver's round serves us. The driver stays the
+    /// [`admit`](NormService::admit) grants it, otherwise hand off to
+    /// [`serve_queued`](NormService::serve_queued). The driver stays the
     /// only thread that runs queued work, and an inline caller runs only
     /// its own request, so no submitter is ever held serving other
     /// callers' traffic.
@@ -2365,25 +2348,37 @@ impl NormService {
         if let Admission::Inline(claim) = self.admit(shard, request)? {
             return self.run_inline(request, sink, shard, claim, accepted);
         }
-        let slot = self.enqueue(shard, request, accepted, Waiter::Blocking)?;
-        let mut queue = self.inner.queue_of(shard);
-        loop {
-            if let Some(outcome) = slot.take() {
-                drop(queue);
-                return match outcome {
-                    Ok(result) => finish(result, sink, &shard.pool),
-                    Err(SlotFail::Err(err)) => Err(err),
-                    // The round that served us caught a backend panic and
-                    // elected this blocking waiter to re-raise it: the
-                    // panic surfaces on a submitter thread exactly as it
-                    // did when submitters ran rounds themselves.
-                    Err(SlotFail::Panic(payload)) => resume_unwind(payload),
-                };
-            }
-            // The driver is guaranteed to serve every admitted entry
-            // (enqueue re-checks shutdown under the queue lock), so
-            // parking here cannot strand us.
-            queue = self.inner.wait_on(shard, queue);
+        self.serve_queued(request, sink, shard, accepted)
+    }
+
+    /// The queued half of [`serve`](NormService::serve): enqueue (subject
+    /// to the shard's queue-depth bound), then park on the request's own
+    /// slot until the resident driver's round fills it. Out of line and
+    /// cold, so the inline path that an idle shard takes stays small:
+    /// with this wait inlined into `serve`, the closed-loop inline
+    /// benchmark's p99 read worse.
+    #[cold]
+    #[inline(never)]
+    fn serve_queued(
+        &self,
+        request: &NormRequest<'_>,
+        sink: &mut Sink<'_>,
+        shard: &Shard,
+        accepted: Instant,
+    ) -> Result<Served, NormError> {
+        let slot = self.enqueue(shard, request, accepted, true)?;
+        // The driver is guaranteed to serve every admitted entry (enqueue
+        // re-checks shutdown under the queue lock), so parking here
+        // cannot strand us.
+        match slot.take(WaitMode::Forever) {
+            Some(Ok(result)) => finish(result, sink, &shard.pool),
+            Some(Err(SlotFail::Err(err))) => Err(err),
+            // The round that served us caught a backend panic and elected
+            // this blocking waiter to re-raise it: the panic surfaces on
+            // a submitter thread, never silently in the driver.
+            Some(Err(SlotFail::Panic(payload))) => resume_unwind(payload),
+            // A forever wait returns only with the outcome.
+            None => Err(self.inner.torn_state()),
         }
     }
 
@@ -2528,7 +2523,7 @@ impl NormService {
         shard: &Shard,
         request: &NormRequest<'_>,
         accepted: Instant,
-        waiter: Waiter,
+        blocking: bool,
     ) -> Result<Arc<Slot>, NormError> {
         let depth = self.inner.config.queue_depth;
         let limit = match request.priority() {
@@ -2568,7 +2563,7 @@ impl NormService {
             accepted,
             priority: request.priority(),
             kind: request.kind(),
-            waiter,
+            blocking,
         };
         match request.priority() {
             Priority::Normal => queue.pending.push(entry),
@@ -2588,9 +2583,9 @@ impl NormService {
             }
         }
         drop(queue);
-        // Wake the resident driver (it parks on `work_cv`, never on the
-        // submitters' `queue_cv`) — an arrival during an open window
-        // lands in the batch; otherwise this starts a round.
+        // Wake the resident driver (submitters park on their slots, so
+        // `work_cv` wakes only the driver) — an arrival during an open
+        // window lands in the batch; otherwise this starts a round.
         shard.work_cv.notify_all();
         Ok(slot)
     }
@@ -2820,7 +2815,8 @@ impl NormService {
     }
 }
 
-/// How a ticket poll is willing to wait for its outcome.
+/// How a collect is willing to wait for its slot's outcome.
+#[derive(Clone, Copy)]
 enum WaitMode {
     /// Return `None` the moment progress would require parking.
     Poll,
@@ -2854,7 +2850,8 @@ enum TicketRepr {
 /// ticket never runs rounds itself, so every collect method is pure
 /// waiting: [`try_take`](NormTicket::try_take) peeks the mailbox,
 /// [`wait`](NormTicket::wait) / [`wait_timeout`](NormTicket::wait_timeout)
-/// park on the shard condvar, and [`on_ready`](NormTicket::on_ready)
+/// park on the request's own slot (never on shard state), and
+/// [`on_ready`](NormTicket::on_ready)
 /// registers a callback the driver invokes the moment the outcome lands
 /// (see also [`TicketSet`] for collecting many tickets without polling).
 ///
@@ -2959,8 +2956,8 @@ impl NormTicket {
         self.poll(mode)
     }
 
-    /// The shared collect protocol: check the mailbox, park according to
-    /// `mode` until the resident driver fills it.
+    /// The shared collect protocol: check the mailbox, park on the slot
+    /// according to `mode` until the resident driver fills it.
     fn poll(&mut self, mode: WaitMode) -> Option<Result<NormResponse, NormError>> {
         assert!(
             !self.delivered,
@@ -2975,7 +2972,24 @@ impl NormTicket {
                     // immediate ticket holds its outcome by construction.
                     .expect("undelivered immediate ticket holds its outcome"),
             ),
-            TicketRepr::Queued { .. } => self.poll_queued(mode),
+            // Admitted entries are always driven to completion (the
+            // drivers drain their queues even through shutdown), so
+            // parking cannot strand the collector.
+            TicketRepr::Queued { slot, accepted } => {
+                let shard = &self.core.shards[self.shard_idx];
+                slot.take(mode).map(|outcome| match outcome {
+                    Ok(result) => {
+                        Ok(self
+                            .core
+                            .respond(shard, result.bits, &result.served, *accepted))
+                    }
+                    // Tickets never re-raise a contained panic (the
+                    // collector may be an event loop that outlives the
+                    // service); they observe the same clean shutdown
+                    // error every other waiter gets.
+                    Err(fail) => Err(fail.into_error()),
+                })
+            }
         };
         if outcome.is_some() {
             self.delivered = true;
@@ -3037,54 +3051,6 @@ impl NormTicket {
                 }
             }
         }
-    }
-
-    /// The combining-queue side of [`poll`](NormTicket::poll). Mirrors the
-    /// waiter loop of the blocking path: check the mailbox, park on the
-    /// shard condvar until the resident driver's round fills it.
-    fn poll_queued(&self, mode: WaitMode) -> Option<Result<NormResponse, NormError>> {
-        let TicketRepr::Queued { slot, accepted } = &self.repr else {
-            unreachable!("poll_queued is only called on queued tickets");
-        };
-        let core = &self.core;
-        let shard = &core.shards[self.shard_idx];
-        let mut queue = core.queue_of(shard);
-        loop {
-            if let Some(outcome) = slot.take() {
-                drop(queue);
-                return Some(self.deliver(outcome, *accepted));
-            }
-            queue = match mode {
-                WaitMode::Poll => return None,
-                // Admitted entries are always driven to completion (the
-                // drivers drain their queues even through shutdown), so
-                // parking here cannot strand the collector.
-                WaitMode::Forever => core.wait_on(shard, queue),
-                WaitMode::Until(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return None;
-                    }
-                    core.wait_timeout_on(shard, queue, deadline - now)
-                }
-            };
-        }
-    }
-
-    /// Wrap a served outcome as the public response, stamping the all-in
-    /// elapsed span (acceptance at submit to delivery here).
-    fn deliver(&self, outcome: SlotOutcome, accepted: Instant) -> Result<NormResponse, NormError> {
-        let result = match outcome {
-            Ok(result) => result,
-            // Tickets never re-raise a contained panic (the collector may
-            // be an event loop that outlives the service); they observe
-            // the same clean shutdown error every other waiter gets.
-            Err(fail) => return Err(fail.into_error()),
-        };
-        let shard = &self.core.shards[self.shard_idx];
-        Ok(self
-            .core
-            .respond(shard, result.bits, &result.served, accepted))
     }
 }
 

@@ -11,6 +11,9 @@
 //!   behind it and is served by the driver once the claim is released —
 //!   never stranded, never run by the inline caller.
 //! * A service with a fixed coalescing window never runs inline.
+//! * A queued blocking submit returns only once its round is counted in
+//!   `stats()` and the shard's claim is free: the caller's next submit
+//!   on the idle shard runs inline.
 //! * A panic inside an inline call surfaces on the caller's thread and
 //!   fails the shard like a driver-round panic: a ticket queued behind
 //!   it collects `ServiceShutdown` instead of hanging.
@@ -140,6 +143,10 @@ impl Gate {
     fn open(&self) {
         self.state.lock().unwrap().open = true;
         self.cv.notify_all();
+    }
+
+    fn close(&self) {
+        self.state.lock().unwrap().open = false;
     }
 
     fn entered(&self) -> Vec<String> {
@@ -449,6 +456,60 @@ fn a_fixed_window_never_runs_inline() {
         entered.iter().all(|name| is_driver(name)),
         "a windowed service ran a backend call off the driver: {entered:?}"
     );
+}
+
+#[test]
+fn a_queued_submit_returns_after_its_round_is_counted_and_released() {
+    // The driver fills a round's slots only after it has folded the
+    // round's stats and cleared the shard's claim. A submitter woken any
+    // earlier would read stats without its own rows, or find the shard
+    // still claimed and queue its next request behind a finished round.
+    const ROUNDS: usize = 1_500;
+    let gate = Gate::new(true);
+    let service = gated(ServiceConfig::new(D), &gate, false);
+    let bits = request_bits(1, 0x5800);
+    let mut out = vec![0u32; bits.len()];
+    let me = std::thread::current().name().unwrap_or("").to_string();
+    for round in 0..ROUNDS {
+        let before = service.stats();
+        let calls = gate.entered().len();
+        gate.close();
+        std::thread::scope(|scope| {
+            // The holder runs inline and waits in the gate with the
+            // shard's claim, so our submit below has to queue.
+            let holder = std::thread::Builder::new()
+                .name(CALLER.into())
+                .spawn_scoped(scope, || service.submit(NormRequest::bits(&bits)))
+                .unwrap();
+            gate.await_entered(calls + 1);
+            scope.spawn(|| {
+                await_accepted(&service, before.requests + 2);
+                gate.open();
+            });
+            service
+                .submit_into(NormRequest::bits(&bits), &mut out)
+                .unwrap();
+            assert_eq!(
+                service.stats().rows,
+                before.rows + 2,
+                "round {round}: a queued submit returned before its round was counted"
+            );
+            service
+                .submit_into(NormRequest::bits(&bits), &mut out)
+                .unwrap();
+            assert_eq!(holder.join().unwrap().unwrap().bits(), &bits[..]);
+        });
+        let entered = gate.entered();
+        let this_round = &entered[calls..];
+        assert_eq!(this_round.len(), 3, "round {round}: {this_round:?}");
+        assert_eq!(this_round[0], CALLER, "round {round}: {this_round:?}");
+        assert!(is_driver(&this_round[1]), "round {round}: {this_round:?}");
+        assert_eq!(
+            this_round[2], me,
+            "round {round}: the next submit queued behind a finished round"
+        );
+    }
+    assert_eq!(out, bits);
 }
 
 #[test]

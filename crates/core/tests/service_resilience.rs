@@ -91,10 +91,13 @@ impl Gate {
 }
 
 /// An injected backend that waits at the gate, then either panics (if
-/// `panics`) or copies the input bits through unchanged.
+/// `panics`; with `driver_only`, only on a resident shard driver, whose
+/// threads are named `ns{service}s{shard}d`) or copies the input bits
+/// through unchanged.
 struct GatedBackend {
     gate: Arc<Gate>,
     panics: bool,
+    driver_only: bool,
 }
 
 impl NormBackend for GatedBackend {
@@ -121,7 +124,12 @@ impl NormBackend for GatedBackend {
         _threads: usize,
     ) -> Result<usize, NormError> {
         self.gate.pass();
-        assert!(!self.panics, "injected backend panic");
+        let name = std::thread::current().name().unwrap_or("").to_string();
+        let on_driver = name.starts_with("ns") && name.ends_with('d');
+        assert!(
+            !self.panics || (self.driver_only && !on_driver),
+            "injected backend panic"
+        );
         out.copy_from_slice(input);
         Ok(input.len() / D)
     }
@@ -147,6 +155,7 @@ fn gated_service(gate: &Arc<Gate>, panics: bool, queue_depth: usize) -> iterl2no
             Box::new(GatedBackend {
                 gate: Arc::clone(gate),
                 panics,
+                driver_only: false,
             })
         })
         .unwrap()
@@ -668,6 +677,67 @@ fn panicking_round_fails_queued_tickets_cleanly() {
         service.submit_async(NormRequest::bits(&bits)).unwrap_err(),
         NormError::ServiceShutdown
     );
+}
+
+#[test]
+fn a_panicking_round_re_raises_on_its_blocking_submitter_behind_a_ticket() {
+    // One driver round drains [ticket, blocking submit] and its backend
+    // call panics. The payload goes to the round's first *blocking*
+    // entry, not to its first entry: the submitter re-raises it, and the
+    // ticket ahead of it collects a clean ServiceShutdown.
+    let gate = Gate::new();
+    let service = ServiceConfig::new(D)
+        .build_with_backends(|| {
+            Box::new(GatedBackend {
+                gate: Arc::clone(&gate),
+                panics: true,
+                driver_only: true,
+            })
+        })
+        .unwrap();
+
+    std::thread::scope(|scope| {
+        // The holder runs inline (no panic off the driver) and holds the
+        // shard's claim in the gate, so both requests below queue into
+        // one round.
+        let holder = {
+            let service = service.clone();
+            scope.spawn(move || {
+                let bits = row_bits(90);
+                service.submit(NormRequest::bits(&bits)).map(|r| r.rows())
+            })
+        };
+        gate.await_entered();
+
+        let bits = row_bits(91);
+        let mut ticket = service.submit_async(NormRequest::bits(&bits)).unwrap();
+        let blocking = {
+            let service = service.clone();
+            scope.spawn(move || {
+                let bits = row_bits(92);
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    service.submit(NormRequest::bits(&bits)).map(|r| r.rows())
+                }))
+            })
+        };
+        await_accepted(&service, 3);
+
+        gate.open();
+        assert_eq!(holder.join().unwrap(), Ok(1));
+        let payload = blocking
+            .join()
+            .unwrap()
+            .expect_err("the round's blocking submitter must re-raise the panic");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"injected backend panic")
+        );
+        assert_eq!(ticket.wait().unwrap_err(), NormError::ServiceShutdown);
+    });
+    assert!(service.is_shutdown());
+    let stats = service.stats();
+    assert_eq!(stats.requests, 3);
+    assert_eq!(stats.rows, 1, "only the holder's inline call produced rows");
 }
 
 #[test]

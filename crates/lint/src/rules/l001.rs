@@ -19,10 +19,11 @@ use crate::lexer::TokenKind;
 use crate::rules::RuleCtx;
 
 /// Methods whose result must never be unwrapped (prong 1 chain tails).
-// The `Condvar::wait` family is deliberately absent: in this workspace
-// condvar waits only happen through the shard recovery helpers
-// (`wait_on`/`wait_timeout_on`), while `wait` is also the name of the
-// public `NormTicket::wait` (a service `Result`, fine to expect on).
+// The `Condvar::wait` family is deliberately absent: in the service a
+// submitter's only condvar wait is on its own request slot
+// (`Slot::take`), which recovers poison with `unwrap_or_else`, while
+// `wait` is also the name of the public `NormTicket::wait` (a service
+// `Result`, fine to expect on).
 const LOCK_METHODS: &[&str] = &["lock", "try_lock", "read", "try_read", "write", "try_write"];
 
 /// Flag `.unwrap()`/`.expect()` on lock results (and any panic in a

@@ -8,11 +8,12 @@
 //! (`.lock()`, `.try_lock()` and the shard helpers `queue_of` /
 //! `backend_of` / `whiten_of`), retires them at `drop(name)` or when
 //! their block closes, and flags any new acquisition made while one is
-//! live. `wait_on`/`wait_timeout_on` are *not* acquisitions — they
-//! consume and return the guard they are given (condvar waits release
-//! the lock). `.read()`/`.write()` are excluded to avoid colliding with
-//! `io::Read`/`io::Write`; the workspace's RwLocks are all behind the
-//! shard helpers anyway.
+//! live. Condvar waits (`wait`, `wait_timeout`: the driver's park on
+//! `work_cv`, a submitter's park on its own request slot) are *not*
+//! acquisitions — they consume and return the guard they are given and
+//! release the lock while parked. `.read()`/`.write()` are excluded to
+//! avoid colliding with `io::Read`/`io::Write`; the workspace's RwLocks
+//! are all behind the shard helpers anyway.
 
 use crate::diag::{Diagnostic, RuleId};
 use crate::lexer::TokenKind;
