@@ -2,20 +2,24 @@
 //!
 //! Method selection goes through the core crate's [`MethodSpec`] registry
 //! (`--method iterl2|fisr|exact|lut`, with an optional `:parameter`
-//! suffix). Every normalization subcommand routes through the type-erased
-//! [`NormService`] front door — one `ServiceConfig` names the
-//! format × backend × method × shards execution point, and no per-format
-//! dispatch macro is needed on this side of the API. Format and backend
-//! names parse case-insensitively.
+//! suffix). `batch` and `serve` build one type-erased [`NormService`]
+//! from their flags — one `ServiceConfig` names the format × backend ×
+//! method × shards execution point. The reporting subcommands call the
+//! engine directly: `normalize` and `demo` run a backend's detailed row
+//! path, `whiten` a whitening executor's convergence check, and `rsqrt`
+//! the scalar iteration. Format and backend names parse
+//! case-insensitively.
 
 use std::time::{Duration, Instant};
 
 use iterl2norm::service::{NormRequest, NormService, Placement, ServiceConfig};
 use iterl2norm::{
-    BackendKind, FormatKind, GroupMode, MethodSpec, NormError, SimdLevel, WhitenSpec,
+    build_backend_simd, build_whiten, iterate, layer_norm, BackendKind, FormatKind, GroupMode,
+    IterConfig, IterTrace, LayerNormInputs, MethodSpec, NormError, ReduceOrder, RowMoments,
+    SimdLevel, WhitenSpec,
 };
 use macrosim::{activity_trace, utilization, IterL2NormMacro, MacroConfig};
-use softfloat::{Bf16, Fp16, Fp32};
+use softfloat::{Bf16, Float, Fp16, Fp32, HostF32};
 use synthmodel::CostModel;
 use workloads::VectorGen;
 
@@ -38,7 +42,7 @@ USAGE:
   iterl2norm cost [--format …]
       Print the 32/28nm cost-model report (Table II row + breakdown).
   iterl2norm demo [--d LEN] [--format …] [--backend B] [--method M] [--seed S]
-                  [--shards S] [--queue-depth Q] [--placement P] [--simd L]
+                  [--simd L]
       Normalize a random uniform(-1,1) vector end to end.
   iterl2norm batch [--d LEN] [--rows R] [--format …] [--backend B]
                    [--method M] [--seed S]
@@ -210,9 +214,8 @@ fn placement_arg(parsed: &Parsed) -> Result<Placement, String> {
 }
 
 /// Build the [`NormService`] for the parsed `--backend`/`--format`/
-/// `--shards`/`--queue-depth` flags — the single dispatch point every
-/// normalization subcommand shares (the old per-format `with_exec!`
-/// macro, type-erased away).
+/// `--shards`/`--queue-depth`/`--placement`/`--simd`/`--window-us`
+/// flags — what `batch` and `serve` run on.
 fn build_service(parsed: &Parsed, d: usize, spec: MethodSpec) -> Result<NormService, String> {
     let backend = backend_kind(parsed)?;
     let format = format_kind(parsed)?;
@@ -255,6 +258,102 @@ macro_rules! with_format {
     }};
 }
 
+/// Dispatch a body over the concrete [`Float`] type a `(backend, format)`
+/// pair executes: `HostF32` for native FP32, the softfloat type for the
+/// emulator. Native with a narrower format is the engine's own
+/// [`NormError::BackendFormatMismatch`]. The body evaluates to a
+/// `Result<_, NormError>`.
+macro_rules! with_exec_float {
+    ($backend:expr, $format:expr, $f:ident => $body:expr) => {
+        match ($backend, $format) {
+            (BackendKind::Native, FormatKind::Fp32) => {
+                type $f = HostF32;
+                $body
+            }
+            (BackendKind::Native, format) => Err(NormError::BackendFormatMismatch {
+                backend: BackendKind::Native.name(),
+                format: format.name(),
+            }),
+            (BackendKind::Emulated, FormatKind::Fp32) => {
+                type $f = Fp32;
+                $body
+            }
+            (BackendKind::Emulated, FormatKind::Fp16) => {
+                type $f = Fp16;
+                $body
+            }
+            (BackendKind::Emulated, FormatKind::Bf16) => {
+                type $f = Bf16;
+                $body
+            }
+        }
+    };
+}
+
+/// Normalize one row on a backend built from the parsed
+/// `--backend`/`--format`/`--simd` flags, returning the output bits and
+/// the row's scalar intermediates — the path behind `normalize` and
+/// `demo`.
+fn detailed_row(
+    parsed: &Parsed,
+    spec: &MethodSpec,
+    bits: &[u32],
+) -> Result<(Vec<u32>, RowMoments), String> {
+    let mut backend = build_backend_simd(
+        backend_kind(parsed)?,
+        format_kind(parsed)?,
+        bits.len(),
+        spec,
+        ReduceOrder::default(),
+        simd_arg(parsed)?,
+    )
+    .map_err(|e| e.to_string())?;
+    let mut out = vec![0u32; bits.len()];
+    let moments = backend
+        .normalize_row_bits_detailed(bits, &mut out)
+        .map_err(|e| e.to_string())?;
+    Ok((out, moments))
+}
+
+/// `steps` iterations toward `1/√m` in the arithmetic of a
+/// `(backend, format)` pair (bit-identical between the two backends for
+/// FP32): `m` rounded into the format, and the trace widened to `f64`.
+pub(crate) fn rsqrt_trace(
+    backend: BackendKind,
+    format: FormatKind,
+    m: f64,
+    steps: u32,
+) -> Result<(f64, IterTrace<f64>), NormError> {
+    with_exec_float!(backend, format, F => {
+        let mf = F::from_f64(m);
+        let trace = iterate(mf, &IterConfig::fixed_steps(steps));
+        Ok((
+            mf.to_f64(),
+            IterTrace {
+                a0: trace.a0.to_f64(),
+                lambda: trace.lambda.to_f64(),
+                steps: trace.steps.iter().map(|a| a.to_f64()).collect(),
+            },
+        ))
+    })
+}
+
+/// The per-call baseline `batch` measures the engine against: one row
+/// through [`layer_norm`] the way pre-engine callers ran it, with the
+/// method's constants re-rounded and buffers allocated per call.
+pub(crate) fn per_call_row(
+    backend: BackendKind,
+    format: FormatKind,
+    spec: &MethodSpec,
+    row_bits: &[u32],
+) -> Result<Vec<u32>, NormError> {
+    with_exec_float!(backend, format, F => {
+        let x: Vec<F> = row_bits.iter().map(|&b| F::from_bits(b)).collect();
+        let z = layer_norm(LayerNormInputs::unscaled(&x), &spec.build::<F>())?;
+        Ok(z.iter().map(|v| v.to_bits()).collect())
+    })
+}
+
 /// `normalize` subcommand.
 pub fn normalize(parsed: &Parsed) -> Result<(), String> {
     let spec = method_spec(parsed)?;
@@ -266,26 +365,23 @@ pub fn normalize(parsed: &Parsed) -> Result<(), String> {
     if values.is_empty() {
         return Err("normalize needs at least one value".into());
     }
-    let service = build_service(parsed, values.len(), spec)?;
-    let format = service.format();
+    let format = format_kind(parsed)?;
     let bits: Vec<u32> = values.iter().map(|&v| format.encode_f64(v)).collect();
-    let (response, moments) = service
-        .submit_detailed(NormRequest::bits(&bits))
-        .map_err(|e| e.to_string())?;
+    let (out, moments) = detailed_row(parsed, &spec, &bits)?;
     let exact = iterl2norm::reference::normalize_f64(&values, 0.0);
     println!(
         "format {}  backend {}  d {}  method {}",
         format.name(),
-        service.backend().name(),
+        backend_kind(parsed)?.name(),
         values.len(),
-        service.method().label()
+        spec.label()
     );
     println!(
         "mean {:.6}  m {:.6}  scale {:.6}",
         moments.mean, moments.m, moments.scale
     );
     let mut max_err = 0.0f64;
-    for (i, (&b, e)) in response.bits().iter().zip(&exact).enumerate() {
+    for (i, (&b, e)) in out.iter().zip(&exact).enumerate() {
         let z = format.decode_f64(b);
         println!("  z[{i}] = {z:+.6}   (exact {e:+.6})");
         max_err = max_err.max((z - e).abs());
@@ -301,9 +397,10 @@ pub fn rsqrt(parsed: &Parsed) -> Result<(), String> {
         return Err("rsqrt needs --m with a nonnegative value".into());
     }
     let steps: u32 = parsed.num("steps", 5)?;
-    // d = 1: the service exists only to carry the (format, backend) pair.
-    let service = build_service(parsed, 1, MethodSpec::iterl2(5))?;
-    let trace = service.rsqrt_trace(m_val, steps);
+    let backend = backend_kind(parsed)?;
+    let format = format_kind(parsed)?;
+    let (m_rounded, trace) =
+        rsqrt_trace(backend, format, m_val, steps).map_err(|e| e.to_string())?;
     let target = if m_val > 0.0 {
         1.0 / m_val.sqrt()
     } else {
@@ -311,9 +408,9 @@ pub fn rsqrt(parsed: &Parsed) -> Result<(), String> {
     };
     println!(
         "format {}  backend {}  m = {}  target 1/sqrt(m) = {target:.9}",
-        service.format().name(),
-        service.backend().name(),
-        trace.m
+        format.name(),
+        backend.name(),
+        m_rounded
     );
     println!("a0     = {:.9}   (Eq. 6 exponent seed)", trace.a0);
     println!("lambda = {:.9}   (Eq. 10 exponent rate)", trace.lambda);
@@ -389,8 +486,7 @@ pub fn demo(parsed: &Parsed) -> Result<(), String> {
     let d: usize = parsed.num("d", 768)?;
     let seed: u64 = parsed.num("seed", 0)?;
     let spec = method_spec(parsed)?;
-    let service = build_service(parsed, d, spec)?;
-    let format = service.format();
+    let format = format_kind(parsed)?;
     let bits: Vec<u32> = VectorGen::paper()
         .vector_f64(d, seed)
         .iter()
@@ -398,22 +494,20 @@ pub fn demo(parsed: &Parsed) -> Result<(), String> {
         .collect();
     // The f64 view of the format-rounded input, as the typed path saw it.
     let xf: Vec<f64> = bits.iter().map(|&b| format.decode_f64(b)).collect();
-    let (response, moments) = service
-        .submit_detailed(NormRequest::bits(&bits))
-        .map_err(|e| e.to_string())?;
+    let (out, moments) = detailed_row(parsed, &spec, &bits)?;
     let exact = iterl2norm::reference::normalize_f64(&xf, 1e-5);
     let mut stats = iterl2norm::metrics::ErrorStats::new();
-    for (&b, &e) in response.bits().iter().zip(&exact) {
+    for (&b, &e) in out.iter().zip(&exact) {
         stats.record(format.decode_f64(b), e);
     }
     // NOTE: this line is pinned byte-for-byte by the stdout goldens; the
-    // resolved SIMD tier is reported through `NormService::simd_level`
+    // resolved SIMD tier is reported through `NormBackend::simd_level`
     // (and the `serve` banner), not here.
     println!(
         "format {}  backend {}  d {d}  method {}  seed {seed}",
         format.name(),
-        service.backend().name(),
-        service.method().label()
+        backend_kind(parsed)?.name(),
+        spec.label()
     );
     println!("m = {:.4}  scale = {:.6}", moments.m, moments.scale);
     println!(
@@ -433,8 +527,8 @@ fn group_mode_arg(parsed: &Parsed) -> Result<GroupMode, String> {
     }
 }
 
-/// `whiten` subcommand: one `m × d` group through the service's whitening
-/// front door — the matrix generalization of what every other subcommand
+/// `whiten` subcommand: one `m × d` group through a whitening executor's
+/// convergence check — the matrix generalization of what `normalize`
 /// does per row.
 pub fn whiten(parsed: &Parsed) -> Result<(), String> {
     let d: usize = parsed.num("d", 16)?;
@@ -455,14 +549,10 @@ pub fn whiten(parsed: &Parsed) -> Result<(), String> {
         .with_t(t)
         .with_eps(eps)
         .with_group_mode(group_mode_arg(parsed)?);
-    let service = ServiceConfig::new(d)
-        .with_backend(backend_kind(parsed)?)
-        .with_format(format_kind(parsed)?)
-        .with_whiten(spec)
-        .with_simd(simd_arg(parsed)?)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let format = service.format();
+    let backend = backend_kind(parsed)?;
+    let format = format_kind(parsed)?;
+    let mut exec =
+        build_whiten(backend, format, d, spec, simd_arg(parsed)?).map_err(|e| e.to_string())?;
     let gen = VectorGen::paper();
     let mut bits: Vec<u32> = Vec::with_capacity(m * d);
     for row in 0..m as u64 {
@@ -473,8 +563,8 @@ pub fn whiten(parsed: &Parsed) -> Result<(), String> {
         );
     }
     let mut out = vec![0u32; bits.len()];
-    let detail = service
-        .whiten_check(&bits, &mut out, tol)
+    let detail = exec
+        .whiten_group_checked(&bits, &mut out, tol)
         .map_err(|e| e.to_string())?;
     // Whiteness self-check, off the bit path: a converged whitening leaves
     // the output group's covariance at the identity.
@@ -494,7 +584,7 @@ pub fn whiten(parsed: &Parsed) -> Result<(), String> {
     println!(
         "format {}  backend {}  d {d}  m {m}  {}  seed {seed}",
         format.name(),
-        service.backend().name(),
+        backend.name(),
         spec.label()
     );
     println!(
@@ -564,8 +654,8 @@ pub fn serve(parsed: &Parsed) -> Result<(), String> {
 }
 
 /// `batch` subcommand: the engine's reason to exist, measured. Generates a
-/// `rows x d` batch, normalizes it through the per-call compatibility path
-/// and through one service request, and reports rows/s.
+/// `rows x d` batch, normalizes it through the per-call baseline
+/// ([`per_call_row`]) and through one service request, and reports rows/s.
 pub fn batch(parsed: &Parsed) -> Result<(), String> {
     let d: usize = parsed.num("d", 768)?;
     let rows: usize = parsed.num("rows", 256)?;
@@ -588,10 +678,12 @@ pub fn batch(parsed: &Parsed) -> Result<(), String> {
 
     // Per-call path: plan constants re-rounded and buffers allocated
     // per row (what every caller did before the engine existed).
+    let per_row = |row: &[u32]| {
+        per_call_row(service.backend(), format, &spec, row).map_err(|e| e.to_string())
+    };
     let t0 = Instant::now();
     for row in flat.chunks_exact(d) {
-        let z = service.normalize_per_call(row).map_err(|e| e.to_string())?;
-        std::hint::black_box(z);
+        std::hint::black_box(per_row(row)?);
     }
     let per_call = t0.elapsed();
 
@@ -612,9 +704,7 @@ pub fn batch(parsed: &Parsed) -> Result<(), String> {
     // The two paths must agree bit for bit on the last row (cheap
     // self-check that the speedup isn't a different computation).
     let last = flat.len() - d;
-    let z_last = service
-        .normalize_per_call(&flat[last..])
-        .map_err(|e| e.to_string())?;
+    let z_last = per_row(&flat[last..])?;
     if response.bits()[last..] != z_last[..] {
         return Err("batch path diverged from per-call path".into());
     }

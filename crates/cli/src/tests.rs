@@ -1,6 +1,10 @@
 //! Command-level tests: every subcommand succeeds on valid input and
 //! reports a clear error on invalid input.
 
+use iterl2norm::service::{NormRequest, ServiceConfig};
+use iterl2norm::{iterate, BackendKind, FormatKind, IterConfig, MethodSpec, NormError};
+use softfloat::Fp16;
+
 use crate::args::Parsed;
 use crate::commands;
 
@@ -38,6 +42,57 @@ fn rsqrt_happy_and_invalid() {
     commands::rsqrt(&parsed(&["--m", "10.5", "--steps", "3"])).unwrap();
     assert!(commands::rsqrt(&parsed(&[])).is_err()); // missing --m
     assert!(commands::rsqrt(&parsed(&["--m", "-1"])).is_err());
+}
+
+#[test]
+fn per_call_path_matches_service_path() {
+    let d = 40;
+    let bits: Vec<u32> = (0..d as u64)
+        .map(|i| {
+            let v = ((i.wrapping_mul(2654435761).wrapping_add(9)) % 1000) as f64;
+            FormatKind::Fp32.encode_f64(v / 250.0 - 2.0)
+        })
+        .collect();
+    for backend in BackendKind::ALL {
+        for spec in MethodSpec::REGISTRY {
+            let service = ServiceConfig::new(d)
+                .with_backend(backend)
+                .with_method(spec)
+                .build()
+                .unwrap();
+            let via_service = service.submit(NormRequest::bits(&bits)).unwrap();
+            let via_per_call =
+                commands::per_call_row(backend, FormatKind::Fp32, &spec, &bits).unwrap();
+            assert_eq!(via_service.bits(), &via_per_call[..], "{}", service.label());
+        }
+    }
+    let spec = MethodSpec::iterl2(5);
+    assert_eq!(
+        commands::per_call_row(BackendKind::Emulated, FormatKind::Fp32, &spec, &[]).unwrap_err(),
+        NormError::EmptyInput
+    );
+}
+
+#[test]
+fn rsqrt_trace_matches_typed_iteration() {
+    let (m, trace) =
+        commands::rsqrt_trace(BackendKind::Emulated, FormatKind::Fp16, 10.5, 4).unwrap();
+    let typed = iterate(Fp16::from_f64(10.5), &IterConfig::fixed_steps(4));
+    assert_eq!(m, Fp16::from_f64(10.5).to_f64());
+    assert_eq!(trace.a0, typed.a0.to_f64());
+    assert_eq!(trace.lambda, typed.lambda.to_f64());
+    assert_eq!(trace.steps.len(), 4);
+    for (a, b) in trace.steps.iter().zip(&typed.steps) {
+        assert_eq!(*a, b.to_f64());
+    }
+    // Native arithmetic runs FP32 only, like the native backend.
+    assert_eq!(
+        commands::rsqrt_trace(BackendKind::Native, FormatKind::Fp16, 10.5, 4).unwrap_err(),
+        NormError::BackendFormatMismatch {
+            backend: "native-f32",
+            format: "FP16",
+        }
+    );
 }
 
 #[test]
@@ -116,7 +171,7 @@ fn batch_runs_and_validates_args() {
 
 #[test]
 fn sharding_flags_happy_paths_and_rejections() {
-    // Sharded execution end to end on batch and demo (output bits are
+    // Sharded execution end to end on batch (output bits are
     // shard-independent, so these succeed identically to --shards 1).
     commands::batch(&parsed(&["--d", "32", "--rows", "8", "--shards", "2"])).unwrap();
     commands::batch(&parsed(&[
@@ -132,9 +187,11 @@ fn sharding_flags_happy_paths_and_rejections() {
         "native",
     ]))
     .unwrap();
-    commands::demo(&parsed(&[
+    commands::batch(&parsed(&[
         "--d",
         "48",
+        "--rows",
+        "4",
         "--shards",
         "2",
         "--queue-depth",
@@ -147,10 +204,10 @@ fn sharding_flags_happy_paths_and_rejections() {
         err.contains("--shards") && err.contains("at least 1"),
         "{err}"
     );
-    let err = commands::demo(&parsed(&["--shards", "0"])).unwrap_err();
+    let err = commands::batch(&parsed(&["--shards", "0"])).unwrap_err();
     assert!(err.contains("--shards"), "{err}");
     // Zero queue depth is rejected with the option named, like --shards.
-    let err = commands::demo(&parsed(&["--queue-depth", "0"])).unwrap_err();
+    let err = commands::batch(&parsed(&["--queue-depth", "0"])).unwrap_err();
     assert!(
         err.contains("--queue-depth") && err.contains("at least 1"),
         "{err}"
@@ -159,7 +216,7 @@ fn sharding_flags_happy_paths_and_rejections() {
     let err =
         commands::batch(&parsed(&["--d", "32", "--rows", "4", "--shards", "two"])).unwrap_err();
     assert!(err.contains("--shards") && err.contains("two"), "{err}");
-    let err = commands::demo(&parsed(&["--queue-depth", "-3"])).unwrap_err();
+    let err = commands::batch(&parsed(&["--queue-depth", "-3"])).unwrap_err();
     assert!(err.contains("--queue-depth") && err.contains("-3"), "{err}");
 }
 
@@ -173,8 +230,8 @@ fn executor_flags_happy_paths_and_rejections() {
 
 #[test]
 fn placement_flag_happy_paths_and_rejections() {
-    // Both policies end to end on batch and demo; placement never changes
-    // output bits, so these succeed identically to the default.
+    // Both policies end to end on batch; placement never changes output
+    // bits, so these succeed identically to the default.
     commands::batch(&parsed(&[
         "--d",
         "32",
@@ -186,9 +243,11 @@ fn placement_flag_happy_paths_and_rejections() {
         "request-hash",
     ]))
     .unwrap();
-    commands::demo(&parsed(&[
+    commands::batch(&parsed(&[
         "--d",
         "48",
+        "--rows",
+        "4",
         "--shards",
         "2",
         "--placement",
@@ -196,9 +255,17 @@ fn placement_flag_happy_paths_and_rejections() {
     ]))
     .unwrap();
     // Case-insensitive, like --format/--backend.
-    commands::demo(&parsed(&["--d", "16", "--placement", "Request-Hash"])).unwrap();
+    commands::batch(&parsed(&[
+        "--d",
+        "16",
+        "--rows",
+        "4",
+        "--placement",
+        "Request-Hash",
+    ]))
+    .unwrap();
     // Unknown policies are rejected with the alternatives named.
-    let err = commands::demo(&parsed(&["--placement", "random"])).unwrap_err();
+    let err = commands::batch(&parsed(&["--placement", "random"])).unwrap_err();
     assert!(
         err.contains("random") && err.contains("round-robin") && err.contains("request-hash"),
         "{err}"

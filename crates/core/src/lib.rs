@@ -105,8 +105,8 @@ pub use layernorm::{
     RsqrtScale,
 };
 pub use service::{
-    NormRequest, NormResponse, NormService, NormServicePool, NormTicket, Placement, Priority,
-    RequestKind, ScalarTrace, ServiceConfig, ServiceStats, ServiceStatsSnapshot, TicketSet,
+    NormRequest, NormResponse, NormService, NormTicket, Placement, Priority, RequestKind,
+    ServiceConfig, ServiceStats, ServiceStatsSnapshot, TicketSet,
 };
 pub use simd::SimdLevel;
 pub use whiten::{

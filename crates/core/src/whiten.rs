@@ -1307,9 +1307,11 @@ impl WhitenExec for NativeWhitenF32 {
     }
 }
 
-/// Build the whitening executor for a `(backend, format)` selection —
-/// the single dispatch point the service, CLI and benches share, mirror
-/// of [`build_backend_simd`](crate::backend::build_backend_simd).
+/// Build the whitening executor for a `(backend, format)` selection,
+/// mirror of [`build_backend_simd`](crate::backend::build_backend_simd).
+/// The service and the CLI each build their own executor through it:
+/// a service shard on its first whitening request, the CLI's `whiten`
+/// for its one checked group. The benches build theirs here too.
 ///
 /// # Errors
 ///

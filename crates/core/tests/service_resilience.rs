@@ -232,12 +232,6 @@ fn panicking_submitter_does_not_brick_the_service() {
         service.submit(NormRequest::bits(&bits)).unwrap_err(),
         NormError::ServiceShutdown
     );
-    assert_eq!(
-        service
-            .submit_detailed(NormRequest::bits(&bits))
-            .unwrap_err(),
-        NormError::ServiceShutdown
-    );
     let mut out = vec![0u32; D];
     assert_eq!(
         service

@@ -540,9 +540,8 @@ fn d1_whitening_is_consistent_with_iterl2() {
     }
 }
 
-/// `whiten_group_checked` through the service front door: a generous bar
-/// passes with diagnostics, an impossible bar reports the measured
-/// residual. The group is well conditioned (m ≫ d) — with m < d the
+/// `whiten_group_checked` on a built executor: a generous bar passes
+/// with diagnostics, an impossible bar reports the measured residual. The group is well conditioned (m ≫ d) — with m < d the
 /// rank-deficient Σ makes f32 Newton–Schulz stall or diverge, which is
 /// exactly the failure mode this check exists to report.
 #[test]
@@ -552,20 +551,24 @@ fn convergence_check_reports_residual_honestly() {
     let input = group_bits(m, d, 0x33);
     let mut out = vec![0u32; input.len()];
 
-    let service = ServiceConfig::new(d)
-        .with_whiten(WhitenSpec::new().with_t(9))
-        .build()
-        .expect("service must start");
-    let detail = service
-        .whiten_check(&input, &mut out, 1e-2)
+    let mut exec = build_whiten(
+        BackendKind::Emulated,
+        FormatKind::Fp32,
+        d,
+        WhitenSpec::new().with_t(9),
+        SimdLevel::Auto,
+    )
+    .expect("executor must build");
+    let detail = exec
+        .whiten_group_checked(&input, &mut out, 1e-2)
         .expect("nine Newton–Schulz steps must converge for a well-conditioned d=16 group");
     assert!(
         detail.residual < 1e-2,
         "residual {} not under bar",
         detail.residual
     );
-    let err = service
-        .whiten_check(&input, &mut out, 0.0)
+    let err = exec
+        .whiten_group_checked(&input, &mut out, 0.0)
         .expect_err("a zero tolerance is unsatisfiable");
     match err {
         NormError::WhitenNotConverged {
@@ -579,5 +582,4 @@ fn convergence_check_reports_residual_honestly() {
         }
         other => panic!("expected WhitenNotConverged, got {other:?}"),
     }
-    service.shutdown();
 }

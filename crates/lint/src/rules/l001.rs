@@ -8,8 +8,9 @@
 //!    forms).
 //! 2. In a file declaring `// normlint: module(no-panic)`: *every*
 //!    non-test `.unwrap(`/`.expect(` is a violation, whatever its
-//!    receiver. `service.rs` declares this — its panics propagate into
-//!    worker threads and poison the very locks prong 1 protects.
+//!    receiver. Every file of the core crate's `service` module declares
+//!    this — its panics propagate into the shard drivers and poison the
+//!    very locks prong 1 protects.
 //!
 //! Test code (`#[cfg(test)]` regions, `tests/`/`examples/`/`benches/`
 //! directories) is exempt: a test *should* panic on an unexpected state.

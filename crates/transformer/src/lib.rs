@@ -46,6 +46,7 @@ mod generate;
 mod init;
 mod model;
 mod norm;
+mod pool;
 mod tensor;
 
 pub use config::{NormPlacement, TransformerConfig};

@@ -3,9 +3,9 @@
 //! Normalization runs through the core crate's type-erased serving API:
 //! weight materialization registers every LayerNorm location (γ₁/β₁,
 //! γ₂/β₂ per layer, plus the final norm) as a *site* in one shared
-//! [`NormServicePool`], and each forward pass submits rows to the pool's
-//! cached [`NormService`]s — the same service objects are reused across
-//! forward calls and across the threads of
+//! `NormServicePool` (this crate's `pool` module), and each forward pass
+//! submits rows to the pool's cached [`NormService`]s — the same service
+//! objects are reused across forward calls and across the threads of
 //! [`Model::perplexity_threaded`], so concurrent evaluation shares one
 //! plan, one scratch pool and one backend per norm site (and requests may
 //! be micro-batched together — bit-identical either way). The final norm
@@ -41,12 +41,13 @@
 
 use std::sync::Arc;
 
-use iterl2norm::service::{NormRequest, NormService, NormServicePool, NormTicket, ServiceConfig};
+use iterl2norm::service::{NormRequest, NormService, NormTicket, ServiceConfig};
 use iterl2norm::{ExecFloat, ReduceOrder};
 use softfloat::Float;
 
 use crate::config::{NormPlacement, TransformerConfig};
 use crate::norm::NormMethod;
+use crate::pool::NormServicePool;
 use crate::tensor::{add, dot, Matrix};
 
 /// Master weights in `f64`, format-agnostic. Materialize per format with

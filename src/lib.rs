@@ -52,8 +52,8 @@ pub mod prelude {
     pub use iterl2norm::{
         build_backend, layer_norm, layer_norm_detailed, BackendKind, ExecFloat, FormatKind,
         IterConfig, IterL2Norm, LayerNormInputs, MethodSpec, NormBackend, NormError, NormPlan,
-        NormRequest, NormService, NormServicePool, NormStats, NormTicket, Normalizer, Placement,
-        Priority, ReduceOrder, RsqrtScale, ScaleMethod, ServiceConfig, StopRule,
+        NormRequest, NormService, NormStats, NormTicket, Normalizer, Placement, Priority,
+        ReduceOrder, RsqrtScale, ScaleMethod, ServiceConfig, StopRule,
     };
     pub use macrosim::{IterL2NormMacro, MacroConfig};
     pub use normserver::{
