@@ -63,6 +63,13 @@ const VARIANTS: [Variant; 6] = [
     ("async", 4),
 ];
 
+/// Timed repetitions per point. Rep `r` times the variants starting at
+/// variant `r mod n`, so the host's drift between minutes spreads over
+/// every variant instead of ranking them by when they ran, and one
+/// scheduler hiccup cannot become the reported number: each point is its
+/// median repetition by throughput.
+pub const REPS: usize = 3;
+
 /// Maximum tickets each async-mode submitter keeps in flight before
 /// collecting the oldest — the pipelining shape an inference loop uses
 /// (submit the next layer's norm, keep computing, join later).
@@ -224,7 +231,9 @@ struct Sweep {
 impl Sweep {
     /// Check every variant's blocking and async output against the
     /// direct kernel (`reference`, run on one probe request) before any
-    /// number is taken, then time each variant at each submitter count.
+    /// number is taken, then time each variant at each submitter count
+    /// [`REPS`] times in rotation on one warmed-up service per variant,
+    /// keeping each point's median repetition.
     fn run(
         &self,
         variants: &[Variant],
@@ -254,40 +263,55 @@ impl Sweep {
             }
         }
         let mut points = Vec::new();
+        let n = variants.len();
         for &submitters in submitter_counts {
-            for &variant in variants {
-                points.push(self.time(variant, submitters, requests_per_thread)?);
+            let services = variants
+                .iter()
+                .map(|&(_, shards)| self.warmed(shards))
+                .collect::<std::io::Result<Vec<_>>>()?;
+            let mut reps: Vec<Vec<Point>> = (0..n).map(|_| Vec::with_capacity(REPS)).collect();
+            for rep in 0..REPS {
+                for k in 0..n {
+                    let i = (rep + k) % n;
+                    let point =
+                        self.time(&services[i], variants[i], submitters, requests_per_thread);
+                    reps[i].push(point);
+                }
+            }
+            for mut samples in reps {
+                samples.sort_by(|a, b| a.rows_per_s.total_cmp(&b.rows_per_s));
+                points.push(samples.swap_remove(REPS / 2));
             }
         }
         Ok(points)
     }
 
-    /// Time one variant at one submitter count on a fresh, warmed-up
-    /// service.
-    fn time(
-        &self,
-        (mode, shards): Variant,
-        submitters: usize,
-        requests_per_thread: usize,
-    ) -> std::io::Result<Point> {
+    /// A fresh service with `shards` shards, warmed up: one untimed
+    /// request sizes its conversion buffers and scratch.
+    fn warmed(&self, shards: usize) -> std::io::Result<NormService> {
         let Sweep { d, rows, whiten } = *self;
         let service = service_for(d, shards);
-        // Warm-up sizes the conversion buffers and scratch.
         let warm = request_bits(d, rows, 99, 0);
         let _ = service
             .submit(request_for(&warm, whiten))
             .map_err(std::io::Error::other)?;
-        // Baseline after warm-up: every reported ratio below uses deltas,
-        // so the untimed warm-up request never skews them.
+        Ok(service)
+    }
+
+    /// Time one repetition of one variant at one submitter count on its
+    /// warmed-up `service`.
+    fn time(
+        &self,
+        service: &NormService,
+        (mode, shards): Variant,
+        submitters: usize,
+        requests_per_thread: usize,
+    ) -> Point {
+        let Sweep { d, rows, whiten } = *self;
+        // Baseline before the run: every reported ratio below uses
+        // deltas, so the warm-up and earlier repetitions never skew them.
         let base = service.stats();
-        let seconds = measure(
-            &service,
-            mode,
-            submitters,
-            requests_per_thread,
-            rows,
-            whiten,
-        );
+        let seconds = measure(service, mode, submitters, requests_per_thread, rows, whiten);
         let stats = service.stats();
         let total_requests = (submitters * requests_per_thread) as f64;
         let measured_requests = if whiten {
@@ -297,7 +321,7 @@ impl Sweep {
         } as f64;
         let per_request =
             |span: std::time::Duration| span.as_secs_f64() * 1e6 / measured_requests.max(1.0);
-        Ok(Point {
+        Point {
             workload: if whiten { "whiten" } else { "norm" },
             d,
             submitters,
@@ -311,7 +335,7 @@ impl Sweep {
             worker_busy_us_per_request: per_request(stats.worker_busy - base.worker_busy),
             worker_idle_us: (stats.worker_idle - base.worker_idle).as_secs_f64() * 1e6,
             worker_wakeups: stats.worker_wakeups - base.worker_wakeups,
-        })
+        }
     }
 }
 
@@ -423,6 +447,7 @@ pub fn run_at(
         "  \"requests_per_thread\": {requests_per_thread},\n"
     ));
     json.push_str(&format!("  \"async_pipeline_depth\": {PIPELINE_DEPTH},\n"));
+    json.push_str(&format!("  \"reps_median_of\": {REPS},\n"));
     json.push_str(&format!(
         "  \"whiten_method\": \"{}\",\n",
         whiten_spec.label()

@@ -109,7 +109,7 @@ fn service_smoke() {
     // coalesced, pipelined async) runs its bit-identity self-check and
     // lands in the JSON.
     let _ = results_dir();
-    benchkit::experiments::service::run_at(&[32], &[1, 2], 4, 2).unwrap();
+    benchkit::experiments::service::run_at(&[32], &[1, 2], 1, 2).unwrap();
     let path = results_dir().join("BENCH_service.json");
     let content = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing {}: {e}", path.display()));

@@ -11,52 +11,35 @@ pub struct Parsed {
     positionals: Vec<String>,
 }
 
-/// Option keys that take a value.
-const VALUED: [&str; 20] = [
-    "format",
-    "steps",
-    "d",
-    "m",
-    "seed",
-    "trials",
-    "method",
-    "rows",
-    "backend",
-    "shards",
-    "queue-depth",
-    "placement",
-    "listen",
-    "unix",
-    "tenants",
-    "simd",
-    "eps",
-    "group-mode",
-    "tol",
-    "window-us",
-];
-
-/// Boolean flags: option keys that take no value. An argument starting
-/// with `--` that names neither list is rejected.
-const FLAGS: [&str; 1] = ["utilization"];
+/// The `--options` one subcommand reads, as space-separated keys:
+/// `valued` keys take a value, `flags` take none. Any other `--key` is
+/// rejected by name, so an option the command would not read fails
+/// instead of being ignored.
+#[derive(Debug, Clone, Copy)]
+pub struct Options {
+    pub valued: &'static str,
+    pub flags: &'static str,
+}
 
 impl Parsed {
-    /// Parse an argument list.
+    /// Parse an argument list against one subcommand's `options`.
     ///
     /// # Errors
     ///
     /// Rejects a valued option with no following value, and an option
-    /// that is neither valued nor a known flag.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
+    /// that is neither one of the command's valued options nor one of
+    /// its flags.
+    pub fn parse(args: &[String], options: &Options) -> Result<Self, String> {
         let mut out = Parsed::default();
         let mut it = args.iter().peekable();
         while let Some(arg) = it.next() {
             if let Some(key) = arg.strip_prefix("--") {
-                if VALUED.contains(&key) {
+                if options.valued.split_whitespace().any(|k| k == key) {
                     let value = it
                         .next()
                         .ok_or_else(|| format!("option --{key} needs a value"))?;
                     out.options.insert(key.to_string(), value.clone());
-                } else if FLAGS.contains(&key) {
+                } else if options.flags.split_whitespace().any(|k| k == key) {
                     out.flags.push(key.to_string());
                 } else {
                     return Err(format!("unknown option --{key}"));
@@ -101,14 +84,21 @@ impl Parsed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::command;
 
-    fn sv(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    /// Parse `args` as the named subcommand's command line.
+    fn parse(cmd: &str, args: &[&str]) -> Result<Parsed, String> {
+        let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        Parsed::parse(&owned, &command(cmd).expect("known subcommand").options)
     }
 
     #[test]
     fn mixed_options_flags_positionals() {
-        let p = Parsed::parse(&sv(&["--format", "fp16", "--utilization", "1.5", "-2.0"])).unwrap();
+        let p = parse(
+            "macro",
+            &["--format", "fp16", "--utilization", "1.5", "-2.0"],
+        )
+        .unwrap();
         assert_eq!(p.get("format"), Some("fp16"));
         assert!(p.flag("utilization"));
         assert_eq!(p.positionals(), &["1.5".to_string(), "-2.0".to_string()]);
@@ -116,107 +106,109 @@ mod tests {
 
     #[test]
     fn numeric_defaults_and_parsing() {
-        let p = Parsed::parse(&sv(&["--steps", "7"])).unwrap();
+        let p = parse("macro", &["--steps", "7"]).unwrap();
         assert_eq!(p.num("steps", 5u32).unwrap(), 7);
         assert_eq!(p.num("d", 64usize).unwrap(), 64);
-        let bad = Parsed::parse(&sv(&["--steps", "x"])).unwrap();
+        let bad = parse("macro", &["--steps", "x"]).unwrap();
         assert!(bad.num("steps", 5u32).is_err());
     }
 
     #[test]
     fn valued_option_requires_value() {
-        assert!(Parsed::parse(&sv(&["--format"])).is_err());
-        assert!(Parsed::parse(&sv(&["--shards"])).is_err());
-        assert!(Parsed::parse(&sv(&["--queue-depth"])).is_err());
+        assert!(parse("batch", &["--format"]).is_err());
+        assert!(parse("batch", &["--shards"]).is_err());
+        assert!(parse("batch", &["--queue-depth"]).is_err());
     }
 
     #[test]
     fn sharding_options_parse_as_values() {
-        let p = Parsed::parse(&sv(&["--shards", "4", "--queue-depth", "128"])).unwrap();
+        let p = parse("batch", &["--shards", "4", "--queue-depth", "128"]).unwrap();
         assert_eq!(p.num("shards", 1usize).unwrap(), 4);
         assert_eq!(p.num("queue-depth", 1024usize).unwrap(), 128);
         assert!(p.positionals().is_empty());
     }
 
     #[test]
-    fn executor_options_parse_as_values() {
-        let p = Parsed::parse(&sv(&["--window-us", "250"])).unwrap();
-        assert_eq!(p.num("window-us", 0u64).unwrap(), 250);
-        assert!(Parsed::parse(&sv(&["--window-us"])).is_err());
-    }
-
-    #[test]
     fn unknown_options_are_rejected_by_name() {
-        // A misspelt option, and options whose knobs were removed, must
+        // A misspelt option, options whose knobs were removed, and
+        // another command's option that this command would ignore must
         // fail instead of parsing as a flag and running with defaults.
-        for (key, value) in [
-            ("thredas", "3"),
-            ("shard-threads", "2,1"),
-            ("adaptive", "default"),
-            ("threads", "2"),
+        for (cmd, option, value) in [
+            ("batch", "--thredas", "3"),
+            ("batch", "--shard-threads", "2,1"),
+            ("batch", "--adaptive", "default"),
+            ("batch", "--threads", "2"),
+            ("batch", "--window-us", "100"),
+            ("batch", "--utilization", "1"),
+            ("demo", "--shards", "0"),
+            ("demo", "--placement", "random"),
+            ("normalize", "--rows", "5"),
+            ("whiten", "--queue-depth", "9"),
+            ("cost", "--d", "8"),
         ] {
-            let option = format!("--{key}");
             assert_eq!(
-                Parsed::parse(&sv(&["--d", "32", &option, value])),
+                parse(cmd, &["--format", "fp32", option, value]),
                 Err(format!("unknown option {option}")),
+                "{cmd}"
             );
         }
+        // A bare `--` names no option, not an empty flag.
+        assert_eq!(parse("cost", &["--"]), Err("unknown option --".into()));
     }
 
     #[test]
     fn placement_option_parses_as_a_value() {
-        let p = Parsed::parse(&sv(&["--placement", "request-hash"])).unwrap();
+        let p = parse("batch", &["--placement", "request-hash"]).unwrap();
         assert_eq!(p.get("placement"), Some("request-hash"));
-        assert!(Parsed::parse(&sv(&["--placement"])).is_err());
+        assert!(parse("batch", &["--placement"]).is_err());
     }
 
     #[test]
     fn serve_options_parse_as_values() {
-        let p = Parsed::parse(&sv(&[
-            "--listen",
-            "127.0.0.1:0",
-            "--unix",
-            "/tmp/norm.sock",
-            "--tenants",
-            "1:100:10:high;2:50:5",
-        ]))
+        let p = parse(
+            "serve",
+            &[
+                "--listen",
+                "127.0.0.1:0",
+                "--unix",
+                "/tmp/norm.sock",
+                "--tenants",
+                "1:100:10:high;2:50:5",
+            ],
+        )
         .unwrap();
         assert_eq!(p.get("listen"), Some("127.0.0.1:0"));
         assert_eq!(p.get("unix"), Some("/tmp/norm.sock"));
         assert_eq!(p.get("tenants"), Some("1:100:10:high;2:50:5"));
-        assert!(Parsed::parse(&sv(&["--listen"])).is_err());
-        assert!(Parsed::parse(&sv(&["--tenants"])).is_err());
+        assert!(parse("serve", &["--listen"]).is_err());
+        assert!(parse("serve", &["--tenants"]).is_err());
     }
 
     #[test]
     fn simd_option_parses_as_a_value() {
-        let p = Parsed::parse(&sv(&["--simd", "avx2"])).unwrap();
+        let p = parse("demo", &["--simd", "avx2"]).unwrap();
         assert_eq!(p.get("simd"), Some("avx2"));
-        assert!(Parsed::parse(&sv(&["--simd"])).is_err());
+        assert!(parse("demo", &["--simd"]).is_err());
     }
 
     #[test]
     fn whiten_options_parse_as_values() {
-        let p = Parsed::parse(&sv(&[
-            "--eps",
-            "1e-4",
-            "--group-mode",
-            "raw",
-            "--tol",
-            "0.01",
-        ]))
+        let p = parse(
+            "whiten",
+            &["--eps", "1e-4", "--group-mode", "raw", "--tol", "0.01"],
+        )
         .unwrap();
         assert_eq!(p.num("eps", 1e-5f64).unwrap(), 1e-4);
         assert_eq!(p.get("group-mode"), Some("raw"));
         assert_eq!(p.num("tol", f64::INFINITY).unwrap(), 0.01);
-        assert!(Parsed::parse(&sv(&["--eps"])).is_err());
-        assert!(Parsed::parse(&sv(&["--group-mode"])).is_err());
-        assert!(Parsed::parse(&sv(&["--tol"])).is_err());
+        assert!(parse("whiten", &["--eps"]).is_err());
+        assert!(parse("whiten", &["--group-mode"]).is_err());
+        assert!(parse("whiten", &["--tol"]).is_err());
     }
 
     #[test]
     fn negative_numbers_are_positionals_not_flags() {
-        let p = Parsed::parse(&sv(&["-2.5", "3.0"])).unwrap();
+        let p = parse("normalize", &["-2.5", "3.0"]).unwrap();
         assert_eq!(p.positionals().len(), 2);
     }
 }

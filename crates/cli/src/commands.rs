@@ -10,7 +10,7 @@
 //! the scalar iteration. Format and backend names parse
 //! case-insensitively.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use iterl2norm::service::{NormRequest, NormService, Placement, ServiceConfig};
 use iterl2norm::{
@@ -23,7 +23,63 @@ use softfloat::{Bf16, Float, Fp16, Fp32, HostF32};
 use synthmodel::CostModel;
 use workloads::VectorGen;
 
-use crate::args::Parsed;
+use crate::args::{Options, Parsed};
+
+/// One subcommand: its name, the options it reads and its body.
+pub struct Command {
+    pub name: &'static str,
+    pub options: Options,
+    pub run: fn(&Parsed) -> Result<(), String>,
+}
+
+const fn cmd(
+    name: &'static str,
+    valued: &'static str,
+    flags: &'static str,
+    run: fn(&Parsed) -> Result<(), String>,
+) -> Command {
+    let options = Options { valued, flags };
+    Command { name, options, run }
+}
+
+/// Every subcommand, with exactly the options its body reads: `main`
+/// parses a command line against its command's list, so an option the
+/// command would ignore is rejected by name.
+pub const COMMANDS: [Command; 8] = [
+    cmd(
+        "normalize",
+        "format backend method steps simd",
+        "",
+        normalize,
+    ),
+    cmd("rsqrt", "m format backend steps", "", rsqrt),
+    cmd("macro", "d steps seed format", "utilization", macro_sim),
+    cmd("cost", "format", "", cost),
+    cmd("demo", "d seed format backend method steps simd", "", demo),
+    cmd(
+        "batch",
+        "d rows seed format backend method steps simd shards queue-depth placement",
+        "",
+        batch,
+    ),
+    cmd(
+        "whiten",
+        "d m seed steps eps group-mode tol format backend simd",
+        "",
+        whiten,
+    ),
+    cmd(
+        "serve",
+        "listen unix tenants d format backend method steps simd shards queue-depth placement",
+        "",
+        serve,
+    ),
+];
+
+/// The subcommand named `name`, if there is one.
+pub fn command(name: &str) -> Option<&'static Command> {
+    COMMANDS.iter().find(|c| c.name == name)
+}
 
 /// Usage text shown by `help` and on errors.
 pub fn usage() -> String {
@@ -33,7 +89,7 @@ iterl2norm — fast iterative L2-normalization (DATE 2025 reproduction)
 
 USAGE:
   iterl2norm normalize [--format fp32|fp16|bf16] [--backend B] [--method M]
-                       [--steps N] V1 V2 …
+                       [--steps N] [--simd L] V1 V2 …
       Layer-normalize the given values, printing output and error vs exact.
   iterl2norm rsqrt --m VALUE [--format …] [--backend B] [--steps N]
       Show the scalar iteration trace toward 1/sqrt(m).
@@ -60,8 +116,8 @@ USAGE:
       an error instead of a report.
   iterl2norm serve --listen ADDR | --unix PATH [--d LEN] [--format …]
                    [--backend B] [--method M] [--shards S]
-                   [--window-us U] [--queue-depth Q]
-                   [--placement P] [--tenants SPEC] [--simd L]
+                   [--queue-depth Q] [--placement P] [--tenants SPEC]
+                   [--simd L]
       Serve the engine over the wire protocol (TCP and/or Unix socket)
       until interrupted. --tenants configures per-tenant admission:
       'id:rate:burst[:priority]' entries separated by ';', e.g.
@@ -78,17 +134,18 @@ native (host f32, fp32 only, bit-identical output).
 bounds each shard's waiting line (further requests are rejected with a
 queue-full error instead of buffering). Each shard runs one resident
 driver that spawns once at startup and parks when idle, and always
-pools its response buffers. --window-us U holds each
-drained round open U microseconds so concurrent requests can join the
-batch (0, the default, never delays). --placement P picks how requests
-spread across shards: round-robin (the default) or request-hash (keyed
-requests stick to one shard, keeping its caches warm). --simd L selects
-the native backend's vector tier, one of {levels}.
-auto (the default) picks the best level the host supports; avx512
-widens only the whitening kernel (normalization runs its avx2 kernel
-there). A forced level the host or backend cannot run is an error,
-never a silent downgrade, and every level produces identical output
-bits. None of these knobs changes output bits. Format, backend,
+pools its response buffers. A request that finds its shard idle runs
+at once on the caller; requests that queue while a round runs join the
+shard's next round, and no round waits for more. --placement P picks
+how requests spread across shards: round-robin (the default) or
+request-hash (keyed requests stick to one shard, keeping its caches
+warm). --simd L selects the native backend's vector tier, one of
+{levels}.
+auto (the default) picks the best level the host supports, and avx512
+runs 512-bit kernels for both normalization and whitening. A forced
+level the host or backend cannot run is an error, never a silent
+downgrade, and every level produces identical output bits.
+None of these knobs changes output bits. Format, backend,
 placement and simd names are case-insensitive. whiten's --group-mode
 picks whether the group is mean-centered before the covariance
 (center, the default) or taken raw; --eps is the diagonal ridge added
@@ -160,12 +217,6 @@ fn backend_kind(parsed: &Parsed) -> Result<BackendKind, String> {
     }
 }
 
-/// Resolve `--window-us` (default 0: no coalescing hold) into the
-/// service's combining-window duration.
-fn window_arg(parsed: &Parsed) -> Result<Duration, String> {
-    Ok(Duration::from_micros(parsed.num("window-us", 0u64)?))
-}
-
 /// Resolve `--shards` (default 1), rejecting 0 with the service's own
 /// error message.
 fn shards_arg(parsed: &Parsed) -> Result<usize, String> {
@@ -214,8 +265,8 @@ fn placement_arg(parsed: &Parsed) -> Result<Placement, String> {
 }
 
 /// Build the [`NormService`] for the parsed `--backend`/`--format`/
-/// `--shards`/`--queue-depth`/`--placement`/`--simd`/`--window-us`
-/// flags — what `batch` and `serve` run on.
+/// `--shards`/`--queue-depth`/`--placement`/`--simd` flags — what
+/// `batch` and `serve` run on.
 fn build_service(parsed: &Parsed, d: usize, spec: MethodSpec) -> Result<NormService, String> {
     let backend = backend_kind(parsed)?;
     let format = format_kind(parsed)?;
@@ -231,7 +282,6 @@ fn build_service(parsed: &Parsed, d: usize, spec: MethodSpec) -> Result<NormServ
         .with_queue_depth(queue_depth)
         .with_placement(placement)
         .with_simd(simd)
-        .with_window(window_arg(parsed)?)
         .build()
         .map_err(|e| e.to_string())
 }

@@ -35,22 +35,13 @@ fn run(argv: &[String]) -> Result<(), String> {
     let Some((cmd, rest)) = argv.split_first() else {
         return Err("missing subcommand".into());
     };
-    let parsed = args::Parsed::parse(rest)?;
-    match cmd.as_str() {
-        "normalize" => commands::normalize(&parsed),
-        "rsqrt" => commands::rsqrt(&parsed),
-        "macro" => commands::macro_sim(&parsed),
-        "cost" => commands::cost(&parsed),
-        "demo" => commands::demo(&parsed),
-        "batch" => commands::batch(&parsed),
-        "whiten" => commands::whiten(&parsed),
-        "serve" => commands::serve(&parsed),
-        "help" | "--help" | "-h" => {
-            println!("{}", commands::usage());
-            Ok(())
-        }
-        other => Err(format!("unknown subcommand '{other}'")),
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{}", commands::usage());
+        return Ok(());
     }
+    let command = commands::command(cmd).ok_or_else(|| format!("unknown subcommand '{cmd}'"))?;
+    let parsed = args::Parsed::parse(rest, &command.options)?;
+    (command.run)(&parsed)
 }
 
 #[cfg(test)]

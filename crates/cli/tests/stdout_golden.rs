@@ -289,18 +289,31 @@ fn case_insensitive_flags_match_lowercase_output_exactly() {
 
 #[test]
 fn unknown_option_exits_1_with_usage_on_stderr() {
-    // A misspelt option must fail, not run with the default it missed.
-    let (status, stdout, stderr) =
-        run_child(&["batch", "--d", "32", "--rows", "4", "--thredas", "3"]);
-    let stderr = String::from_utf8(stderr).expect("stderr must be utf-8");
-    assert_eq!(status.code(), Some(1), "{stderr}");
-    assert!(stdout.is_empty(), "nothing runs before the rejection");
-    assert!(
-        stderr.starts_with("error: unknown option --thredas\n"),
-        "{stderr}"
-    );
-    assert!(
-        stderr.contains("USAGE:"),
-        "usage follows the error: {stderr}"
-    );
+    // A misspelt option, or another command's option that this command
+    // would ignore, must fail, not run with the default it missed.
+    for (args, option) in [
+        (
+            &["batch", "--d", "32", "--rows", "4", "--thredas", "3"][..],
+            "--thredas",
+        ),
+        (
+            &["demo", "--d", "8", "--shards", "0", "--placement", "random"][..],
+            "--shards",
+        ),
+        (&["normalize", "--rows", "5", "1.0", "2.0"][..], "--rows"),
+        (&["whiten", "--queue-depth", "9"][..], "--queue-depth"),
+    ] {
+        let (status, stdout, stderr) = run_child(args);
+        let stderr = String::from_utf8(stderr).expect("stderr must be utf-8");
+        assert_eq!(status.code(), Some(1), "{stderr}");
+        assert!(stdout.is_empty(), "nothing runs before the rejection");
+        assert!(
+            stderr.starts_with(&format!("error: unknown option {option}\n")),
+            "{stderr}"
+        );
+        assert!(
+            stderr.contains("USAGE:"),
+            "usage follows the error: {stderr}"
+        );
+    }
 }

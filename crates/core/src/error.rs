@@ -60,8 +60,8 @@ pub enum NormError {
     ZeroShards,
     /// A service was asked to run with a zero queue depth. With no
     /// waiting line at all, any request that cannot execute immediately —
-    /// which under a coalescing window is *every* request — would be
-    /// rejected, so the misconfiguration is refused at build time.
+    /// every request that finds its shard busy — would be rejected, so
+    /// the misconfiguration is refused at build time.
     ZeroQueueDepth,
     /// A request arrived at a service shard whose waiting line was already
     /// at the configured depth bound — the service sheds load instead of

@@ -31,11 +31,11 @@
 //! request, a copy of its payload into a pooled buffer. So every entry
 //! point ([`NormService::submit`], [`NormService::submit_into`] and
 //! [`NormService::submit_async`]) that finds its shard idle runs inline:
-//! nothing queued, no thread executing on the shard, and a zero
-//! coalescing window. The caller takes the shard's claim, runs its own
-//! request on the shard's backend — reading a bit payload where the
-//! caller holds it and writing straight into a `submit_into` buffer or
-//! a pooled reply — and gives the claim back. An
+//! nothing queued and no thread executing on the shard. The caller
+//! takes the shard's claim, runs its own request on the shard's backend
+//! — reading a bit payload where the caller holds it and writing
+//! straight into a `submit_into` buffer or a pooled reply — and gives
+//! the claim back. An
 //! inline `submit_async` returns an already-complete ticket. While the claim is held, other arrivals
 //! queue and the driver waits; the releasing caller wakes it if anything
 //! queued. Submitters still never execute other callers' work: an inline
@@ -49,10 +49,10 @@
 //!
 //! A service is [`Clone`] + [`Sync`]: concurrent callers share the same
 //! plans, scratch and backends. Requests that are waiting in a shard's
-//! queue when its driver starts a round — or that arrive within the
-//! configured coalescing [`window`](ServiceConfig::with_window) — run as
-//! **one** [`normalize_in_place`](crate::NormBackend::normalize_in_place)
-//! call over the requests' own payload buffers, each normalized where it
+//! queue when its driver starts a round — those that queued while the
+//! previous round ran — run as **one**
+//! [`normalize_in_place`](crate::NormBackend::normalize_in_place) call
+//! over the requests' own payload buffers, each normalized where it
 //! sits and handed back as that caller's reply. Rows are independent and
 //! the engine processes each row the same way wherever it lives, so the
 //! coalesced output bits are
@@ -250,8 +250,8 @@ mod tests {
             ServiceConfig::new(8).with_shards(0).build().unwrap_err(),
             NormError::ZeroShards
         );
-        // Depth 0 would reject every request under a window — refused up
-        // front instead of misbehaving at runtime.
+        // Depth 0 would reject every request that finds its shard busy —
+        // refused up front instead of misbehaving at runtime.
         assert_eq!(
             ServiceConfig::new(8)
                 .with_queue_depth(0)
@@ -284,15 +284,8 @@ mod tests {
 
     #[test]
     fn executor_knobs_round_trip_and_build() {
-        let config = ServiceConfig::new(8)
-            .with_shards(2)
-            .with_window(Duration::from_micros(250));
+        let config = ServiceConfig::new(8).with_shards(2);
         assert_eq!(config.shards(), 2);
-        assert_eq!(
-            config.window(),
-            Duration::from_micros(250),
-            "window knob reads back"
-        );
         let service = config.build().unwrap();
         let bits = row_bits(8, 1);
         let response = service.submit(NormRequest::bits(&bits)).unwrap();

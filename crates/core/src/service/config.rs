@@ -6,8 +6,6 @@
 // locks: recover, fail closed through `Core::torn_state`, or attach a
 // justified waiver.
 
-use std::time::Duration;
-
 use super::serve::{MakeWhiten, NormService};
 use crate::backend::{build_backend_affine, BackendKind, FormatKind, NormBackend};
 use crate::engine::MethodSpec;
@@ -31,7 +29,6 @@ pub struct ServiceConfig {
     reduce: ReduceOrder,
     gamma_bits: Option<Vec<u32>>,
     beta_bits: Option<Vec<u32>>,
-    pub(super) window: Duration,
     pub(super) shards: usize,
     pub(super) queue_depth: usize,
     pub(super) placement: Placement,
@@ -41,10 +38,11 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// Defaults for vectors of length `d`: emulated FP32, `iterl2[5]`,
-    /// hardware-tree reduction, no affine parameters,
-    /// opportunistic coalescing with a zero window, one shard with a
+    /// hardware-tree reduction, no affine parameters, one shard with a
     /// [`DEFAULT_QUEUE_DEPTH`]-request queue bound, pooled response
-    /// buffers.
+    /// buffers. Coalescing is always opportunistic: requests that queue
+    /// while a round runs join the shard's next round, and no round is
+    /// ever held back to wait for more.
     pub fn new(d: usize) -> Self {
         ServiceConfig {
             d,
@@ -54,7 +52,6 @@ impl ServiceConfig {
             reduce: ReduceOrder::default(),
             gamma_bits: None,
             beta_bits: None,
-            window: Duration::ZERO,
             shards: 1,
             queue_depth: DEFAULT_QUEUE_DEPTH,
             placement: Placement::default(),
@@ -106,17 +103,6 @@ impl ServiceConfig {
         self.with_gamma_bits(gamma).with_beta_bits(beta)
     }
 
-    /// Same config with a coalescing window: the shard's resident driver
-    /// holds a drained round open this long before executing it, so
-    /// requests from other threads can join the batch. Zero (the
-    /// default) never delays a round — coalescing then happens only
-    /// opportunistically, for requests that queue up while the driver
-    /// is executing an earlier round.
-    pub fn with_window(mut self, window: Duration) -> Self {
-        self.window = window;
-        self
-    }
-
     /// Same config sharded across `shards` independent backend instances,
     /// each with its own combining queue;
     /// [`with_placement`](ServiceConfig::with_placement) decides which
@@ -138,7 +124,7 @@ impl ServiceConfig {
     /// that arrives at a full shard fails fast with
     /// [`NormError::QueueFull`] instead of buffering unboundedly behind a
     /// slow backend. Validated ≥ 1 at build (a zero depth would reject
-    /// every request under a coalescing window); `usize::MAX` effectively
+    /// every request that finds its shard busy); `usize::MAX` effectively
     /// disables the bound.
     pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
         self.queue_depth = queue_depth;
@@ -204,11 +190,6 @@ impl ServiceConfig {
     /// The reduction order.
     pub fn reduce(&self) -> ReduceOrder {
         self.reduce
-    }
-
-    /// The coalescing window.
-    pub fn window(&self) -> Duration {
-        self.window
     }
 
     /// The number of independent shards.

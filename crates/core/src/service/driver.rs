@@ -13,7 +13,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use super::request::{Priority, RequestKind};
+use super::request::RequestKind;
 use super::serve::{execute, Core, PendingEntry, Served, Shard, Work};
 use super::stats::RoundStats;
 use super::ticket::{ReadyWaker, Slot, SlotFail, SlotOutcome, SlotResult};
@@ -28,9 +28,10 @@ type Fill = (Arc<Slot>, SlotOutcome);
 /// `work_cv` while the queue is empty or an inline caller holds the
 /// shard's claim (zero wake-ups over an idle window — the
 /// thread-hygiene suite pins this), holds the claim for the whole
-/// round, holds the coalescing window open when one is configured, and
-/// exits once shutdown is requested *and* the queue is empty — work
-/// admitted before shutdown always executes.
+/// round, and exits once shutdown is requested *and* the queue is
+/// empty — work admitted before shutdown always executes. A round runs
+/// as soon as the driver drains it: requests that queue while a round
+/// runs join the next one, and no round is held back to wait for more.
 ///
 /// A round's slots are filled only after its stats are folded and the
 /// claim is cleared: a woken submitter then finds its request in
@@ -60,38 +61,13 @@ pub(super) fn driver_loop(core: &Core, idx: usize) {
         }
         let busy_from = Instant::now();
         queue.claimed = true;
-        // Drain before any window: drained entries leave the waiting
-        // line, so the queue-depth bound sees only genuinely waiting
-        // requests — an in-flight round never occupies a depth slot.
-        let mut entries = std::mem::take(&mut queue.pending);
-        let hold_window =
-            !queue.failed && !core.config.window.is_zero() && !core.shutdown.load(Ordering::SeqCst);
-        if hold_window {
-            // Hold the batch open for the configured window so
-            // concurrent submitters can join. Arrivals notify `work_cv`
-            // and simply re-arm the wait — only the deadline (or
-            // shutdown) closes the window.
-            if let Some(deadline) = Instant::now().checked_add(core.config.window) {
-                loop {
-                    let now = Instant::now();
-                    if now >= deadline || core.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    queue = match shard.work_cv.wait_timeout(queue, deadline - now) {
-                        Ok((guard, _)) => guard,
-                        Err(poisoned) => {
-                            core.shutdown.store(true, Ordering::SeqCst);
-                            poisoned.into_inner().0
-                        }
-                    };
-                }
-            }
-            // Merge the window's arrivals, then restore the class
-            // invariant (high first, FIFO within a class) with a stable
-            // sort — arrival order within each class is preserved.
-            entries.append(&mut queue.pending);
-            entries.sort_by_key(|e| matches!(e.priority, Priority::Normal) as u8);
-        }
+        // Drain the whole waiting line: drained entries leave it, so the
+        // queue-depth bound sees only genuinely waiting requests — an
+        // in-flight round never occupies a depth slot. The line is
+        // already in class order (`enqueue` puts a high-priority arrival
+        // at the end of the high prefix), so the round runs high first,
+        // FIFO within a class.
+        let entries = std::mem::take(&mut queue.pending);
         let failed = queue.failed;
         drop(queue);
 

@@ -337,7 +337,7 @@ impl NormResponse {
     /// Wall-clock time of this request **measured from acceptance to
     /// response construction**: the span starts after shape validation
     /// passes (a rejected request is never timed) and covers queueing,
-    /// any coalescing window, backend execution and the result copy.
+    /// backend execution and the result copy.
     /// For aggregate queue-wait vs execute accounting — which this
     /// all-in span deliberately does not separate — see
     /// [`ServiceStats::queue_wait`](super::ServiceStats::queue_wait) and [`ServiceStats::execute`](super::ServiceStats::execute).

@@ -175,12 +175,12 @@ pub(super) struct PendingEntry {
 pub(super) struct QueueState {
     pub(super) pending: Vec<PendingEntry>,
     /// Set by panic delivery: the shard's backend tore mid-round. The
-    /// driver stops opening windows and fails everything it drains.
+    /// driver fails everything it drains from then on.
     pub(super) failed: bool,
     /// Held by whichever thread is executing on the shard: the driver
-    /// for the whole of a round (window included), or a blocking
-    /// submitter running its own request inline on an idle shard. Set
-    /// and cleared only under the queue lock.
+    /// for the whole of a round, or a submitter running its own request
+    /// inline on an idle shard. Set and cleared only under the queue
+    /// lock.
     pub(super) claimed: bool,
     pub(super) stats: ServiceStats,
 }
@@ -813,10 +813,8 @@ impl NormService {
         }
     }
 
-    /// Decide whether an arrival runs inline on the calling thread. A
-    /// non-zero coalescing window always queues the arrival, so the
-    /// driver can hold the round open. Otherwise the decision is made
-    /// under the shard's queue lock: inline when the service is up, the
+    /// Decide, under the shard's queue lock, whether an arrival runs
+    /// inline on the calling thread: inline when the service is up, the
     /// shard has nothing queued and no thread holds its claim. On success
     /// the caller holds the claim and the request is already counted in
     /// `requests`, exactly as a queued request is counted before it
@@ -826,9 +824,6 @@ impl NormService {
         shard: &'s Shard,
         request: &NormRequest<'_>,
     ) -> Result<Admission<'s>, NormError> {
-        if !self.inner.config.window.is_zero() {
-            return Ok(Admission::Queue);
-        }
         let mut queue = self.inner.queue_of(shard);
         if self.inner.shutdown.load(Ordering::SeqCst) {
             return Err(NormError::ServiceShutdown);
@@ -1015,8 +1010,8 @@ impl NormService {
         }
         drop(queue);
         // Wake the resident driver (submitters park on their slots, so
-        // `work_cv` wakes only the driver) — an arrival during an open
-        // window lands in the batch; otherwise this starts a round.
+        // `work_cv` wakes only the driver) — an arrival while a round
+        // runs joins the next one; otherwise this starts a round.
         shard.work_cv.notify_all();
         Ok(slot)
     }

@@ -40,9 +40,9 @@ pub struct ServiceStats {
     /// start of the backend execution that served them, **measured at the
     /// executing thread**: the resident driver (or, for an inline
     /// request, the submitting thread) stamps the moment its backend call
-    /// begins, so the span covers queueing, any coalescing window, the
-    /// driver hand-off and the backend-lock wait — and nothing of the
-    /// execution itself. Summed per request; like
+    /// begins, so the span covers queueing, the driver hand-off and the
+    /// backend-lock wait — and nothing of the execution itself. Summed
+    /// per request; like
     /// [`rows`](ServiceStats::rows), counted only for requests whose
     /// backend call actually ran.
     pub queue_wait: Duration,
@@ -60,10 +60,9 @@ pub struct ServiceStats {
     /// the same way (only for requests whose backend call actually ran).
     pub whiten_rows: u64,
     /// Cumulative wall time the resident shard drivers spent awake —
-    /// draining queues, waiting out coalescing windows, executing rounds
-    /// and firing completion callbacks. With
-    /// [`worker_idle`](ServiceStats::worker_idle) this is the executor's
-    /// utilization split.
+    /// draining queues, executing rounds and firing completion
+    /// callbacks. With [`worker_idle`](ServiceStats::worker_idle) this is
+    /// the executor's utilization split.
     pub worker_busy: Duration,
     /// Cumulative wall time the resident shard drivers spent parked
     /// waiting for work — executor headroom. An idle service accumulates

@@ -60,14 +60,9 @@ fn seeded_spawn_shutdown_churn_keeps_every_outcome_clean() {
     for round in 0..24u32 {
         // Up to 12 resident drivers, one per shard.
         let shards = [1, 2, 4][(rng.next() % 3) as usize] * (1 + (rng.next() % 3) as usize);
-        let window = Duration::from_micros(rng.next() % 300);
         let jitter = rng.next() % 4;
-        let context = format!("round={round} shards={shards} window={window:?} jitter={jitter}");
-        let service = ServiceConfig::new(D)
-            .with_shards(shards)
-            .with_window(window)
-            .build()
-            .unwrap();
+        let context = format!("round={round} shards={shards} jitter={jitter}");
+        let service = ServiceConfig::new(D).with_shards(shards).build().unwrap();
         let barrier = Arc::new(Barrier::new(5));
         std::thread::scope(|scope| {
             for who in 0..4u64 {
@@ -308,7 +303,6 @@ fn full_bit_identity_sweep_on_the_resident_executor() {
                     .with_method(spec)
                     .with_shards(shards)
                     .with_whiten(WhitenSpec::default())
-                    .with_window(Duration::from_micros(500))
                     .build()
                     .unwrap();
                 let context = format!("{}/{} shards={shards}", backend.name(), spec.label());

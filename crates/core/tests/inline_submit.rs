@@ -10,7 +10,6 @@
 //! * Work that arrives while an inline caller holds the shard queues
 //!   behind it and is served by the driver once the claim is released —
 //!   never stranded, never run by the inline caller.
-//! * A service with a fixed coalescing window never runs inline.
 //! * A queued blocking submit returns only once its round is counted in
 //!   `stats()` and the shard's claim is free: the caller's next submit
 //!   on the idle shard runs inline.
@@ -24,19 +23,23 @@
 //!   back to the pool, and a panicking backend yields a `ServiceShutdown`
 //!   ticket instead of unwinding into the submitter.
 //!
-//! The gated backends record the name of every thread that enters them:
-//! resident drivers are named `ns{service}s{shard}d`, so "who executed
-//! this call" is observable without touching private state.
+//! The gated backends (`common/mod.rs`) record the name of every thread
+//! that enters them: resident drivers are named `ns{service}s{shard}d`,
+//! so "who executed this call" is observable without touching private
+//! state.
+
+mod common;
 
 use std::collections::HashSet;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::{await_accepted, gated, is_driver, Gate, Panic};
 use iterl2norm::backend::{build_backend, BackendKind, FormatKind};
 use iterl2norm::service::{NormRequest, ServiceConfig};
 use iterl2norm::whiten::{build_whiten, WhitenSpec};
 use iterl2norm::SimdLevel;
-use iterl2norm::{MethodSpec, NormBackend, NormError, NormService, ReduceOrder, RowMoments};
+use iterl2norm::{MethodSpec, NormError, NormService, ReduceOrder};
 use workloads::{Distribution, VectorGen};
 
 const D: usize = 16;
@@ -84,137 +87,6 @@ fn oracle_whiten(bits: &[u32]) -> Vec<u32> {
     out
 }
 
-/// `true` for a resident shard driver's thread name.
-fn is_driver(name: &str) -> bool {
-    name.starts_with("ns") && name.ends_with('d')
-}
-
-/// A gate the test controls: backend calls block in `pass` until the
-/// test opens it (bounded, so a bug fails instead of hanging), and each
-/// entry records the entering thread's name.
-#[derive(Default)]
-struct Gate {
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct GateState {
-    entered: Vec<String>,
-    open: bool,
-}
-
-impl Gate {
-    fn new(open: bool) -> Arc<Self> {
-        let gate = Gate::default();
-        gate.state.lock().unwrap().open = open;
-        Arc::new(gate)
-    }
-
-    fn pass(&self) {
-        let mut state = self.state.lock().unwrap();
-        let name = std::thread::current().name().unwrap_or("").to_string();
-        state.entered.push(name);
-        self.cv.notify_all();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !state.open && Instant::now() < deadline {
-            state = self
-                .cv
-                .wait_timeout(state, Duration::from_millis(50))
-                .unwrap()
-                .0;
-        }
-    }
-
-    /// Wait until `n` backend calls have entered the gate.
-    fn await_entered(&self, n: usize) {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut state = self.state.lock().unwrap();
-        while state.entered.len() < n {
-            assert!(Instant::now() < deadline, "backend never entered the gate");
-            state = self
-                .cv
-                .wait_timeout(state, Duration::from_millis(50))
-                .unwrap()
-                .0;
-        }
-    }
-
-    fn open(&self) {
-        self.state.lock().unwrap().open = true;
-        self.cv.notify_all();
-    }
-
-    fn close(&self) {
-        self.state.lock().unwrap().open = false;
-    }
-
-    fn entered(&self) -> Vec<String> {
-        self.state.lock().unwrap().entered.clone()
-    }
-}
-
-/// An identity backend that waits at the gate first, then panics if
-/// `panics` is set.
-struct GatedBackend {
-    gate: Arc<Gate>,
-    panics: bool,
-}
-
-impl NormBackend for GatedBackend {
-    fn backend(&self) -> BackendKind {
-        BackendKind::Emulated
-    }
-
-    fn format_name(&self) -> &'static str {
-        "FP32"
-    }
-
-    fn d(&self) -> usize {
-        D
-    }
-
-    fn method_label(&self) -> String {
-        "gated-test".into()
-    }
-
-    fn normalize_batch_bits(
-        &mut self,
-        input: &[u32],
-        out: &mut [u32],
-        _threads: usize,
-    ) -> Result<usize, NormError> {
-        self.gate.pass();
-        assert!(!self.panics, "injected inline backend panic");
-        out.copy_from_slice(input);
-        Ok(input.len() / D)
-    }
-
-    fn normalize_row_bits_detailed(
-        &mut self,
-        input: &[u32],
-        out: &mut [u32],
-    ) -> Result<RowMoments, NormError> {
-        self.normalize_batch_bits(input, out, 1)?;
-        Ok(RowMoments {
-            mean: 0.0,
-            m: 1.0,
-            scale: 1.0,
-        })
-    }
-}
-
-fn gated(config: ServiceConfig, gate: &Arc<Gate>, panics: bool) -> NormService {
-    config
-        .build_with_backends(|| {
-            Box::new(GatedBackend {
-                gate: Arc::clone(gate),
-                panics,
-            })
-        })
-        .unwrap()
-}
-
 /// Every live thread of this process as `(tid, comm, state)`, read from
 /// `/proc/self/task/*/{comm,stat}`; a thread that exits mid-read is
 /// skipped.
@@ -250,7 +122,7 @@ fn gated_with_parked_driver(gate: &Arc<Gate>) -> NormService {
     let gate = Arc::clone(gate);
     let service = std::thread::Builder::new()
         .name(SPAWNER.into())
-        .spawn(move || gated(ServiceConfig::new(D), &gate, false))
+        .spawn(move || gated(ServiceConfig::new(D), &gate, Panic::Never))
         .unwrap()
         .join()
         .unwrap();
@@ -276,20 +148,6 @@ fn gated_with_parked_driver(gate: &Arc<Gate>) -> NormService {
             "the shard driver never parked: {live:?}"
         );
         std::thread::sleep(Duration::from_micros(200));
-    }
-}
-
-/// Poll until `n` requests were accepted (a queued submitter counts
-/// before it parks).
-fn await_accepted(service: &NormService, n: u64) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while service.stats().requests < n {
-        assert!(
-            Instant::now() < deadline,
-            "never saw {n} accepted requests (stats: {:?})",
-            service.stats()
-        );
-        std::thread::sleep(Duration::from_micros(100));
     }
 }
 
@@ -371,7 +229,7 @@ fn sequential_inline_calls_never_wake_the_driver() {
 #[test]
 fn work_arriving_behind_an_inline_caller_is_served_by_the_driver() {
     let gate = Gate::new(false);
-    let service = gated(ServiceConfig::new(D), &gate, false);
+    let service = gated(ServiceConfig::new(D), &gate, Panic::Never);
     let first = request_bits(1, 0x4001);
     let second = request_bits(2, 0x4002);
     let third = request_bits(1, 0x4003);
@@ -431,34 +289,6 @@ fn work_arriving_behind_an_inline_caller_is_served_by_the_driver() {
 }
 
 #[test]
-fn a_fixed_window_never_runs_inline() {
-    let gate = Gate::new(true);
-    let service = gated(
-        ServiceConfig::new(D).with_window(Duration::from_micros(200)),
-        &gate,
-        false,
-    );
-    let bits = request_bits(1, 0x5000);
-    let mut out = vec![0u32; bits.len()];
-    for _ in 0..10 {
-        assert_eq!(
-            service.submit(NormRequest::bits(&bits)).unwrap().bits(),
-            &bits[..]
-        );
-        service
-            .submit_into(NormRequest::bits(&bits), &mut out)
-            .unwrap();
-        assert_eq!(out, bits);
-    }
-    let entered = gate.entered();
-    assert_eq!(entered.len(), 20);
-    assert!(
-        entered.iter().all(|name| is_driver(name)),
-        "a windowed service ran a backend call off the driver: {entered:?}"
-    );
-}
-
-#[test]
 fn a_queued_submit_returns_after_its_round_is_counted_and_released() {
     // The driver fills a round's slots only after it has folded the
     // round's stats and cleared the shard's claim. A submitter woken any
@@ -466,7 +296,7 @@ fn a_queued_submit_returns_after_its_round_is_counted_and_released() {
     // still claimed and queue its next request behind a finished round.
     const ROUNDS: usize = 1_500;
     let gate = Gate::new(true);
-    let service = gated(ServiceConfig::new(D), &gate, false);
+    let service = gated(ServiceConfig::new(D), &gate, Panic::Never);
     let bits = request_bits(1, 0x5800);
     let mut out = vec![0u32; bits.len()];
     let me = std::thread::current().name().unwrap_or("").to_string();
@@ -515,7 +345,7 @@ fn a_queued_submit_returns_after_its_round_is_counted_and_released() {
 #[test]
 fn a_panicking_inline_call_fails_the_ticket_queued_behind_it() {
     let gate = Gate::new(false);
-    let service = gated(ServiceConfig::new(D), &gate, true);
+    let service = gated(ServiceConfig::new(D), &gate, Panic::Always);
     let bits = request_bits(1, 0x6000);
 
     std::thread::scope(|scope| {
@@ -564,7 +394,7 @@ fn a_panicking_inline_call_fails_the_ticket_queued_behind_it() {
 #[test]
 fn an_idle_shard_ticket_runs_on_the_caller_and_is_complete_on_return() {
     let gate = Gate::new(true);
-    let service = gated(ServiceConfig::new(D), &gate, false);
+    let service = gated(ServiceConfig::new(D), &gate, Panic::Never);
     let bits = request_bits(2, 0x7000);
     let before = service.stats();
     let (mut ticket, immediate) = std::thread::scope(|scope| {
@@ -751,7 +581,7 @@ fn a_dropped_inline_ticket_is_counted_and_its_buffer_returns_to_the_pool() {
 #[test]
 fn a_panicking_inline_ticket_reports_shutdown_without_unwinding() {
     let gate = Gate::new(true);
-    let service = gated(ServiceConfig::new(D), &gate, true);
+    let service = gated(ServiceConfig::new(D), &gate, Panic::Always);
     let bits = request_bits(1, 0xB000);
     let submitted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         service.submit_async(NormRequest::bits(&bits))

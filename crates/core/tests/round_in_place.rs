@@ -1,6 +1,6 @@
 //! Coalesced rounds run in place, enforced:
 //!
-//! * A fixed coalescing window lands N tickets in one driver round
+//! * N tickets queued behind a blocker land in one driver round
 //!   (`batch_requests == N` on every reply), and the round executes over
 //!   the requests' own payload buffers. Every reply equals the emulated
 //!   soft-float oracle run on that request alone — for norm requests of
@@ -13,10 +13,18 @@
 //!   the concatenated rows, replies equal to the oracle.
 //! * A round whose backend call fails fails every ticket in it; no
 //!   reply is delivered as `Ok`.
+//!
+//! Every round is made deterministic with the shared gate
+//! (`common/mod.rs`): a blocker request runs inline on the idle shard
+//! and holds its claim inside the gate while the test queues the round's
+//! tickets; opening the gate lets the driver drain them all at once. The
+//! gate wraps the backend under test and forwards every call to it.
+
+mod common;
 
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
+use common::{gated_real, hold_every_shard, Gate, GatedBackend, Panic};
 use iterl2norm::backend::{build_backend, BackendKind, FormatKind};
 use iterl2norm::service::{NormRequest, NormTicket, ServiceConfig};
 use iterl2norm::whiten::{build_whiten, WhitenDetail, WhitenExec, WhitenSpec};
@@ -32,10 +40,6 @@ const NORM_ROWS: [usize; 5] = [1, 7, 8, 9, 64];
 
 /// Whitening group sizes, in samples.
 const GROUP_ROWS: [usize; 3] = [64, 100, 256];
-
-/// Long enough that every ticket the test submits back to back lands in
-/// the window the first one opened, even on one loaded CPU.
-const WINDOW: Duration = Duration::from_millis(250);
 
 fn request_bits(rows: usize, seed: u64) -> Vec<u32> {
     let gen = VectorGen::new(Distribution::Uniform, seed);
@@ -125,10 +129,23 @@ fn whiten_requests(seed: u64) -> Vec<Expected> {
         .collect()
 }
 
-/// Submit every request as a ticket back to back, so they share the
-/// round the first one opens, then check each reply: oracle bits, and a
-/// batch holding every request of its kind.
-fn one_round(service: &NormService, round: &[Expected], label: &str) {
+/// The one-row request that holds the shard while a round queues.
+fn blocker() -> Vec<u32> {
+    request_bits(1, 0xB10C)
+}
+
+/// Hold the shard with a blocker, submit every request as a ticket
+/// behind it, then open the gate so they all share the driver's next
+/// round, and check each reply: oracle bits, and a batch holding every
+/// request of its kind. Returns the blocker's own outcome.
+fn one_round(
+    service: &NormService,
+    gate: &Gate,
+    round: &[Expected],
+    label: &str,
+) -> Result<Vec<u32>, NormError> {
+    gate.close();
+    let holders = hold_every_shard(service, gate, &blocker());
     let per_kind = |whiten: bool| round.iter().filter(|e| e.whiten == whiten).count();
     let mut tickets = TicketSet::new();
     let mut index = Vec::new();
@@ -141,6 +158,8 @@ fn one_round(service: &NormService, round: &[Expected], label: &str) {
         let ticket: NormTicket = service.submit_async(request).unwrap();
         index.push((tickets.insert(ticket), i));
     }
+    gate.open();
+    let held = holders.into_iter().next().unwrap().join().unwrap();
     while let Some((id, result)) = tickets.wait_any() {
         let &(_, i) = index.iter().find(|(t, _)| *t == id).unwrap();
         let e = &round[i];
@@ -159,12 +178,7 @@ fn one_round(service: &NormService, round: &[Expected], label: &str) {
             .sum();
         assert_eq!(response.batch_rows(), kind_rows, "{label}: request {i}");
     }
-}
-
-fn windowed(backend: BackendKind) -> ServiceConfig {
-    ServiceConfig::new(D)
-        .with_backend(backend)
-        .with_window(WINDOW)
+    held.map(|response| response.bits().to_vec())
 }
 
 #[test]
@@ -179,15 +193,18 @@ fn coalesced_rounds_run_in_place_and_match_the_oracle() {
         for backend in BackendKind::ALL {
             let (norm, whiten, mixed) = (&norm, &whiten, &mixed);
             scope.spawn(move || {
-                let service = windowed(backend).build().unwrap();
+                let gate = Gate::new(false);
+                let service = gated_real(ServiceConfig::new(D).with_backend(backend), &gate);
                 let label = backend.to_string();
-                one_round(&service, norm, &format!("{label}, norm"));
-                one_round(&service, whiten, &format!("{label}, whiten"));
-                one_round(&service, mixed, &format!("{label}, mixed"));
+                for (round, kinds) in [(norm, "norm"), (whiten, "whiten"), (mixed, "mixed")] {
+                    let held = one_round(&service, &gate, round, &format!("{label}, {kinds}"));
+                    assert_eq!(held.unwrap(), oracle_norm(&blocker()), "{label}: blocker");
+                }
                 let stats = service.stats();
-                // One backend call per kind per round.
-                assert_eq!(stats.batches, 4, "{label}");
-                assert_eq!(stats.coalesced_requests, stats.requests, "{label}");
+                // One backend call per kind per round, plus each of the
+                // three rounds' inline blocker.
+                assert_eq!(stats.batches, 4 + 3, "{label}");
+                assert_eq!(stats.coalesced_requests, stats.requests - 3, "{label}");
             });
         }
     });
@@ -286,12 +303,17 @@ fn default_in_place_impls_serve_coalesced_rounds() {
     let batches = Arc::new(Mutex::new(Vec::new()));
     let whiten_batches = Arc::new(Mutex::new(Vec::new()));
     let (b, w) = (Arc::clone(&batches), Arc::clone(&whiten_batches));
-    let service = windowed(BackendKind::Emulated)
+    let gate = Gate::new(false);
+    let service = ServiceConfig::new(D)
         .build_with_backends_and_whiten(
             || {
-                Box::new(OutOfPlaceOnly {
-                    inner: emulated_backend(),
-                    batches: Arc::clone(&b),
+                Box::new(GatedBackend {
+                    gate: Arc::clone(&gate),
+                    inner: Box::new(OutOfPlaceOnly {
+                        inner: emulated_backend(),
+                        batches: Arc::clone(&b),
+                    }),
+                    panic: Panic::Never,
                 })
             },
             move || {
@@ -302,11 +324,14 @@ fn default_in_place_impls_serve_coalesced_rounds() {
             },
         )
         .unwrap();
-    one_round(&service, &norm, "default impl, norm");
-    one_round(&service, &whiten, "default impl, whiten");
+    one_round(&service, &gate, &norm, "default impl, norm").unwrap();
+    one_round(&service, &gate, &whiten, "default impl, whiten").unwrap();
     let total = |round: &[Expected]| round.iter().map(|e| e.request.len()).sum::<usize>();
-    // One out-of-place call per round, over every request's rows.
-    assert_eq!(*batches.lock().unwrap(), vec![total(&norm)]);
+    // One out-of-place call per round, over every request's rows. Each
+    // round's blocker is one inline norm call of its own, and it returns
+    // the claim before the driver's round can start.
+    let held = blocker().len();
+    assert_eq!(*batches.lock().unwrap(), vec![held, total(&norm), held]);
     assert_eq!(*whiten_batches.lock().unwrap(), vec![total(&whiten)]);
 }
 
@@ -357,10 +382,17 @@ impl NormBackend for Failing {
 
 #[test]
 fn a_failed_round_fails_every_ticket() {
+    let gate = Gate::new(false);
     let service = ServiceConfig::new(D)
-        .with_window(WINDOW)
-        .build_with_backends(|| Box::new(Failing))
+        .build_with_backends(|| {
+            Box::new(GatedBackend {
+                gate: Arc::clone(&gate),
+                inner: Box::new(Failing),
+                panic: Panic::Never,
+            })
+        })
         .unwrap();
+    let holders = hold_every_shard(&service, &gate, &blocker());
     let requests: Vec<Vec<u32>> = NORM_ROWS
         .iter()
         .map(|&rows| request_bits(rows, 700))
@@ -369,10 +401,17 @@ fn a_failed_round_fails_every_ticket() {
         .iter()
         .map(|bits| service.submit_async(NormRequest::bits(bits)).unwrap())
         .collect();
+    gate.open();
+    for holder in holders {
+        assert_eq!(holder.join().unwrap().unwrap_err(), NormError::EmptyInput);
+    }
     for ticket in &mut tickets {
         assert_eq!(ticket.wait().unwrap_err(), NormError::EmptyInput);
     }
     let stats = service.stats();
-    assert_eq!(stats.batches, 1, "the tickets shared one round");
+    assert_eq!(
+        stats.batches, 2,
+        "the blocker's inline call, then one round the tickets shared"
+    );
     assert_eq!(stats.rows, 0, "a failed round processed no rows");
 }

@@ -11,14 +11,23 @@
 //! native FP32) × every registry method × shard counts {1, 2, 4} ×
 //! submitting-thread counts {1, 2, 3, 8}, with the zero-row (m = 0 rows)
 //! request and a mixed-d request rejected identically no matter how busy
-//! the sharded service is, mixed normalize and whitening traffic under a
-//! fixed and a zero coalescing window, and `QueueFull` backpressure
-//! exercised by the companion `service_resilience` suite. CI runs this suite in debug *and*
-//! release mode, like the backend identity suite.
+//! the sharded service is, concurrent mixed normalize and whitening
+//! traffic, and `QueueFull` backpressure exercised by the companion
+//! `service_resilience` suite. CI runs this suite in debug *and* release
+//! mode, like the backend identity suite.
+//!
+//! The coalesced cases get their shared rounds from the gate in
+//! `common/mod.rs`, not from timing: a blocker request holds each shard's
+//! claim inside the gate while the submitters queue, and opening the gate
+//! lets every shard's driver drain its whole queue in one round. The gate
+//! wraps the real backend under test and forwards every call to it.
+
+mod common;
 
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
+use common::{await_accepted, gated_real, hold_every_shard, Gate};
 use iterl2norm::backend::{build_backend, BackendKind, FormatKind};
 use iterl2norm::service::{NormRequest, Placement, ServiceConfig};
 use iterl2norm::whiten::{build_whiten, WhitenSpec};
@@ -84,14 +93,15 @@ fn coalesced_matches_serial_for_every_exec_point_method_shard_and_submitter_coun
         for spec in MethodSpec::REGISTRY {
             for shards in SHARDS {
                 for submitters in SUBMITTERS {
-                    let service = ServiceConfig::new(d)
+                    let gate = Gate::new(false);
+                    let config = ServiceConfig::new(d)
                         .with_backend(backend)
                         .with_format(format)
                         .with_method(spec)
-                        .with_shards(shards)
-                        .with_window(Duration::from_millis(2))
-                        .build()
-                        .unwrap();
+                        .with_shards(shards);
+                    let service = gated_real(config, &gate);
+                    let blocker = request_bits(format, d, 1, 0xB10C);
+                    let holders = hold_every_shard(&service, &gate, &blocker);
                     let barrier = Arc::new(Barrier::new(submitters));
                     let context = format!(
                         "{}/{} {} shards={shards} submitters={submitters}",
@@ -116,6 +126,15 @@ fn coalesced_matches_serial_for_every_exec_point_method_shard_and_submitter_coun
                                 })
                             })
                             .collect();
+                        // Every submitter queues behind a blocker; then
+                        // each shard's driver drains its queue in one round.
+                        await_accepted(&service, (shards + submitters) as u64);
+                        gate.open();
+                        let expect = serial_reference(backend, format, d, &spec, &blocker);
+                        for holder in holders {
+                            let response = holder.join().unwrap().unwrap();
+                            assert_eq!(response.bits(), &expect[..], "{context}: blocker");
+                        }
                         for handle in handles {
                             let (bits, response) = handle.join().unwrap();
                             assert_eq!(response.rows(), bits.len() / d, "{context}");
@@ -131,8 +150,13 @@ fn coalesced_matches_serial_for_every_exec_point_method_shard_and_submitter_coun
                         }
                     });
                     let stats = service.stats();
-                    assert_eq!(stats.requests, submitters as u64, "{context}");
+                    // The submitters plus one blocker per shard.
+                    assert_eq!(stats.requests, (submitters + shards) as u64, "{context}");
                     assert!(stats.batches <= stats.requests, "{context}");
+                    if submitters > shards {
+                        // Round-robin put at least two submitters on one shard.
+                        assert!(stats.coalesced_requests >= 2, "{context}");
+                    }
                 }
             }
         }
@@ -147,8 +171,8 @@ fn async_submit_matches_blocking_and_serial_for_every_method_shard_and_submitter
     // submitter counts {1, 2, 3, 8}. Each submitter pipelines two async
     // tickets around a blocking submit (the intended overlap pattern), on
     // a request-hash-placed service where half the traffic is keyed — so
-    // sticky placement, round-robin fallback, and driver rounds mixing
-    // async and blocking entries all occur in one run.
+    // sticky placement and round-robin fallback occur in one run, and a
+    // busy shard's driver rounds can mix async and blocking entries.
     let d = 33;
     for (backend, format) in EXEC_POINTS {
         for spec in MethodSpec::REGISTRY {
@@ -160,7 +184,6 @@ fn async_submit_matches_blocking_and_serial_for_every_method_shard_and_submitter
                         .with_method(spec)
                         .with_shards(shards)
                         .with_placement(Placement::RequestHash)
-                        .with_window(Duration::from_millis(1))
                         .build()
                         .unwrap();
                     let barrier = Arc::new(Barrier::new(submitters));
@@ -265,11 +288,7 @@ fn empty_and_mixed_d_requests_are_rejected_identically_under_load() {
     let d = 16;
     // Sharded on purpose: shape rejection happens at the door, before
     // placement, so it must look identical no matter the shard count.
-    let service = ServiceConfig::new(d)
-        .with_shards(2)
-        .with_window(Duration::from_millis(2))
-        .build()
-        .unwrap();
+    let service = ServiceConfig::new(d).with_shards(2).build().unwrap();
     // Alone: the zero-row request and the ragged request fail cleanly.
     assert_eq!(
         service.submit(NormRequest::bits(&[])).unwrap_err(),
@@ -342,17 +361,69 @@ fn empty_and_mixed_d_requests_are_rejected_identically_under_load() {
 
 #[test]
 fn coalescing_actually_happens_under_concurrent_load() {
-    // Structural smoke test for the micro-batcher: with a generous window
-    // and a barrier start, concurrent submitters should share a backend
-    // batch. Retried to tolerate scheduler hiccups on loaded hosts; the
-    // bit-identity guarantees above hold regardless of grouping.
+    // Structural test for the micro-batcher: concurrent submitters that
+    // queue behind a busy shard share one backend batch. A blocker holds
+    // the shard in the gate until all four are accepted, so the sharing
+    // is certain and no retry is needed; the bit-identity guarantees
+    // above hold regardless of grouping.
     let d = 64;
     let submitters = 4;
+    let gate = Gate::new(false);
+    let service = gated_real(
+        ServiceConfig::new(d).with_backend(BackendKind::Native),
+        &gate,
+    );
+    let blocker = request_bits(FormatKind::Fp32, d, 1, 0xB10C);
+    let holders = hold_every_shard(&service, &gate, &blocker);
     let mut observed_sharing = false;
-    for _attempt in 0..3 {
+    let barrier = Arc::new(Barrier::new(submitters));
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..submitters)
+            .map(|who| {
+                let service = service.clone();
+                let barrier = Arc::clone(&barrier);
+                scope.spawn(move || {
+                    let bits = request_bits(FormatKind::Fp32, d, 1, who as u64);
+                    barrier.wait();
+                    service.submit(NormRequest::bits(&bits)).unwrap()
+                })
+            })
+            .collect();
+        await_accepted(&service, 1 + submitters as u64);
+        gate.open();
+        for holder in holders {
+            assert_eq!(holder.join().unwrap().unwrap().batch_requests(), 1);
+        }
+        for handle in handles {
+            if handle.join().unwrap().batch_requests() > 1 {
+                observed_sharing = true;
+            }
+        }
+    });
+    let stats = service.stats();
+    // The submitters plus the blocker.
+    assert_eq!(stats.requests, 1 + submitters as u64);
+    assert!(
+        observed_sharing,
+        "4 submitters queued behind a blocker never shared a batch"
+    );
+    assert!(stats.coalesced_requests >= 2);
+    assert!(stats.batches < stats.requests);
+}
+
+#[test]
+fn concurrent_mixed_kind_traffic_is_bit_identical() {
+    // Rounds may group requests however they arrive, never change bits:
+    // every response must equal the same serial per-request reference,
+    // under concurrent mixed-kind traffic.
+    let d = 16;
+    let submitters = 4;
+    let whiten_rows = 6;
+    let spec = MethodSpec::iterl2(5);
+    for shards in [1usize, 2] {
         let service = ServiceConfig::new(d)
-            .with_backend(BackendKind::Native)
-            .with_window(Duration::from_millis(250))
+            .with_shards(shards)
+            .with_whiten(WhitenSpec::default())
             .build()
             .unwrap();
         let barrier = Arc::new(Barrier::new(submitters));
@@ -362,106 +433,55 @@ fn coalescing_actually_happens_under_concurrent_load() {
                     let service = service.clone();
                     let barrier = Arc::clone(&barrier);
                     scope.spawn(move || {
-                        let bits = request_bits(FormatKind::Fp32, d, 1, who as u64);
+                        let rows = 1 + who % 3;
+                        let norm = request_bits(FormatKind::Fp32, d, rows, who as u64);
+                        let group =
+                            request_bits(FormatKind::Fp32, d, whiten_rows, 0x100 + who as u64);
                         barrier.wait();
-                        service.submit(NormRequest::bits(&bits)).unwrap()
+                        let normalized = service.submit(NormRequest::bits(&norm)).unwrap();
+                        let mut ticket = service
+                            .submit_async(NormRequest::whiten_group(&group))
+                            .unwrap();
+                        let whitened = ticket.wait().unwrap();
+                        (norm, normalized, group, whitened)
                     })
                 })
                 .collect();
             for handle in handles {
-                if handle.join().unwrap().batch_requests() > 1 {
-                    observed_sharing = true;
-                }
+                let (norm, normalized, group, whitened) = handle.join().unwrap();
+                let expect =
+                    serial_reference(BackendKind::Emulated, FormatKind::Fp32, d, &spec, &norm);
+                assert_eq!(
+                    normalized.bits(),
+                    &expect[..],
+                    "shards={shards}: normalize bits diverged"
+                );
+                assert_eq!(
+                    whitened.bits(),
+                    &serial_whiten(d, &group)[..],
+                    "shards={shards}: whiten bits diverged"
+                );
             }
         });
         let stats = service.stats();
-        assert_eq!(stats.requests, submitters as u64);
-        if observed_sharing {
-            assert!(stats.coalesced_requests >= 2);
-            assert!(stats.batches < stats.requests);
-            break;
-        }
-    }
-    assert!(
-        observed_sharing,
-        "4 barrier-started submitters never shared a batch within a 250ms window (3 attempts)"
-    );
-}
-
-#[test]
-fn fixed_and_zero_windows_are_bit_identical() {
-    // Window policy may regroup rounds, never change bits: every
-    // response under both policies must equal the same serial
-    // per-request reference, under concurrent mixed-kind traffic.
-    let d = 16;
-    let submitters = 4;
-    let whiten_rows = 6;
-    let spec = MethodSpec::iterl2(5);
-    for shards in [1usize, 2] {
-        for (policy, window) in [
-            ("fixed-window", Duration::from_millis(1)),
-            ("no-window", Duration::ZERO),
-        ] {
-            let service = ServiceConfig::new(d)
-                .with_window(window)
-                .with_shards(shards)
-                .with_whiten(WhitenSpec::default())
-                .build()
-                .unwrap();
-            let barrier = Arc::new(Barrier::new(submitters));
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..submitters)
-                    .map(|who| {
-                        let service = service.clone();
-                        let barrier = Arc::clone(&barrier);
-                        scope.spawn(move || {
-                            let rows = 1 + who % 3;
-                            let norm = request_bits(FormatKind::Fp32, d, rows, who as u64);
-                            let group =
-                                request_bits(FormatKind::Fp32, d, whiten_rows, 0x100 + who as u64);
-                            barrier.wait();
-                            let normalized = service.submit(NormRequest::bits(&norm)).unwrap();
-                            let mut ticket = service
-                                .submit_async(NormRequest::whiten_group(&group))
-                                .unwrap();
-                            let whitened = ticket.wait().unwrap();
-                            (norm, normalized, group, whitened)
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    let (norm, normalized, group, whitened) = handle.join().unwrap();
-                    let expect =
-                        serial_reference(BackendKind::Emulated, FormatKind::Fp32, d, &spec, &norm);
-                    assert_eq!(
-                        normalized.bits(),
-                        &expect[..],
-                        "{policy} shards={shards}: normalize bits diverged"
-                    );
-                    assert_eq!(
-                        whitened.bits(),
-                        &serial_whiten(d, &group)[..],
-                        "{policy} shards={shards}: whiten bits diverged"
-                    );
-                }
-            });
-            let stats = service.stats();
-            assert_eq!(stats.requests, 2 * submitters as u64, "{policy}");
-            assert_eq!(stats.whiten_requests, submitters as u64, "{policy}");
-        }
+        assert_eq!(stats.requests, 2 * submitters as u64, "shards={shards}");
+        assert_eq!(stats.whiten_requests, submitters as u64, "shards={shards}");
     }
 }
 
 #[test]
 fn submit_into_is_bit_identical_under_concurrency() {
-    // The buffer-reusing entry point parks in the combining queue under
-    // a window (its result is copied out of a shared driver round);
-    // output must still match serial per-request execution exactly.
+    // The buffer-reusing entry point, queued behind a blocker: its result
+    // is copied out of a shared driver round, and must still match
+    // serial per-request execution exactly.
     let d = 40;
-    let service = ServiceConfig::new(d)
-        .with_window(Duration::from_millis(2))
-        .build()
-        .unwrap();
+    let gate = Gate::new(false);
+    let service = gated_real(ServiceConfig::new(d), &gate);
+    let holders = hold_every_shard(
+        &service,
+        &gate,
+        &request_bits(FormatKind::Fp32, d, 1, 0xB10C),
+    );
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|who| {
@@ -477,6 +497,11 @@ fn submit_into_is_bit_identical_under_concurrency() {
                 })
             })
             .collect();
+        await_accepted(&service, 1 + 4);
+        gate.open();
+        for holder in holders {
+            assert_eq!(holder.join().unwrap().unwrap().rows(), 1);
+        }
         for handle in handles {
             let (bits, out) = handle.join().unwrap();
             let expect = serial_reference(

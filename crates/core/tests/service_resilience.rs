@@ -20,9 +20,12 @@
 //! this suite in the debug profile, so every `debug_assert` in the service
 //! and engine is armed while the races run.
 
-use std::sync::{Arc, Barrier, Condvar, Mutex};
+mod common;
+
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
+use common::{await_accepted, gated, Gate, GatedBackend, Identity, Panic};
 use iterl2norm::service::{NormRequest, ServiceConfig};
 use iterl2norm::{BackendKind, NormBackend, NormError, Priority, RowMoments};
 
@@ -35,152 +38,14 @@ fn row_bits(salt: u32) -> Vec<u32> {
         .collect()
 }
 
-/// A gate the test controls: injected backends block on it until the test
-/// releases them (bounded by a 10 s timeout so a bug can never hang the
-/// suite), and flag when the first call has entered the backend.
-struct Gate {
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct GateState {
-    entered: bool,
-    open: bool,
-}
-
-impl Gate {
-    fn new() -> Arc<Self> {
-        Arc::new(Gate {
-            state: Mutex::new(GateState::default()),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// Called by the backend: announce entry, then block until opened.
-    fn pass(&self) {
-        let mut state = self.state.lock().unwrap();
-        state.entered = true;
-        self.cv.notify_all();
-        let deadline = Duration::from_secs(10);
-        while !state.open {
-            let (next, timeout) = self.cv.wait_timeout(state, deadline).unwrap();
-            state = next;
-            if timeout.timed_out() {
-                break; // never hang the suite on a test bug
-            }
-        }
-    }
-
-    /// Called by the test: wait until a backend call is inside `pass`.
-    fn await_entered(&self) {
-        let mut state = self.state.lock().unwrap();
-        let deadline = Duration::from_secs(10);
-        while !state.entered {
-            let (next, timeout) = self.cv.wait_timeout(state, deadline).unwrap();
-            state = next;
-            assert!(!timeout.timed_out(), "backend never entered the gate");
-        }
-    }
-
-    /// Called by the test: let all blocked and future calls through.
-    fn open(&self) {
-        self.state.lock().unwrap().open = true;
-        self.cv.notify_all();
-    }
-}
-
-/// An injected backend that waits at the gate, then either panics (if
-/// `panics`; with `driver_only`, only on a resident shard driver, whose
-/// threads are named `ns{service}s{shard}d`) or copies the input bits
-/// through unchanged.
-struct GatedBackend {
-    gate: Arc<Gate>,
-    panics: bool,
-    driver_only: bool,
-}
-
-impl NormBackend for GatedBackend {
-    fn backend(&self) -> BackendKind {
-        BackendKind::Emulated
-    }
-
-    fn format_name(&self) -> &'static str {
-        "FP32"
-    }
-
-    fn d(&self) -> usize {
-        D
-    }
-
-    fn method_label(&self) -> String {
-        "gated-test".into()
-    }
-
-    fn normalize_batch_bits(
-        &mut self,
-        input: &[u32],
-        out: &mut [u32],
-        _threads: usize,
-    ) -> Result<usize, NormError> {
-        self.gate.pass();
-        let name = std::thread::current().name().unwrap_or("").to_string();
-        let on_driver = name.starts_with("ns") && name.ends_with('d');
-        assert!(
-            !self.panics || (self.driver_only && !on_driver),
-            "injected backend panic"
-        );
-        out.copy_from_slice(input);
-        Ok(input.len() / D)
-    }
-
-    fn normalize_row_bits_detailed(
-        &mut self,
-        input: &[u32],
-        out: &mut [u32],
-    ) -> Result<RowMoments, NormError> {
-        self.normalize_batch_bits(input, out, 1)?;
-        Ok(RowMoments {
-            mean: 0.0,
-            m: 1.0,
-            scale: 1.0,
-        })
-    }
-}
-
-fn gated_service(gate: &Arc<Gate>, panics: bool, queue_depth: usize) -> iterl2norm::NormService {
-    ServiceConfig::new(D)
-        .with_queue_depth(queue_depth)
-        .build_with_backends(|| {
-            Box::new(GatedBackend {
-                gate: Arc::clone(gate),
-                panics,
-                driver_only: false,
-            })
-        })
-        .unwrap()
-}
-
-/// Poll the aggregate request counter until `n` requests were accepted —
-/// the queued submitter increments it before parking, so this observes
-/// "the waiter is (about to be) parked" without touching private state.
-fn await_accepted(service: &iterl2norm::NormService, n: u64) {
-    for _ in 0..10_000 {
-        if service.stats().requests >= n {
-            return;
-        }
-        std::thread::sleep(Duration::from_micros(100));
-    }
-    panic!(
-        "never saw {n} accepted requests (stats: {:?})",
-        service.stats()
-    );
-}
-
 #[test]
 fn panicking_submitter_does_not_brick_the_service() {
-    let gate = Gate::new();
-    let service = gated_service(&gate, true, 64);
+    let gate = Gate::new(false);
+    let service = gated(
+        ServiceConfig::new(D).with_queue_depth(64),
+        &gate,
+        Panic::Always,
+    );
 
     std::thread::scope(|scope| {
         // Victim: its request is drained into the round whose backend
@@ -196,7 +61,7 @@ fn panicking_submitter_does_not_brick_the_service() {
                 }))
             })
         };
-        gate.await_entered();
+        gate.await_entered(1);
 
         // Follower: enqueues behind the doomed round and parks.
         let follower = {
@@ -245,8 +110,12 @@ fn panicking_submitter_does_not_brick_the_service() {
 
 #[test]
 fn queue_full_fires_under_a_slowed_backend() {
-    let gate = Gate::new();
-    let service = gated_service(&gate, false, 1);
+    let gate = Gate::new(false);
+    let service = gated(
+        ServiceConfig::new(D).with_queue_depth(1),
+        &gate,
+        Panic::Never,
+    );
 
     std::thread::scope(|scope| {
         // First request occupies the backend (blocked at the gate).
@@ -258,7 +127,7 @@ fn queue_full_fires_under_a_slowed_backend() {
                 assert_eq!(response.bits(), &bits[..], "identity backend");
             })
         };
-        gate.await_entered();
+        gate.await_entered(1);
 
         // Second request fills the single queue slot and parks.
         let queued = {
@@ -302,8 +171,12 @@ fn queue_full_fires_under_a_slowed_backend() {
 
 #[test]
 fn waiter_parked_mid_round_survives_shutdown() {
-    let gate = Gate::new();
-    let service = gated_service(&gate, false, 64);
+    let gate = Gate::new(false);
+    let service = gated(
+        ServiceConfig::new(D).with_queue_depth(64),
+        &gate,
+        Panic::Never,
+    );
 
     std::thread::scope(|scope| {
         let executing = {
@@ -313,7 +186,7 @@ fn waiter_parked_mid_round_survives_shutdown() {
                 service.submit(NormRequest::bits(&bits)).map(|r| r.rows())
             })
         };
-        gate.await_entered();
+        gate.await_entered(1);
         let parked = {
             let service = service.clone();
             scope.spawn(move || {
@@ -352,8 +225,12 @@ fn executing_round_does_not_occupy_the_waiting_line() {
     // that request has left the waiting line — the queue-depth bound
     // counts only parked entries. At depth 1, a submitter arriving while
     // another request executes must be admitted, not shed with QueueFull.
-    let gate = Gate::new();
-    let service = gated_service(&gate, false, 1);
+    let gate = Gate::new(false);
+    let service = gated(
+        ServiceConfig::new(D).with_queue_depth(1),
+        &gate,
+        Panic::Never,
+    );
 
     std::thread::scope(|scope| {
         let executing = {
@@ -366,7 +243,7 @@ fn executing_round_does_not_occupy_the_waiting_line() {
         // The gate admits exactly one backend call at a time, so once we
         // observe entry the driver has drained the request: the waiting
         // line is provably empty again.
-        gate.await_entered();
+        gate.await_entered(1);
 
         let queued = {
             let service = service.clone();
@@ -395,15 +272,11 @@ fn submitters_racing_shutdown_always_get_a_clean_outcome() {
     // Loom-style schedule shaking on the real primitives: submitters race
     // a shutdown call over and over; every submit must return either a
     // real result or ServiceShutdown — never hang, never panic. Sweeping
-    // shards and windows varies which protocol path (idle driver wakeup,
-    // drain-in-progress, coalescing-window hold) the race hits.
-    for (shards, window_us) in [(1, 0), (2, 0), (1, 200), (4, 200)] {
+    // shards varies which protocol path (inline claim, idle driver
+    // wakeup, drain-in-progress) the race hits.
+    for shards in [1, 2, 4] {
         for round in 0..12u32 {
-            let service = ServiceConfig::new(D)
-                .with_shards(shards)
-                .with_window(Duration::from_micros(window_us))
-                .build()
-                .unwrap();
+            let service = ServiceConfig::new(D).with_shards(shards).build().unwrap();
             let barrier = Arc::new(Barrier::new(5));
             std::thread::scope(|scope| {
                 for who in 0..4u32 {
@@ -470,8 +343,12 @@ fn ticket_wait_timeout_expires_cleanly_on_a_gated_backend() {
     // round open, and the same ticket collects normally once the gate
     // lifts. The bound covers *parked* time — the resident driver owns
     // execution, so the ticket's collect path only ever parks.
-    let gate = Gate::new();
-    let service = gated_service(&gate, false, 64);
+    let gate = Gate::new(false);
+    let service = gated(
+        ServiceConfig::new(D).with_queue_depth(64),
+        &gate,
+        Panic::Never,
+    );
 
     std::thread::scope(|scope| {
         // A blocking submit whose round is held open inside the backend.
@@ -482,7 +359,7 @@ fn ticket_wait_timeout_expires_cleanly_on_a_gated_backend() {
                 service.submit(NormRequest::bits(&bits)).map(|r| r.rows())
             })
         };
-        gate.await_entered();
+        gate.await_entered(1);
 
         // The async request queues behind the stuck round.
         let bits = row_bits(41);
@@ -565,8 +442,12 @@ fn dropped_ticket_behind_a_gated_round_is_recycled_not_stranded() {
     // is still executed by a later driver round, its result buffer goes
     // straight back to the shard pool, the drop is counted, and the
     // service keeps serving.
-    let gate = Gate::new();
-    let service = gated_service(&gate, false, 64);
+    let gate = Gate::new(false);
+    let service = gated(
+        ServiceConfig::new(D).with_queue_depth(64),
+        &gate,
+        Panic::Never,
+    );
 
     std::thread::scope(|scope| {
         let executing = {
@@ -576,7 +457,7 @@ fn dropped_ticket_behind_a_gated_round_is_recycled_not_stranded() {
                 service.submit(NormRequest::bits(&bits)).map(|r| r.rows())
             })
         };
-        gate.await_entered();
+        gate.await_entered(1);
 
         let bits = row_bits(61);
         let ticket = service.submit_async(NormRequest::bits(&bits)).unwrap();
@@ -606,8 +487,12 @@ fn dropped_ticket_behind_a_gated_round_is_recycled_not_stranded() {
 fn async_backpressure_rejects_at_enqueue_time() {
     // QueueFull for submit_async fires when the ticket is requested — a
     // caller never holds a ticket whose request was silently shed.
-    let gate = Gate::new();
-    let service = gated_service(&gate, false, 1);
+    let gate = Gate::new(false);
+    let service = gated(
+        ServiceConfig::new(D).with_queue_depth(1),
+        &gate,
+        Panic::Never,
+    );
 
     std::thread::scope(|scope| {
         let executing = {
@@ -617,7 +502,7 @@ fn async_backpressure_rejects_at_enqueue_time() {
                 service.submit(NormRequest::bits(&bits)).map(|r| r.rows())
             })
         };
-        gate.await_entered();
+        gate.await_entered(1);
 
         // Fills the single waiting slot.
         let bits = row_bits(71);
@@ -642,8 +527,12 @@ fn panicking_round_fails_queued_tickets_cleanly() {
     // The driver's panic containment extends to async waiters: a ticket
     // queued behind a panicking round collects a clean ServiceShutdown —
     // never a hang, never a poisoned-mutex panic.
-    let gate = Gate::new();
-    let service = gated_service(&gate, true, 64);
+    let gate = Gate::new(false);
+    let service = gated(
+        ServiceConfig::new(D).with_queue_depth(64),
+        &gate,
+        Panic::Always,
+    );
 
     std::thread::scope(|scope| {
         let victim = {
@@ -655,7 +544,7 @@ fn panicking_round_fails_queued_tickets_cleanly() {
                 }))
             })
         };
-        gate.await_entered();
+        gate.await_entered(1);
 
         let bits = row_bits(81);
         let mut ticket = service.submit_async(NormRequest::bits(&bits)).unwrap();
@@ -679,15 +568,9 @@ fn a_panicking_round_re_raises_on_its_blocking_submitter_behind_a_ticket() {
     // call panics. The payload goes to the round's first *blocking*
     // entry, not to its first entry: the submitter re-raises it, and the
     // ticket ahead of it collects a clean ServiceShutdown.
-    let gate = Gate::new();
+    let gate = Gate::new(false);
     let service = ServiceConfig::new(D)
-        .build_with_backends(|| {
-            Box::new(GatedBackend {
-                gate: Arc::clone(&gate),
-                panics: true,
-                driver_only: true,
-            })
-        })
+        .build_with_backends(|| Box::new(GatedBackend::identity(&gate, D, Panic::OnDriver)))
         .unwrap();
 
     std::thread::scope(|scope| {
@@ -701,7 +584,7 @@ fn a_panicking_round_re_raises_on_its_blocking_submitter_behind_a_ticket() {
                 service.submit(NormRequest::bits(&bits)).map(|r| r.rows())
             })
         };
-        gate.await_entered();
+        gate.await_entered(1);
 
         let bits = row_bits(91);
         let mut ticket = service.submit_async(NormRequest::bits(&bits)).unwrap();
@@ -741,8 +624,12 @@ fn high_priority_is_admitted_past_a_full_waiting_line() {
     // still admitted into the reserved overflow region — and that region
     // itself is bounded at one extra depth, so a second high request is
     // shed too. Backpressure stays bounded for every class.
-    let gate = Gate::new();
-    let service = gated_service(&gate, false, 1);
+    let gate = Gate::new(false);
+    let service = gated(
+        ServiceConfig::new(D).with_queue_depth(1),
+        &gate,
+        Panic::Never,
+    );
 
     std::thread::scope(|scope| {
         // Occupies the backend (blocked at the gate).
@@ -753,7 +640,7 @@ fn high_priority_is_admitted_past_a_full_waiting_line() {
                 service.submit(NormRequest::bits(&bits)).map(|r| r.rows())
             })
         };
-        gate.await_entered();
+        gate.await_entered(1);
 
         // Fills the single waiting slot.
         let normal_bits = row_bits(91);
@@ -850,7 +737,7 @@ fn high_priority_rides_at_the_front_of_the_next_round() {
     // Ordering half of the priority contract: a high request submitted
     // *after* a parked normal request still leads the next combined
     // round — its rows come first in the backend's batch input.
-    let gate = Gate::new();
+    let gate = Gate::new(false);
     let batches: Arc<Mutex<Vec<Vec<u32>>>> = Arc::new(Mutex::new(Vec::new()));
     let service = ServiceConfig::new(D)
         .with_queue_depth(8)
@@ -873,7 +760,7 @@ fn high_priority_rides_at_the_front_of_the_next_round() {
                 service.submit(NormRequest::bits(&bits)).map(|r| r.rows())
             })
         };
-        gate.await_entered();
+        gate.await_entered(1);
 
         // Normal first, high second — arrival order.
         let mut normal = service
@@ -912,7 +799,7 @@ fn high_priority_is_fifo_within_its_class() {
     // normal request, but keep their own arrival order — a newer high
     // request must never preempt an older one still waiting, or
     // sustained high-priority load would starve its own oldest request.
-    let gate = Gate::new();
+    let gate = Gate::new(false);
     let batches: Arc<Mutex<Vec<Vec<u32>>>> = Arc::new(Mutex::new(Vec::new()));
     let service = ServiceConfig::new(D)
         .with_queue_depth(8)
@@ -936,7 +823,7 @@ fn high_priority_is_fifo_within_its_class() {
                 service.submit(NormRequest::bits(&bits)).map(|r| r.rows())
             })
         };
-        gate.await_entered();
+        gate.await_entered(1);
 
         let mut normal = service
             .submit_async(NormRequest::bits(&normal_bits))
@@ -1015,55 +902,13 @@ impl iterl2norm::WhitenExec for PanickingWhiten {
     }
 }
 
-/// A minimal pass-through backend so normalization traffic works while
-/// the whiten executor is rigged to panic.
-struct PassBackend;
-
-impl NormBackend for PassBackend {
-    fn backend(&self) -> BackendKind {
-        BackendKind::Emulated
-    }
-
-    fn format_name(&self) -> &'static str {
-        "FP32"
-    }
-
-    fn d(&self) -> usize {
-        D
-    }
-
-    fn method_label(&self) -> String {
-        "pass-test".into()
-    }
-
-    fn normalize_batch_bits(
-        &mut self,
-        input: &[u32],
-        out: &mut [u32],
-        _threads: usize,
-    ) -> Result<usize, NormError> {
-        out.copy_from_slice(input);
-        Ok(input.len() / D)
-    }
-
-    fn normalize_row_bits_detailed(
-        &mut self,
-        input: &[u32],
-        out: &mut [u32],
-    ) -> Result<RowMoments, NormError> {
-        out.copy_from_slice(input);
-        Ok(RowMoments {
-            mean: 0.0,
-            m: 1.0,
-            scale: 1.0,
-        })
-    }
-}
-
 #[test]
 fn poisoned_whiten_lock_fails_closed_not_cascading() {
     let service = ServiceConfig::new(D)
-        .build_with_backends_and_whiten(|| Box::new(PassBackend), || Box::new(PanickingWhiten))
+        .build_with_backends_and_whiten(
+            || Box::new(Identity { d: D }),
+            || Box::new(PanickingWhiten),
+        )
         .unwrap();
 
     // Normalization works before anything whitens (the executor is lazy).

@@ -12,17 +12,20 @@
 //!   them in **completion** order, pinned here by gating each shard's
 //!   backend independently and releasing them out of insertion order.
 //!
-//! The gate/backend helpers mirror `service_resilience.rs`: injected
-//! through [`ServiceConfig::build_with_backends`], bounded by a 10 s
-//! failsafe so a bug can never hang the suite.
+//! The gate and gated backend are the shared ones in `common/mod.rs`:
+//! injected through [`ServiceConfig::build_with_backends`], bounded by a
+//! 10 s failsafe so a bug can never hang the suite.
+
+mod common;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::{gated, Gate, GatedBackend, Panic};
 use iterl2norm::service::{NormRequest, Placement, ServiceConfig};
-use iterl2norm::{BackendKind, NormBackend, NormError, RowMoments, TicketSet};
+use iterl2norm::TicketSet;
 
 const D: usize = 8;
 
@@ -30,113 +33,6 @@ fn row_bits(salt: u32) -> Vec<u32> {
     (0..D as u32)
         .map(|i| (1.0f32 + (i.wrapping_mul(29).wrapping_add(salt) % 13) as f32 * 0.125).to_bits())
         .collect()
-}
-
-struct Gate {
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct GateState {
-    entered: bool,
-    open: bool,
-}
-
-impl Gate {
-    fn new() -> Arc<Self> {
-        Arc::new(Gate {
-            state: Mutex::new(GateState::default()),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn pass(&self) {
-        let mut state = self.state.lock().unwrap();
-        state.entered = true;
-        self.cv.notify_all();
-        let deadline = Duration::from_secs(10);
-        while !state.open {
-            let (next, timeout) = self.cv.wait_timeout(state, deadline).unwrap();
-            state = next;
-            if timeout.timed_out() {
-                break; // never hang the suite on a test bug
-            }
-        }
-    }
-
-    fn await_entered(&self) {
-        let mut state = self.state.lock().unwrap();
-        let deadline = Duration::from_secs(10);
-        while !state.entered {
-            let (next, timeout) = self.cv.wait_timeout(state, deadline).unwrap();
-            state = next;
-            assert!(!timeout.timed_out(), "backend never entered the gate");
-        }
-    }
-
-    fn open(&self) {
-        self.state.lock().unwrap().open = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Identity backend blocking at its gate — how these tests hold a
-/// driver's round open while they arrange the race under test.
-struct GatedBackend {
-    gate: Arc<Gate>,
-}
-
-impl NormBackend for GatedBackend {
-    fn backend(&self) -> BackendKind {
-        BackendKind::Emulated
-    }
-
-    fn format_name(&self) -> &'static str {
-        "FP32"
-    }
-
-    fn d(&self) -> usize {
-        D
-    }
-
-    fn method_label(&self) -> String {
-        "gated-test".into()
-    }
-
-    fn normalize_batch_bits(
-        &mut self,
-        input: &[u32],
-        out: &mut [u32],
-        _threads: usize,
-    ) -> Result<usize, NormError> {
-        self.gate.pass();
-        out.copy_from_slice(input);
-        Ok(input.len() / D)
-    }
-
-    fn normalize_row_bits_detailed(
-        &mut self,
-        input: &[u32],
-        out: &mut [u32],
-    ) -> Result<RowMoments, NormError> {
-        self.normalize_batch_bits(input, out, 1)?;
-        Ok(RowMoments {
-            mean: 0.0,
-            m: 1.0,
-            scale: 1.0,
-        })
-    }
-}
-
-fn gated_service(gate: &Arc<Gate>) -> iterl2norm::NormService {
-    ServiceConfig::new(D)
-        .build_with_backends(|| {
-            Box::new(GatedBackend {
-                gate: Arc::clone(gate),
-            })
-        })
-        .unwrap()
 }
 
 /// Poll the aggregate counters until `stats` satisfies `done`, bounded.
@@ -161,8 +57,8 @@ fn await_stats(
 
 #[test]
 fn callback_registered_before_completion_fires_exactly_once() {
-    let gate = Gate::new();
-    let service = gated_service(&gate);
+    let gate = Gate::new(false);
+    let service = gated(ServiceConfig::new(D), &gate, Panic::Never);
     let fired = Arc::new(AtomicUsize::new(0));
     let (tx, rx) = mpsc::channel();
 
@@ -175,7 +71,7 @@ fn callback_registered_before_completion_fires_exactly_once() {
             service.submit(NormRequest::bits(&bits)).map(|r| r.rows())
         })
     };
-    gate.await_entered();
+    gate.await_entered(1);
 
     let bits = row_bits(2);
     let ticket = service.submit_async(NormRequest::bits(&bits)).unwrap();
@@ -270,14 +166,14 @@ fn panicking_callback_is_contained_in_the_driver_and_counted() {
     for _round in 0..2 {
         // Fresh gate and service per round: an opened gate stays open,
         // and the determinism argument needs the round gated.
-        let gate = Gate::new();
-        let service = gated_service(&gate);
+        let gate = Gate::new(false);
+        let service = gated(ServiceConfig::new(D), &gate, Panic::Never);
         let pending = {
             let service = service.clone();
             let bits = bits.clone();
             std::thread::spawn(move || service.submit(NormRequest::bits(&bits)).map(|r| r.rows()))
         };
-        gate.await_entered();
+        gate.await_entered(1);
         let ticket = service.submit_async(NormRequest::bits(&bits)).unwrap();
         ticket.on_ready(|_ticket| panic!("injected waker panic"));
         gate.open();
@@ -303,7 +199,7 @@ fn wait_any_returns_mixed_shard_tickets_in_completion_order() {
     // per shard, in shard order), so the test scripts which shard's
     // round finishes first — the set must surface tickets in that
     // order, not insertion order.
-    let gates = [Gate::new(), Gate::new()];
+    let gates = [Gate::new(false), Gate::new(false)];
     let service = {
         let gates = gates.clone();
         let next = AtomicUsize::new(0);
@@ -312,9 +208,7 @@ fn wait_any_returns_mixed_shard_tickets_in_completion_order() {
             .with_placement(Placement::RequestHash)
             .build_with_backends(move || {
                 let shard = next.fetch_add(1, Ordering::SeqCst);
-                Box::new(GatedBackend {
-                    gate: Arc::clone(&gates[shard]),
-                })
+                Box::new(GatedBackend::identity(&gates[shard], D, Panic::Never))
             })
             .unwrap()
     };
@@ -342,8 +236,8 @@ fn wait_any_returns_mixed_shard_tickets_in_completion_order() {
             })
         })
         .collect();
-    gates[0].await_entered();
-    gates[1].await_entered();
+    gates[0].await_entered(1);
+    gates[1].await_entered(1);
 
     let first_bits = row_bits(6);
     let second_bits = row_bits(7);

@@ -9,6 +9,9 @@
 //! and forced levels the host cannot run are skipped with a notice
 //! rather than silently passing.
 
+mod common;
+
+use common::{gated_real, hold_every_shard, Gate};
 use iterl2norm::whiten::{build_whiten, WhitenExec, WhitenSpec};
 use iterl2norm::{
     BackendKind, FormatKind, GroupMode, MethodSpec, NormError, NormRequest, ServiceConfig,
@@ -297,8 +300,10 @@ fn service_path_is_bit_identical_to_direct_executor() {
     }
 }
 
-/// Mixed whiten + normalize traffic through one coalescing service: each
-/// kind still gets exactly its direct-path bits.
+/// Mixed whiten + normalize traffic through one coalesced round: each
+/// kind still gets exactly its direct-path bits. A blocker holds the
+/// shard in the shared gate (`common/mod.rs`) while the eight tickets
+/// queue, so the driver drains them all into one round.
 #[test]
 fn mixed_kind_rounds_keep_both_outputs_bit_exact() {
     let d = 8;
@@ -312,16 +317,15 @@ fn mixed_kind_rounds_keep_both_outputs_bit_exact() {
         .whiten_groups(&group, &mut expected_group, &[m], 1)
         .unwrap();
 
-    let service = ServiceConfig::new(d)
-        .with_whiten(spec)
-        .with_window(std::time::Duration::from_micros(200))
-        .build()
-        .expect("service must start");
+    let gate = Gate::new(true);
+    let service = gated_real(ServiceConfig::new(d).with_whiten(spec), &gate);
     let expected_row = service
         .submit(NormRequest::bits(&row))
         .expect("norm submit must succeed")
         .bits()
         .to_vec();
+    gate.close();
+    let holders = hold_every_shard(&service, &gate, &row);
 
     let tickets: Vec<_> = (0..8)
         .map(|i| {
@@ -333,8 +337,14 @@ fn mixed_kind_rounds_keep_both_outputs_bit_exact() {
             service.submit_async(request).expect("submit_async")
         })
         .collect();
+    gate.open();
+    for holder in holders {
+        let response = holder.join().unwrap().expect("blocker must complete");
+        assert_bits_eq(&expected_row, response.bits(), "blocker norm");
+    }
     for (i, mut ticket) in tickets.into_iter().enumerate() {
         let response = ticket.wait().expect("mixed round must complete");
+        assert_eq!(response.batch_requests(), 4, "ticket #{i} shared the round");
         if i % 2 == 0 {
             assert_bits_eq(
                 &expected_group,

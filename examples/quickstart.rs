@@ -109,13 +109,14 @@ fn demo_service() -> Result<(), Box<dyn std::error::Error>> {
     }
     assert_eq!(outputs[0], outputs[1], "backends must agree bit for bit");
 
-    // Concurrent callers share one service; overlapping requests may be
-    // micro-batched into one backend call (response.batch_requests() > 1)
-    // — with bit-identical results either way. The throughput win only
-    // exists under concurrent load; a lone submitter always runs alone.
+    // Concurrent callers share one service. A request that finds its
+    // shard idle runs at once on its caller; requests that queue while a
+    // round runs are micro-batched into the shard's next backend call
+    // (response.batch_requests() > 1) — with bit-identical results either
+    // way. The sizes below depend on timing; a lone submitter always runs
+    // alone.
     let service = ServiceConfig::new(d)
         .with_backend(BackendKind::Native)
-        .with_window(std::time::Duration::from_millis(5))
         .build()?;
     let coalesced: Vec<usize> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
